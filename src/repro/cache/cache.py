@@ -13,7 +13,10 @@ Replacement is delegated to a pluggable
 Each set is an insertion-ordered mapping the policy may reorder; the
 default ``lru`` policy reproduces the historical hard-coded behaviour
 operation-for-operation, so default-path simulations are bitwise
-identical to the pre-seam code.
+identical to the pre-seam code.  Hooks a policy leaves at the base
+class's no-op are not dispatched at all, and LRU's hit hook (a move to
+the recency tail) is applied inline; a policy that overrides a hook
+receives every call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import LRUPolicy, ReplacementPolicy, make_policy
 from repro.telemetry import StatScope
 from repro.types import Level
 
@@ -39,21 +42,21 @@ class CacheLine:
     prefetched: bool = False
 
 
-@dataclass(slots=True)
-class EvictedLine:
-    """A line pushed out of the cache, with the state the victim had.
+EvictedLine = CacheLine
+"""A line pushed out of the cache, with the state the victim had.
 
-    ``prefetched`` preserves the victim's "installed by a co-fetch, never
-    demand-referenced" flag so the hierarchy can account wasted
-    prefetches (a bit the pre-seam code silently dropped).
-    """
+An evicted line is the record that was resident, handed over as is once
+the cache has let go of it — no copy.  ``prefetched`` preserves the
+victim's "installed by a co-fetch, never demand-referenced" flag so the
+hierarchy can account wasted prefetches (a bit the pre-seam code
+silently dropped).
+"""
 
-    addr: int
-    data: bytes
-    dirty: bool
-    fill_level: Level
-    core_id: int
-    prefetched: bool = False
+
+def _inherits(policy: ReplacementPolicy, hook: str, cls: type) -> bool:
+    """Whether ``policy.<hook>`` is ``cls``'s implementation, unoverridden."""
+    overridden_here = hook in getattr(policy, "__dict__", ())
+    return not overridden_here and getattr(type(policy), hook) is getattr(cls, hook)
 
 
 class Cache:
@@ -89,19 +92,30 @@ class Cache:
         if isinstance(policy, str):
             policy = make_policy(policy, cache_name=name, seed=policy_seed)
         self.policy = policy
-        self.policy.bind(self.num_sets, ways)
+        policy.bind(self.num_sets, ways)
         self.hits = 0
         self.misses = 0
         self.policy_evictions = 0
         self.prefetch_victims = 0
 
+    @property
+    def policy(self) -> ReplacementPolicy:
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: ReplacementPolicy) -> None:
+        self._policy = policy
+        self._lru_hits = _inherits(policy, "on_hit", LRUPolicy)
+        self._hit_hook = not self._lru_hits and not _inherits(
+            policy, "on_hit", ReplacementPolicy
+        )
+        self._fill_hook = not _inherits(policy, "on_fill", ReplacementPolicy)
+        self._evict_hook = not _inherits(policy, "on_evict", ReplacementPolicy)
+
     # Indexing -----------------------------------------------------------
 
     def set_index(self, addr: int) -> int:
         return addr % self.num_sets
-
-    def _set_for(self, addr: int) -> OrderedDict:
-        return self._sets[self.set_index(addr)]
 
     # Lookup / update ------------------------------------------------------
 
@@ -111,7 +125,7 @@ class Cache:
         Statistics count a hit/miss per call; use ``probe`` for a
         side-effect-free check.
         """
-        set_index = self.set_index(addr)
+        set_index = addr % self.num_sets
         cache_set = self._sets[set_index]
         line = cache_set.get(addr)
         if line is None:
@@ -119,12 +133,15 @@ class Cache:
             return None
         self.hits += 1
         if touch:
-            self.policy.on_hit(set_index, cache_set, addr)
+            if self._lru_hits:
+                cache_set.move_to_end(addr)
+            elif self._hit_hook:
+                self._policy.on_hit(set_index, cache_set, addr)
         return line
 
     def probe(self, addr: int) -> Optional[CacheLine]:
         """Check residency without touching policy state or statistics."""
-        return self._set_for(addr).get(addr)
+        return self._sets[addr % self.num_sets].get(addr)
 
     def fill(
         self,
@@ -141,61 +158,46 @@ class Cache:
         eviction) and counts as a touch; callers use this for writes
         that hit.
         """
-        set_index = self.set_index(addr)
+        set_index = addr % self.num_sets
         cache_set = self._sets[set_index]
         existing = cache_set.get(addr)
         if existing is not None:
             existing.data = data
             existing.dirty = existing.dirty or dirty
-            self.policy.on_hit(set_index, cache_set, addr)
+            if self._lru_hits:
+                cache_set.move_to_end(addr)
+            elif self._hit_hook:
+                self._policy.on_hit(set_index, cache_set, addr)
             return None
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.ways:
-            victim_addr = self.policy.select_victim(set_index, cache_set)
-            old = cache_set.pop(victim_addr)
-            self.policy.on_evict(set_index, victim_addr)
+            victim_addr = self._policy.select_victim(set_index, cache_set)
+            victim = cache_set.pop(victim_addr)
+            if self._evict_hook:
+                self._policy.on_evict(set_index, victim_addr)
             self.policy_evictions += 1
-            if old.prefetched:
+            if victim.prefetched:
                 self.prefetch_victims += 1
-            victim = self._evicted(old)
-        cache_set[addr] = CacheLine(
-            addr=addr,
-            data=data,
-            dirty=dirty,
-            fill_level=fill_level,
-            core_id=core_id,
-            prefetched=prefetched,
-        )
-        self.policy.on_fill(set_index, cache_set, addr)
+        cache_set[addr] = CacheLine(addr, data, dirty, fill_level, core_id, prefetched)
+        if self._fill_hook:
+            self._policy.on_fill(set_index, cache_set, addr)
         return victim
 
     def evict(self, addr: int) -> Optional[EvictedLine]:
         """Forcibly remove a specific line (ganged eviction support)."""
-        set_index = self.set_index(addr)
+        set_index = addr % self.num_sets
         line = self._sets[set_index].pop(addr, None)
-        if line is None:
-            return None
-        self.policy.on_evict(set_index, addr)
-        return self._evicted(line)
+        if line is not None and self._evict_hook:
+            self._policy.on_evict(set_index, addr)
+        return line
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line without writeback; returns whether it was present."""
-        set_index = self.set_index(addr)
+        set_index = addr % self.num_sets
         present = self._sets[set_index].pop(addr, None) is not None
-        if present:
-            self.policy.on_evict(set_index, addr)
+        if present and self._evict_hook:
+            self._policy.on_evict(set_index, addr)
         return present
-
-    @staticmethod
-    def _evicted(line: CacheLine) -> EvictedLine:
-        return EvictedLine(
-            line.addr,
-            line.data,
-            line.dirty,
-            line.fill_level,
-            line.core_id,
-            line.prefetched,
-        )
 
     # Iteration / statistics ----------------------------------------------
 
@@ -233,5 +235,6 @@ class Cache:
         for set_index, cache_set in enumerate(self._sets):
             while cache_set:
                 addr, line = cache_set.popitem(last=False)
-                self.policy.on_evict(set_index, addr)
-                sink(self._evicted(line))
+                if self._evict_hook:
+                    self._policy.on_evict(set_index, addr)
+                sink(line)

@@ -53,7 +53,7 @@ class HierarchyConfig:
     policy_seed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessOutcome:
     """Where an access was served and when its data is available."""
 
@@ -195,8 +195,8 @@ class CacheHierarchy:
                 self._store(core_id, addr, write_data)
             return AccessOutcome(now + cfg.l1_latency, "l1")
 
-        if l2.lookup(addr) is not None:
-            line = l2.probe(addr)
+        line = l2.lookup(addr)
+        if line is not None:
             l1.fill(addr, line.data)
             if is_write:
                 self._store(core_id, addr, write_data)
@@ -262,13 +262,7 @@ class CacheHierarchy:
         fill_level: Level,
         prefetched: bool = False,
     ) -> None:
-        victim = self.l3.fill(
-            addr,
-            data,
-            fill_level=fill_level,
-            core_id=core_id,
-            prefetched=prefetched,
-        )
+        victim = self.l3.fill(addr, data, False, fill_level, core_id, prefetched)
         if victim is not None:
             self._note_l3_eviction(victim)
             self._back_invalidate(victim.addr, victim.core_id)

@@ -14,8 +14,9 @@ where ``n = 64 / k`` elements.  Zeros/repeat encodings shrink accordingly.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
 
@@ -40,6 +41,19 @@ _ENCODINGS_BY_SIZE: Tuple[Tuple[int, int, int], ...] = tuple(
         key=lambda e: 1 + e[1] + (LINE_SIZE // e[1] + 7) // 8 + (LINE_SIZE // e[1]) * e[2],
     )
 )
+
+
+#: little-endian unpackers for one line split into unsigned elements, by width
+_ELEMENTS = {
+    width: struct.Struct(f"<{LINE_SIZE // width}{code}")
+    for width, code in ((8, "Q"), (4, "I"), (2, "H"))
+}
+_SIGNED_CODES = {1: "b", 2: "h", 4: "i"}
+#: signed little-endian packers for a line's deltas, by (base, delta) width
+_DELTAS = {
+    (base, delta): struct.Struct(f"<{LINE_SIZE // base}{_SIGNED_CODES[delta]}")
+    for _, base, delta in _DELTA_ENCODINGS
+}
 
 
 @dataclass(frozen=True)
@@ -76,10 +90,7 @@ class BDI(CompressionAlgorithm):
         for encoding, base_bytes, delta_bytes in _ENCODINGS_BY_SIZE:
             elements = elements_cache.get(base_bytes)
             if elements is None:
-                elements = [
-                    int.from_bytes(line[i : i + base_bytes], "little")
-                    for i in range(0, LINE_SIZE, base_bytes)
-                ]
+                elements = _ELEMENTS[base_bytes].unpack(line)
                 elements_cache[base_bytes] = elements
             plan = self._plan_elements(elements, encoding, delta_bytes)
             if plan is not None:
@@ -111,16 +122,14 @@ class BDI(CompressionAlgorithm):
         pos += base_bytes
         mask = int.from_bytes(payload[pos : pos + mask_bytes], "little")
         pos += mask_bytes
-        out = bytearray()
+        deltas = _DELTAS[base_bytes, delta_bytes].unpack(payload[pos:])
         modulus = 1 << (base_bytes * 8)
-        for i in range(n):
-            delta = int.from_bytes(
-                payload[pos : pos + delta_bytes], "little", signed=True
-            )
-            pos += delta_bytes
-            anchor = base if (mask >> i) & 1 else 0
-            out.extend(((anchor + delta) % modulus).to_bytes(base_bytes, "little"))
-        return bytes(out)
+        return _ELEMENTS[base_bytes].pack(
+            *[
+                ((base if (mask >> i) & 1 else 0) + delta) % modulus
+                for i, delta in enumerate(deltas)
+            ]
+        )
 
     def batch_sizes(self, lines):
         """Vectorized BDI sizes over a ``(n, 64)`` uint8 array."""
@@ -188,15 +197,12 @@ class BDI(CompressionAlgorithm):
         self, line: bytes, encoding: int, base_bytes: int, delta_bytes: int
     ) -> Optional[_DeltaPlan]:
         """Find base/deltas for one (k, d) configuration, or None."""
-        elements = [
-            int.from_bytes(line[i : i + base_bytes], "little")
-            for i in range(0, LINE_SIZE, base_bytes)
-        ]
+        elements = _ELEMENTS[base_bytes].unpack(line)
         return self._plan_elements(elements, encoding, delta_bytes)
 
     @staticmethod
     def _plan_elements(
-        elements: List[int], encoding: int, delta_bytes: int
+        elements: Sequence[int], encoding: int, delta_bytes: int
     ) -> Optional[_DeltaPlan]:
         """Plan over pre-parsed unsigned elements (hot path)."""
         bits = delta_bytes * 8
@@ -222,11 +228,12 @@ class BDI(CompressionAlgorithm):
 
     @staticmethod
     def _encode(plan: _DeltaPlan, base_bytes: int, delta_bytes: int) -> bytes:
-        n = LINE_SIZE // base_bytes
-        mask_bytes = (n + 7) // 8
-        out = bytearray([plan.encoding])
-        out.extend(plan.base.to_bytes(base_bytes, "little"))
-        out.extend(plan.mask.to_bytes(mask_bytes, "little"))
-        for delta in plan.deltas:
-            out.extend(delta.to_bytes(delta_bytes, "little", signed=True))
-        return bytes(out)
+        mask_bytes = (LINE_SIZE // base_bytes + 7) // 8
+        return b"".join(
+            (
+                bytes([plan.encoding]),
+                plan.base.to_bytes(base_bytes, "little"),
+                plan.mask.to_bytes(mask_bytes, "little"),
+                _DELTAS[base_bytes, delta_bytes].pack(*plan.deltas),
+            )
+        )

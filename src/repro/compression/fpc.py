@@ -11,6 +11,7 @@ line) are decoded, so no explicit length header is needed.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Optional
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
@@ -30,6 +31,9 @@ _P_REPEATED_BYTES = 0b110
 _P_UNCOMPRESSED = 0b111
 
 _MAX_ZERO_RUN = 8
+
+#: a line as its 16 little-endian 32-bit words
+_WORDS = struct.Struct(f"<{_WORDS_PER_LINE}I")
 
 
 def _fits_signed(word: int, nbits: int) -> bool:
@@ -55,7 +59,7 @@ class FPC(CompressionAlgorithm):
 
     def compress(self, line: bytes) -> Optional[bytes]:
         self.check_line(line)
-        words = [int.from_bytes(line[i : i + 4], "little") for i in range(0, LINE_SIZE, 4)]
+        words = _WORDS.unpack(line)
         # hot path: accumulate the bit stream in a single int (MSB-first),
         # equivalent to BitWriter but without per-field call overhead
         acc = 0
@@ -84,7 +88,9 @@ class FPC(CompressionAlgorithm):
             elif word & 0xFFFF == 0:
                 acc = (acc << 19) | (_P_HALF_PADDED << 16) | (word >> 16)
                 nbits += 19
-            elif self._is_two_half_bytes(word):
+            elif ((word >> 16) < 0x80 or (word >> 16) >= 0xFF80) and (
+                (word & 0xFFFF) < 0x80 or (word & 0xFFFF) >= 0xFF80
+            ):  # each 16-bit half is the sign extension of its low byte
                 acc = (acc << 19) | (_P_TWO_HALF_BYTES << 16) | (
                     ((word >> 16) & 0xFF) << 8
                 ) | (word & 0xFF)

@@ -18,10 +18,13 @@ how the benchmarks explore PTMC's algorithm-orthogonality claim (§VII-A).
 Results are memoized by line content — the algorithms are pure functions,
 and workloads repeat data patterns heavily, so this makes the simulator
 orders of magnitude faster without changing any result.  Two memo layers
-exist: payloads (``compress``) and sizes (``compressed_size``); the size
-memo can be bulk-seeded from the vectorized batch kernel
-(:meth:`seed_sizes`), which is how the batch-driven simulator avoids
-recompressing whole trace chunks line by line.
+are shared process-wide: payloads (``compress``) and sizes
+(``compressed_size``); the size memo can be bulk-seeded from the
+vectorized batch kernel (:meth:`seed_sizes`), which is how the
+batch-driven simulator avoids recompressing whole trace chunks line by
+line.  A third memo, payload -> line for ``decompress``, belongs to the
+instance: a compressed read unpacks every member of its slot, and the
+same payloads are read back again and again within one simulation.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ class HybridCompressor(CompressionAlgorithm):
         key = tuple(a.name for a in self._algorithms)
         self._cache: Dict[bytes, Optional[bytes]] = _SHARED_CACHES.setdefault(key, {})
         self._sizes: Dict[bytes, int] = _SHARED_SIZE_CACHES.setdefault(key, {})
+        #: decompressed lines by payload, scoped to this instance (and so to
+        #: the simulated system that owns it)
+        self._lines: Dict[bytes, bytes] = {}
 
     @property
     def algorithms(self) -> Tuple[CompressionAlgorithm, ...]:
@@ -159,14 +165,22 @@ class HybridCompressor(CompressionAlgorithm):
         return best
 
     def decompress(self, payload: bytes) -> bytes:
+        if self._memoize:
+            line = self._lines.get(payload)
+            if line is not None:
+                return line
         if not payload:
             raise CompressionError("empty hybrid payload")
         tag = payload[0]
         if tag >= len(self._algorithms):
             raise CompressionError(f"unknown algorithm tag {tag}")
-        return self._algorithms[tag].decompress(payload[1:])
+        line = self._algorithms[tag].decompress(payload[1:])
+        if self._memoize:
+            self._lines[bytes(payload)] = line
+        return line
 
     def clear_cache(self) -> None:
         """Drop memoized results (useful to bound memory in long sweeps)."""
         self._cache.clear()
         self._sizes.clear()
+        self._lines.clear()

@@ -47,12 +47,13 @@ def pair_lines(addr: int) -> List[int]:
 
 
 def location_for(addr: int, level: Level) -> int:
-    """Physical slot holding ``addr`` when stored at ``level``."""
-    if level is Level.QUAD:
-        return group_base(addr)
-    if level is Level.PAIR:
-        return pair_base(addr)
-    return addr
+    """Physical slot holding ``addr`` when stored at ``level``.
+
+    A level's value is its slot's line count (1, 2 or 4), so the slot is
+    ``addr`` aligned down to that count: the group base for QUAD, the pair
+    base for PAIR, the home slot when uncompressed.
+    """
+    return addr & ~(level - 1)
 
 
 def slot_members(loc: int, level: Level) -> List[int]:
@@ -61,11 +62,7 @@ def slot_members(loc: int, level: Level) -> List[int]:
     Only meaningful when ``loc`` is a legal slot for ``level`` (group base
     for QUAD, pair base for PAIR).
     """
-    if level is Level.QUAD:
-        return group_lines(loc)
-    if level is Level.PAIR:
-        return pair_lines(loc)
-    return [loc]
+    return list(range(loc, loc + level))
 
 
 def candidate_locations(addr: int) -> List[Tuple[int, Level]]:
@@ -76,12 +73,14 @@ def candidate_locations(addr: int) -> List[Tuple[int, Level]]:
     report each distinct slot once with the *highest* level that maps there,
     because the marker read from the slot disambiguates the rest.
     """
-    seen = {}
-    for level in (Level.QUAD, Level.PAIR, Level.UNCOMPRESSED):
-        loc = location_for(addr, level)
-        if loc not in seen:
-            seen[loc] = level
-    return [(loc, level) for loc, level in seen.items()]
+    quad = group_base(addr)
+    pair = pair_base(addr)
+    candidates = [(quad, Level.QUAD)]
+    if pair != quad:
+        candidates.append((pair, Level.PAIR))
+    if addr != pair:
+        candidates.append((addr, Level.UNCOMPRESSED))
+    return candidates
 
 
 def needs_prediction(addr: int) -> bool:

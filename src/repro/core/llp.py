@@ -14,7 +14,7 @@ re-issue to the line's other candidate location(s) and an LCT update.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.core.types import Level
 from repro.telemetry import StatScope
@@ -33,6 +33,8 @@ class LineLocationPredictor:
         self._entries = entries
         self._lines_per_page = lines_per_page
         self._lct: List[Level] = [Level.UNCOMPRESSED] * entries
+        #: page -> LCT index; the hash is pure, so each page is hashed once
+        self._page_index: Dict[int, int] = {}
         self.predictions = 0
         self.mispredictions = 0
         #: extra re-issued accesses beyond the first correction (a quad
@@ -46,22 +48,22 @@ class LineLocationPredictor:
 
     def _index(self, addr: int) -> int:
         page = addr // self._lines_per_page
-        return mix64(page) % self._entries
+        index = self._page_index.get(page)
+        if index is None:
+            index = mix64(page) % self._entries
+            self._page_index[page] = index
+        return index
 
     def predict(self, addr: int) -> Level:
         """Predicted compression status for ``addr`` (its page's last status)."""
         self.predictions += 1
         return self._lct[self._index(addr)]
 
-    def update(self, addr: int, actual: Level, predicted: Optional[Level] = None) -> None:
+    def update(self, addr: int, actual: Level) -> None:
         """Record the observed compression status after a resolved access.
 
-        ``predicted`` (when given) updates the accuracy statistics: the
-        prediction counts as correct only if it located the line on the
-        first access.
+        Accuracy is charged separately, by :meth:`record_mispredict`.
         """
-        if predicted is not None and predicted != actual:
-            self.mispredictions += 1
         self._lct[self._index(addr)] = actual
 
     def record_mispredict(self, extra_accesses: int = 1) -> None:
@@ -83,10 +85,11 @@ class LineLocationPredictor:
         if self.predictions == 0:
             return 1.0
         value = 1.0 - self.mispredictions / self.predictions
-        assert 0.0 <= value <= 1.0, (
-            f"LLP accuracy out of range: {self.mispredictions} mispredictions "
-            f"over {self.predictions} predictions"
-        )
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"LLP accuracy out of range: {self.mispredictions} mispredictions "
+                f"over {self.predictions} predictions"
+            )
         return value
 
     def register_stats(self, scope: StatScope) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.compression.base import LINE_SIZE
 from repro.core.types import Level
@@ -61,16 +61,16 @@ def invert(data: bytes) -> bytes:
     return data.translate(_INVERT_TABLE)
 
 
-@dataclass(frozen=True)
-class _SlotMarkers:
-    """All marker values relevant to one slot, precomputed for the hot path."""
+#: The five possible classifications, shared by every ``classify`` call.
+_QUAD_SLOT = SlotClass(SlotKind.QUAD, Level.QUAD)
+_PAIR_SLOT = SlotClass(SlotKind.PAIR, Level.PAIR)
+_INVALID_SLOT = SlotClass(SlotKind.INVALID)
+_MAYBE_INVERTED_SLOT = SlotClass(SlotKind.MAYBE_INVERTED)
+_UNCOMPRESSED_SLOT = SlotClass(SlotKind.UNCOMPRESSED)
 
-    pair: bytes
-    quad: bytes
-    invalid: bytes
-    inv_pair: bytes
-    inv_quad: bytes
-    inv_invalid: bytes
+#: Per-slot marker values, precomputed for the hot path:
+#: ``(pair, quad, invalid, inv_pair, inv_quad, inv_invalid)``.
+_SlotMarkers = Tuple[bytes, bytes, bytes, bytes, bytes, bytes]
 
 
 class MarkerScheme:
@@ -118,29 +118,28 @@ class MarkerScheme:
         # derivation runs once per slot touched); unpredictability still
         # rests on the key.  Marker-IL repeats one 8-byte block.
         seed = self._hash.hash64(loc, _TWEAK_INVALID)
-        invalid_block = seed.to_bytes(8, "little")
-        invalid = (invalid_block * ((LINE_SIZE + 7) // 8))[:LINE_SIZE]
-        taken = {invalid[-size:], invert(invalid[-size:])}
-
-        def fresh(tweak: int) -> bytes:
-            attempt = tweak
+        invalid = (seed.to_bytes(8, "little") * ((LINE_SIZE + 7) // 8))[:LINE_SIZE]
+        inv_invalid = invalid.translate(_INVERT_TABLE)
+        taken = [invalid[-size:], inv_invalid[-size:]]
+        fresh = []
+        for attempt in (_TWEAK_PAIR, _TWEAK_QUAD):
             while True:
                 value = mix64(seed ^ attempt).to_bytes(8, "little")[:size]
-                if value not in taken and invert(value) not in taken:
-                    taken.add(value)
-                    taken.add(invert(value))
-                    return value
+                inverse = value.translate(_INVERT_TABLE)
+                if value not in taken and inverse not in taken:
+                    taken.append(value)
+                    taken.append(inverse)
+                    fresh.append(value)
+                    break
                 attempt += 0x100
-
-        pair = fresh(_TWEAK_PAIR)
-        quad = fresh(_TWEAK_QUAD)
-        return _SlotMarkers(
-            pair=pair,
-            quad=quad,
-            invalid=invalid,
-            inv_pair=invert(pair),
-            inv_quad=invert(quad),
-            inv_invalid=invert(invalid),
+        pair, quad = fresh
+        return (
+            pair,
+            quad,
+            invalid,
+            pair.translate(_INVERT_TABLE),
+            quad.translate(_INVERT_TABLE),
+            inv_invalid,
         )
 
     def _slot_markers(self, loc: int) -> _SlotMarkers:
@@ -152,16 +151,15 @@ class MarkerScheme:
 
     def marker(self, loc: int, level: Level) -> bytes:
         """The marker a compressed slot at ``loc`` must end with."""
-        markers = self._slot_markers(loc)
         if level is Level.PAIR:
-            return markers.pair
+            return self._slot_markers(loc)[0]
         if level is Level.QUAD:
-            return markers.quad
+            return self._slot_markers(loc)[1]
         raise ValueError("uncompressed slots carry no marker")
 
     def invalid_marker(self, loc: int) -> bytes:
         """The 64-byte Invalid-Line marker (Marker-IL) for slot ``loc``."""
-        return self._slot_markers(loc).invalid
+        return self._slot_markers(loc)[2]
 
     # Classification -----------------------------------------------------
 
@@ -170,21 +168,25 @@ class MarkerScheme:
 
         Order of checks mirrors the hardware: full-line Marker-IL first,
         then the compressed markers on the tail, then their complements
-        (possible inversion), else plain uncompressed data.
+        (possible inversion), else plain uncompressed data.  The result is
+        one of five shared :class:`SlotClass` values.
         """
         if len(slot) != LINE_SIZE:
             raise ValueError("slots are exactly 64 bytes")
-        markers = self._slot_markers(loc)
+        markers = self._cache.get(loc)
+        if markers is None:
+            markers = self._slot_markers(loc)
+        pair, quad, invalid, inv_pair, inv_quad, inv_invalid = markers
         tail = slot[-self.marker_size :]
-        if tail == markers.quad:
-            return SlotClass(SlotKind.QUAD, Level.QUAD)
-        if tail == markers.pair:
-            return SlotClass(SlotKind.PAIR, Level.PAIR)
-        if slot == markers.invalid:
-            return SlotClass(SlotKind.INVALID)
-        if tail == markers.inv_quad or tail == markers.inv_pair or slot == markers.inv_invalid:
-            return SlotClass(SlotKind.MAYBE_INVERTED)
-        return SlotClass(SlotKind.UNCOMPRESSED)
+        if tail == quad:
+            return _QUAD_SLOT
+        if tail == pair:
+            return _PAIR_SLOT
+        if slot == invalid:
+            return _INVALID_SLOT
+        if tail == inv_quad or tail == inv_pair or slot == inv_invalid:
+            return _MAYBE_INVERTED_SLOT
+        return _UNCOMPRESSED_SLOT
 
     def collides(self, loc: int, line: bytes) -> bool:
         """True when uncompressed ``line`` would be misread at ``loc``.
@@ -196,7 +198,7 @@ class MarkerScheme:
         manufacture a real marker and corrupt the line.
         """
         kind = self.classify(loc, line).kind
-        return kind in (SlotKind.PAIR, SlotKind.QUAD, SlotKind.INVALID)
+        return kind is SlotKind.PAIR or kind is SlotKind.QUAD or kind is SlotKind.INVALID
 
     def storage_bits(self) -> int:
         """On-chip storage for the global marker seeds (Table III).

@@ -52,16 +52,6 @@ class PTMCConfig:
     max_rekeys: int = 3
 
 
-@dataclass
-class _LineState:
-    """A group member's state at eviction-handling time."""
-
-    addr: int
-    data: bytes
-    dirty: bool
-    fill_level: Level
-
-
 #: A placement decision: (level, slot, member addrs, packed slot bytes).
 _Unit = Tuple[Level, int, List[int], Optional[bytes]]
 
@@ -113,10 +103,9 @@ class PTMCController(MemoryController):
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
         predicted = address_map.needs_prediction(addr)
-        search_order = self._search_order(addr)
         accesses = 0
         completion = now
-        for loc in search_order:
+        for loc in self._search_order(addr):
             category = Category.DATA_READ if accesses == 0 else Category.MISPREDICT_READ
             completion = self.dram.access(loc, now, category)
             accesses += 1
@@ -153,30 +142,32 @@ class PTMCController(MemoryController):
 
     def _search_order(self, addr: int) -> List[int]:
         """Candidate slots, starting from the LLP's prediction."""
-        candidates = [loc for loc, _ in address_map.candidate_locations(addr)]
         if not address_map.needs_prediction(addr):
-            return candidates  # group base: single fixed location
-        predicted = self.llp.predict(addr)
-        first = address_map.location_for(addr, predicted)
-        return [first] + [loc for loc in candidates if loc != first]
+            return [addr]  # group base: single fixed location
+        first = address_map.location_for(addr, self.llp.predict(addr))
+        return [first] + [
+            loc for loc, _ in address_map.candidate_locations(addr) if loc != first
+        ]
 
     def _interpret(
         self, loc: int, slot: bytes, addr: int, now: int
     ) -> Optional[Tuple[bytes, Dict[int, bytes], Level, bool]]:
         """Decode one slot; ``None`` means "the line is not here"."""
         cls = self.markers.classify(loc, slot)
-        if cls.kind is SlotKind.INVALID:
-            return None
-        if cls.kind in (SlotKind.QUAD, SlotKind.PAIR):
-            if address_map.location_for(addr, cls.level) != loc:
+        level = cls.level
+        if level is not None:  # a 2:1 or 4:1 slot
+            if address_map.location_for(addr, level) != loc:
                 return None  # slot holds a different (pair) group
-            members = address_map.slot_members(loc, cls.level)
-            lines = decompress_group(self.compressor, slot, cls.level)
-            extras = {m: line for m, line in zip(members, lines) if m != addr}
-            data = lines[members.index(addr)]
-            return data, extras, cls.level, True
-        # Uncompressed (possibly inverted) data is only valid at the home slot.
-        if loc != addr:
+            lines = decompress_group(self.compressor, slot, level)
+            extras = {
+                member: line
+                for member, line in enumerate(lines, loc)
+                if member != addr
+            }
+            return lines[addr - loc], extras, level, True
+        # Marker-IL, or uncompressed (possibly inverted) data, which is only
+        # valid at the home slot.
+        if loc != addr or cls.kind is SlotKind.INVALID:
             return None
         if cls.kind is SlotKind.MAYBE_INVERTED:
             data = invert(slot) if self._lit_lookup(loc, now) else slot
@@ -205,6 +196,7 @@ class PTMCController(MemoryController):
     ) -> WriteResult:
         sampled = llc.is_sampled_set(evicted.addr)
         enabled = sampled or self.policy.enabled_for(core_id)
+        ganged_eviction = self.config.ganged_eviction
         result = WriteResult()
 
         # 1. Lines that must leave the LLC: the victim plus, by ganged
@@ -213,7 +205,10 @@ class PTMCController(MemoryController):
         #    retain-lines ablation can leave them stale (memory-side
         #    repacks change a cached line's residency behind its back), so
         #    its read-modify-write probe re-verifies the level first.
-        if not self.config.ganged_eviction:
+        #    Gang and candidate entries are line records (the victim, the
+        #    LLC's own lines, or fresh ``EvictedLine``s) read for their
+        #    ``data``/``dirty``/``fill_level`` only.
+        if not ganged_eviction:
             verified = self._verified_level(evicted.addr)
             if verified != evicted.fill_level:
                 self.dram.access(evicted.addr, now, Category.MAINTENANCE)
@@ -225,51 +220,58 @@ class PTMCController(MemoryController):
         # 2. Compaction candidates: the gang plus still-resident group
         #    neighbours ("checks if the neighboring cachelines are present
         #    in the LLC").
-        candidates: Dict[int, _LineState] = dict(gang)
+        candidates: Dict[int, EvictedLine] = dict(gang)
         if enabled:
             for neighbour in address_map.group_lines(evicted.addr):
                 if neighbour in candidates:
                     continue
                 resident = llc.probe(neighbour)
-                if resident is not None:
-                    level = (
-                        resident.fill_level
-                        if self.config.ganged_eviction
-                        else self._verified_level(neighbour)
+                if resident is None:
+                    continue
+                if not ganged_eviction:
+                    resident = EvictedLine(
+                        neighbour,
+                        resident.data,
+                        resident.dirty,
+                        self._verified_level(neighbour),
+                        resident.core_id,
                     )
-                    candidates[neighbour] = _LineState(
-                        neighbour, resident.data, resident.dirty, level
-                    )
+                candidates[neighbour] = resident
 
         # 3. Placement: 4:1, else 2:1 per pair, else home slots.  Compressed
         #    units must involve at least one line that is actually leaving;
-        #    untouched residents keep their LLC lines.
+        #    untouched residents keep their LLC lines.  Every placed line's
+        #    previous residency is noted for step 4.  A lone line has nothing
+        #    to pack with: it goes home, whatever the policy.
+        if len(candidates) == 1:
+            plan = [(Level.UNCOMPRESSED, evicted.addr, [evicted.addr], None)]
+        else:
+            plan = self._plan_placement(evicted.addr, candidates, enabled)
         units = []
-        for unit in self._plan_placement(evicted.addr, candidates, enabled):
+        new_slots = set()
+        prev_slots = set()
+        for unit in plan:
             level, slot, members, packed = unit
-            if level is Level.UNCOMPRESSED and members[0] not in gang:
-                continue  # resident neighbour not compacted: leave it be
-            if level is not Level.UNCOMPRESSED and not any(m in gang for m in members):
-                continue  # don't compact groups unrelated to the victim
-            units.append(unit)
-            if level is not Level.UNCOMPRESSED:
+            if level is Level.UNCOMPRESSED:
+                if members[0] not in gang:
+                    continue  # resident neighbour not compacted: leave it be
+            else:
+                if not any(m in gang for m in members):
+                    continue  # don't compact groups unrelated to the victim
                 for member in members:
                     if member not in gang:
                         llc.force_evict(member)  # ganged eviction of partner
                         gang[member] = candidates[member]
                         result.ganged.append(member)
-        result.level = max(
-            (level for level, _, _, _ in units), default=Level.UNCOMPRESSED
-        )
+                if level > result.level:
+                    result.level = level
+            units.append(unit)
+            new_slots.add(slot)
+            for member in members:
+                prev_slots.add(address_map.location_for(member, gang[member].fill_level))
 
         # 4. Stale-slot analysis: previous residencies of every placed line
         #    that are not rewritten must be marked invalid (Fig. 13).
-        placed = [a for _, _, members, _ in units for a in members]
-        new_slots = {slot for _, slot, _, _ in units}
-        prev_slots = {
-            address_map.location_for(a, gang[a].fill_level) for a in placed
-        }
-
         for level, slot, members, packed in units:
             self._write_unit(level, slot, members, packed, gang, now, sampled, core_id, result)
 
@@ -283,18 +285,16 @@ class PTMCController(MemoryController):
 
     def _collect_gang(
         self, evicted: EvictedLine, now: int, llc: LLCView, result: WriteResult
-    ) -> Dict[int, _LineState]:
+    ) -> Dict[int, EvictedLine]:
         """Ganged eviction: pull out every slot-mate of the victim's group.
 
         A slot-mate missing from the LLC — possible only when ganged
         eviction is disabled (ablation, paper footnote 7) — is recovered
         from memory with a read-modify-write access.
         """
-        gang: Dict[int, _LineState] = {
-            evicted.addr: _LineState(
-                evicted.addr, evicted.data, evicted.dirty, evicted.fill_level
-            )
-        }
+        gang: Dict[int, EvictedLine] = {evicted.addr: evicted}
+        if evicted.fill_level is Level.UNCOMPRESSED:
+            return gang  # an uncompressed line has no slot-mates
         charged_slots = set()  # one RMW read per slot, however many mates
         frontier = [evicted.addr]
         while frontier:
@@ -309,9 +309,7 @@ class PTMCController(MemoryController):
                 if self.config.ganged_eviction:
                     line = llc.force_evict(member)
                     if line is not None:
-                        gang[member] = _LineState(
-                            member, line.data, line.dirty, line.fill_level
-                        )
+                        gang[member] = line
                         result.ganged.append(member)
                         frontier.append(member)
                         continue
@@ -320,8 +318,12 @@ class PTMCController(MemoryController):
                     # fresher than the memory slot; use it, leave it cached
                     resident = llc.probe(member)
                     if resident is not None:
-                        gang[member] = _LineState(
-                            member, resident.data, resident.dirty, state.fill_level
+                        gang[member] = EvictedLine(
+                            member,
+                            resident.data,
+                            resident.dirty,
+                            state.fill_level,
+                            resident.core_id,
                         )
                         frontier.append(member)
                         continue
@@ -351,7 +353,7 @@ class PTMCController(MemoryController):
 
     def _recover_from_memory(
         self, slot: int, level: Level, member: int, now: int, charge: bool = True
-    ) -> Optional[_LineState]:
+    ) -> Optional[EvictedLine]:
         """Read-modify-write support: pull an uncached slot-mate from DRAM."""
         if charge:
             self.dram.access(slot, now, Category.MAINTENANCE)
@@ -359,12 +361,11 @@ class PTMCController(MemoryController):
         cls = self.markers.classify(slot, raw)
         if cls.kind not in (SlotKind.PAIR, SlotKind.QUAD) or cls.level != level:
             return None  # slot moved on since this line was filled; tag is stale
-        members = address_map.slot_members(slot, level)
         lines = decompress_group(self.compressor, raw, level)
-        return _LineState(member, lines[members.index(member)], False, level)
+        return EvictedLine(member, lines[member - slot], False, level, 0)
 
     def _plan_placement(
-        self, addr: int, candidates: Dict[int, _LineState], enabled: bool
+        self, addr: int, candidates: Dict[int, EvictedLine], enabled: bool
     ) -> List[_Unit]:
         """Choose the new residency for the candidate lines (Fig. 3).
 
@@ -402,7 +403,7 @@ class PTMCController(MemoryController):
                 units.append((Level.UNCOMPRESSED, a, [a], None))
         return units
 
-    def _plan_preserving(self, candidates: Dict[int, _LineState]) -> List[_Unit]:
+    def _plan_preserving(self, candidates: Dict[int, EvictedLine]) -> List[_Unit]:
         """Disabled-compression placement: keep existing groups, form none.
 
         Members that were filled from a compressed slot stay together at
@@ -440,17 +441,15 @@ class PTMCController(MemoryController):
         slot: int,
         members: List[int],
         packed: Optional[bytes],
-        gang: Dict[int, _LineState],
+        gang: Dict[int, EvictedLine],
         now: int,
         sampled: bool,
         core_id: int,
         result: WriteResult,
     ) -> None:
         """Write one placement unit unless memory already holds it."""
-        states = [gang[a] for a in members]
-        any_dirty = any(s.dirty for s in states)
         if level is Level.UNCOMPRESSED:
-            state = states[0]
+            state = gang[slot]
             relocated = state.fill_level is not Level.UNCOMPRESSED
             if not state.dirty and not relocated:
                 return  # clean line already correct at home — free eviction
@@ -459,6 +458,8 @@ class PTMCController(MemoryController):
             if category is Category.CLEAN_WRITEBACK and sampled:
                 self.policy.on_cost(core_id)
             return
+        states = [gang[a] for a in members]
+        any_dirty = any(s.dirty for s in states)
         unchanged = all(s.fill_level == level for s in states)
         if unchanged and not any_dirty:
             return  # identical compressed slot already resident
@@ -519,7 +520,7 @@ class PTMCController(MemoryController):
             self.inversions += 1
             return invert(data)
 
-    def _stale_slot_confirmed(self, slot: int, gang: Dict[int, _LineState]) -> bool:
+    def _stale_slot_confirmed(self, slot: int, gang: Dict[int, EvictedLine]) -> bool:
         """Safety net: only invalidate slots that really hold stale copies.
 
         With ganged eviction and accurate LLC tags this always holds; the

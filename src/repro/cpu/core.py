@@ -66,20 +66,23 @@ class CoreModel:
             self.done = True
             return False
         # front-end: retire the gap instructions at full width
-        self.time += max(1, record.gap // self.width)
-        self.instructions += record.instructions
+        gap = record.gap
+        time = self.time + max(1, gap // self.width)
+        self.instructions += gap + 1  # record.instructions
         self.mem_ops += 1
         # stall if the miss window is full
-        while len(self._outstanding) >= self.mlp:
-            oldest = self._outstanding.popleft()
-            if oldest > self.time:
-                self.time = oldest
+        outstanding = self._outstanding
+        while len(outstanding) >= self.mlp:
+            oldest = outstanding.popleft()
+            if oldest > time:
+                time = oldest
+        self.time = time
         paddr = self.page_table.translate(self.core_id, record.vline)
-        outcome = self.hierarchy.access(
-            self.core_id, paddr, record.is_write, self.time, record.write_data
-        )
-        if outcome.completion > self.time:
-            self._outstanding.append(outcome.completion)
+        completion = self.hierarchy.access(
+            self.core_id, paddr, record.is_write, time, record.write_data
+        ).completion
+        if completion > time:
+            outstanding.append(completion)
         return True
 
     def _drain(self) -> None:

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.types import Category
+from repro.types import WRITE_CATEGORIES, Category
 from repro.dram.timing import DDRTiming, DRAMGeometry
 from repro.telemetry import StatScope
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bank:
     """Row-buffer state of one DRAM bank."""
 
@@ -31,7 +31,7 @@ class _Bank:
     activated_at: int = -(10**9)  # last activate time (tRAS enforcement)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Channel:
     """One memory channel: banks, a shared data bus, and a write buffer."""
 
@@ -72,6 +72,10 @@ class DRAMSystem:
     ``access`` returns the cycle at which the requested 64 bytes have been
     transferred; the caller decides what the bytes mean.  Writes return a
     completion too, but cores never wait on them.
+
+    ``timing`` and ``geometry`` are frozen, so the cycle counts and the
+    address-decode divisors every access needs are derived from them once,
+    here, rather than per access.
     """
 
     def __init__(
@@ -90,6 +94,19 @@ class DRAMSystem:
         self.refresh = refresh
         self.stats = DRAMStats()
         self._drain_threshold = write_queue_entries * timing.t_burst
+        self._t_cas = timing.t_cas
+        self._t_rcd = timing.t_rcd
+        self._t_rp = timing.t_rp
+        self._t_ras = timing.t_ras
+        self._t_burst = timing.t_burst
+        #: bus time of a commodity 64-byte access (8 beats)
+        self._t_line = max(1, timing.t_burst)
+        self._t_refi = timing.t_refi
+        self._t_rfc = timing.t_rfc
+        self._interleave = geometry.channel_interleave_lines
+        self._num_channels = geometry.channels
+        self._lines_per_row = geometry.lines_per_row
+        self._banks_per_channel = geometry.banks_per_channel
         self._channels = [
             _Channel(banks=[_Bank() for _ in range(geometry.banks_per_channel)])
             for _ in range(geometry.channels)
@@ -120,11 +137,10 @@ class DRAMSystem:
         """
         if not self.refresh:
             return start
-        t_refi, t_rfc = self.timing.t_refi, self.timing.t_rfc
-        offset = start % t_refi
-        if offset < t_rfc:
+        offset = start % self._t_refi
+        if offset < self._t_rfc:
             self.stats.refresh_stalls += 1
-            return start - offset + t_rfc
+            return start - offset + self._t_rfc
         return start
 
     def access(
@@ -146,26 +162,35 @@ class DRAMSystem:
         (MemZip-style): bus occupancy scales with the transfer size in
         8-byte beats; commodity accesses always move 64 bytes.
         """
-        timing = self.timing
-        decoded = self.geometry.decode(line_addr)
-        channel = self._channels[decoded.channel]
-        bank = channel.banks[decoded.bank]
-        self.stats.count(category)
-        beats = max(1, (burst_bytes + 7) // 8)
-        t_transfer = max(1, timing.t_burst * beats // 8)
+        stats = self.stats
+        # DRAMGeometry.decode, on the precomputed divisors
+        interleave = self._interleave
+        stripe = line_addr // interleave
+        local = (stripe // self._num_channels) * interleave + line_addr % interleave
+        rest = local // self._lines_per_row
+        channel = self._channels[stripe % self._num_channels]
+        bank = channel.banks[rest % self._banks_per_channel]
+        row = rest // self._banks_per_channel
+        stats.count(category)
+        if burst_bytes == 64:
+            t_transfer = self._t_line
+        else:
+            beats = max(1, (burst_bytes + 7) // 8)
+            t_transfer = max(1, self._t_burst * beats // 8)
+        open_page = self.page_policy == "open"
 
-        if category.is_write:
+        if category in WRITE_CATEGORIES:
             # row-buffer statistics still apply; timing goes to the backlog
-            if self.page_policy == "open" and bank.open_row == decoded.row:
-                self.stats.row_hits += 1
+            if open_page and bank.open_row == row:
+                stats.row_hits += 1
             else:
-                self.stats.row_misses += 1
-                self.stats.activations += 1
-                if self.page_policy == "open":
-                    bank.open_row = decoded.row
+                stats.row_misses += 1
+                stats.activations += 1
+                if open_page:
+                    bank.open_row = row
             channel.write_backlog += t_transfer
-            self.stats.writes += 1
-            self.stats.busy_cycles += t_transfer
+            stats.writes += 1
+            stats.busy_cycles += t_transfer
             return now
 
         # drain buffered writes into any idle bus time before this read
@@ -180,34 +205,35 @@ class DRAMSystem:
                 )
                 channel.write_backlog = 0
 
-        start = self._after_refresh(max(now, bank.ready_at))
-        if self.page_policy == "closed":
+        start = self._after_refresh(now if now >= bank.ready_at else bank.ready_at)
+        if not open_page:
             # rows auto-precharge after every access: constant activate cost
-            self.stats.row_misses += 1
-            self.stats.activations += 1
+            stats.row_misses += 1
+            stats.activations += 1
             bank.activated_at = start
-            data_ready = start + timing.t_rcd + timing.t_cas
-        elif bank.open_row == decoded.row:
-            self.stats.row_hits += 1
-            data_ready = start + timing.t_cas
+            data_ready = start + self._t_rcd + self._t_cas
+        elif bank.open_row == row:
+            stats.row_hits += 1
+            data_ready = start + self._t_cas
         else:
-            self.stats.row_misses += 1
-            self.stats.activations += 1
+            stats.row_misses += 1
+            stats.activations += 1
             if bank.open_row != -1:
                 # must precharge; respect tRAS since the last activate
-                precharge_at = max(start, bank.activated_at + timing.t_ras)
-                start = precharge_at + timing.t_rp
+                precharge_at = max(start, bank.activated_at + self._t_ras)
+                start = precharge_at + self._t_rp
             bank.activated_at = start
-            bank.open_row = decoded.row
-            data_ready = start + timing.t_rcd + timing.t_cas
+            bank.open_row = row
+            data_ready = start + self._t_rcd + self._t_cas
 
-        transfer_start = max(data_ready, channel.bus_free_at)
+        bus_free_at = channel.bus_free_at
+        transfer_start = data_ready if data_ready >= bus_free_at else bus_free_at
         completion = transfer_start + t_transfer
         channel.bus_free_at = completion
         bank.ready_at = transfer_start  # next column command can pipeline in
 
-        self.stats.reads += 1
-        self.stats.busy_cycles += t_transfer
+        stats.reads += 1
+        stats.busy_cycles += t_transfer
         return completion
 
     def channel_utilisation(self, elapsed_cycles: int) -> float:

@@ -37,15 +37,25 @@ class Category(Enum):
     PREFETCH_READ = "prefetch_read"
     MAINTENANCE = "maintenance"
 
+    # Members are singletons compared by identity, so an identity hash is
+    # consistent with equality.  It keeps the per-access category counting
+    # and write test in C rather than in ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def is_write(self) -> bool:
-        return self in (
-            Category.DATA_WRITE,
-            Category.METADATA_WRITE,
-            Category.CLEAN_WRITEBACK,
-            Category.INVALIDATE_WRITE,
-        )
+        return self in WRITE_CATEGORIES
 
+
+#: Categories that move data *to* memory (buffered by the DRAM model).
+WRITE_CATEGORIES = frozenset(
+    {
+        Category.DATA_WRITE,
+        Category.METADATA_WRITE,
+        Category.CLEAN_WRITEBACK,
+        Category.INVALIDATE_WRITE,
+    }
+)
 
 #: Categories that exist only because compression is enabled; the paper's
 #: Dynamic-PTMC counts these as the "bandwidth cost of compression".

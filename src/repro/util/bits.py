@@ -43,29 +43,28 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads an MSB-first bit stream produced by :class:`BitWriter`."""
+    """Reads an MSB-first bit stream produced by :class:`BitWriter`.
+
+    The buffer is converted to one integer up front, so a read of any
+    width is a single shift and mask.
+    """
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        self._nbits = len(data) * 8
+        self._value = int.from_bytes(data, "big")
         self._pos = 0
 
     def read(self, nbits: int) -> int:
         """Consume and return the next ``nbits`` bits as an unsigned int."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        if self._pos + nbits > len(self._data) * 8:
+        end = self._pos + nbits
+        if end > self._nbits:
             raise EOFError("bit stream exhausted")
-        value = 0
-        pos = self._pos
-        for _ in range(nbits):
-            byte = self._data[pos >> 3]
-            bit = (byte >> (7 - (pos & 7))) & 1
-            value = (value << 1) | bit
-            pos += 1
-        self._pos = pos
-        return value
+        self._pos = end
+        return (self._value >> (self._nbits - end)) & ((1 << nbits) - 1)
 
     @property
     def bits_remaining(self) -> int:
         """Bits left in the underlying buffer (including padding)."""
-        return len(self._data) * 8 - self._pos
+        return self._nbits - self._pos

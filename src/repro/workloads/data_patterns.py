@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.compression.base import LINE_SIZE
 from repro.util.hashing import KeyedHash, mix64
@@ -79,13 +79,15 @@ class DataProfile:
 
     def kind_for_line(self, vline: int, seed: int) -> PatternKind:
         """Page family, with per-line noise deviation."""
-        page = vline // LINES_PER_PAGE
-        kind = self.kind_for_page(page, seed)
+        kind = self.kind_for_page(vline // LINES_PER_PAGE, seed)
+        return PatternKind.RANDOM if self.deviates(vline, seed) else kind
+
+    def deviates(self, vline: int, seed: int) -> bool:
+        """Whether the per-line noise draw turns this line RANDOM."""
         if self.noise > 0.0:
             draw = (mix64(vline ^ seed ^ 0x0F0F) % (1 << 30)) / (1 << 30)
-            if draw < self.noise:
-                return PatternKind.RANDOM
-        return kind
+            return draw < self.noise
+        return False
 
 
 # Canonical profiles used by the synthetic suites --------------------------
@@ -131,10 +133,18 @@ class DataGenerator:
         self.seed = seed
         self.write_scramble = write_scramble
         self._hash = KeyedHash(seed ^ 0xDA7A)
-        self._memo: Dict[Tuple[int, int], bytes] = {}
+        #: page -> pattern family (``DataProfile.kind_for_page`` is pure)
+        self._page_kinds: Dict[int, PatternKind] = {}
 
     def kind(self, vline: int, version: int = 0) -> PatternKind:
-        base_kind = self.profile.kind_for_line(vline, self.seed)
+        """``profile.kind_for_line``, with the page's family picked once."""
+        page = vline // LINES_PER_PAGE
+        base_kind = self._page_kinds.get(page)
+        if base_kind is None:
+            base_kind = self.profile.kind_for_page(page, self.seed)
+            self._page_kinds[page] = base_kind
+        if self.profile.deviates(vline, self.seed):
+            base_kind = PatternKind.RANDOM
         if version > 0 and self.write_scramble > 0.0:
             draw = (mix64(vline ^ (version << 32) ^ self.seed) % (1 << 30)) / (1 << 30)
             if draw < self.write_scramble:
@@ -142,15 +152,15 @@ class DataGenerator:
         return base_kind
 
     def line(self, vline: int, version: int = 0) -> bytes:
-        """The 64 bytes this line holds at this version (memoized)."""
-        key = (vline, version)
-        data = self._memo.get(key)
-        if data is None:
-            kind = self.kind(vline, version)
-            nonce = mix64(vline ^ (version << 20) ^ self.seed)
-            data = render_pattern(kind, nonce, self._hash)
-            self._memo[key] = data
-        return data
+        """The 64 bytes this line holds at this version.
+
+        Not memoized: a simulation asks for each ``(vline, version)`` once
+        (a store's new version, or a line's first-touch contents), so a
+        memo would only hold every rendered line for the whole run.
+        """
+        kind = self.kind(vline, version)
+        nonce = mix64(vline ^ (version << 20) ^ self.seed)
+        return render_pattern(kind, nonce, self._hash)
 
 
 def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:

@@ -92,3 +92,45 @@ def test_roundtrip_random_fields(fields):
     reader = BitReader(writer.to_bytes())
     for width, value in fields:
         assert reader.read(width) == value
+
+
+class _BitwiseReader:
+    """Reference reader: one bit at a time, as the original implementation."""
+
+    def __init__(self, data):
+        self._data = data
+        self._pos = 0
+
+    def read(self, nbits):
+        if self._pos + nbits > len(self._data) * 8:
+            raise EOFError("bit stream exhausted")
+        value = 0
+        for _ in range(nbits):
+            byte = self._data[self._pos >> 3]
+            value = (value << 1) | ((byte >> (7 - (self._pos & 7))) & 1)
+            self._pos += 1
+        return value
+
+
+@given(
+    st.binary(max_size=40),
+    st.lists(st.integers(min_value=0, max_value=70), max_size=30),
+)
+def test_reader_matches_bit_at_a_time_reference(data, widths):
+    """Word-at-a-time reads agree with the bitwise reference, including
+    where the stream runs out."""
+    fast, slow = BitReader(data), _BitwiseReader(data)
+    for width in widths:
+        try:
+            expected = slow.read(width)
+        except EOFError:
+            with pytest.raises(EOFError):
+                fast.read(width)
+            continue
+        assert fast.read(width) == expected
+        assert fast.bits_remaining == len(data) * 8 - slow._pos
+
+
+def test_negative_width_rejected():
+    with pytest.raises(ValueError):
+        BitReader(b"\x00").read(-1)

@@ -264,3 +264,49 @@ class TestPagePolicy:
         dram.access(0, 0, Category.DATA_WRITE)
         dram.access(0, 0, Category.DATA_WRITE)
         assert dram.stats.row_hits == 0
+
+
+class TestPrecomputedConstants:
+    """``DRAMSystem`` derives its per-access constants once; they must
+    equal what the frozen timing and geometry would give per access."""
+
+    @pytest.mark.parametrize(
+        "timing, geometry",
+        [
+            (DDRTiming(), DRAMGeometry()),
+            (DDRTiming(cpu_ghz=2.0), DRAMGeometry()),
+            (
+                DDRTiming(cpu_ghz=4.1, bus_mhz=1200.0, tcas_ns=11.0, trfc_ns=260.0),
+                DRAMGeometry(channels=4, banks_per_rank=8, lines_per_row=64,
+                             channel_interleave_lines=2),
+            ),
+        ],
+    )
+    def test_constants_match_properties(self, timing, geometry):
+        dram = DRAMSystem(timing, geometry)
+        assert dram._t_cas == timing.t_cas
+        assert dram._t_rcd == timing.t_rcd
+        assert dram._t_rp == timing.t_rp
+        assert dram._t_ras == timing.t_ras
+        assert dram._t_burst == timing.t_burst
+        assert dram._t_line == max(1, timing.t_burst)
+        assert dram._t_refi == timing.t_refi
+        assert dram._t_rfc == timing.t_rfc
+        assert dram._interleave == geometry.channel_interleave_lines
+        assert dram._num_channels == geometry.channels
+        assert dram._lines_per_row == geometry.lines_per_row
+        assert dram._banks_per_channel == geometry.banks_per_channel
+
+    @given(st.integers(min_value=0, max_value=2**30))
+    def test_inline_decode_matches_geometry(self, addr):
+        """The access path lands on the bank ``DRAMGeometry.decode`` names."""
+        geometry = DRAMGeometry(channels=2, banks_per_rank=4, lines_per_row=16)
+        dram = DRAMSystem(geometry=geometry, refresh=False)
+        dram.access(addr, 0, Category.DATA_READ)
+        decoded = geometry.decode(addr)
+        for c, channel in enumerate(dram._channels):
+            for b, bank in enumerate(channel.banks):
+                touched = bank.open_row != -1
+                assert touched == (c == decoded.channel and b == decoded.bank)
+        bank = dram._channels[decoded.channel].banks[decoded.bank]
+        assert bank.open_row == decoded.row

@@ -202,3 +202,60 @@ def test_hybrid_never_worse_than_components(line):
         if component is not None and len(component) + 1 < 64:
             assert payload is not None
             assert len(payload) <= len(component) + 1
+
+
+class TestDecompressionMemo:
+    """``decompress`` memoizes per instance; it must agree with an
+    unmemoized compressor and ``clear_cache`` must empty it."""
+
+    @staticmethod
+    def _pattern_lines():
+        from repro.util.hashing import KeyedHash
+        from repro.workloads.data_patterns import PatternKind, render_pattern
+
+        keyed = KeyedHash(7)
+        return [
+            render_pattern(kind, nonce, keyed)
+            for kind in PatternKind
+            for nonce in range(6)
+        ]
+
+    def test_agrees_with_unmemoized_on_pattern_families(self):
+        memo, plain = HybridCompressor(), HybridCompressor(memoize=False)
+        for line in self._pattern_lines():
+            payload = plain.compress(line)
+            if payload is None:
+                continue
+            first = memo.decompress(payload)
+            again = memo.decompress(payload)  # served from the memo
+            assert first == again == plain.decompress(payload) == line
+
+    @given(any_lines)
+    def test_agrees_with_unmemoized_on_random_lines(self, line):
+        memo, plain = HybridCompressor(), HybridCompressor(memoize=False)
+        payload = plain.compress(line)
+        if payload is not None:
+            assert memo.decompress(payload) == plain.decompress(payload) == line
+            assert memo.decompress(payload) == line
+
+    def test_memo_is_per_instance_and_cleared(self):
+        memo = HybridCompressor()
+        payload = memo.compress(small_int_line())
+        memo.decompress(payload)
+        assert memo._lines
+        assert not HybridCompressor()._lines  # not shared across instances
+        memo.clear_cache()
+        assert not memo._lines
+        assert memo.decompress(payload) == small_int_line()
+
+    def test_unmemoized_keeps_nothing(self):
+        plain = HybridCompressor(memoize=False)
+        plain.decompress(plain.compress(small_int_line()))
+        assert not plain._lines
+
+    def test_corrupt_payloads_still_raise(self):
+        memo = HybridCompressor()
+        with pytest.raises(CompressionError):
+            memo.decompress(b"")
+        with pytest.raises(CompressionError):
+            memo.decompress(b"\x09abc")

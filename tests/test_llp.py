@@ -36,15 +36,23 @@ class TestPrediction:
             LineLocationPredictor(entries=0)
 
 
+def resolve(llp, addr, actual):
+    """One read as the controller does it: predict, charge a wrong guess
+    through ``record_mispredict``, then train the LCT."""
+    predicted = llp.predict(addr)
+    if predicted != actual:
+        llp.record_mispredict()
+    llp.update(addr, actual)
+
+
 class TestAccuracyTracking:
     def test_perfect_accuracy_initially(self):
         llp = LineLocationPredictor()
         assert llp.accuracy == 1.0
 
-    def test_mispredict_counting_via_update(self):
+    def test_mispredict_counting_via_record_mispredict(self):
         llp = LineLocationPredictor()
-        predicted = llp.predict(100)
-        llp.update(100, Level.QUAD, predicted=predicted)
+        resolve(llp, 100, Level.QUAD)
         assert llp.mispredictions == 1
         assert llp.predictions == 1
         assert llp.accuracy == 0.0
@@ -52,9 +60,26 @@ class TestAccuracyTracking:
     def test_correct_prediction_not_counted(self):
         llp = LineLocationPredictor()
         llp.update(100, Level.QUAD)
-        predicted = llp.predict(100)
-        llp.update(100, Level.QUAD, predicted=predicted)
+        resolve(llp, 100, Level.QUAD)
         assert llp.mispredictions == 0
+
+    def test_update_only_trains(self):
+        """Accuracy has one path, ``record_mispredict``; ``update`` takes
+        no prediction and never counts one."""
+        llp = LineLocationPredictor()
+        llp.predict(100)
+        llp.update(100, Level.QUAD)
+        assert llp.mispredictions == 0
+        with pytest.raises(TypeError):
+            llp.update(100, Level.QUAD, predicted=Level.UNCOMPRESSED)
+
+    def test_out_of_range_accuracy_raises(self):
+        """An explicit raise, not an ``assert``: it survives ``python -O``."""
+        llp = LineLocationPredictor()
+        llp.predict(5)
+        llp.mispredictions = 2
+        with pytest.raises(ValueError, match="out of range"):
+            llp.accuracy
 
     def test_record_mispredict(self):
         # one prediction resolved after 2 extra probes: ONE misprediction,
@@ -102,17 +127,13 @@ class TestAccuracyTracking:
         for sweep in range(3):
             for page, level in enumerate(levels):
                 for line in range(0, 64, 7):
-                    addr = page * LINES_PER_PAGE + line
-                    predicted = llp.predict(addr)
-                    llp.update(addr, level, predicted=predicted)
+                    resolve(llp, page * LINES_PER_PAGE + line, level)
         # after the first sweep everything is learned
         assert llp.accuracy > 0.6
         llp.reset_stats()
         for page, level in enumerate(levels):
             for line in range(0, 64, 7):
-                addr = page * LINES_PER_PAGE + line
-                predicted = llp.predict(addr)
-                llp.update(addr, level, predicted=predicted)
+                resolve(llp, page * LINES_PER_PAGE + line, level)
         assert llp.accuracy == 1.0
 
 

@@ -150,3 +150,76 @@ def test_classification_of_own_markers(loc):
     assert scheme.classify(loc, quad_slot).level is Level.QUAD
     assert scheme.classify(loc, pair_slot).level is Level.PAIR
     assert scheme.classify(loc, scheme.invalid_marker(loc)).kind is SlotKind.INVALID
+
+
+def _reference_kind(scheme, loc, slot):
+    """The classification order spelled out from the public marker values."""
+    tail = slot[-scheme.marker_size:]
+    quad = scheme.marker(loc, Level.QUAD)
+    pair = scheme.marker(loc, Level.PAIR)
+    invalid = scheme.invalid_marker(loc)
+    if tail == quad:
+        return SlotKind.QUAD
+    if tail == pair:
+        return SlotKind.PAIR
+    if slot == invalid:
+        return SlotKind.INVALID
+    if tail in (invert(quad), invert(pair)) or slot == invert(invalid):
+        return SlotKind.MAYBE_INVERTED
+    return SlotKind.UNCOMPRESSED
+
+
+def _probe_slots(scheme, loc):
+    body = bytes(range(64 - scheme.marker_size))
+    return [
+        body + scheme.marker(loc, Level.QUAD),
+        body + scheme.marker(loc, Level.PAIR),
+        scheme.invalid_marker(loc),
+        invert(body + scheme.marker(loc, Level.QUAD)),
+        invert(body + scheme.marker(loc, Level.PAIR)),
+        invert(scheme.invalid_marker(loc)),
+        bytes(range(64)),
+        zero_line(),
+    ]
+
+
+class TestClassifyAcrossRekey:
+    """``classify`` memoizes markers per slot and returns shared
+    ``SlotClass`` values; a rekey must reset the memo."""
+
+    LOCS = (0, 1, 2, 3, 64, 4097)
+
+    def test_same_kinds_before_and_after_rekey(self):
+        scheme = MarkerScheme(key=31)
+        before = {
+            loc: [scheme.classify(loc, s).kind for s in _probe_slots(scheme, loc)]
+            for loc in self.LOCS
+        }
+        old_slots = {loc: _probe_slots(scheme, loc) for loc in self.LOCS}
+        scheme.rekey()
+        for loc in self.LOCS:
+            after = [scheme.classify(loc, s).kind for s in _probe_slots(scheme, loc)]
+            assert after == before[loc]
+            # slots written under the old key are judged by the new markers
+            for slot in old_slots[loc]:
+                assert scheme.classify(loc, slot).kind is _reference_kind(scheme, loc, slot)
+
+    def test_memoized_scheme_matches_a_fresh_one(self):
+        used = MarkerScheme(key=31)
+        for loc in self.LOCS:
+            for slot in _probe_slots(used, loc):
+                used.classify(loc, slot)
+        used.rekey()
+        fresh = MarkerScheme(key=31)
+        fresh.rekey()
+        for loc in self.LOCS:
+            for slot in _probe_slots(fresh, loc):
+                assert used.classify(loc, slot) == fresh.classify(loc, slot)
+                assert used.classify(loc, slot).kind is _reference_kind(fresh, loc, slot)
+
+    @given(st.integers(min_value=0, max_value=2**28 - 1), st.binary(min_size=64, max_size=64))
+    def test_matches_reference_order(self, loc, slot):
+        scheme = MarkerScheme(key=9, marker_size=5)
+        assert scheme.classify(loc, slot).kind is _reference_kind(scheme, loc, slot)
+        for own in _probe_slots(scheme, loc):
+            assert scheme.classify(loc, own).kind is _reference_kind(scheme, loc, own)

@@ -8,6 +8,7 @@ from repro.cache.cache import Cache
 from repro.cache.replacement import (
     DEFAULT_POLICY,
     POLICIES,
+    LRUPolicy,
     RandomPolicy,
     SRRIPPolicy,
     make_policy,
@@ -243,3 +244,81 @@ def test_occupancy_and_victims_invariant(policy, stream):
     for s in range(cache.num_sets):
         in_set = [ln for ln in cache.resident() if cache.set_index(ln.addr) == s]
         assert len(in_set) <= 2
+
+
+class TestHookDispatch:
+    """The cache skips hooks a policy leaves at the base no-op; a policy
+    that overrides them must still see every call."""
+
+    class Recording(SRRIPPolicy):
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def on_hit(self, set_index, cache_set, addr):
+            self.calls.append(("hit", addr))
+            super().on_hit(set_index, cache_set, addr)
+
+        def on_fill(self, set_index, cache_set, addr):
+            self.calls.append(("fill", addr))
+            super().on_fill(set_index, cache_set, addr)
+
+        def on_evict(self, set_index, addr):
+            self.calls.append(("evict", addr))
+            super().on_evict(set_index, addr)
+
+    class LRUWithHooks(LRUPolicy):
+        def __init__(self):
+            self.calls = []
+
+        def on_fill(self, set_index, cache_set, addr):
+            self.calls.append(("fill", addr))
+
+        def on_evict(self, set_index, addr):
+            self.calls.append(("evict", addr))
+
+    def _drive(self, cache):
+        cache.fill(0, LINE)       # fill
+        cache.fill(4, LINE)       # fill (same set, 2 ways)
+        cache.lookup(0)           # hit
+        cache.fill(0, LINE)       # in-place refill counts as a hit
+        cache.fill(8, LINE)       # fill + victim evict
+        cache.evict(8)            # forced evict
+        cache.invalidate(0)       # invalidate -> evict hook
+        cache.invalidate(12)      # absent: no hook
+        cache.fill(1, LINE)       # fill (another set)
+        cache.drain(lambda line: None)  # evict hook for line 1
+
+    def test_overriding_subclass_receives_every_call(self):
+        policy = self.Recording()
+        cache = small_cache(policy)
+        self._drive(cache)
+        kinds = [kind for kind, _ in policy.calls]
+        assert kinds.count("fill") == 4
+        assert kinds.count("hit") == 2
+        assert kinds.count("evict") == 4  # victim, evict, invalidate, drain
+
+    def test_lru_subclass_hooks_fire_and_lru_order_kept(self):
+        policy = self.LRUWithHooks()
+        cache = small_cache(policy)
+        self._drive(cache)
+        assert [kind for kind, _ in policy.calls].count("fill") == 4
+        assert [kind for kind, _ in policy.calls].count("evict") == 4
+        # the inherited LRU hit hook still promotes: 4 is the LRU victim
+        assert ("evict", 4) in policy.calls
+
+    def test_instance_level_override_is_honoured(self):
+        calls = []
+        policy = make_policy("lru")
+        policy.on_fill = lambda set_index, cache_set, addr: calls.append(addr)
+        cache = small_cache(policy)
+        cache.fill(3, LINE)
+        assert calls == [3]
+
+    def test_reassigned_policy_recomputes_dispatch(self):
+        cache = small_cache("lru")
+        policy = self.Recording()
+        policy.bind(cache.num_sets, cache.ways)
+        cache.policy = policy
+        cache.fill(1, LINE)
+        assert policy.calls == [("fill", 1)]
