@@ -76,6 +76,12 @@ class LRUPolicy(ReplacementPolicy):
     description = "least-recently-used (default; pre-seam behaviour)"
 
     def on_hit(self, set_index: int, cache_set, addr: int) -> None:
+        """Move the line to the recency tail.
+
+        :class:`~repro.cache.cache.Cache` inlines this rule for any
+        policy that inherits it unoverridden, so it is never called
+        there; ``tests/test_replacement.py`` checks the two stay equal.
+        """
         cache_set.move_to_end(addr)
 
     def select_victim(self, set_index: int, cache_set) -> int:

@@ -66,9 +66,8 @@ class CoreModel:
             self.done = True
             return False
         # front-end: retire the gap instructions at full width
-        gap = record.gap
-        time = self.time + max(1, gap // self.width)
-        self.instructions += gap + 1  # record.instructions
+        time = self.time + max(1, record.gap // self.width)
+        self.instructions += record.instructions
         self.mem_ops += 1
         # stall if the miss window is full
         outstanding = self._outstanding

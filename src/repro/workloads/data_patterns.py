@@ -77,11 +77,6 @@ class DataProfile:
                 return kind
         return PatternKind.RANDOM
 
-    def kind_for_line(self, vline: int, seed: int) -> PatternKind:
-        """Page family, with per-line noise deviation."""
-        kind = self.kind_for_page(vline // LINES_PER_PAGE, seed)
-        return PatternKind.RANDOM if self.deviates(vline, seed) else kind
-
     def deviates(self, vline: int, seed: int) -> bool:
         """Whether the per-line noise draw turns this line RANDOM."""
         if self.noise > 0.0:
@@ -137,7 +132,8 @@ class DataGenerator:
         self._page_kinds: Dict[int, PatternKind] = {}
 
     def kind(self, vline: int, version: int = 0) -> PatternKind:
-        """``profile.kind_for_line``, with the page's family picked once."""
+        """The page's family (memoized), turned RANDOM by the per-line
+        noise draw or, for a stored version, by the write-scramble draw."""
         page = vline // LINES_PER_PAGE
         base_kind = self._page_kinds.get(page)
         if base_kind is None:

@@ -246,6 +246,35 @@ def test_occupancy_and_victims_invariant(policy, stream):
         assert len(in_set) <= 2
 
 
+class DispatchedLRU(LRUPolicy):
+    """LRU whose hit hook the cache must dispatch (it is overridden), so
+    every hit runs ``LRUPolicy.on_hit`` itself rather than the cache's
+    inline copy of it."""
+
+    def on_hit(self, set_index, cache_set, addr):
+        LRUPolicy.on_hit(self, set_index, cache_set, addr)
+
+
+@settings(deadline=None, max_examples=40)
+@given(stream=access_streams)
+def test_inline_lru_hit_matches_lru_policy_on_hit(stream):
+    """The cache applies a plain LRU policy's hit rule inline; it must
+    keep every set in the same order as dispatching ``LRUPolicy.on_hit``,
+    so the two copies of the rule cannot drift apart."""
+    inline = small_cache(LRUPolicy())
+    dispatched = small_cache(DispatchedLRU())
+    assert inline._lru_hits and not dispatched._lru_hits
+    for addr, is_fill, _ in stream:
+        if is_fill:
+            a, b = inline.fill(addr, LINE), dispatched.fill(addr, LINE)
+            assert (a and a.addr) == (b and b.addr)
+        else:
+            assert (inline.lookup(addr) is None) == (dispatched.lookup(addr) is None)
+        assert [ln.addr for ln in inline.resident()] == [
+            ln.addr for ln in dispatched.resident()
+        ]
+
+
 class TestHookDispatch:
     """The cache skips hooks a policy leaves at the base no-op; a policy
     that overrides them must still see every call."""
