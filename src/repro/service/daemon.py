@@ -369,6 +369,7 @@ class ServiceDaemon:
             timeout=timeout,
         )
         if created:
+            self.scheduler.notify()
             self.stats.submitted += 1
             self.log.event(
                 "job_submitted",
@@ -464,7 +465,12 @@ class ServiceDaemon:
         return job
 
     def heartbeat_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
-        """Renew a worker's lease; raises :class:`LeaseLostError` if gone."""
+        """Renew a worker's lease; raises :class:`LeaseLostError` if gone.
+
+        The lease is also refused once the job is past its timeout (see
+        :meth:`JobStore.heartbeat`): the worker abandons the attempt and
+        the reaper takes the job back when the lease lapses.
+        """
         worker_id, lease = self._worker_fields(payload)
         self.workers_seen.seen(worker_id)
         job = self.store.find(job_id)  # KeyError -> 404 at the API layer
@@ -472,9 +478,16 @@ class ServiceDaemon:
             job.id, worker_id, lease or self.lease_seconds
         )
         if not ok:
+            current = self.store.get(job.id)
+            if current.state == jobstore.RUNNING and current.worker_id == worker_id:
+                # still this worker's, so the store refused on the deadline
+                raise LeaseLostError(
+                    f"job {job.id} is past its {current.timeout:g} s timeout; "
+                    f"lease not renewed"
+                )
             raise LeaseLostError(
                 f"job {job.id} is not leased to worker {worker_id!r} "
-                f"(state {self.store.get(job.id).state})"
+                f"(state {current.state})"
             )
         return self.store.get(job.id)
 
@@ -518,33 +531,15 @@ class ServiceDaemon:
         return self.store.get(job.id)
 
     def remote_fail(self, job_id: str, payload: Dict[str, Any]) -> Job:
-        """Record a worker-side failure (retries with backoff like local)."""
+        """Record a worker-side failure under the local retry rule."""
         worker_id, _lease = self._worker_fields(payload)
         job = self.store.find(job_id)
         error = str(payload.get("error") or "worker reported failure")
         self.workers_seen.seen(worker_id)
-        if job.attempts < job.max_attempts:
-            delay = min(
-                self.scheduler.backoff_base
-                * self.scheduler.backoff_factor ** (max(job.attempts, 1) - 1),
-                self.scheduler.backoff_max,
-            )
-            ok = self.store.fail(
-                job.id, error, retry_delay=delay, worker_id=worker_id
-            )
-            if ok:
-                self.stats.retried += 1
-        else:
-            ok = self.store.fail(job.id, error, worker_id=worker_id)
-            if ok:
-                self.stats.failed += 1
-        if not ok:
+        if not self.scheduler.record_failure(job, error, worker_id=worker_id):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}"
             )
-        self.log.event(
-            "job_worker_failed", job_id=job.id, worker_id=worker_id, error=error
-        )
         return self.store.get(job.id)
 
     # -- lease reaper ----------------------------------------------------

@@ -136,6 +136,18 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    @property
+    def deadline(self) -> Optional[float]:
+        """When the current attempt times out (``started_at + timeout``).
+
+        ``None`` without a claim or a timeout; a zero timeout means none,
+        as in the scheduler.  :meth:`JobStore.heartbeat` applies the same
+        rule in SQL.
+        """
+        if not self.timeout or self.started_at is None:
+            return None
+        return self.started_at + self.timeout
+
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready view (what ``GET /jobs/<id>`` returns)."""
         return dataclasses.asdict(self)
@@ -323,14 +335,19 @@ class JobStore:
         The renewal is owner-guarded: a worker whose job was reaped (and
         possibly re-leased to another worker) gets ``False`` back and
         must abandon the attempt — its eventual ``finish``/``fail`` will
-        be rejected by the same guard.
+        be rejected by the same guard.  It is also refused once the job
+        is past its :attr:`Job.deadline`, so no worker can hold a hung
+        job beyond its timeout: the lease lapses and
+        :meth:`reap_expired` takes the job back.
         """
         now = time.time() if now is None else now
         with self._lock:
             cur = self._conn.execute(
                 "UPDATE jobs SET lease_until = ?, updated_at = ? "
-                "WHERE id = ? AND state = ? AND worker_id IS ?",
-                (now + lease_seconds, now, job_id, RUNNING, worker_id),
+                "WHERE id = ? AND state = ? AND worker_id IS ? "
+                "AND (timeout IS NULL OR timeout = 0 "
+                "OR started_at + timeout >= ?)",
+                (now + lease_seconds, now, job_id, RUNNING, worker_id, now),
             )
             self._conn.commit()
             return cur.rowcount > 0
@@ -340,9 +357,11 @@ class JobStore:
 
         The claim's attempt is *not* refunded — a job whose worker keeps
         dying must still exhaust its bounded retries.  A job already on
-        its last attempt fails terminally here rather than looping.
-        Returns the reaped jobs as they were *before* reaping (so the
-        caller can see which worker lost each lease).
+        its last attempt fails terminally here rather than looping.  A
+        job past its :attr:`Job.deadline` records a timeout error either
+        way, as a local timeout does.  Returns the reaped jobs as they
+        were *before* reaping (so the caller can see which worker lost
+        each lease).
         """
         now = time.time() if now is None else now
         with self._lock:
@@ -353,6 +372,13 @@ class JobStore:
             ).fetchall()
             expired = [_row_to_job(row) for row in rows]
             for job in expired:
+                worker = job.worker_id or "?"
+                timeout_error = None
+                if job.deadline is not None and now > job.deadline:
+                    timeout_error = (
+                        f"timeout: job exceeded its deadline (worker {worker} "
+                        f"stopped renewing its lease)"
+                    )
                 if job.attempts >= job.max_attempts:
                     self._conn.execute(
                         "UPDATE jobs SET state = ?, error = ?, updated_at = ?, "
@@ -360,7 +386,8 @@ class JobStore:
                         "WHERE id = ? AND state = ?",
                         (
                             FAILED,
-                            f"lease expired (worker {job.worker_id or '?'} "
+                            timeout_error
+                            or f"lease expired (worker {worker} "
                             f"presumed dead; attempts exhausted)",
                             now,
                             now,
@@ -372,9 +399,9 @@ class JobStore:
                     self._conn.execute(
                         "UPDATE jobs SET state = ?, not_before = 0, "
                         "started_at = NULL, worker_id = NULL, "
-                        "lease_until = NULL, updated_at = ? "
-                        "WHERE id = ? AND state = ?",
-                        (QUEUED, now, job.id, RUNNING),
+                        "lease_until = NULL, error = COALESCE(?, error), "
+                        "updated_at = ? WHERE id = ? AND state = ?",
+                        (QUEUED, timeout_error, now, job.id, RUNNING),
                     )
             self._conn.commit()
         return expired

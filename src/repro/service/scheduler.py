@@ -11,7 +11,9 @@ Policies, in one place:
 - **Retry with exponential backoff.**  A failed attempt re-queues the
   job with ``not_before = now + base * factor**(attempts-1)`` (capped)
   until ``max_attempts`` is exhausted, then the job is ``failed`` with
-  its last error recorded.
+  its last error recorded.  :meth:`Scheduler.record_failure` is the one
+  home of this rule; the daemon applies it to remote workers' failures
+  too.
 - **Per-job timeout.**  A job past its deadline is treated as a failed
   attempt; the worker pool is torn down (terminating the stuck process)
   and rebuilt, and any innocent-bystander jobs in flight are re-queued
@@ -31,12 +33,22 @@ Policies, in one place:
   the CLI) stops claiming, waits up to ``drain_seconds`` for in-flight
   jobs to finish, re-queues (with refund) whatever is still running,
   and leaves the store with no ``running`` rows.
+- **Event-driven wake-ups.**  The run loop sleeps until :meth:`Scheduler.notify`
+  wakes it: the daemon calls it when a submission queues a row, each
+  pool future calls it when it finishes, and ``request_stop()`` calls
+  it.  ``poll_interval`` only caps an idle sleep, so work nobody
+  announces (rows written straight into the store, an expiring
+  ``not_before`` backoff, a reaped lease) and the deadline and lease
+  checks still run at least that often.  Pending wake-ups are dropped
+  *before* a pass, never after it, so one that lands mid-pass ends the
+  next sleep at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import queue
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -185,6 +197,12 @@ class Scheduler:
         self.stats = stats or ServiceStats()
         self.log = log or StructuredLog()
         self._stop = threading.Event()
+        #: pending wake-ups of the run loop (see :meth:`notify`).  Not a
+        #: ``threading.Event``: ``request_stop`` runs in signal handlers
+        #: on the loop's own thread, and a handler that sets an Event
+        #: while that thread holds the Event's lock (inside ``wait`` or
+        #: ``clear``) deadlocks; ``SimpleQueue.put`` is reentrant.
+        self._wakeups: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         self._pool: Optional[ProcessPoolExecutor] = None
         #: job id -> (job, future, absolute deadline or None, dispatch
         #: time, next lease-renewal time)
@@ -197,6 +215,16 @@ class Scheduler:
     def request_stop(self) -> None:
         """Ask the run loop to drain and exit (signal-handler safe)."""
         self._stop.set()
+        self.notify()
+
+    def notify(self) -> None:
+        """Wake the run loop now: a job was queued or one finished.
+
+        Safe from any thread and from signal handlers.  One pass serves
+        any number of wake-ups, so at most one is kept pending.
+        """
+        if self._wakeups.empty():
+            self._wakeups.put(None)
 
     @property
     def stopping(self) -> bool:
@@ -222,15 +250,36 @@ class Scheduler:
         )
         self._pool = self._new_pool()
         try:
-            while not self._stop.is_set():
+            while True:
+                # Drop wake-ups before the pass, never after it, and test
+                # _stop after the drop (request_stop sets it first): a
+                # wake-up that lands mid-pass stays pending and ends the
+                # idle sleep below at once.
+                self._drop_wakeups()
+                if self._stop.is_set():
+                    break
                 progressed = self._reap()
                 progressed |= self._dispatch()
                 self._renew_leases()
                 if not progressed:
-                    self._stop.wait(self.poll_interval)
+                    self._idle()
             self._drain()
         finally:
             self._shutdown_pool()
+
+    def _drop_wakeups(self) -> None:
+        try:
+            while True:
+                self._wakeups.get_nowait()
+        except queue.Empty:
+            pass
+
+    def _idle(self) -> None:
+        """Sleep until a wake-up arrives, at most ``poll_interval``."""
+        try:
+            self._wakeups.get(timeout=self.poll_interval)
+        except queue.Empty:
+            pass
 
     # -- pool management -------------------------------------------------
 
@@ -275,6 +324,9 @@ class Scheduler:
                 self.stats.failed += 1
                 continue
             future = self._pool.submit(parallel.run_job, (workload, job.design, config))
+            # runs on the executor's thread: it only wakes the loop, which
+            # harvests the future itself
+            future.add_done_callback(lambda _future: self.notify())
             timeout = job.timeout if job.timeout is not None else self.default_timeout
             deadline = (time.time() + timeout) if timeout else None
             renew_at = time.time() + self.lease_seconds / 2
@@ -325,7 +377,7 @@ class Scheduler:
                     async_end(
                         "service.job", job_id, category="service", outcome="failed"
                     )
-                    self._record_failure(job, error)
+                    self.record_failure(job, error)
                 else:
                     del result  # persisted by the worker via the disk cache
                     if self.store.finish(job_id, source, worker_id=self.worker_id):
@@ -371,7 +423,7 @@ class Scheduler:
             del self._inflight[job.id]
             async_end("service.job", job.id, category="service", outcome="timeout")
             self.log.event("job_timeout", job_id=job.id)
-            self._record_failure(job, "timeout: job exceeded its deadline")
+            self.record_failure(job, "timeout: job exceeded its deadline")
         for other_id, (_job, future, _dl, _st, _rn) in list(self._inflight.items()):
             if future.done():
                 continue  # finished before the kill: harvest next pass
@@ -396,30 +448,39 @@ class Scheduler:
                 job, future, deadline, started, now + self.lease_seconds / 2
             )
 
-    def _record_failure(self, job: Job, error: str) -> None:
+    def record_failure(
+        self, job: Job, error: str, worker_id: Optional[str] = None
+    ) -> bool:
+        """Apply the retry rule to one failed attempt, local or remote.
+
+        While attempts remain the job is re-queued with ``not_before =
+        now + base * factor**(attempts-1)`` (capped at ``backoff_max``);
+        on its last attempt it fails terminally.  The transition is
+        owner-guarded on ``worker_id`` (default: this scheduler), so
+        ``False`` means that worker no longer holds the job's lease.
+        """
+        worker_id = worker_id or self.worker_id
+        delay = None
         if job.attempts < job.max_attempts:
             delay = min(
-                self.backoff_base * self.backoff_factor ** (job.attempts - 1),
+                self.backoff_base * self.backoff_factor ** (max(job.attempts, 1) - 1),
                 self.backoff_max,
             )
-            failed = self.store.fail(
-                job.id, error, retry_delay=delay, worker_id=self.worker_id
+        if not self.store.fail(job.id, error, retry_delay=delay, worker_id=worker_id):
+            return False
+        if delay is None:
+            self.stats.failed += 1
+            self.log.event(
+                "job_failed", job_id=job.id, error=error, attempt=job.attempts,
+                worker_id=worker_id,
             )
-            if failed:
-                self.stats.retried += 1
-                self.log.event(
-                    "job_retried",
-                    job_id=job.id,
-                    error=error,
-                    attempt=job.attempts,
-                    retry_delay=delay,
-                )
         else:
-            if self.store.fail(job.id, error, worker_id=self.worker_id):
-                self.stats.failed += 1
-                self.log.event(
-                    "job_failed", job_id=job.id, error=error, attempt=job.attempts
-                )
+            self.stats.retried += 1
+            self.log.event(
+                "job_retried", job_id=job.id, error=error, attempt=job.attempts,
+                retry_delay=delay, worker_id=worker_id,
+            )
+        return True
 
     # -- drain -----------------------------------------------------------
 
@@ -427,8 +488,9 @@ class Scheduler:
         """Finish or re-queue in-flight work; leave no ``running`` rows."""
         deadline = time.time() + self.drain_seconds
         while self._inflight and time.time() < deadline:
+            self._drop_wakeups()
             if not self._reap():
-                time.sleep(self.poll_interval)
+                self._idle()
         if self._inflight:
             self._kill_pool()
             for job_id in list(self._inflight):
