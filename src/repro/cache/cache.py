@@ -15,8 +15,9 @@ default ``lru`` policy reproduces the historical hard-coded behaviour
 operation-for-operation, so default-path simulations are bitwise
 identical to the pre-seam code.  Hooks a policy leaves at the base
 class's no-op are not dispatched at all, and LRU's hit hook (a move to
-the recency tail) is applied inline; a policy that overrides a hook
-receives every call.
+the recency tail) and victim choice (the set's head) are applied
+inline; a policy that overrides a hook or ``select_victim`` receives
+every call.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ class Cache:
     def policy(self, policy: ReplacementPolicy) -> None:
         self._policy = policy
         self._lru_hits = _inherits(policy, "on_hit", LRUPolicy)
+        self._lru_victims = _inherits(policy, "select_victim", LRUPolicy)
         self._hit_hook = not self._lru_hits and not _inherits(
             policy, "on_hit", ReplacementPolicy
         )
@@ -169,16 +171,33 @@ class Cache:
             elif self._hit_hook:
                 self._policy.on_hit(set_index, cache_set, addr)
             return None
+        return self.install(CacheLine(addr, data, dirty, fill_level, core_id, prefetched))
+
+    def install(self, line: CacheLine) -> Optional[EvictedLine]:
+        """Make ``line`` itself resident, returning the victim if one was
+        displaced.
+
+        The record is held as is, not copied, so a caller can share one
+        record between caches (the hierarchy's private levels hold the
+        L3's).  Its address must not be resident here already.
+        """
+        addr = line.addr
+        set_index = addr % self.num_sets
+        cache_set = self._sets[set_index]
+        if addr in cache_set:
+            raise ValueError(f"{self.name}: line {addr:#x} is already resident")
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.ways:
-            victim_addr = self._policy.select_victim(set_index, cache_set)
-            victim = cache_set.pop(victim_addr)
+            if self._lru_victims:
+                victim = cache_set.popitem(last=False)[1]
+            else:
+                victim = cache_set.pop(self._policy.select_victim(set_index, cache_set))
             if self._evict_hook:
-                self._policy.on_evict(set_index, victim_addr)
+                self._policy.on_evict(set_index, victim.addr)
             self.policy_evictions += 1
             if victim.prefetched:
                 self.prefetch_victims += 1
-        cache_set[addr] = CacheLine(addr, data, dirty, fill_level, core_id, prefetched)
+        cache_set[addr] = line
         if self._fill_hook:
             self._policy.on_fill(set_index, cache_set, addr)
         return victim

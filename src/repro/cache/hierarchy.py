@@ -12,6 +12,10 @@ This leaves DRAM traffic — the paper's subject — unchanged while letting
 the controller treat L3 contents as authoritative when it compacts
 neighbour groups at eviction time.  Inclusion is enforced by
 back-invalidating L1/L2 on L3 eviction.
+
+Because of both, a private level holds no state of its own: L1 and L2
+install the L3's own :class:`CacheLine` record rather than a copy, so a
+store updates one record (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -74,8 +78,7 @@ class _HierarchyLLCView(LLCView):
     def force_evict(self, addr: int) -> Optional[EvictedLine]:
         line = self._h.l3.evict(addr)
         if line is not None:
-            self._h._note_l3_eviction(line)
-            self._h._back_invalidate(addr, line.core_id)
+            self._h._left_l3(line)
         return line
 
     def is_sampled_set(self, addr: int) -> bool:
@@ -188,34 +191,35 @@ class CacheHierarchy:
             raise ValueError("writes must carry their new line contents")
         self.demand_accesses += 1
         cfg = self.config
-        l1, l2 = self.l1s[core_id], self.l2s[core_id]
+        l1 = self.l1s[core_id]
 
         if l1.lookup(addr) is not None:
             if is_write:
-                self._store(core_id, addr, write_data)
+                self._store(addr, write_data)
             return AccessOutcome(now + cfg.l1_latency, "l1")
 
+        l2 = self.l2s[core_id]
         line = l2.lookup(addr)
         if line is not None:
-            l1.fill(addr, line.data)
+            l1.install(line)
             if is_write:
-                self._store(core_id, addr, write_data)
+                self._store(addr, write_data)
             return AccessOutcome(now + cfg.l2_latency, "l2")
 
-        l3_line = self.l3.lookup(addr)
-        if l3_line is not None:
-            # refresh ownership: the demanding core now holds L1/L2 copies,
-            # so inclusion maintenance must target *its* private caches
-            l3_line.core_id = core_id
-            if l3_line.prefetched:
-                l3_line.prefetched = False
+        line = self.l3.lookup(addr)
+        if line is not None:
+            # refresh ownership: the demanding core's L1/L2 now hold the
+            # record, so inclusion maintenance must target *its* caches
+            line.core_id = core_id
+            if line.prefetched:
+                line.prefetched = False
                 self.useful_prefetches += 1
                 if self.policy is not None and self.llc_view.is_sampled_set(addr):
-                    self.policy.on_benefit(l3_line.core_id)
-            l2.fill(addr, l3_line.data)
-            l1.fill(addr, l3_line.data)
+                    self.policy.on_benefit(line.core_id)
+            l2.install(line)
+            l1.install(line)
             if is_write:
-                self._store(core_id, addr, write_data)
+                self._store(addr, write_data)
             return AccessOutcome(now + cfg.l3_latency, "l3")
 
         # L3 miss: go to the memory controller.
@@ -230,28 +234,23 @@ class CacheHierarchy:
                     fill_level=result.level,
                     prefetched=True,
                 )
-        self._install_l3(addr, result.data, now, core_id, fill_level=result.level)
-        l2.fill(addr, result.data)
-        l1.fill(addr, result.data)
+        line = self._install_l3(addr, result.data, now, core_id, fill_level=result.level)
+        l2.install(line)
+        l1.install(line)
         if is_write:
-            self._store(core_id, addr, write_data)
-        return AccessOutcome(
-            result.completion + cfg.l3_latency, "mem", mem_accesses=result.accesses
-        )
+            self._store(addr, write_data)
+        return AccessOutcome(result.completion + cfg.l3_latency, "mem", result.accesses)
 
     # ------------------------------------------------------------------
 
-    def _store(self, core_id: int, addr: int, data: bytes) -> None:
-        """Write-through a store into every level holding the line."""
-        for cache in (self.l1s[core_id], self.l2s[core_id]):
-            line = cache.probe(addr)
-            if line is not None:
-                line.data = data
-        l3_line = self.l3.probe(addr)
-        if l3_line is None:
+    def _store(self, addr: int, data: bytes) -> None:
+        """Write-through a store: the L3 record, which the private levels
+        holding the line share, takes the data and the dirty bit."""
+        line = self.l3.probe(addr)
+        if line is None:
             raise RuntimeError("inclusion violated: store target missing from L3")
-        l3_line.data = data
-        l3_line.dirty = True
+        line.data = data
+        line.dirty = True
 
     def _install_l3(
         self,
@@ -261,27 +260,29 @@ class CacheHierarchy:
         core_id: int,
         fill_level: Level,
         prefetched: bool = False,
-    ) -> None:
-        victim = self.l3.fill(addr, data, False, fill_level, core_id, prefetched)
+    ) -> CacheLine:
+        """Install a fresh L3 record (its address is not resident) and
+        hand any capacity victim to the controller; returns the record."""
+        line = CacheLine(addr, data, False, fill_level, core_id, prefetched)
+        victim = self.l3.install(line)
         if victim is not None:
-            self._note_l3_eviction(victim)
-            self._back_invalidate(victim.addr, victim.core_id)
+            self._left_l3(victim)
             self.controller.handle_eviction(victim, now, victim.core_id, self.llc_view)
+        return line
 
-    def _note_l3_eviction(self, victim: EvictedLine) -> None:
-        """Account a line leaving the L3 (capacity victim or ganged)."""
-        if victim.prefetched:
-            self.wasted_prefetches += 1
-
-    def _back_invalidate(self, addr: int, core_hint: int) -> None:
-        """Enforce inclusion on L3 eviction.
+    def _left_l3(self, line: EvictedLine) -> None:
+        """Account a line leaving the L3 (capacity victim or ganged) and
+        enforce inclusion by back-invalidating it.
 
         Physical pages are core-private (the VM model allocates frames per
-        core), so only the owning core's L1/L2 can hold the line — the
-        hint avoids probing every private cache.
+        core), so only the owning core's L1/L2 can hold the line — its
+        ``core_id`` avoids probing every private cache.
         """
-        self.l1s[core_hint].invalidate(addr)
-        self.l2s[core_hint].invalidate(addr)
+        if line.prefetched:
+            self.wasted_prefetches += 1
+        core_id = line.core_id
+        self.l1s[core_id].invalidate(line.addr)
+        self.l2s[core_id].invalidate(line.addr)
 
     def flush(self, now: int) -> None:
         """Drain the hierarchy through the controller (end of simulation)."""

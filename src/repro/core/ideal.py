@@ -79,13 +79,7 @@ class IdealTMCController(MemoryController):
         extras = {m: self.memory.read(m) for m in co_fetched if m != addr}
         if level is not Level.UNCOMPRESSED:
             completion += self.decompression_latency
-        return ReadResult(
-            addr=addr,
-            data=self.memory.read(addr),
-            level=level,
-            completion=completion,
-            extra_lines=extras,
-        )
+        return ReadResult(addr, self.memory.read(addr), level, completion, 1, extras)
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
@@ -117,4 +111,4 @@ class IdealTMCController(MemoryController):
         self.dram.access(evicted.addr, now, Category.DATA_WRITE)
         if credit:
             self._write_credit[slot] = credit
-        return WriteResult(writes=1)
+        return WriteResult(1)

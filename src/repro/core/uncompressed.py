@@ -18,12 +18,7 @@ class UncompressedController(MemoryController):
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
         completion = self.dram.access(addr, now, Category.DATA_READ)
-        return ReadResult(
-            addr=addr,
-            data=self.memory.read(addr),
-            level=Level.UNCOMPRESSED,
-            completion=completion,
-        )
+        return ReadResult(addr, self.memory.read(addr), Level.UNCOMPRESSED, completion)
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
@@ -32,4 +27,4 @@ class UncompressedController(MemoryController):
             return WriteResult()
         self.dram.access(evicted.addr, now, Category.DATA_WRITE)
         self.memory.write(evicted.addr, evicted.data)
-        return WriteResult(writes=1)
+        return WriteResult(1)

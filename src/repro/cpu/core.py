@@ -65,9 +65,12 @@ class CoreModel:
             self._drain()
             self.done = True
             return False
-        # front-end: retire the gap instructions at full width
-        time = self.time + max(1, record.gap // self.width)
-        self.instructions += record.instructions
+        gap, is_write, vline, write_data = record
+        # front-end: retire the gap instructions at full width (at least
+        # one cycle); the record accounts for the gap plus the memory op
+        retire = gap // self.width
+        time = self.time + (retire if retire > 1 else 1)
+        self.instructions += gap + 1
         self.mem_ops += 1
         # stall if the miss window is full
         outstanding = self._outstanding
@@ -76,9 +79,9 @@ class CoreModel:
             if oldest > time:
                 time = oldest
         self.time = time
-        paddr = self.page_table.translate(self.core_id, record.vline)
+        paddr = self.page_table.translate(self.core_id, vline)
         completion = self.hierarchy.access(
-            self.core_id, paddr, record.is_write, time, record.write_data
+            self.core_id, paddr, is_write, time, write_data
         ).completion
         if completion > time:
             outstanding.append(completion)

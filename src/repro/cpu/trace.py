@@ -12,13 +12,15 @@ tests and examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory operation in program order."""
+class TraceRecord(NamedTuple):
+    """One memory operation in program order.
+
+    An immutable named tuple: the generators build one per simulated
+    access, and a core unpacks it in one step.
+    """
 
     gap: int
     """Non-memory instructions retired since the previous memory op."""

@@ -275,14 +275,20 @@ class SimulatedSystem:
         ]
         heapq.heapify(heap)
         sampler = self.sampler
+        cores = self.cores
         while heap:
-            _, core_id = heapq.heappop(heap)
-            core = self.cores[core_id]
+            # step the earliest core, then re-key its entry in place (one
+            # sift instead of a pop and a push; entries are distinct, so
+            # the stepping order is the same)
+            core_id = heap[0][1]
+            core = cores[core_id]
             stepped = core.step()
             if stepped and sampler is not None:
                 sampler.on_access()
             if stepped and (keep_running is None or keep_running(core)):
-                heapq.heappush(heap, (core.time, core_id))
+                heapq.heapreplace(heap, (core.time, core_id))
+            else:
+                heapq.heappop(heap)
 
     def _measured_dram(self, metrics: Metrics) -> DRAMStats:
         """Measured-phase DRAM statistics rebuilt from the metric paths.

@@ -35,7 +35,12 @@ from repro.cpu.trace import TraceRecord
 from repro.traces.formats import Access
 from repro.traces.store import TraceStore, trace_store
 from repro.workloads.data_patterns import SPEC_LIKE, DataGenerator, DataProfile
-from repro.workloads.generators import RecordStreamGenerator, TraceExhausted
+from repro.workloads.generators import (
+    RecordStreamGenerator,
+    TraceExhausted,
+    draw_below,
+    draw_span,
+)
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,8 @@ class TraceReplayGenerator(RecordStreamGenerator):
     """Deterministic replay of one stored trace on one core.
 
     Implements the full workload-generator interface the simulator
-    consumes: ``spec``/``data``/``reference`` attributes,
-    ``current_data``, and the inherited ``generate``/
+    consumes: ``spec``/``data`` attributes, and the inherited
+    ``reference``, ``current_data``, ``generate`` and
     ``generate_batched`` (bitwise-identical record streams).
     """
 
@@ -116,6 +121,9 @@ class TraceReplayGenerator(RecordStreamGenerator):
         self.spec = spec
         self.core_id = core_id
         self._rng = random.Random(spec.seed * 1_000_003 + core_id)
+        self._getrandbits = self._rng.getrandbits
+        # randint(0, 2 * mean_gap) as draw_below arguments
+        self._gap_span, self._gap_bits = draw_span(2 * spec.mean_gap + 1)
         self.data = DataGenerator(
             spec.profile,
             seed=spec.seed * 7_919 + core_id,
@@ -129,8 +137,6 @@ class TraceReplayGenerator(RecordStreamGenerator):
         self._records = records
         self._cursor = 0
         self._versions: Dict[int, int] = {}
-        #: reference model: the latest data value of every line ever written
-        self.reference: Dict[int, bytes] = {}
         # trace.* telemetry sources (aggregated by SimulatedSystem);
         # bumped from _on_replay, i.e. per record *consumed*, so the
         # batched path's decode-ahead never skews phase deltas
@@ -144,10 +150,6 @@ class TraceReplayGenerator(RecordStreamGenerator):
             return 0
         return (self.replayed_records - 1) // len(self._records)
 
-    def current_data(self, vline: int) -> bytes:
-        """The value the line holds right now (version-aware)."""
-        return self.data.line(vline, self._versions.get(vline, 0))
-
     def _on_replay(self, record: TraceRecord) -> None:
         self.replayed_records += 1
         if record.is_write:
@@ -160,13 +162,11 @@ class TraceReplayGenerator(RecordStreamGenerator):
             self._cursor = 0
         is_write, vline = self._records[self._cursor]
         self._cursor += 1
-        gap = self._rng.randint(0, 2 * self.spec.mean_gap)
+        gap = draw_below(self._getrandbits, self._gap_span, self._gap_bits)
         if is_write:
             version = self._versions.get(vline, 0) + 1
             self._versions[vline] = version
-            data = self.data.line(vline, version)
-            self.reference[vline] = data
-            return TraceRecord(gap, True, vline, data)
+            return TraceRecord(gap, True, vline, self.data.line(vline, version))
         return TraceRecord(gap, False, vline, None)
 
 

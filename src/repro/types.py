@@ -64,7 +64,7 @@ COMPRESSION_COST_CATEGORIES = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """Outcome of a controller read: the demanded line plus free co-fetches.
 
@@ -72,6 +72,7 @@ class ReadResult:
     zero bandwidth cost (the paper installs them in L3).  ``accesses`` is
     the number of DRAM accesses performed, and ``completion`` the cycle at
     which the demanded data is available (after decompression latency).
+    Slotted, and built positionally on the hot path (fields in this order).
     """
 
     addr: int
@@ -83,9 +84,10 @@ class ReadResult:
     mispredicted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteResult:
-    """Outcome of a controller eviction/writeback operation."""
+    """Outcome of a controller eviction/writeback operation (slotted, like
+    :class:`ReadResult`)."""
 
     writes: int = 0
     invalidates: int = 0

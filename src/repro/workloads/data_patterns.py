@@ -22,7 +22,9 @@ family         contents                           co-compressibility
 
 Generation is a pure function of (address, version, seed) so the
 simulator can regenerate identical bytes anywhere and memoized
-compression stays valid.
+compression stays valid.  Every draw is a SplitMix64 chain
+(:func:`repro.util.hashing.mix64`); rendering runs the chains inline,
+which ``tests/test_workloads.py`` holds to the ``mix64`` definition.
 """
 
 from __future__ import annotations
@@ -36,6 +38,17 @@ from repro.compression.base import LINE_SIZE
 from repro.util.hashing import KeyedHash, mix64
 
 LINES_PER_PAGE = 64
+
+_M64 = (1 << 64) - 1
+#: draws compare a mix's low 30 bits against ``probability * 2**30``,
+#: which is exactly ``(h % 2**30) / 2**30 < probability``
+_DRAW_BITS = 1 << 30
+_DRAW_MASK = _DRAW_BITS - 1
+
+_ZERO_LINE = bytes(LINE_SIZE)
+_PACK_16I = struct.Struct("<16i").pack
+_PACK_SMALL_INTS = struct.Struct("<48x4i").pack  # 12 zero words, 4 ints
+_PACK_8Q = struct.Struct("<8Q").pack
 
 
 class PatternKind(Enum):
@@ -53,7 +66,8 @@ class DataProfile:
 
     ``noise`` is the per-line probability of deviating to RANDOM within an
     otherwise homogeneous page — it creates the occasional incompressible
-    line that breaks a group apart (and exercises LLP mispredictions).
+    line that breaks a group apart (and exercises LLP mispredictions);
+    :meth:`DataGenerator.kind` applies it.
     """
 
     weights: Dict[PatternKind, float]
@@ -76,13 +90,6 @@ class DataProfile:
             if draw < acc:
                 return kind
         return PatternKind.RANDOM
-
-    def deviates(self, vline: int, seed: int) -> bool:
-        """Whether the per-line noise draw turns this line RANDOM."""
-        if self.noise > 0.0:
-            draw = (mix64(vline ^ seed ^ 0x0F0F) % (1 << 30)) / (1 << 30)
-            return draw < self.noise
-        return False
 
 
 # Canonical profiles used by the synthetic suites --------------------------
@@ -130,22 +137,35 @@ class DataGenerator:
         self._hash = KeyedHash(seed ^ 0xDA7A)
         #: page -> pattern family (``DataProfile.kind_for_page`` is pure)
         self._page_kinds: Dict[int, PatternKind] = {}
+        # the noise and write-scramble probabilities as draw cut-offs
+        self._noise_cut = profile.noise * _DRAW_BITS
+        self._scramble_cut = write_scramble * _DRAW_BITS
 
     def kind(self, vline: int, version: int = 0) -> PatternKind:
         """The page's family (memoized), turned RANDOM by the per-line
-        noise draw or, for a stored version, by the write-scramble draw."""
+        noise draw or, for a stored version, by the write-scramble draw.
+
+        The one definition of a line's family; both draws are ``mix64``
+        run inline.
+        """
         page = vline // LINES_PER_PAGE
-        base_kind = self._page_kinds.get(page)
-        if base_kind is None:
-            base_kind = self.profile.kind_for_page(page, self.seed)
-            self._page_kinds[page] = base_kind
-        if self.profile.deviates(vline, self.seed):
-            base_kind = PatternKind.RANDOM
-        if version > 0 and self.write_scramble > 0.0:
-            draw = (mix64(vline ^ (version << 32) ^ self.seed) % (1 << 30)) / (1 << 30)
-            if draw < self.write_scramble:
+        kind = self._page_kinds.get(page)
+        if kind is None:
+            kind = self.profile.kind_for_page(page, self.seed)
+            self._page_kinds[page] = kind
+        if self._noise_cut:
+            h = (vline ^ self.seed ^ 0x0F0F) & _M64
+            h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
+            if (h ^ (h >> 31)) & _DRAW_MASK < self._noise_cut:
+                kind = PatternKind.RANDOM
+        if version > 0 and self._scramble_cut:
+            h = (vline ^ (version << 32) ^ self.seed) & _M64
+            h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
+            if (h ^ (h >> 31)) & _DRAW_MASK < self._scramble_cut:
                 return PatternKind.RANDOM
-        return base_kind
+        return kind
 
     def line(self, vline: int, version: int = 0) -> bytes:
         """The 64 bytes this line holds at this version.
@@ -154,32 +174,40 @@ class DataGenerator:
         (a store's new version, or a line's first-touch contents), so a
         memo would only hold every rendered line for the whole run.
         """
-        kind = self.kind(vline, version)
-        nonce = mix64(vline ^ (version << 20) ^ self.seed)
-        return render_pattern(kind, nonce, self._hash)
+        h = (vline ^ (version << 20) ^ self.seed) & _M64
+        h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
+        return render_pattern(self.kind(vline, version), h ^ (h >> 31), self._hash)
 
 
 def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
-    """Materialise 64 bytes of the given family from a nonce."""
+    """Materialise 64 bytes of the given family from a nonce.
+
+    Each family draws a chain of ``mix64`` values starting from the nonce
+    (``s = mix64(s)`` per word); the chains are run inline.
+    """
     if kind is PatternKind.ZERO:
-        return b"\x00" * LINE_SIZE
+        return _ZERO_LINE
+    s = nonce & _M64
     if kind is PatternKind.SMALL_INT:
         # sparse-array shape: a zero run followed by a few tiny values, so
         # the FPC size is stable across versions (a quad always fits)
-        words = [0] * 12
-        state = nonce
+        words = []
         for _ in range(4):
-            state = mix64(state)
-            words.append((state >> 8) % 15 - 7)  # in [-7, 7]
-        return struct.pack("<16i", *words)
+            s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+            s ^= s >> 31
+            words.append((s >> 8) % 15 - 7)  # in [-7, 7]
+        return _PACK_SMALL_INTS(*words)
     if kind is PatternKind.POINTER:
         base = 0x7F0000000000 | ((nonce & 0xFFFF) << 20)
         values = []
-        state = nonce
         for _ in range(8):
-            state = mix64(state)
-            values.append(base + (state % 120))  # deltas fit one byte
-        return struct.pack("<8Q", *values)
+            s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+            s ^= s >> 31
+            values.append(base + (s % 120))  # deltas fit one byte
+        return _PACK_8Q(*values)
     if kind is PatternKind.BOUNDARY:
         # 8 one-byte-range + 8 two-byte-range words: FPC encodes this in
         # exactly 240 bits (31B with the tag), so a *pair* sums to 62B —
@@ -187,22 +215,33 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
         # reserved.  This family realises the paper's Fig. 6 gap between
         # "double 64" and "double 60".
         words = []
-        state = nonce
-        for i in range(16):
-            state = mix64(state)
-            if i % 2 == 0:
-                magnitude = 9 + state % 90  # always the 8-bit FPC class
-            else:
-                magnitude = 300 + state % 29000  # always the 16-bit class
-            words.append(magnitude if state & (1 << 40) else -magnitude)
-        return struct.pack("<16i", *words)
+        for _ in range(8):
+            s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+            s ^= s >> 31
+            magnitude = 9 + s % 90  # always the 8-bit FPC class
+            words.append(magnitude if s & (1 << 40) else -magnitude)
+            s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+            s ^= s >> 31
+            magnitude = 300 + s % 29000  # always the 16-bit class
+            words.append(magnitude if s & (1 << 40) else -magnitude)
+        return _PACK_16I(*words)
     if kind is PatternKind.MEDIUM:
         words = []
-        state = nonce
         for _ in range(16):
-            state = mix64(state)
-            words.append((state >> 4) % 60000 - 30000)  # 16-bit range
-        return struct.pack("<16i", *words)
-    # RANDOM: keyed noise, astronomically unlikely to hit any pattern
-    base = keyed.hash64(nonce, tweak=0xBAD)
-    return b"".join(mix64(base + i).to_bytes(8, "little") for i in range(8))
+            s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+            s ^= s >> 31
+            words.append((s >> 4) % 60000 - 30000)  # 16-bit range
+        return _PACK_16I(*words)
+    # RANDOM: keyed noise, astronomically unlikely to hit any pattern; word
+    # i is mix64(base + i)
+    base = keyed.hash64(nonce, 0xBAD)
+    values = []
+    for i in range(8):
+        s = (base + i) & _M64
+        s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+        s = (s ^ (s >> 27)) * 0x94D049BB133111EB & _M64
+        values.append(s ^ (s >> 31))
+    return _PACK_8Q(*values)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads.data_patterns import (
@@ -68,6 +68,31 @@ class WorkloadSpec:
         return WorkloadTraceGenerator(self, core_id)
 
 
+def draw_below(getrandbits: Callable[[int], int], n: int, bits: int) -> int:
+    """A uniform draw from ``range(n)``, made exactly as ``random.Random`` makes it.
+
+    ``Random.randrange(n)`` is ``_randbelow(n)``, and ``randint(a, b)`` is
+    ``a + _randbelow(b - a + 1)``; ``_randbelow`` draws
+    ``getrandbits(n.bit_length())`` and redraws while the result is out of
+    range.  This is that loop, given the bound ``getrandbits`` and ``bits``
+    (``n.bit_length()``, which a caller with a fixed ``n`` computes once):
+    it consumes the generator's state draw for draw as ``randrange`` does,
+    without its two extra Python frames.  ``n`` must be positive.
+    """
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def draw_span(n: int) -> Tuple[int, int]:
+    """``(n, n.bit_length())`` for :func:`draw_below`, checking ``n >= 1``
+    (where ``randrange`` raises on an empty range)."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    return n, n.bit_length()
+
+
 class TraceExhausted(Exception):
     """Raised by ``_record()`` when a finite record source runs out.
 
@@ -87,9 +112,29 @@ class RecordStreamGenerator:
     :class:`TraceExhausted` from ``_record()``.
     """
 
+    #: per-line store synthesis, set by subclasses: the pure-function line
+    #: contents, and the number of stores drawn to each line so far
+    data: DataGenerator
+    _versions: Dict[int, int]
+
     def _record(self) -> TraceRecord:
         """Draw the next trace record (the single source of RNG order)."""
         raise NotImplementedError
+
+    @property
+    def reference(self) -> Dict[int, bytes]:
+        """Reference model: the latest data value of every line ever written.
+
+        Derived on demand from the per-line store counts, since a line's
+        contents are a pure function of ``(vline, version)``; the record
+        path keeps one dict, not two.
+        """
+        line = self.data.line
+        return {vline: line(vline, version) for vline, version in self._versions.items()}
+
+    def current_data(self, vline: int) -> bytes:
+        """The value the line holds right now (version-aware)."""
+        return self.data.line(vline, self._versions.get(vline, 0))
 
     def _on_replay(self, record: TraceRecord) -> None:
         """Hook fired as each record is handed to the consumer.
@@ -125,7 +170,7 @@ class RecordStreamGenerator:
         vectorized compressed-size precompute, ahead of the per-record
         consumers.  Both paths call :meth:`_record` in the same order, so
         the record stream is identical; only the generator-side state
-        (``reference``, versions) runs ahead of the replay by at most one
+        (``reference``, ``_versions``) runs ahead of the replay by at most one
         chunk, which nothing observes until the trace is drained.
         """
         if chunk_ops < 1:
@@ -151,71 +196,83 @@ class RecordStreamGenerator:
 
 
 class WorkloadTraceGenerator(RecordStreamGenerator):
-    """Deterministic trace generator for one core running one spec."""
+    """Deterministic trace generator for one core running one spec.
+
+    Draws go through :func:`draw_below` with the spec's fixed ranges and
+    thresholds taken once here, so each record costs a few
+    ``getrandbits``/``random`` calls and no ``randrange`` frames; the
+    draw sequence is the one ``randrange``/``randint`` would make.
+    """
 
     def __init__(self, spec: WorkloadSpec, core_id: int) -> None:
         self.spec = spec
         self.core_id = core_id
         self._rng = random.Random(spec.seed * 1_000_003 + core_id)
+        self._random = self._rng.random
+        self._getrandbits = self._rng.getrandbits
         self.data = DataGenerator(
             spec.profile,
             seed=spec.seed * 7_919 + core_id,
             write_scramble=spec.write_scramble,
         )
         self._versions: Dict[int, int] = {}
-        self._stream_pos = self._rng.randrange(spec.footprint_lines)
+        # randrange(footprint), randint(0, 2 * mean_gap) and
+        # randint(0, jump_burst - 1) as draw_below arguments
+        self._footprint, self._footprint_bits = draw_span(spec.footprint_lines)
+        self._gap_span, self._gap_bits = draw_span(2 * spec.mean_gap + 1)
+        self._burst_span = spec.jump_burst
+        self._burst_bits = spec.jump_burst.bit_length()
+        self._seq_frac = spec.seq_frac
+        self._reuse_cut = spec.seq_frac + spec.reuse_frac
+        self._jump_p = 1.0 / max(1, spec.run_length)
+        self._write_frac = spec.write_frac
+        self._stream_pos = draw_below(
+            self._getrandbits, self._footprint, self._footprint_bits
+        )
         self._burst_pos = 0
         self._burst_left = 0
         self._hot: Deque[int] = deque(maxlen=spec.hot_lines)
-        #: reference model: the latest data value of every line ever written
-        self.reference: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
 
     def _next_address(self) -> int:
-        spec = self.spec
-        rng = self._rng
-        footprint = spec.footprint_lines
+        footprint = self._footprint
         if self._burst_left > 0:
             # finish the spatial neighbourhood opened by the last jump
             self._burst_left -= 1
-            self._burst_pos = (self._burst_pos + 1) % footprint
-            addr = self._burst_pos
+            addr = self._burst_pos = (self._burst_pos + 1) % footprint
             self._hot.append(addr)
             return addr
-        draw = rng.random()
-        if draw < spec.seq_frac:
-            self._stream_pos = (self._stream_pos + 1) % footprint
-            if rng.random() < 1.0 / max(1, spec.run_length):
-                self._stream_pos = rng.randrange(footprint)
-            addr = self._stream_pos
+        getrandbits = self._getrandbits
+        draw = self._random()
+        if draw < self._seq_frac:
+            addr = (self._stream_pos + 1) % footprint
+            if self._random() < self._jump_p:
+                addr = draw_below(getrandbits, footprint, self._footprint_bits)
+            self._stream_pos = addr
         else:
-            if draw < spec.seq_frac + spec.reuse_frac and self._hot:
-                addr = self._hot[rng.randrange(len(self._hot))]
+            hot = self._hot
+            if draw < self._reuse_cut and hot:
+                n = len(hot)
+                addr = hot[draw_below(getrandbits, n, n.bit_length())]
             else:
-                addr = rng.randrange(footprint)
-            if spec.jump_burst > 1:
+                addr = draw_below(getrandbits, footprint, self._footprint_bits)
+            if self._burst_span > 1:
                 self._burst_pos = addr
-                self._burst_left = rng.randint(0, spec.jump_burst - 1)
+                self._burst_left = draw_below(
+                    getrandbits, self._burst_span, self._burst_bits
+                )
         self._hot.append(addr)
         return addr
 
-    def current_data(self, vline: int) -> bytes:
-        """The value the line holds right now (version-aware)."""
-        return self.data.line(vline, self._versions.get(vline, 0))
-
     def _record(self) -> TraceRecord:
         """Draw the next trace record (the single source of RNG order)."""
-        spec = self.spec
-        rng = self._rng
-        gap = rng.randint(0, 2 * spec.mean_gap)
+        gap = draw_below(self._getrandbits, self._gap_span, self._gap_bits)
         vline = self._next_address()
-        if rng.random() < spec.write_frac:
+        if self._random() < self._write_frac:
             version = self._versions.get(vline, 0) + 1
             self._versions[vline] = version
-            data = self.data.line(vline, version)
-            self.reference[vline] = data
-            return TraceRecord(gap, True, vline, data)
+            return TraceRecord(gap, True, vline, self.data.line(vline, version))
         return TraceRecord(gap, False, vline, None)
 
 
@@ -228,24 +285,9 @@ class TraceChunk:
     def __len__(self) -> int:
         return len(self.records)
 
-    def addresses(self):
-        """Virtual line numbers in trace order, as an int64 numpy array."""
-        import numpy as np
-
-        return np.fromiter(
-            (record.vline for record in self.records),
-            dtype=np.int64,
-            count=len(self.records),
-        )
-
     def write_lines(self) -> List[bytes]:
         """Data of the write records, in trace order (duplicates kept)."""
         return [record.write_data for record in self.records if record.is_write]
-
-
-def initial_line_value(generator: WorkloadTraceGenerator, vline: int) -> bytes:
-    """Version-0 contents of a line (what memory 'contains' at first touch)."""
-    return generator.data.line(vline, 0)
 
 
 def make_mix(name: str, specs, seed: int = 0) -> "MixWorkload":

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, CacheLine
 from repro.types import Level
 
 LINE = b"\x00" * 64
@@ -72,6 +72,22 @@ class TestLookupFill:
         cache = small_cache()
         cache.fill(0, LINE, prefetched=True)
         assert cache.probe(0).prefetched
+
+    def test_install_holds_the_record_itself(self):
+        cache = small_cache(ways=1, sets=1)
+        first, second = CacheLine(0, LINE, dirty=True), CacheLine(1, LINE)
+        assert cache.install(first) is None
+        assert cache.probe(0) is first
+        assert cache.install(second) is first  # the victim, handed back as is
+        assert cache.probe(1) is second
+        assert cache.policy_evictions == 1
+
+    def test_install_rejects_a_resident_address(self):
+        cache = small_cache()
+        cache.fill(3, LINE)
+        with pytest.raises(ValueError):
+            cache.install(CacheLine(3, LINE))
+        assert cache.occupancy() == 1
 
 
 class TestEvictInvalidate:

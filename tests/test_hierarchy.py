@@ -124,6 +124,57 @@ def _compact_group_through_hierarchy(h, controller, lines):
     assert h.l3.probe(9) is None  # ganged eviction took the partners
 
 
+class TestSharedRecords:
+    """L1 and L2 install the L3's own record, never a copy: after any
+    stream of loads, stores, L3 evictions and ganged ``force_evict``s,
+    every private entry *is* the L3 record for its address."""
+
+    @staticmethod
+    def _assert_shared(h):
+        for inner in [*h.l1s, *h.l2s]:
+            for line in inner.resident():
+                assert h.l3.probe(line.addr) is line
+
+    @pytest.mark.parametrize("controller_cls", [UncompressedController, PTMCController])
+    @settings(deadline=None, max_examples=25)
+    @given(stream=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1023),  # line address
+            st.sampled_from(["load", "store", "store_noise", "force_evict"]),
+        ),
+        max_size=250,
+    ))
+    def test_private_entries_are_the_l3_record(self, controller_cls, stream):
+        h = make_hierarchy(controller_cls)
+        noise = bytes(range(64))
+        for cycle, (addr, op) in enumerate(stream):
+            if op == "force_evict":
+                h.llc_view.force_evict(addr)
+            else:
+                # pages are core-private, as the VM model allocates them
+                core = (addr // 64) % 2
+                data = {"load": None, "store": quad_friendly_line(addr),
+                        "store_noise": noise}[op]
+                h.access(core, addr, data is not None, cycle * 50, write_data=data)
+            self._assert_shared(h)
+
+    def test_ganged_eviction_and_stores_keep_one_record(self):
+        memory = PhysicalMemory(1 << 16)
+        controller = PTMCController(memory, DRAMSystem())
+        h = CacheHierarchy(controller, SMALL)
+        lines = [quad_friendly_line(i) for i in range(4)]
+        _compact_group_through_hierarchy(h, controller, lines)
+        for addr in range(8, 12):  # the gang left the private levels too
+            assert h.l1s[0].probe(addr) is None
+            assert h.l2s[0].probe(addr) is None
+        h.access(0, 8, False, 10_000)  # 9..11 co-fetched into the L3 only
+        h.access(0, 9, True, 20_000, write_data=b"\x05" * 64)
+        record = h.l3.probe(9)
+        assert h.l1s[0].probe(9) is record and h.l2s[0].probe(9) is record
+        assert record.data == b"\x05" * 64 and record.dirty
+        self._assert_shared(h)
+
+
 class TestPrefetchAccounting:
     def test_cofetched_lines_installed_in_l3_only(self):
         memory = PhysicalMemory(1 << 16)

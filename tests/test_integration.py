@@ -79,7 +79,8 @@ def test_write_heavy_integrity():
 
 
 def test_inclusion_invariant_holds_throughout():
-    """L1/L2 contents must always be a subset of the L3 (inclusive LLC)."""
+    """L1/L2 contents must always be a subset of the L3 (inclusive LLC),
+    each private entry being the L3's own record for its line."""
     system = SimulatedSystem(get_workload("mcf06"), "static_ptmc", CFG)
     hierarchy = system.hierarchy
     original = hierarchy.access
@@ -92,7 +93,7 @@ def test_inclusion_invariant_holds_throughout():
             for caches in (hierarchy.l1s, hierarchy.l2s):
                 for cache in caches:
                     for line in cache.resident():
-                        assert hierarchy.l3.probe(line.addr) is not None
+                        assert hierarchy.l3.probe(line.addr) is line
         return outcome
 
     hierarchy.access = checked

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, CacheLine
 from repro.cache.replacement import (
     DEFAULT_POLICY,
     POLICIES,
@@ -275,6 +275,37 @@ def test_inline_lru_hit_matches_lru_policy_on_hit(stream):
         ]
 
 
+class VictimDispatchedLRU(LRUPolicy):
+    """LRU whose victim choice the cache must dispatch (it is overridden),
+    so every full-set fill runs ``LRUPolicy.select_victim`` itself rather
+    than the cache's inline copy of it."""
+
+    def select_victim(self, set_index, cache_set):
+        return LRUPolicy.select_victim(self, set_index, cache_set)
+
+
+@settings(deadline=None, max_examples=40)
+@given(stream=access_streams)
+def test_inline_lru_victim_matches_lru_policy_select_victim(stream):
+    """The cache applies a plain LRU policy's victim choice inline; it must
+    displace the same line as dispatching ``LRUPolicy.select_victim``."""
+    inline = small_cache(LRUPolicy())
+    dispatched = small_cache(VictimDispatchedLRU())
+    assert inline._lru_victims and not dispatched._lru_victims
+    for addr, is_fill, prefetched in stream:
+        if is_fill:
+            a = inline.fill(addr, LINE, prefetched=prefetched)
+            b = dispatched.fill(addr, LINE, prefetched=prefetched)
+            assert (a and a.addr) == (b and b.addr)
+        else:
+            assert (inline.lookup(addr) is None) == (dispatched.lookup(addr) is None)
+        assert [ln.addr for ln in inline.resident()] == [
+            ln.addr for ln in dispatched.resident()
+        ]
+    assert inline.policy_evictions == dispatched.policy_evictions
+    assert inline.prefetch_victims == dispatched.prefetch_victims
+
+
 class TestHookDispatch:
     """The cache skips hooks a policy leaves at the base no-op; a policy
     that overrides them must still see every call."""
@@ -295,6 +326,11 @@ class TestHookDispatch:
         def on_evict(self, set_index, addr):
             self.calls.append(("evict", addr))
             super().on_evict(set_index, addr)
+
+        def select_victim(self, set_index, cache_set):
+            victim = super().select_victim(set_index, cache_set)
+            self.calls.append(("victim", victim))
+            return victim
 
     class LRUWithHooks(LRUPolicy):
         def __init__(self):
@@ -326,6 +362,7 @@ class TestHookDispatch:
         assert kinds.count("fill") == 4
         assert kinds.count("hit") == 2
         assert kinds.count("evict") == 4  # victim, evict, invalidate, drain
+        assert kinds.count("victim") == 1  # the one fill into a full set
 
     def test_lru_subclass_hooks_fire_and_lru_order_kept(self):
         policy = self.LRUWithHooks()
@@ -343,6 +380,34 @@ class TestHookDispatch:
         cache = small_cache(policy)
         cache.fill(3, LINE)
         assert calls == [3]
+
+    def test_lru_subclass_overriding_select_victim_receives_every_call(self):
+        class Sparing(LRUPolicy):
+            """Spares the set's LRU line: victimises the next one."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def select_victim(self, set_index, cache_set):
+                self.calls += 1
+                return list(cache_set)[1]
+
+        policy = Sparing()
+        cache = small_cache(policy)
+        cache.fill(0, LINE)
+        cache.fill(4, LINE)
+        assert cache.fill(8, LINE).addr == 4
+        assert cache.install(CacheLine(12, LINE)).addr == 8
+        assert policy.calls == 2
+        assert cache.probe(0) is not None
+
+    def test_instance_level_select_victim_override_is_honoured(self):
+        policy = make_policy("lru")
+        policy.select_victim = lambda set_index, cache_set: list(cache_set)[-1]
+        cache = small_cache(policy)
+        cache.fill(0, LINE)
+        cache.fill(4, LINE)
+        assert cache.fill(8, LINE).addr == 4
 
     def test_reassigned_policy_recomputes_dispatch(self):
         cache = small_cache("lru")

@@ -1,10 +1,14 @@
 """Tests for the synthetic workload generators and suite roster."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import HybridCompressor
+from repro.util.hashing import KeyedHash, mix64
 from repro.workloads import (
     ALL_64,
     GAP,
@@ -19,7 +23,14 @@ from repro.workloads import (
     WorkloadTraceGenerator,
     get_workload,
 )
-from repro.workloads.data_patterns import GRAPH_LIKE, SPEC_LIKE
+from repro.workloads.data_patterns import (
+    ALL_ZERO,
+    GRAPH_LIKE,
+    INCOMPRESSIBLE,
+    SPEC_LIKE,
+    render_pattern,
+)
+from repro.workloads.generators import draw_below, draw_span
 
 
 class TestDataPatterns:
@@ -184,3 +195,127 @@ def test_line_data_pure_function(vline, version):
     gen1 = DataGenerator(SPEC_LIKE, seed=42)
     gen2 = DataGenerator(SPEC_LIKE, seed=42)
     assert gen1.line(vline, version) == gen2.line(vline, version)
+
+
+# -- fast paths against their spelled-out references --------------------------
+
+#: bounds from 1 to 2**24, plus every power of two in that range and its
+#: neighbours (where the redraw rate changes)
+draw_bounds = st.one_of(
+    st.integers(min_value=1, max_value=1 << 24),
+    st.integers(0, 24)
+    .flatmap(lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1]))
+    .filter(lambda n: 1 <= n <= 1 << 24),
+)
+
+
+class TestDrawBelow:
+    """``draw_below`` consumes a ``random.Random`` draw for draw as
+    ``randrange``/``randint`` do, so the generators' record streams are
+    the ones those calls would make."""
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64), bounds=st.lists(draw_bounds, min_size=1, max_size=40))
+    def test_matches_randrange_interleaved_with_random(self, seed, bounds):
+        ref, fast = random.Random(seed), random.Random(seed)
+        for n in bounds:
+            assert draw_below(fast.getrandbits, n, n.bit_length()) == ref.randrange(n)
+            assert fast.random() == ref.random()
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**64),
+        ranges=st.lists(
+            st.tuples(st.integers(-1000, 1000), draw_bounds), min_size=1, max_size=40
+        ),
+    )
+    def test_matches_randint_interleaved_with_random(self, seed, ranges):
+        ref, fast = random.Random(seed), random.Random(seed)
+        for low, n in ranges:
+            span, bits = draw_span(n)
+            assert low + draw_below(fast.getrandbits, span, bits) == ref.randint(
+                low, low + n - 1
+            )
+            assert fast.random() == ref.random()
+
+    def test_span_rejects_an_empty_range(self):
+        assert draw_span(1) == (1, 1)
+        assert draw_span(1 << 24) == (1 << 24, 25)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                draw_span(n)
+
+
+def _reference_kind(gen, vline, version):
+    """The family rule spelled out with ``mix64`` calls, as it was first
+    written; ``DataGenerator.kind`` runs the same chains inline."""
+    profile = gen.profile
+    kind = profile.kind_for_page(vline // 64, gen.seed)
+    if profile.noise > 0.0:
+        draw = (mix64(vline ^ gen.seed ^ 0x0F0F) % (1 << 30)) / (1 << 30)
+        if draw < profile.noise:
+            kind = PatternKind.RANDOM
+    if version > 0 and gen.write_scramble > 0.0:
+        draw = (mix64(vline ^ (version << 32) ^ gen.seed) % (1 << 30)) / (1 << 30)
+        if draw < gen.write_scramble:
+            return PatternKind.RANDOM
+    return kind
+
+
+def _reference_render(kind, nonce, keyed):
+    """``render_pattern`` spelled out with ``mix64`` calls and ``struct.pack``."""
+    if kind is PatternKind.ZERO:
+        return b"\x00" * 64
+    words, state = [], nonce
+    if kind is PatternKind.SMALL_INT:
+        words = [0] * 12
+        for _ in range(4):
+            state = mix64(state)
+            words.append((state >> 8) % 15 - 7)
+        return struct.pack("<16i", *words)
+    if kind is PatternKind.POINTER:
+        base = 0x7F0000000000 | ((nonce & 0xFFFF) << 20)
+        for _ in range(8):
+            state = mix64(state)
+            words.append(base + (state % 120))
+        return struct.pack("<8Q", *words)
+    if kind is PatternKind.BOUNDARY:
+        for i in range(16):
+            state = mix64(state)
+            magnitude = 9 + state % 90 if i % 2 == 0 else 300 + state % 29000
+            words.append(magnitude if state & (1 << 40) else -magnitude)
+        return struct.pack("<16i", *words)
+    if kind is PatternKind.MEDIUM:
+        for _ in range(16):
+            state = mix64(state)
+            words.append((state >> 4) % 60000 - 30000)
+        return struct.pack("<16i", *words)
+    base = keyed.hash64(nonce, tweak=0xBAD)
+    return b"".join(mix64(base + i).to_bytes(8, "little") for i in range(8))
+
+
+class TestInlineRendering:
+    """Line rendering runs its SplitMix64 chains inline; it must agree
+    with the ``mix64`` definition for every family, profile and draw."""
+
+    @settings(max_examples=300)
+    @given(
+        profile=st.sampled_from([SPEC_LIKE, GRAPH_LIKE, INCOMPRESSIBLE, ALL_ZERO]),
+        seed=st.integers(0, 2**40),
+        scramble=st.sampled_from([0.0, 0.05, 0.35, 1.0]),
+        vline=st.integers(0, 2**40),
+        version=st.integers(0, 6),
+    )
+    def test_line_matches_mix64_reference(self, profile, seed, scramble, vline, version):
+        gen = DataGenerator(profile, seed=seed, write_scramble=scramble)
+        kind = _reference_kind(gen, vline, version)
+        assert gen.kind(vline, version) is kind
+        nonce = mix64(vline ^ (version << 20) ^ seed)
+        expected = _reference_render(kind, nonce, KeyedHash(seed ^ 0xDA7A))
+        assert gen.line(vline, version) == expected
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(list(PatternKind)), nonce=st.integers(-(2**64), 2**66))
+    def test_render_pattern_matches_mix64_reference(self, kind, nonce):
+        keyed = KeyedHash(7)
+        assert render_pattern(kind, nonce, keyed) == _reference_render(kind, nonce, keyed)
