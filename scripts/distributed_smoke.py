@@ -7,12 +7,15 @@ HTTP, no local execution) plus two ``repro worker`` subprocesses, then:
 1. asserts an unauthenticated mutating request is rejected with 401
    (the daemon runs with a bearer token),
 2. submits a 40-job sweep over HTTP,
-3. SIGKILLs one worker while it holds leased jobs, and asserts the
-   lease reaper re-queues them (``worker.lease_expirations`` on
+3. SIGKILLs one worker while it holds leased jobs, asserts its pool
+   processes exit within 5 s instead of lingering as orphans, and that
+   the lease reaper re-queues its jobs (``worker.lease_expirations`` on
    ``/metrics``) so the surviving worker finishes the sweep,
 4. verifies every job completed and spot-checks served results
    byte-for-byte against direct in-process ``simulate()`` runs,
-5. drains the daemon with SIGTERM and checks the store is clean.
+5. drains the surviving worker with SIGTERM and checks none of its pool
+   processes remain, then drains the daemon and checks the store is
+   clean.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/distributed_smoke.py``.
 """
@@ -38,6 +41,33 @@ LEASE_SECONDS = 2.0
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def children(pid):
+    """Live (non-zombie) direct children of ``pid``, from ``/proc``."""
+    found = []
+    for task in Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            found += [int(c) for c in (task / "children").read_text().split()]
+        except OSError:
+            continue
+    return [child for child in found if alive(child)]
+
+
+def alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_gone(pids, seconds):
+    """The pids still alive after waiting up to ``seconds`` for them to exit."""
+    deadline = time.monotonic() + seconds
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return [pid for pid in pids if alive(pid)]
 
 
 def spawn(cmd, env, logfile):
@@ -141,8 +171,15 @@ def main() -> None:
         else:
             fail("worker wa never held a leased job")
         held = [j["id"] for j in running_for("wa")]
-        workers["wa"][0].kill()  # SIGKILL: no drain, no goodbye
+        wa_proc = workers["wa"][0]
+        wa_pool = children(wa_proc.pid)
+        wa_proc.kill()  # SIGKILL: no drain, no goodbye
+        wa_proc.wait()
         print(f"killed worker wa while it held {len(held)} lease(s)")
+        orphans = wait_gone(wa_pool, 5.0)
+        if orphans:
+            fail(f"wa's pool processes outlived it: {orphans}")
+        print(f"wa's {len(wa_pool)} pool process(es) exited with it")
 
         # the reaper must take wa's leases within ~one lease interval:
         # its running jobs go back to queued (or to wb)
@@ -201,12 +238,17 @@ def main() -> None:
 
         # 5. graceful shutdown, clean store
         wb_proc, _ = workers["wb"]
+        wb_pool = children(wb_proc.pid)
         wb_proc.send_signal(signal.SIGTERM)
         try:
             wb_proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
             wb_proc.kill()
             fail("worker wb did not drain within 60s of SIGTERM")
+        leftover = [pid for pid in wb_pool if alive(pid)]
+        if leftover:
+            fail(f"wb's pool processes outlived its drain: {leftover}")
+        print(f"wb drained; none of its {len(wb_pool)} pool process(es) remain")
         daemon.send_signal(signal.SIGTERM)
         try:
             daemon.communicate(timeout=60)

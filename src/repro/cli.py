@@ -583,7 +583,7 @@ def cmd_serve(args) -> int:
         # Queue + reaper + HTTP only: execution belongs to remote
         # ``repro worker`` processes claiming over the API.
         daemon.start(run_scheduler=False)
-        while not daemon.scheduler.stopping:
+        while not daemon.worker.stopping:
             time.sleep(0.2)
         daemon.stop()
     else:
@@ -594,22 +594,24 @@ def cmd_serve(args) -> int:
 
 def cmd_worker(args) -> int:
     from repro.obs.logging import StructuredLog
-    from repro.service.worker import RemoteWorker
+    from repro.service.client import ServiceClient
+    from repro.service.worker import HttpSource, Worker
 
     if args.no_disk_cache:
         print("repro worker needs the disk cache (results are written "
               "through it before upload); drop --no-disk-cache")
         return 2
-    worker = RemoteWorker(
-        url=args.url,
+    log = StructuredLog(stream=None if args.quiet else sys.stderr)
+    source = HttpSource(ServiceClient(args.url, token=args.token), log=log)
+    worker = Worker(
+        source,
         worker_id=args.worker_id,
         concurrency=args.workers,
         lease_seconds=args.lease_seconds,
         poll_interval=args.poll,
         drain_seconds=args.drain_seconds,
-        token=args.token,
         max_jobs=args.max_jobs,
-        log=StructuredLog(stream=None if args.quiet else sys.stderr),
+        log=log,
     )
 
     def _stop(signum, frame):
@@ -618,7 +620,7 @@ def cmd_worker(args) -> int:
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
     print(
-        f"repro worker {worker.worker_id} draining {worker.client.url} "
+        f"repro worker {worker.worker_id} draining {source.client.url} "
         f"(concurrency={worker.concurrency}, lease={worker.lease_seconds:g}s)",
         flush=True,
     )

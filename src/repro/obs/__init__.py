@@ -8,7 +8,7 @@ Three coordinated layers over the telemetry registry (DESIGN.md §11):
   :class:`~repro.sim.results.SimResult` (``repro timeline`` renders it).
 - **Tracing** (:mod:`repro.obs.tracing`) — ``span()`` context managers
   record Chrome trace-event JSON (Perfetto-loadable) across trace
-  decode, batch kernels, disk-cache I/O, sweep batches, scheduler job
+  decode, batch kernels, disk-cache I/O, sweep batches, service job
   lifecycles, and HTTP requests; trace/span ids correlate into logs.
 - **Exposition** (:mod:`repro.obs.prometheus`, :mod:`repro.obs.logging`)
   — Prometheus text format for ``GET /metrics?format=prometheus`` and

@@ -2,7 +2,7 @@
 
 One :class:`Tracer` collects timing events for a process — simulation
 phases, batch-kernel precomputes, disk-cache reads/writes, sweep
-batches, scheduler job lifecycles, HTTP requests — and serializes them
+batches, service job lifecycles, HTTP requests — and serializes them
 in the Chrome trace-event format, loadable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.
 

@@ -20,6 +20,9 @@ Routes (all JSON in, JSON out)::
                              caches it and marks the job done
     POST   /jobs/<id>/fail   report a worker-side failure {worker_id,
                              error} (retries with backoff like local)
+    POST   /jobs/<id>/release
+                             hand an unfinished claim back {worker_id}:
+                             re-queued with its attempt refunded
     POST   /traces           upload {content | content_b64, name?, format?,
                              mode?} -> characterization sidecar (201 new,
                              200 when deduplicated by content hash)
@@ -253,17 +256,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _POST_jobs(self, job_id, sub, query) -> None:  # noqa: N802
         if job_id == "claim" and sub is None:
-            self._claim_job()
+            self._worker_route(self.daemon_ref.claim_job)
             return
-        if job_id is not None and sub == "heartbeat":
-            self._heartbeat_job(job_id)
-            return
-        if job_id is not None and sub == "fail":
-            self._fail_job(job_id)
+        routes = {
+            "heartbeat": self.daemon_ref.heartbeat_job,
+            "fail": self.daemon_ref.remote_fail,
+            "release": self.daemon_ref.release_job,
+        }
+        if job_id is not None and sub in routes:
+            self._worker_route(routes[sub], job_id)
             return
         if job_id is not None or sub is not None:
             raise ApiError(404, "POST only to /jobs, /jobs/claim, "
-                                "/jobs/<id>/heartbeat, or /jobs/<id>/fail")
+                                "/jobs/<id>/heartbeat, /jobs/<id>/fail, "
+                                "or /jobs/<id>/release")
         try:
             job, created = self.daemon_ref.submit(self._body())
         except QueueFullError as exc:
@@ -276,49 +282,27 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, str(exc)) from None
         self._reply(201 if created else 200, {"job": job.as_dict(), "created": created})
 
-    def _claim_job(self) -> None:
+    def _worker_route(self, transition, *job_id: str, max_bytes: int = MAX_BODY_BYTES) -> None:
+        """One worker transition: 400 bad payload, 404 unknown job, 409 lease lost.
+
+        A claim names no job and may answer ``{"job": null}``.
+        """
         try:
-            job = self.daemon_ref.claim_job(self._body())
+            job = transition(*job_id, self._body(max_bytes=max_bytes))
         except WorkerProtocolError as exc:
             raise ApiError(400, str(exc)) from None
+        except KeyError as exc:
+            raise ApiError(404, str(exc)) from None
+        except LeaseLostError as exc:
+            raise ApiError(409, str(exc)) from None
         self._reply(200, {"job": job.as_dict() if job is not None else None})
-
-    def _heartbeat_job(self, job_id: str) -> None:
-        try:
-            job = self.daemon_ref.heartbeat_job(job_id, self._body())
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
-        except KeyError as exc:
-            raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
-            raise ApiError(409, str(exc)) from None
-        self._reply(200, {"job": job.as_dict()})
-
-    def _fail_job(self, job_id: str) -> None:
-        try:
-            job = self.daemon_ref.remote_fail(job_id, self._body())
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
-        except KeyError as exc:
-            raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
-            raise ApiError(409, str(exc)) from None
-        self._reply(200, {"job": job.as_dict()})
 
     def _PUT_jobs(self, job_id, sub, query) -> None:  # noqa: N802
         if job_id is None or sub != "result":
             raise ApiError(404, "PUT only to /jobs/<id>/result")
-        try:
-            job = self.daemon_ref.remote_result(
-                job_id, self._body(max_bytes=MAX_RESULT_BODY_BYTES)
-            )
-        except WorkerProtocolError as exc:
-            raise ApiError(400, str(exc)) from None
-        except KeyError as exc:
-            raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
-            raise ApiError(409, str(exc)) from None
-        self._reply(200, {"job": job.as_dict()})
+        self._worker_route(
+            self.daemon_ref.remote_result, job_id, max_bytes=MAX_RESULT_BODY_BYTES
+        )
 
     def _GET_jobs(self, job_id, sub, query) -> None:  # noqa: N802
         if job_id is None:

@@ -195,9 +195,7 @@ class ServiceClient:
         self, worker_id: str, lease_seconds: Optional[float] = None
     ) -> Optional[Dict[str, Any]]:
         """Lease the best queued job; ``None`` when the queue is empty."""
-        payload: Dict[str, Any] = {"worker_id": worker_id}
-        if lease_seconds is not None:
-            payload["lease_seconds"] = lease_seconds
+        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
         return self._request("POST", "/jobs/claim", payload)["job"]
 
     def heartbeat(
@@ -207,9 +205,7 @@ class ServiceClient:
         lease_seconds: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Renew a lease; raises :class:`ServiceError` (409) when lost."""
-        payload: Dict[str, Any] = {"worker_id": worker_id}
-        if lease_seconds is not None:
-            payload["lease_seconds"] = lease_seconds
+        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
         return self._request("POST", f"/jobs/{job_id}/heartbeat", payload)["job"]
 
     def upload_result(
@@ -231,6 +227,11 @@ class ServiceClient:
         """Report a worker-side failure (daemon applies its retry policy)."""
         payload = {"worker_id": worker_id, "error": error}
         return self._request("POST", f"/jobs/{job_id}/fail", payload)["job"]
+
+    def release(self, job_id: str, worker_id: str) -> Dict[str, Any]:
+        """Hand an unfinished claim back to the queue, attempt refunded."""
+        payload = {"worker_id": worker_id}
+        return self._request("POST", f"/jobs/{job_id}/release", payload)["job"]
 
     def upload_trace(
         self,

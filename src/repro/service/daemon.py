@@ -1,10 +1,17 @@
-"""One service process: job store + scheduler + HTTP front end.
+"""One service process: job store, its worker, and the HTTP front end.
 
 :class:`ServiceDaemon` owns the durable pieces (SQLite job store, the
-shared content-addressed disk cache) and the runtime pieces (scheduler
-thread-or-loop, threaded HTTP server, telemetry registry).  The CLI's
-``repro serve`` builds one and blocks in :meth:`run`; tests embed one
-in-process via :meth:`start` / :meth:`stop`.
+shared content-addressed disk cache) and the runtime pieces (its own
+:class:`~repro.service.worker.Worker` pool, threaded HTTP server, lease
+reaper, telemetry registry).  The CLI's ``repro serve`` builds one and
+blocks in :meth:`run`; tests embed one in-process via :meth:`start` /
+:meth:`stop`.
+
+:class:`StoreSource` is the job source over the store: the daemon's own
+worker and the HTTP worker routes (``claim_job``, ``heartbeat_job``,
+``remote_result``, ``remote_fail``, ``release_job``) make every job
+transition through it, so each transition's store write, counters, log
+events and the retry rule are defined once.
 
 Submission — shared by the HTTP handler and any in-process caller —
 deduplicates twice:
@@ -21,6 +28,7 @@ JSON by ``GET /metrics``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import threading
@@ -31,10 +39,10 @@ from repro.cache.replacement import POLICIES
 from repro.obs.logging import StructuredLog
 from repro.service import jobstore
 from repro.service.jobstore import Job, JobStore
-from repro.service.scheduler import (
+from repro.service.worker import (
+    TIMEOUT_ERROR,
     TRACE_CONFIG_KEYS,
-    Scheduler,
-    ServiceStats,
+    Worker,
     config_from_overrides,
     resolve_job_workload,
 )
@@ -71,11 +79,171 @@ class IngestError(ValueError):
 
 
 class WorkerProtocolError(ValueError):
-    """A malformed claim/heartbeat/result/fail request from a worker."""
+    """A malformed claim/heartbeat/result/fail/release request from a worker."""
 
 
 class LeaseLostError(RuntimeError):
     """The caller no longer holds the job's lease (reaped or re-owned)."""
+
+
+#: Queue-depth histogram bounds (jobs waiting at submission time).
+QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
+
+
+@dataclasses.dataclass
+class ServiceStats:
+    """Process-wide service counters (mirrors the runner's ``RunnerStats``)."""
+
+    submitted: int = 0
+    completed: int = 0
+    failed: int = 0
+    retried: int = 0
+    timeouts: int = 0
+    cancelled: int = 0
+    #: submissions that joined an already-active identical job
+    dedup_active: int = 0
+    #: submissions served instantly from the shared disk cache
+    dedup_cache: int = 0
+    orphans_recovered: int = 0
+    #: unfinished claims handed back with the attempt refunded (a drain,
+    #: or the bystanders of a timed-out job's pool kill)
+    drain_requeued: int = 0
+
+    # Distribution stats (not dataclass fields: they live in the registry
+    # and are bound here by register_stats so call sites can observe into
+    # them; ``None`` until a registry exists, so bare ``ServiceStats()``
+    # instances in unit tests stay inert).
+    job_seconds = None
+    queue_depth_samples = None
+    http_request_seconds = None
+
+    def as_dict(self) -> Dict[str, int]:
+        return dataclasses.asdict(self)
+
+    def register_stats(self, scope: StatScope, store: JobStore) -> None:
+        """Expose service counters plus queue/latency stats under ``scope``."""
+        for name in self.as_dict():
+            scope.counter(name, (lambda n=name: getattr(self, n)))
+        scope.gauge("queue_depth", lambda: store.counts()[jobstore.QUEUED])
+        scope.gauge("running", lambda: store.counts()[jobstore.RUNNING])
+        self.job_seconds = scope.histogram(
+            "job_seconds", doc="claim-to-completion wall time of finished attempts"
+        )
+        self.queue_depth_samples = scope.histogram(
+            "queue_depth_samples",
+            buckets=QUEUE_DEPTH_BUCKETS,
+            doc="queue depth observed at each submission",
+        )
+        self.http_request_seconds = scope.histogram(
+            "http_request_seconds", doc="HTTP request handling duration"
+        )
+
+
+class StoreSource:
+    """The job source over the :class:`JobStore`, for every worker.
+
+    The daemon's own :class:`~repro.service.worker.Worker` calls it
+    directly; remote workers reach it through the HTTP worker routes.
+    Every transition is owner-guarded on ``worker_id`` and returns
+    ``False`` when that worker no longer holds the job's lease.
+    """
+
+    def __init__(
+        self,
+        store: JobStore,
+        stats: Optional[ServiceStats] = None,
+        log: Optional[StructuredLog] = None,
+        backoff_base: float = 0.5,
+        backoff_factor: float = 2.0,
+        backoff_max: float = 60.0,
+    ) -> None:
+        self.store = store
+        self.stats = stats or ServiceStats()
+        self.log = log or StructuredLog()
+        self.backoff_base = backoff_base
+        self.backoff_factor = backoff_factor
+        self.backoff_max = backoff_max
+
+    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Job]:
+        job = self.store.claim(worker_id=worker_id, lease_seconds=lease_seconds)
+        if job is not None:
+            self.log.event(
+                "job_claimed", job_id=job.id, worker_id=worker_id,
+                lease_seconds=lease_seconds,
+            )
+        return job
+
+    def heartbeat(self, job: Job, worker_id: str, lease_seconds: float) -> bool:
+        """Renew the lease; also refused once the job is past its deadline."""
+        if self.store.heartbeat(job.id, worker_id, lease_seconds):
+            return True
+        return self._lost(job, worker_id)
+
+    def finish(self, job: Job, worker_id: str, result, source: str) -> bool:
+        # ``result`` is already in the daemon's cache: the local pool wrote
+        # it through the shared disk cache, and the HTTP route stores an
+        # upload before calling this.
+        if not self.store.finish(job.id, source, worker_id=worker_id):
+            return self._lost(job, worker_id)
+        self.stats.completed += 1
+        self.log.event(
+            "job_completed", job_id=job.id, source=source, worker_id=worker_id,
+            seconds=self._observe(job),
+        )
+        return True
+
+    def fail(self, job: Job, worker_id: str, error: str, invalid: bool = False) -> bool:
+        """Apply the retry rule to one failed attempt.
+
+        While attempts remain the job is re-queued with ``not_before =
+        now + base * factor**(attempts-1)`` (capped at ``backoff_max``);
+        on its last attempt it fails terminally.  An ``invalid`` job (one
+        the daemon's worker cannot resolve) fails terminally at once: it
+        was validated against this process's roster and trace store at
+        submission, so no retry here can succeed.
+        """
+        delay = None
+        if not invalid and job.attempts < job.max_attempts:
+            delay = min(
+                self.backoff_base * self.backoff_factor ** (max(job.attempts, 1) - 1),
+                self.backoff_max,
+            )
+        if not self.store.fail(job.id, error, retry_delay=delay, worker_id=worker_id):
+            return self._lost(job, worker_id)
+        self._observe(job)
+        if error == TIMEOUT_ERROR:
+            self.stats.timeouts += 1
+            self.log.event("job_timeout", job_id=job.id, worker_id=worker_id)
+        if delay is None:
+            self.stats.failed += 1
+        else:
+            self.stats.retried += 1
+        self.log.event(
+            "job_failed" if delay is None else "job_retried", job_id=job.id,
+            error=error, attempt=job.attempts, retry_delay=delay, worker_id=worker_id,
+        )
+        return True
+
+    def release(self, job: Job, worker_id: str) -> bool:
+        """Re-queue an unfinished claim with its attempt refunded."""
+        if not self.store.requeue(job.id, refund_attempt=True, worker_id=worker_id):
+            return self._lost(job, worker_id)
+        self.stats.drain_requeued += 1
+        self.log.event("job_released", job_id=job.id, worker_id=worker_id)
+        return True
+
+    def _lost(self, job: Job, worker_id: str) -> bool:
+        self.log.event("job_lease_lost", job_id=job.id, worker_id=worker_id)
+        return False
+
+    def _observe(self, job: Job) -> Optional[float]:
+        """Record the attempt's claim-to-now wall time; returns it."""
+        if job.started_at is None:
+            return None
+        seconds = max(time.time() - job.started_at, 0.0)
+        if self.stats.job_seconds is not None:
+            self.stats.job_seconds.observe(seconds)
+        return round(seconds, 6)
 
 
 def _worker_path_segment(worker_id: str) -> str:
@@ -216,6 +384,8 @@ class ServiceDaemon:
             self.traces = trace_store()
         self.stats = ServiceStats()
         self.max_attempts = max_attempts
+        #: the timeout written onto every submission that names none
+        self.default_timeout = default_timeout
         self.started_at = time.time()
         #: shared bearer token guarding mutating routes (None = open)
         self.token = (
@@ -233,16 +403,19 @@ class ServiceDaemon:
         #: the default for embedded/test daemons; ``repro serve`` passes
         #: stderr)
         self.log = StructuredLog(log_stream)
-        self.scheduler = Scheduler(
-            self.store,
+        self.source = StoreSource(
+            self.store, stats=self.stats, log=self.log, backoff_base=backoff_base
+        )
+        #: the daemon's own pool: one worker among many, over the store
+        self.worker = Worker(
+            self.source,
+            worker_id=f"local:{os.getpid()}",
+            concurrency=workers,
+            lease_seconds=lease_seconds,
+            poll_interval=0.05,
+            drain_seconds=drain_seconds,
             cache_dir=str(self.cache.root),
             trace_dir=str(self.traces.root),
-            workers=workers,
-            default_timeout=default_timeout,
-            drain_seconds=drain_seconds,
-            backoff_base=backoff_base,
-            lease_seconds=lease_seconds,
-            stats=self.stats,
             log=self.log,
         )
         self.registry = StatRegistry()
@@ -262,7 +435,7 @@ class ServiceDaemon:
 
         self.server = make_server(self, host, port)
         self._http_thread: Optional[threading.Thread] = None
-        self._scheduler_thread: Optional[threading.Thread] = None
+        self._worker_thread: Optional[threading.Thread] = None
 
     # -- addresses -------------------------------------------------------
 
@@ -327,8 +500,7 @@ class ServiceDaemon:
         priority = int(payload.get("priority", 0))
         max_attempts = int(payload.get("max_attempts", self.max_attempts))
         timeout = payload.get("timeout")
-        if timeout is not None:
-            timeout = float(timeout)
+        timeout = self.default_timeout if timeout is None else float(timeout)
         key = cache_key(workload, design, config)
         if self.stats.queue_depth_samples is not None:
             self.stats.queue_depth_samples.observe(
@@ -369,7 +541,7 @@ class ServiceDaemon:
             timeout=timeout,
         )
         if created:
-            self.scheduler.notify()
+            self.worker.notify()
             self.stats.submitted += 1
             self.log.event(
                 "job_submitted",
@@ -434,10 +606,10 @@ class ServiceDaemon:
         """The completed job's :class:`SimResult` from the shared cache."""
         return self.cache.get(job.key)
 
-    # -- remote-worker protocol (claim / heartbeat / result / fail) ------
+    # -- HTTP worker routes (claim / heartbeat / result / fail / release) -
 
-    @staticmethod
-    def _worker_fields(payload: Any) -> Tuple[str, float]:
+    def _worker_fields(self, payload: Any) -> Tuple[str, float]:
+        """``(worker_id, lease_seconds)`` of a worker request; marks it seen."""
         if not isinstance(payload, dict):
             raise WorkerProtocolError("worker payload must be a JSON object")
         worker_id = payload.get("worker_id")
@@ -445,6 +617,7 @@ class ServiceDaemon:
             raise WorkerProtocolError("'worker_id' is a required string")
         lease = payload.get("lease_seconds")
         lease = float(lease) if lease is not None else 0.0
+        self.workers_seen.seen(worker_id)
         return worker_id, lease
 
     def claim_job(self, payload: Dict[str, Any]) -> Optional[Job]:
@@ -453,31 +626,18 @@ class ServiceDaemon:
         lease = lease or self.lease_seconds
         if lease <= 0:
             raise WorkerProtocolError("lease_seconds must be > 0")
-        self.workers_seen.seen(worker_id)
-        job = self.store.claim(worker_id=worker_id, lease_seconds=lease)
-        if job is not None:
-            self.log.event(
-                "job_claimed",
-                job_id=job.id,
-                worker_id=worker_id,
-                lease_seconds=lease,
-            )
-        return job
+        return self.source.claim(worker_id, lease)
 
     def heartbeat_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Renew a worker's lease; raises :class:`LeaseLostError` if gone.
 
         The lease is also refused once the job is past its timeout (see
-        :meth:`JobStore.heartbeat`): the worker abandons the attempt and
-        the reaper takes the job back when the lease lapses.
+        :meth:`JobStore.heartbeat`); the worker kills the attempt at its
+        deadline, or the reaper takes the job back when the lease lapses.
         """
         worker_id, lease = self._worker_fields(payload)
-        self.workers_seen.seen(worker_id)
         job = self.store.find(job_id)  # KeyError -> 404 at the API layer
-        ok = self.store.heartbeat(
-            job.id, worker_id, lease or self.lease_seconds
-        )
-        if not ok:
+        if not self.source.heartbeat(job, worker_id, lease or self.lease_seconds):
             current = self.store.get(job.id)
             if current.state == jobstore.RUNNING and current.worker_id == worker_id:
                 # still this worker's, so the store refused on the deadline
@@ -518,28 +678,29 @@ class ServiceDaemon:
         # Persist before the state flip so a GET /jobs/<id>/result that
         # races the transition never sees done-without-result.
         self.cache.put(job.key, result)
-        if not self.store.finish(job.id, source, worker_id=worker_id):
+        if not self.source.finish(job, worker_id, result, source):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}; "
                 f"result cached but job state unchanged"
             )
-        self.stats.completed += 1
         self.workers_seen.completed(worker_id)
-        self.log.event(
-            "job_completed", job_id=job.id, source=source, worker_id=worker_id
-        )
         return self.store.get(job.id)
 
     def remote_fail(self, job_id: str, payload: Dict[str, Any]) -> Job:
-        """Record a worker-side failure under the local retry rule."""
+        """Record a worker-side failure under the retry rule."""
         worker_id, _lease = self._worker_fields(payload)
         job = self.store.find(job_id)
         error = str(payload.get("error") or "worker reported failure")
-        self.workers_seen.seen(worker_id)
-        if not self.scheduler.record_failure(job, error, worker_id=worker_id):
-            raise LeaseLostError(
-                f"job {job.id} is no longer leased to worker {worker_id!r}"
-            )
+        if not self.source.fail(job, worker_id, error):
+            raise LeaseLostError(f"job {job.id} is no longer leased to worker {worker_id!r}")
+        return self.store.get(job.id)
+
+    def release_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
+        """Re-queue a worker's unfinished claim, attempt refunded."""
+        worker_id, _lease = self._worker_fields(payload)
+        job = self.store.find(job_id)
+        if not self.source.release(job, worker_id):
+            raise LeaseLostError(f"job {job.id} is no longer leased to worker {worker_id!r}")
         return self.store.get(job.id)
 
     # -- lease reaper ----------------------------------------------------
@@ -584,12 +745,12 @@ class ServiceDaemon:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "queue": counts,
             "queue_depth": counts[jobstore.QUEUED],
-            "inflight": self.scheduler.inflight,
-            "workers": self.scheduler.workers,
+            "inflight": self.worker.inflight,
+            "workers": self.worker.concurrency,
             "live_workers": self.workers_seen.live(),
             "lease_seconds": self.lease_seconds,
             "auth": self.token is not None,
-            "draining": self.scheduler.stopping,
+            "draining": self.worker.stopping,
             "cache_dir": str(self.cache.root),
             "trace_dir": str(self.traces.root),
             "db": str(self.store.path),
@@ -602,42 +763,56 @@ class ServiceDaemon:
     # -- lifecycle -------------------------------------------------------
 
     def start(self, run_scheduler: bool = True) -> None:
-        """Start HTTP, the lease reaper (and optionally the scheduler)."""
-        self._http_thread = threading.Thread(
-            target=self.server.serve_forever, name="repro-service-http", daemon=True
-        )
-        self._http_thread.start()
-        self._start_reaper()
+        """Start HTTP, the lease reaper (and optionally the daemon's worker)."""
+        self._boot(run_scheduler)
         if run_scheduler:
-            self._scheduler_thread = threading.Thread(
-                target=self.scheduler.run, name="repro-service-scheduler", daemon=True
+            self._worker_thread = threading.Thread(
+                target=self.worker.run, name="repro-service-worker", daemon=True
             )
-            self._scheduler_thread.start()
+            self._worker_thread.start()
 
     def run(self) -> None:
-        """Blocking serve loop for the CLI: HTTP on a thread, scheduler here."""
-        self._http_thread = threading.Thread(
-            target=self.server.serve_forever, name="repro-service-http", daemon=True
-        )
-        self._http_thread.start()
-        self._start_reaper()
+        """Blocking serve loop for the CLI: HTTP on a thread, the worker here."""
+        self._boot(True)
         try:
-            self.scheduler.run()
+            self.worker.run()
         finally:
-            self._stop_reaper()
-            self._stop_http()
-            self.store.close()
+            self._close()
 
     def request_stop(self) -> None:
         """Signal-handler hook: begin graceful drain."""
-        self.scheduler.request_stop()
+        self.worker.request_stop()
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop background threads started by :meth:`start` and close up."""
-        self.scheduler.request_stop()
-        if self._scheduler_thread is not None:
-            self._scheduler_thread.join(timeout)
-            self._scheduler_thread = None
+        self.worker.request_stop()
+        if self._worker_thread is not None:
+            self._worker_thread.join(timeout)
+            self._worker_thread = None
+        self._close()
+
+    def _boot(self, run_worker: bool) -> None:
+        """Start HTTP and the lease reaper, then recover crash orphans.
+
+        Only *lease-less* orphans (rows from a legacy scheduler) are
+        recovered; leased rows are the reaper's business, since a live
+        remote worker may still hold them.
+        """
+        self._http_thread = threading.Thread(
+            target=self.server.serve_forever, name="repro-service-http", daemon=True
+        )
+        self._http_thread.start()
+        self._start_reaper()
+        orphans = self.store.recover_orphans(only_leaseless=True)
+        self.stats.orphans_recovered += len(orphans)
+        if run_worker:
+            self.log.event(
+                "scheduler_started",
+                workers=self.worker.concurrency,
+                orphans_recovered=len(orphans),
+            )
+
+    def _close(self) -> None:
         self._stop_reaper()
         self._stop_http()
         self.store.close()
@@ -657,6 +832,8 @@ __all__ = [
     "QueueFullError",
     "SERVICE_TOKEN_ENV",
     "ServiceDaemon",
+    "ServiceStats",
+    "StoreSource",
     "SubmitError",
     "TokenBucketLimiter",
     "WorkerProtocolError",

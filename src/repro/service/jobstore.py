@@ -26,12 +26,14 @@ the job (``worker_id``) and until when the claim is valid
 reaper (:meth:`JobStore.reap_expired`) continuously re-queues jobs
 whose lease lapsed — a crashed or partitioned worker loses its jobs
 within one lease interval instead of holding them forever.  Owner
-guards on :meth:`finish`/:meth:`fail` make a worker that lost its
-lease unable to complete a job that has since been handed elsewhere.
+guards on :meth:`finish`/:meth:`fail`/:meth:`requeue` make a worker
+that lost its lease unable to complete, fail or hand back a job that
+has since been handed elsewhere.
 
 The store is safe for concurrent use from the HTTP handler threads,
-the scheduler thread, and the reaper thread of one daemon process (one
-connection guarded by a lock, WAL journal, ``BEGIN IMMEDIATE`` claims).
+the daemon's worker thread, and the reaper thread of one daemon process
+(one connection guarded by a lock, WAL journal, ``BEGIN IMMEDIATE``
+claims).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ _MIGRATIONS = (
 
 @dataclasses.dataclass
 class Job:
-    """One job row, as seen by the scheduler, API, and CLI."""
+    """One job row, as seen by workers, the API, and the CLI."""
 
     id: str
     key: str
@@ -141,8 +143,8 @@ class Job:
         """When the current attempt times out (``started_at + timeout``).
 
         ``None`` without a claim or a timeout; a zero timeout means none,
-        as in the scheduler.  :meth:`JobStore.heartbeat` applies the same
-        rule in SQL.
+        as in the worker loop.  :meth:`JobStore.heartbeat` applies the
+        same rule in SQL.
         """
         if not self.timeout or self.started_at is None:
             return None
@@ -175,6 +177,11 @@ def _row_to_job(row: sqlite3.Row) -> Job:
         worker_id=row["worker_id"],
         lease_until=row["lease_until"],
     )
+
+
+#: WHERE clause of an owner-guarded transition, bound to
+#: ``(worker_id, worker_id)``: a ``None`` worker is no guard at all.
+_OWNED_BY = " AND (? IS NULL OR worker_id IS ?)"
 
 
 def _escape_like(prefix: str) -> str:
@@ -280,7 +287,7 @@ class JobStore:
             self._conn.commit()
         return self.get(job_id), True
 
-    # -- scheduler side --------------------------------------------------
+    # -- worker side -----------------------------------------------------
 
     def claim(
         self,
@@ -415,9 +422,16 @@ class JobStore:
         ``False`` means the caller no longer holds the lease (the job
         was reaped and re-queued or handed to another worker).
         """
-        return self._transition(
-            job_id, RUNNING, DONE, source=source, worker_id=worker_id
-        )
+        now = time.time()
+        with self._lock:
+            cur = self._conn.execute(
+                "UPDATE jobs SET state = ?, source = ?, updated_at = ?, "
+                "finished_at = ?, lease_until = NULL "
+                f"WHERE id = ? AND state = ?{_OWNED_BY}",
+                (DONE, source, now, now, job_id, RUNNING, worker_id, worker_id),
+            )
+            self._conn.commit()
+            return cur.rowcount > 0
 
     def fail(
         self,
@@ -434,40 +448,48 @@ class JobStore:
         ``worker_id`` is given (see :meth:`finish`).
         """
         now = time.time()
-        guard = "" if worker_id is None else " AND worker_id IS ?"
-        guard_args = () if worker_id is None else (worker_id,)
         with self._lock:
             if retry_delay is None:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, updated_at = ?, "
                     "finished_at = ?, lease_until = NULL "
-                    f"WHERE id = ? AND state = ?{guard}",
-                    (FAILED, error, now, now, job_id, RUNNING, *guard_args),
+                    f"WHERE id = ? AND state = ?{_OWNED_BY}",
+                    (FAILED, error, now, now, job_id, RUNNING, worker_id, worker_id),
                 )
             else:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, not_before = ?, "
                     "started_at = NULL, worker_id = NULL, lease_until = NULL, "
-                    f"updated_at = ? WHERE id = ? AND state = ?{guard}",
+                    f"updated_at = ? WHERE id = ? AND state = ?{_OWNED_BY}",
                     (QUEUED, error, now + retry_delay, now, job_id, RUNNING,
-                     *guard_args),
+                     worker_id, worker_id),
                 )
             self._conn.commit()
             return cur.rowcount > 0
 
-    def requeue(self, job_id: str, refund_attempt: bool = False) -> None:
-        """``running -> queued`` (graceful drain; optionally refund the claim)."""
+    def requeue(
+        self,
+        job_id: str,
+        refund_attempt: bool = False,
+        worker_id: Optional[str] = None,
+    ) -> bool:
+        """``running -> queued`` (a released claim; optionally refund it).
+
+        Owner-guarded when ``worker_id`` is given (see :meth:`finish`):
+        ``False`` means the caller no longer holds the job's lease.
+        """
         now = time.time()
         refund = 1 if refund_attempt else 0
         with self._lock:
-            self._conn.execute(
+            cur = self._conn.execute(
                 "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
                 "worker_id = NULL, lease_until = NULL, "
                 "attempts = MAX(attempts - ?, 0), updated_at = ? "
-                "WHERE id = ? AND state = ?",
-                (QUEUED, refund, now, job_id, RUNNING),
+                f"WHERE id = ? AND state = ?{_OWNED_BY}",
+                (QUEUED, refund, now, job_id, RUNNING, worker_id, worker_id),
             )
             self._conn.commit()
+            return cur.rowcount > 0
 
     def recover_orphans(self, only_leaseless: bool = False) -> List[Job]:
         """Re-queue ``running`` jobs abandoned by a crash (daemon boot).
@@ -574,29 +596,6 @@ class JobStore:
         for row in rows:
             counts[row["state"]] = row["n"]
         return counts
-
-    # -- internals -------------------------------------------------------
-
-    def _transition(
-        self,
-        job_id: str,
-        from_state: str,
-        to_state: str,
-        source: Optional[str],
-        worker_id: Optional[str] = None,
-    ) -> bool:
-        now = time.time()
-        guard = "" if worker_id is None else " AND worker_id IS ?"
-        guard_args = () if worker_id is None else (worker_id,)
-        with self._lock:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state = ?, source = ?, updated_at = ?, "
-                "finished_at = ?, lease_until = NULL "
-                f"WHERE id = ? AND state = ?{guard}",
-                (to_state, source, now, now, job_id, from_state, *guard_args),
-            )
-            self._conn.commit()
-            return cur.rowcount > 0
 
 
 __all__ = [

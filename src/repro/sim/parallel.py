@@ -16,6 +16,9 @@ the runner functions of the same names.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +33,9 @@ from repro.workloads.suites import Workload
 
 #: One unit of work: (workload, design) under the batch's config.
 Job = Tuple[Workload, str]
+
+#: How often a pool process checks that its parent is still alive, seconds.
+PARENT_CHECK_S = 0.5
 
 
 @dataclass
@@ -81,13 +87,33 @@ def init_worker(cache_dir: Optional[str], trace_dir: Optional[str] = None) -> No
     its own worker pool from the same primitives.  ``trace_dir``
     additionally points the worker at the parent's trace store, so
     trace-backed jobs replay the same content-addressed records.
+
+    A forked pool process inherits its parent's Python signal handlers:
+    under ``repro serve`` or ``repro worker`` SIGTERM would only call
+    ``request_stop`` on this process's copy of the parent, and
+    ``terminate()`` could never stop a stuck job.  So SIGTERM's default
+    action is restored here (SIGINT keeps the inherited handler), and
+    the process exits once its parent is gone, so a SIGKILLed parent
+    leaves no orphans.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), name="repro-parent-check",
+        daemon=True,
+    ).start()
     if cache_dir is not None:
         runner.configure_disk_cache(cache_dir)
     if trace_dir is not None:
         from repro.traces.store import configure_trace_store
 
         configure_trace_store(trace_dir)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this process once it is re-parented (``parent`` died)."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_CHECK_S)
+    os._exit(1)
 
 
 def run_job(job: Tuple[Workload, str, SimConfig]) -> Tuple[SimResult, str, float]:

@@ -1,11 +1,12 @@
 """Distributed sweep fabric: leases, remote workers, auth, backpressure.
 
 Covers the jobstore lease/heartbeat/reap protocol, the owner guards on
-``finish``/``fail``, the scheduler timeout fixes, the HTTP worker
-protocol end-to-end (a real :class:`RemoteWorker` draining a daemon
-whose local scheduler is off), token auth, queue-depth backpressure,
-per-client rate limiting, and a hypothesis state machine asserting the
-store's invariants hold under arbitrary operation interleavings.
+``finish``/``fail``/``requeue``, the worker loop's timeout handling, the
+HTTP worker protocol end-to-end (a real :class:`Worker` over an
+:class:`HttpSource` draining a daemon whose own worker is off), token
+auth, queue-depth backpressure, per-client rate limiting, and a
+hypothesis state machine asserting the store's invariants hold under
+arbitrary operation interleavings.
 """
 
 import shutil
@@ -13,6 +14,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -22,10 +24,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.service import jobstore
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import ServiceDaemon, TokenBucketLimiter
+from repro.service.daemon import ServiceDaemon, StoreSource, TokenBucketLimiter
 from repro.service.jobstore import JobStore
-from repro.service.scheduler import Scheduler
-from repro.service.worker import RemoteWorker
+from repro.service.worker import HttpSource, Worker, _Running
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache, cache_key
@@ -150,6 +151,23 @@ class TestLeases:
         assert store.get(job.id).state == jobstore.RUNNING
         assert store.finish(job.id, "executed", worker_id="w2")
 
+    def test_release_owner_guarded(self, store, tmp_path):
+        # The local worker's lease is reaped and the job re-leased to w2:
+        # the local worker's drain must not hand w2's job back.
+        submit(store)
+        worker = make_timeout_scheduler(store, tmp_path)
+        job, _ = claim_inflight(store, worker)
+        store.reap_expired(now=time.time() + 2 * worker.lease_seconds)
+        assert store.claim(worker_id="w2", lease_seconds=30.0).id == job.id
+        assert not store.requeue(job.id, refund_attempt=True,
+                                 worker_id=worker.worker_id)
+        worker.drain_seconds = 0.0
+        worker._drain()
+        row = store.get(job.id)
+        assert row.state == jobstore.RUNNING and row.worker_id == "w2"
+        assert row.attempts == 2
+        assert worker.stats.drain_requeued == 0
+
     def test_boot_recovery_spares_leased_rows(self, store):
         # A leased row may belong to a live remote worker: boot-time
         # recovery must leave it to the reaper.
@@ -246,24 +264,33 @@ class TestJobStoreFixes:
         assert retry.id == job.id and retry.started_at is not None
 
 
-# -- scheduler: timeout fixes --------------------------------------------
+# -- worker loop: timeout handling ---------------------------------------
 
 
 class _FakePool:
-    """Stands in for ProcessPoolExecutor in timeout unit tests."""
+    """Stands in for ProcessPoolExecutor in timeout unit tests.
+
+    Like a real pool whose processes were killed, shutting it down fails
+    every future it ran that had not finished yet.
+    """
 
     def __init__(self):
         self._processes = {}
+        self.futures = []
         self.killed = False
 
     def shutdown(self, wait=False, cancel_futures=False):
         self.killed = True
+        for future in self.futures:
+            if not future.done():
+                future.set_exception(BrokenProcessPool("pool killed"))
 
 
 def make_timeout_scheduler(store, tmp_path):
-    scheduler = Scheduler(
-        store, cache_dir=str(tmp_path / "simcache"), workers=2,
-        backoff_base=0.01,
+    """The daemon's own worker loop, over a fake pool."""
+    scheduler = Worker(
+        StoreSource(store, backoff_base=0.01), worker_id="local",
+        concurrency=2, cache_dir=str(tmp_path / "simcache"),
     )
     scheduler._pool = _FakePool()
     scheduler._new_pool = _FakePool  # rebuilt pools are fakes too
@@ -271,14 +298,18 @@ def make_timeout_scheduler(store, tmp_path):
 
 
 def claim_inflight(store, scheduler, deadline=None):
-    """Claim one job as the scheduler would and plant a fake future."""
+    """Claim one job as the loop would and plant a fake future.
+
+    ``deadline`` is on the loop's clock, :func:`time.monotonic`.
+    """
     job = store.claim(worker_id=scheduler.worker_id,
                       lease_seconds=scheduler.lease_seconds)
     future = Future()
     future.set_running_or_notify_cancel()
-    scheduler._inflight[job.id] = (
-        job, future, deadline, time.perf_counter(),
-        time.time() + scheduler.lease_seconds,
+    scheduler._pool.futures.append(future)
+    scheduler._inflight[job.id] = _Running(
+        job, future, deadline=deadline,
+        renew_at=time.monotonic() + scheduler.lease_seconds,
     )
     return job, future
 
@@ -291,9 +322,9 @@ class TestSchedulerTimeouts:
         scheduler = make_timeout_scheduler(store, tmp_path)
         pool = scheduler._pool
         job, future = claim_inflight(store, scheduler,
-                                     deadline=time.time() - 1.0)
+                                     deadline=time.monotonic() - 1.0)
         future.set_result((None, "executed", 0.01))
-        assert scheduler._reap()  # harvests, no timeout declared
+        assert scheduler._harvest()  # harvests, no timeout declared
         assert not pool.killed
         assert scheduler.stats.timeouts == 0
         assert scheduler.stats.completed == 1
@@ -306,9 +337,9 @@ class TestSchedulerTimeouts:
         submit(store, "mcf06", "ideal", max_attempts=1)
         scheduler = make_timeout_scheduler(store, tmp_path)
         pool = scheduler._pool
-        a, _ = claim_inflight(store, scheduler, deadline=time.time() - 1.0)
-        b, _ = claim_inflight(store, scheduler, deadline=time.time() - 1.0)
-        assert scheduler._reap()
+        a, _ = claim_inflight(store, scheduler, deadline=time.monotonic() - 1.0)
+        b, _ = claim_inflight(store, scheduler, deadline=time.monotonic() - 1.0)
+        assert scheduler._harvest()
         assert pool.killed
         assert scheduler.stats.timeouts == 2
         assert store.get(a.id).state == jobstore.FAILED
@@ -324,19 +355,19 @@ class TestSchedulerTimeouts:
         submit(store, "xz17", "ideal")
         scheduler = make_timeout_scheduler(store, tmp_path)
         stuck, _ = claim_inflight(store, scheduler,
-                                  deadline=time.time() - 1.0)
+                                  deadline=time.monotonic() - 1.0)
         done_by, done_future = claim_inflight(store, scheduler)
         pending_by, _ = claim_inflight(store, scheduler)
         done_future.set_result((None, "executed", 0.01))
-        # _reap harvests the done bystander first (it is simply done),
+        # _harvest settles the done bystander first (it is simply done),
         # then handles the expired job; drive _on_timeout directly to
         # model the done-after-deadline-check interleaving.
-        expired = [(stuck, scheduler._inflight[stuck.id][1])]
+        expired = [scheduler._inflight[stuck.id]]
         assert scheduler._on_timeout(expired)
         assert store.get(stuck.id).state == jobstore.FAILED
         # done bystander: still in flight, harvested on the next pass
         assert done_by.id in scheduler._inflight
-        assert scheduler._reap()
+        assert scheduler._harvest()
         assert store.get(done_by.id).state == jobstore.DONE
         # pending bystander: requeued with the claim refunded
         back = store.get(pending_by.id)
@@ -529,15 +560,15 @@ class TestBackpressure:
         assert ok
 
 
-# -- RemoteWorker end-to-end ---------------------------------------------
+# -- remote worker (Worker over HttpSource) end-to-end -------------------
 
 
-def make_worker(daemon, tmp_path, name="w1", **kwargs):
+def make_worker(daemon, tmp_path, name="w1", token=None, **kwargs):
     kwargs.setdefault("concurrency", 2)
     kwargs.setdefault("lease_seconds", 30.0)
     kwargs.setdefault("poll_interval", 0.02)
-    return RemoteWorker(
-        url=daemon.url,
+    return Worker(
+        HttpSource(ServiceClient(daemon.url, token=token)),
         worker_id=name,
         cache_dir=str(tmp_path / f"{name}-cache"),
         trace_dir=str(tmp_path / "traces"),
@@ -620,7 +651,7 @@ class TestRemoteWorker:
             worker = make_worker(daemon, tmp_path, token="")
             # one claim pass: the 401 is swallowed (logged) and nothing
             # is claimed, so the job stays queued for an authed worker
-            assert worker._claim_more() is False
+            assert worker._claim() is False
             assert worker.stats.claimed == 0
             assert daemon.store.counts()[jobstore.QUEUED] == 1
         finally:
@@ -689,10 +720,10 @@ class JobStoreMachine(RuleBasedStateMachine):
         for job in self.store.list_jobs(state=jobstore.QUEUED, limit=1):
             self.store.cancel(job.id)
 
-    @rule()
-    def requeue(self):
+    @rule(worker=st.sampled_from(WORKERS))
+    def requeue(self, worker):
         for job in self._running():
-            self.store.requeue(job.id, refund_attempt=True)
+            self.store.requeue(job.id, refund_attempt=True, worker_id=worker)
             break
 
     @rule(dt=st.sampled_from([0.5, 3.0, 10.0]))

@@ -16,6 +16,7 @@ from repro.service import jobstore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobstore import JobStore
 from repro.sim import runner
+from repro.service.worker import _Running
 from tests.test_distributed import make_daemon, submit
 
 OPS, WARMUP = 200, 100
@@ -86,6 +87,21 @@ class TestTimeoutBoundsHeartbeat:
         assert store.get(job.id).deadline is None
         assert store.heartbeat(job.id, "w1", 10.0, now=t0 + 10_000.0)
 
+    def test_daemon_default_timeout_reaches_remote_claims(self, tmp_path):
+        daemon = make_daemon(tmp_path, default_timeout=0.2)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+            claimed = client.claim("w1", lease_seconds=60.0)
+            assert claimed["id"] == job["id"]
+            assert claimed["timeout"] == 0.2
+            time.sleep(0.3)
+            with pytest.raises(ServiceError) as err:
+                client.heartbeat(job["id"], "w1")
+            assert err.value.status == 409
+        finally:
+            daemon.stop()
+
     def test_http_heartbeat_past_timeout_conflicts(self, tmp_path):
         daemon = make_daemon(tmp_path)
         try:
@@ -106,17 +122,17 @@ class TestTimeoutBoundsHeartbeat:
             daemon.stop()
 
 
-def fail_locally(scheduler, store: JobStore, job_id: str) -> None:
-    """Claim ``job_id`` as the local scheduler and harvest a failed future."""
-    job = store.claim(worker_id=scheduler.worker_id,
-                      lease_seconds=scheduler.lease_seconds)
+def fail_locally(worker, store: JobStore, job_id: str) -> None:
+    """Claim ``job_id`` as the daemon's own worker and harvest a failed future."""
+    job = store.claim(worker_id=worker.worker_id,
+                      lease_seconds=worker.lease_seconds)
     assert job.id == job_id
     future = Future()
     future.set_exception(RuntimeError("boom"))
-    scheduler._inflight[job.id] = (
-        job, future, None, time.perf_counter(), time.time() + 60.0
+    worker._inflight[job.id] = _Running(
+        job, future, deadline=None, renew_at=time.monotonic() + 60.0
     )
-    assert scheduler._reap()
+    assert worker._harvest()
 
 
 class TestOneRetryRule:
@@ -130,7 +146,7 @@ class TestOneRetryRule:
                                    max_attempts=2)
             for attempt, delay in ((1, 0.05), (2, None)):
                 time.sleep(0.1)  # past the previous attempt's backoff
-                fail_locally(daemon.scheduler, daemon.store, local["id"])
+                fail_locally(daemon.worker, daemon.store, local["id"])
                 assert client.claim("w1", lease_seconds=60.0)["id"] == remote["id"]
                 client.fail_job(remote["id"], "w1", "boom")
                 rows = [daemon.store.get(job["id"]) for job in (local, remote)]

@@ -1,9 +1,10 @@
-"""Unit tests for the job-queue service: store, scheduler, policies.
+"""Unit tests for the job-queue service: store, worker loop, policies.
 
 The HTTP surface is covered end-to-end in ``test_service_http.py``;
-here the store and scheduler are exercised directly, including the
-retry/backoff policy, crash-orphan recovery, and the graceful-drain
-guarantee (no ``running`` rows after a stop).
+here the store and the worker loop over it (``TestScheduler``: the
+daemon's own pool) are exercised directly, including the retry/backoff
+policy, crash-orphan recovery, and the graceful-drain guarantee (no
+``running`` rows after a stop).
 """
 
 import threading
@@ -13,7 +14,8 @@ import pytest
 
 from repro.service import jobstore
 from repro.service.jobstore import JobStore
-from repro.service.scheduler import Scheduler, ServiceStats
+from repro.service.daemon import ServiceDaemon, ServiceStats, StoreSource
+from repro.service.worker import Worker
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache, cache_key
@@ -174,11 +176,14 @@ class TestJobStore:
 
 
 def make_scheduler(store, tmp_path, **kwargs):
-    kwargs.setdefault("workers", 1)
+    """The daemon's own pool: a :class:`Worker` over a :class:`StoreSource`."""
+    kwargs.setdefault("concurrency", 1)
     kwargs.setdefault("poll_interval", 0.02)
-    kwargs.setdefault("backoff_base", 0.01)
     kwargs.setdefault("drain_seconds", 60.0)
-    return Scheduler(store, cache_dir=str(tmp_path / "simcache"), **kwargs)
+    source = StoreSource(store, backoff_base=kwargs.pop("backoff_base", 0.01))
+    return Worker(
+        source, worker_id="local", cache_dir=str(tmp_path / "simcache"), **kwargs
+    )
 
 
 def run_in_thread(scheduler):
@@ -246,16 +251,19 @@ class TestScheduler:
         assert scheduler.stats.failed == 1
 
     def test_orphan_recovery_completes_job(self, store, tmp_path):
+        # Boot-time recovery belongs to the daemon, which owns the store.
         job, _ = submit(store)
         store.claim()  # a previous daemon "crashed" holding this job
         assert store.counts()[jobstore.RUNNING] == 1
-        scheduler = make_scheduler(store, tmp_path)
-        thread = run_in_thread(scheduler)
+        daemon = ServiceDaemon(
+            db_path=store.path, cache_dir=tmp_path / "simcache", port=0, workers=1
+        )
+        daemon.start()
         try:
             assert wait_for(lambda: store.get(job.id).terminal)
         finally:
-            stop_and_join(scheduler, thread)
-        assert scheduler.stats.orphans_recovered == 1
+            daemon.stop()
+        assert daemon.stats.orphans_recovered == 1
         assert store.get(job.id).state == jobstore.DONE
 
     def test_graceful_drain_leaves_no_running_rows(self, store, tmp_path):
@@ -263,7 +271,7 @@ class TestScheduler:
         for workload in ("lbm06", "mcf06", "xz17"):
             for design in ("ideal", "uncompressed"):
                 submit(store, workload, design)
-        scheduler = make_scheduler(store, tmp_path, workers=2)
+        scheduler = make_scheduler(store, tmp_path, concurrency=2)
         thread = run_in_thread(scheduler)
         wait_for(lambda: scheduler.inflight > 0, timeout=30)
         stop_and_join(scheduler, thread)
