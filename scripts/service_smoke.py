@@ -15,16 +15,22 @@ Boots ``repro serve`` as a real subprocess on an ephemeral port, then:
 6. parses the daemon's structured log (newline-delimited JSON on
    stderr) and asserts the job lifecycle events were recorded.
 
+The daemon's merged stdout and stderr are read by one thread, line by
+line, from start to exit, so no record is lost between the address
+announcement and shutdown.
+
 Run from the repo root: ``PYTHONPATH=src python scripts/service_smoke.py``.
 """
 
 import json
 import os
+import queue
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -57,23 +63,36 @@ def main() -> None:
         stderr=subprocess.STDOUT,
         text=True,
     )
-    preamble = []
+    # One reader owns the pipe: every line goes through it into ``lines``
+    # (``None`` marks the end of the stream).
+    lines: "queue.Queue" = queue.Queue()
+
+    def pump() -> None:
+        for line in daemon.stdout:
+            lines.put(line)
+        lines.put(None)
+
+    reader = threading.Thread(target=pump, daemon=True)
+    reader.start()
+    log = []
     try:
         # stderr (the structured log) is merged into stdout, so JSON log
         # records may race ahead of the address announcement — keep
         # reading until it appears.
         url = None
-        for _ in range(20):
-            line = daemon.stdout.readline()
-            if not line:
+        while url is None:
+            try:
+                line = lines.get(timeout=60)
+            except queue.Empty:
                 break
+            if line is None:
+                break
+            log.append(line)
             match = re.search(r"listening on (http://[\d.]+:\d+)", line)
             if match:
                 url = match.group(1)
-                break
-            preamble.append(line)
         if url is None:
-            fail(f"daemon did not announce its address: {preamble!r}")
+            fail(f"daemon did not announce its address: {log!r}")
         print(f"daemon up at {url}")
 
         from repro.service.client import ServiceClient
@@ -132,17 +151,24 @@ def main() -> None:
 
         daemon.send_signal(signal.SIGTERM)
         try:
-            remaining, _ = daemon.communicate(timeout=60)
+            code = daemon.wait(timeout=60)
         except subprocess.TimeoutExpired:
             daemon.kill()
             fail("daemon did not drain within 60s of SIGTERM")
-        code = daemon.returncode
         if code != 0:
             fail(f"daemon exited {code} after SIGTERM")
         print("daemon drained cleanly on SIGTERM")
+        reader.join(timeout=30)
+        if reader.is_alive():
+            fail("daemon's output stream stayed open after it exited")
+        while True:
+            line = lines.get_nowait()
+            if line is None:
+                break
+            log.append(line)
 
         records = []
-        for line in preamble + remaining.splitlines():
+        for line in log:
             line = line.strip()
             if line.startswith("{"):
                 try:

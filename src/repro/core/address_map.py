@@ -89,4 +89,4 @@ def needs_prediction(addr: int) -> bool:
     The group base always resides at its own slot (paper: "there is no
     need for location prediction while accessing line A").
     """
-    return addr != group_base(addr)
+    return addr & (GROUP_SIZE - 1) != 0

@@ -46,7 +46,12 @@ class LineLocationPredictor:
     def entries(self) -> int:
         return self._entries
 
-    def _index(self, addr: int) -> int:
+    def entry(self, addr: int) -> int:
+        """The LCT entry of ``addr``'s page.
+
+        A read looks its entry up once and passes it to
+        :meth:`predict_entry` and :meth:`update_entry`.
+        """
         page = addr // self._lines_per_page
         index = self._page_index.get(page)
         if index is None:
@@ -56,15 +61,23 @@ class LineLocationPredictor:
 
     def predict(self, addr: int) -> Level:
         """Predicted compression status for ``addr`` (its page's last status)."""
+        return self.predict_entry(self.entry(addr))
+
+    def predict_entry(self, entry: int) -> Level:
+        """:meth:`predict` for an LCT entry from :meth:`entry`."""
         self.predictions += 1
-        return self._lct[self._index(addr)]
+        return self._lct[entry]
 
     def update(self, addr: int, actual: Level) -> None:
         """Record the observed compression status after a resolved access.
 
         Accuracy is charged separately, by :meth:`record_mispredict`.
         """
-        self._lct[self._index(addr)] = actual
+        self._lct[self.entry(addr)] = actual
+
+    def update_entry(self, entry: int, actual: Level) -> None:
+        """:meth:`update` for an LCT entry from :meth:`entry`."""
+        self._lct[entry] = actual
 
     def record_mispredict(self, extra_accesses: int = 1) -> None:
         """Charge one misprediction resolved after ``extra_accesses`` probes.

@@ -30,18 +30,16 @@ def pack_slot(
 ) -> Optional[bytes]:
     """Assemble a compressed slot, or ``None`` if the payloads don't fit."""
     count = len(payloads)
-    if count not in (2, 4):
+    if count != 2 and count != 4:
         raise ValueError("slots hold 2 or 4 compressed lines")
-    total = count + sum(len(p) for p in payloads) + len(marker)
+    total = count + sum(map(len, payloads)) + len(marker)
     if total > LINE_SIZE:
         return None
-    if any(len(p) == 0 or len(p) > 255 for p in payloads):
+    # every payload is shorter than the slot now, so its length fits a byte
+    lengths = bytes(map(len, payloads))
+    if 0 in lengths:
         raise ValueError("payloads must be 1..255 bytes")
-    parts = [bytes(len(p) for p in payloads)]
-    parts.extend(payloads)
-    parts.append(b"\x00" * (LINE_SIZE - total))
-    parts.append(marker)
-    return b"".join(parts)
+    return b"".join((lengths, *payloads, bytes(LINE_SIZE - total), marker))
 
 
 def unpack_slot(slot: bytes, level: Level) -> List[bytes]:

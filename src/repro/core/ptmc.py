@@ -52,8 +52,27 @@ class PTMCConfig:
     max_rekeys: int = 3
 
 
-#: A placement decision: (level, slot, member addrs, packed slot bytes).
-_Unit = Tuple[Level, int, List[int], Optional[bytes]]
+#: A placement decision: (level, slot, packed slot bytes).  Its members
+#: are the ``level`` lines from ``slot`` on (``address_map.slot_members``).
+_Unit = Tuple[Level, int, Optional[bytes]]
+
+# The enum members the read and eviction paths use, as module globals.
+# Python 3.11's ``EnumType`` defines ``__getattr__``, which puts every
+# member read through the class (``Level.QUAD``) on the slow attribute
+# hook: about five times the cost of reading a global.
+_UNCOMPRESSED = Level.UNCOMPRESSED
+_PAIR = Level.PAIR
+_QUAD = Level.QUAD
+_DATA_READ = Category.DATA_READ
+_MISPREDICT_READ = Category.MISPREDICT_READ
+_DATA_WRITE = Category.DATA_WRITE
+_CLEAN_WRITEBACK = Category.CLEAN_WRITEBACK
+_INVALIDATE_WRITE = Category.INVALIDATE_WRITE
+_INVALID = SlotKind.INVALID
+_MAYBE_INVERTED = SlotKind.MAYBE_INVERTED
+
+#: A missed read re-probes the candidate slots in this order.
+_LEVELS_DOWNWARD = (_QUAD, _PAIR, _UNCOMPRESSED)
 
 
 class PTMCController(MemoryController):
@@ -102,78 +121,68 @@ class PTMCController(MemoryController):
     # ------------------------------------------------------------------
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
-        predicted = address_map.needs_prediction(addr)
-        accesses = 0
-        completion = now
-        for loc in self._search_order(addr):
-            category = Category.DATA_READ if accesses == 0 else Category.MISPREDICT_READ
-            completion = self.dram.access(loc, now, category)
-            accesses += 1
-            slot = self.memory.read(loc)
-            resolved = self._interpret(loc, slot, addr, now)
-            if resolved is None:
-                continue
-            data, extras, actual_level, compressed = resolved
-            mispredicted = accesses > 1
-            if mispredicted:
-                # One wrong prediction, however many candidate slots the
-                # re-issue walked — and only when a prediction was made at
-                # all (group bases have a single fixed location).
-                if predicted:
-                    self.llp.record_mispredict(accesses - 1)
-                if llc.is_sampled_set(addr):
-                    for _ in range(accesses - 1):
-                        self.policy.on_cost(core_id)
-            if predicted:
-                self.llp.update(addr, actual_level)
-            if compressed:
-                completion += self.config.decompression_latency
-            self.reads_by_level[actual_level] += 1
-            return ReadResult(
-                addr=addr,
-                data=data,
-                level=actual_level,
-                completion=completion,
-                accesses=accesses,
-                extra_lines=extras,
-                mispredicted=mispredicted,
-            )
-        raise RuntimeError(f"line {addr:#x} unlocatable — memory invariant broken")
-
-    def _search_order(self, addr: int) -> List[int]:
-        """Candidate slots, starting from the LLP's prediction."""
-        if not address_map.needs_prediction(addr):
-            return [addr]  # group base: single fixed location
-        first = address_map.location_for(addr, self.llp.predict(addr))
-        return [first] + [
-            loc for loc, _ in address_map.candidate_locations(addr) if loc != first
-        ]
+        # The group base never moves; any other line is looked for first
+        # where the LLP's predicted level puts it.
+        llp = self.llp
+        entry = None
+        first = addr
+        if address_map.needs_prediction(addr):
+            entry = llp.entry(addr)
+            first = address_map.location_for(addr, llp.predict_entry(entry))
+        completion = self.dram.access(first, now, _DATA_READ)
+        found = self._interpret(first, self.memory.read(first), addr, now)
+        accesses = 1
+        if found is None:
+            # Re-issue to the other candidates, most co-located level
+            # first, each distinct slot once (equal slots are adjacent).
+            probed = first
+            for level in _LEVELS_DOWNWARD:
+                loc = address_map.location_for(addr, level)
+                if loc == first or loc == probed:
+                    continue
+                probed = loc
+                completion = self.dram.access(loc, now, _MISPREDICT_READ)
+                accesses += 1
+                found = self._interpret(loc, self.memory.read(loc), addr, now)
+                if found is not None:
+                    break
+            else:
+                raise RuntimeError(f"line {addr:#x} unlocatable — memory invariant broken")
+            # One wrong prediction, however many candidate slots the
+            # re-issue walked (only a predicted line has other candidates).
+            llp.record_mispredict(accesses - 1)
+            if llc.is_sampled_set(addr):
+                for _ in range(accesses - 1):
+                    self.policy.on_cost(core_id)
+        data, extras, level = found
+        if entry is not None:
+            llp.update_entry(entry, level)
+        if level is not _UNCOMPRESSED:
+            completion += self.config.decompression_latency
+        self.reads_by_level[level] += 1
+        return ReadResult(addr, data, level, completion, accesses, extras, accesses > 1)
 
     def _interpret(
         self, loc: int, slot: bytes, addr: int, now: int
-    ) -> Optional[Tuple[bytes, Dict[int, bytes], Level, bool]]:
-        """Decode one slot; ``None`` means "the line is not here"."""
+    ) -> Optional[Tuple[bytes, Dict[int, bytes], Level]]:
+        """Decode one slot into (line, co-fetched slot-mates, level);
+        ``None`` means "the line is not here"."""
         cls = self.markers.classify(loc, slot)
         level = cls.level
         if level is not None:  # a 2:1 or 4:1 slot
             if address_map.location_for(addr, level) != loc:
                 return None  # slot holds a different (pair) group
             lines = decompress_group(self.compressor, slot, level)
-            extras = {
-                member: line
-                for member, line in enumerate(lines, loc)
-                if member != addr
-            }
-            return lines[addr - loc], extras, level, True
+            extras = dict(zip(range(loc, loc + level), lines))
+            return extras.pop(addr), extras, level
         # Marker-IL, or uncompressed (possibly inverted) data, which is only
         # valid at the home slot.
-        if loc != addr or cls.kind is SlotKind.INVALID:
+        kind = cls.kind
+        if loc != addr or kind is _INVALID:
             return None
-        if cls.kind is SlotKind.MAYBE_INVERTED:
-            data = invert(slot) if self._lit_lookup(loc, now) else slot
-        else:
-            data = slot
-        return data, {}, Level.UNCOMPRESSED, False
+        if kind is _MAYBE_INVERTED and self._lit_lookup(loc, now):
+            slot = invert(slot)
+        return slot, {}, _UNCOMPRESSED
 
     def _lit_lookup(self, loc: int, now: int) -> bool:
         """Consult the LIT; memory-mapped spills cost a DRAM access."""
@@ -194,36 +203,41 @@ class PTMCController(MemoryController):
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
     ) -> WriteResult:
-        sampled = llc.is_sampled_set(evicted.addr)
+        addr = evicted.addr
+        sampled = llc.is_sampled_set(addr)
         enabled = sampled or self.policy.enabled_for(core_id)
         ganged_eviction = self.config.ganged_eviction
         result = WriteResult()
 
         # 1. Lines that must leave the LLC: the victim plus, by ganged
-        #    eviction, every slot-mate of any previously compressed member.
-        #    With ganged eviction the LLC tags are always accurate; the
-        #    retain-lines ablation can leave them stale (memory-side
-        #    repacks change a cached line's residency behind its back), so
-        #    its read-modify-write probe re-verifies the level first.
-        #    Gang and candidate entries are line records (the victim, the
-        #    LLC's own lines, or fresh ``EvictedLine``s) read for their
-        #    ``data``/``dirty``/``fill_level`` only.
+        #    eviction, every slot-mate of any previously compressed member
+        #    (an uncompressed victim has none).  With ganged eviction the
+        #    LLC tags are always accurate; the retain-lines ablation can
+        #    leave them stale (memory-side repacks change a cached line's
+        #    residency behind its back), so its read-modify-write probe
+        #    re-verifies the level first.  Gang and candidate entries are
+        #    line records (the victim, the LLC's own lines, or fresh
+        #    ``EvictedLine``s) read for their ``data``/``dirty``/
+        #    ``fill_level`` only.
         if not ganged_eviction:
-            verified = self._verified_level(evicted.addr)
+            verified = self._verified_level(addr)
             if verified != evicted.fill_level:
-                self.dram.access(evicted.addr, now, Category.MAINTENANCE)
+                self.dram.access(addr, now, Category.MAINTENANCE)
                 evicted = EvictedLine(
-                    evicted.addr, evicted.data, evicted.dirty, verified, evicted.core_id
+                    addr, evicted.data, evicted.dirty, verified, evicted.core_id
                 )
-        gang = self._collect_gang(evicted, now, llc, result)
+        compressed = evicted.fill_level is not _UNCOMPRESSED
+        gang = self._collect_gang(evicted, now, llc, result) if compressed else None
 
         # 2. Compaction candidates: the gang plus still-resident group
         #    neighbours ("checks if the neighboring cachelines are present
-        #    in the LLC").
-        candidates: Dict[int, EvictedLine] = dict(gang)
+        #    in the LLC").  An uncompressed victim's are built only once a
+        #    neighbour turns out to be resident.
+        candidates = dict(gang) if compressed else None
         if enabled:
-            for neighbour in address_map.group_lines(evicted.addr):
-                if neighbour in candidates:
+            base = address_map.group_base(addr)
+            for neighbour in range(base, base + address_map.GROUP_SIZE):
+                if neighbour == addr or compressed and neighbour in candidates:
                     continue
                 resident = llc.probe(neighbour)
                 if resident is None:
@@ -236,77 +250,98 @@ class PTMCController(MemoryController):
                         self._verified_level(neighbour),
                         resident.core_id,
                     )
+                if candidates is None:
+                    candidates = {addr: evicted}
                 candidates[neighbour] = resident
+        if candidates is None:
+            # A lone victim: uncompressed, with nothing to pack with, so it
+            # goes home whatever the policy; a clean one is already there.
+            if evicted.dirty:
+                self._write_uncompressed(addr, evicted.data, now, _DATA_WRITE, result)
+            return result
+        if gang is None:
+            gang = {addr: evicted}
 
         # 3. Placement: 4:1, else 2:1 per pair, else home slots.  Compressed
         #    units must involve at least one line that is actually leaving;
-        #    untouched residents keep their LLC lines.  Every placed line's
-        #    previous residency is noted for step 4.  A lone line has nothing
-        #    to pack with: it goes home, whatever the policy.
+        #    untouched residents keep their LLC lines.  Each placed unit is
+        #    written, unless memory already holds it, as soon as its partners
+        #    are ganged out (ganging touches only the LLC, writing only
+        #    memory, so no unit's write depends on a later unit), and every
+        #    placed line's previous residency is noted for step 4.  A
+        #    compressed victim whose slot-mates are all gone goes home alone.
         if len(candidates) == 1:
-            plan = [(Level.UNCOMPRESSED, evicted.addr, [evicted.addr], None)]
+            plan: List[_Unit] = [(_UNCOMPRESSED, addr, None)]
         else:
-            plan = self._plan_placement(evicted.addr, candidates, enabled)
-        units = []
+            plan = self._plan_placement(addr, candidates, enabled)
         new_slots = set()
         prev_slots = set()
-        for unit in plan:
-            level, slot, members, packed = unit
-            if level is Level.UNCOMPRESSED:
-                if members[0] not in gang:
+        for level, slot, packed in plan:
+            if level is _UNCOMPRESSED:
+                state = gang.get(slot)
+                if state is None:
                     continue  # resident neighbour not compacted: leave it be
-            else:
-                if not any(m in gang for m in members):
-                    continue  # don't compact groups unrelated to the victim
-                for member in members:
-                    if member not in gang:
-                        llc.force_evict(member)  # ganged eviction of partner
-                        gang[member] = candidates[member]
-                        result.ganged.append(member)
-                if level > result.level:
-                    result.level = level
-            units.append(unit)
-            new_slots.add(slot)
+                self._write_home(slot, state, now, sampled, core_id, result)
+                new_slots.add(slot)
+                prev_slots.add(address_map.location_for(slot, state.fill_level))
+                continue
+            members = range(slot, slot + level)
+            if gang.keys().isdisjoint(members):
+                continue  # don't compact groups unrelated to the victim
+            dirty = False
+            unchanged = True
             for member in members:
-                prev_slots.add(address_map.location_for(member, gang[member].fill_level))
+                state = gang.get(member)
+                if state is None:
+                    llc.force_evict(member)  # ganged eviction of partner
+                    state = gang[member] = candidates[member]
+                    result.ganged.append(member)
+                if state.dirty:
+                    dirty = True
+                if state.fill_level != level:
+                    unchanged = False
+                prev_slots.add(address_map.location_for(member, state.fill_level))
+            if level > result.level:
+                result.level = level
+            new_slots.add(slot)
+            if dirty or not unchanged:  # else the identical slot is resident
+                self._write_packed(slot, packed, dirty, now, sampled, core_id, result)
 
         # 4. Stale-slot analysis: previous residencies of every placed line
         #    that are not rewritten must be marked invalid (Fig. 13).
-        for level, slot, members, packed in units:
-            self._write_unit(level, slot, members, packed, gang, now, sampled, core_id, result)
-
-        for stale in sorted(prev_slots - new_slots):
-            if not self._stale_slot_confirmed(stale, gang):
-                continue
-            self._write_invalid(stale, now, result)
-            if sampled:
-                self.policy.on_cost(core_id)
+        stale = prev_slots - new_slots
+        if stale:
+            for slot in sorted(stale):
+                if not self._stale_slot_confirmed(slot, gang):
+                    continue
+                self._write_invalid(slot, now, result)
+                if sampled:
+                    self.policy.on_cost(core_id)
         return result
 
     def _collect_gang(
         self, evicted: EvictedLine, now: int, llc: LLCView, result: WriteResult
     ) -> Dict[int, EvictedLine]:
-        """Ganged eviction: pull out every slot-mate of the victim's group.
+        """Ganged eviction: pull out every slot-mate of a compressed victim.
 
         A slot-mate missing from the LLC — possible only when ganged
         eviction is disabled (ablation, paper footnote 7) — is recovered
         from memory with a read-modify-write access.
         """
         gang: Dict[int, EvictedLine] = {evicted.addr: evicted}
-        if evicted.fill_level is Level.UNCOMPRESSED:
-            return gang  # an uncompressed line has no slot-mates
+        ganged_eviction = self.config.ganged_eviction
         charged_slots = set()  # one RMW read per slot, however many mates
         frontier = [evicted.addr]
         while frontier:
             addr = frontier.pop()
-            state = gang[addr]
-            if state.fill_level is Level.UNCOMPRESSED:
+            level = gang[addr].fill_level
+            if level is _UNCOMPRESSED:
                 continue
-            slot = address_map.location_for(addr, state.fill_level)
-            for member in address_map.slot_members(slot, state.fill_level):
+            slot = address_map.location_for(addr, level)
+            for member in range(slot, slot + level):
                 if member in gang:
                     continue
-                if self.config.ganged_eviction:
+                if ganged_eviction:
                     line = llc.force_evict(member)
                     if line is not None:
                         gang[member] = line
@@ -322,7 +357,7 @@ class PTMCController(MemoryController):
                             member,
                             resident.data,
                             resident.dirty,
-                            state.fill_level,
+                            level,
                             resident.core_id,
                         )
                         frontier.append(member)
@@ -330,7 +365,7 @@ class PTMCController(MemoryController):
                 charge = slot not in charged_slots
                 charged_slots.add(slot)
                 recovered = self._recover_from_memory(
-                    slot, state.fill_level, member, now, charge=charge
+                    slot, level, member, now, charge=charge
                 )
                 if recovered is not None:
                     gang[member] = recovered
@@ -349,7 +384,7 @@ class PTMCController(MemoryController):
             if cls.kind in (SlotKind.PAIR, SlotKind.QUAD):
                 if address_map.location_for(addr, cls.level) == loc:
                     return cls.level
-        return Level.UNCOMPRESSED
+        return _UNCOMPRESSED
 
     def _recover_from_memory(
         self, slot: int, level: Level, member: int, now: int, charge: bool = True
@@ -377,30 +412,32 @@ class PTMCController(MemoryController):
         if not enabled:
             return self._plan_preserving(candidates)
         base = address_map.group_base(addr)
-        group = address_map.group_lines(addr)
-        if all(a in candidates for a in group):
+        # candidates never leave the victim's group: four means all of it
+        if len(candidates) == 4:
             packed = compress_group(
                 self.compressor,
-                [candidates[a].data for a in group],
-                self.markers.marker(base, Level.QUAD),
+                [candidates[a].data for a in range(base, base + 4)],
+                self.markers.marker(base, _QUAD),
             )
             if packed is not None:
-                return [(Level.QUAD, base, group, packed)]
+                return [(_QUAD, base, packed)]
         units: List[_Unit] = []
         for pair_start in (base, base + 2):
-            pair = [pair_start, pair_start + 1]
-            present = [a for a in pair if a in candidates]
-            if len(present) == 2:
+            first = candidates.get(pair_start)
+            second = candidates.get(pair_start + 1)
+            if first is not None and second is not None:
                 packed = compress_group(
                     self.compressor,
-                    [candidates[a].data for a in pair],
-                    self.markers.marker(pair_start, Level.PAIR),
+                    [first.data, second.data],
+                    self.markers.marker(pair_start, _PAIR),
                 )
                 if packed is not None:
-                    units.append((Level.PAIR, pair_start, pair, packed))
+                    units.append((_PAIR, pair_start, packed))
                     continue
-            for a in present:
-                units.append((Level.UNCOMPRESSED, a, [a], None))
+            if first is not None:
+                units.append((_UNCOMPRESSED, pair_start, None))
+            if second is not None:
+                units.append((_UNCOMPRESSED, pair_start + 1, None))
         return units
 
     def _plan_preserving(self, candidates: Dict[int, EvictedLine]) -> List[_Unit]:
@@ -413,8 +450,8 @@ class PTMCController(MemoryController):
         units: List[_Unit] = []
         grouped: Dict[Tuple[int, Level], List[int]] = {}
         for a, state in candidates.items():
-            if state.fill_level is Level.UNCOMPRESSED:
-                units.append((Level.UNCOMPRESSED, a, [a], None))
+            if state.fill_level is _UNCOMPRESSED:
+                units.append((_UNCOMPRESSED, a, None))
             else:
                 slot = address_map.location_for(a, state.fill_level)
                 grouped.setdefault((slot, state.fill_level), []).append(a)
@@ -428,48 +465,47 @@ class PTMCController(MemoryController):
                     self.markers.marker(slot, level),
                 )
             if packed is not None:
-                units.append((level, slot, expected, packed))
+                units.append((level, slot, packed))
             else:
-                units.extend(
-                    (Level.UNCOMPRESSED, a, [a], None) for a in sorted(members)
-                )
+                units.extend((_UNCOMPRESSED, a, None) for a in sorted(members))
         return units
 
-    def _write_unit(
+    def _write_home(
         self,
-        level: Level,
         slot: int,
-        members: List[int],
-        packed: Optional[bytes],
-        gang: Dict[int, EvictedLine],
+        state: EvictedLine,
         now: int,
         sampled: bool,
         core_id: int,
         result: WriteResult,
     ) -> None:
-        """Write one placement unit unless memory already holds it."""
-        if level is Level.UNCOMPRESSED:
-            state = gang[slot]
-            relocated = state.fill_level is not Level.UNCOMPRESSED
-            if not state.dirty and not relocated:
-                return  # clean line already correct at home — free eviction
-            category = Category.DATA_WRITE if state.dirty else Category.CLEAN_WRITEBACK
-            self._write_uncompressed(slot, state.data, now, category, result)
-            if category is Category.CLEAN_WRITEBACK and sampled:
+        """Write one line to its home slot unless memory already holds it."""
+        if state.dirty:
+            self._write_uncompressed(slot, state.data, now, _DATA_WRITE, result)
+        elif state.fill_level is not _UNCOMPRESSED:  # relocated home
+            self._write_uncompressed(slot, state.data, now, _CLEAN_WRITEBACK, result)
+            if sampled:
                 self.policy.on_cost(core_id)
-            return
-        states = [gang[a] for a in members]
-        any_dirty = any(s.dirty for s in states)
-        unchanged = all(s.fill_level == level for s in states)
-        if unchanged and not any_dirty:
-            return  # identical compressed slot already resident
-        category = Category.DATA_WRITE if any_dirty else Category.CLEAN_WRITEBACK
+        # else a clean line already correct at home — free eviction
+
+    def _write_packed(
+        self,
+        slot: int,
+        packed: bytes,
+        dirty: bool,
+        now: int,
+        sampled: bool,
+        core_id: int,
+        result: WriteResult,
+    ) -> None:
+        """Write a compressed slot whose contents changed."""
+        category = _DATA_WRITE if dirty else _CLEAN_WRITEBACK
         self.dram.access(slot, now, category)
         self.memory.write(slot, packed)
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
         result.writes += 1
-        if category is Category.CLEAN_WRITEBACK:
+        if not dirty:
             result.clean_writebacks += 1
             self.clean_writebacks += 1
             if sampled:
@@ -483,7 +519,7 @@ class PTMCController(MemoryController):
         self.dram.access(addr, now, category)
         self.memory.write(addr, stored)
         result.writes += 1
-        if category is Category.CLEAN_WRITEBACK:
+        if category is _CLEAN_WRITEBACK:
             result.clean_writebacks += 1
             self.clean_writebacks += 1
 
@@ -527,20 +563,20 @@ class PTMCController(MemoryController):
         check (a free peek in the simulator) protects the functional model
         when the retain-lines ablation leaves tags stale.
         """
-        raw = self.memory.read(slot)
-        cls = self.markers.classify(slot, raw)
-        if cls.kind in (SlotKind.PAIR, SlotKind.QUAD):
+        cls = self.markers.classify(slot, self.memory.read(slot))
+        level = cls.level
+        if level is not None:  # a 2:1 or 4:1 slot
             return any(
-                m in gang and gang[m].fill_level == cls.level
-                for m in address_map.slot_members(slot, cls.level)
+                m in gang and gang[m].fill_level == level
+                for m in address_map.slot_members(slot, level)
             )
-        if cls.kind is SlotKind.INVALID:
+        if cls.kind is _INVALID:
             return False  # already invalid; skip the redundant write
-        return slot in gang and gang[slot].fill_level is Level.UNCOMPRESSED
+        return slot in gang and gang[slot].fill_level is _UNCOMPRESSED
 
     def _write_invalid(self, slot: int, now: int, result: WriteResult) -> None:
         """Overwrite a stale slot with Marker-IL (Fig. 13)."""
-        self.dram.access(slot, now, Category.INVALIDATE_WRITE)
+        self.dram.access(slot, now, _INVALIDATE_WRITE)
         self.memory.write(slot, self.markers.invalid_marker(slot))
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
@@ -564,7 +600,7 @@ class PTMCController(MemoryController):
         decoded: List[Tuple[int, str, object]] = []
         for loc, raw in resident.items():
             cls = self.markers.classify(loc, raw)
-            if cls.kind is SlotKind.INVALID:
+            if cls.kind is _INVALID:
                 decoded.append((loc, "invalid", None))
             elif cls.kind in (SlotKind.PAIR, SlotKind.QUAD):
                 lines = decompress_group(self.compressor, raw, cls.level)

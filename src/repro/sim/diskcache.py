@@ -12,7 +12,9 @@ Keys are a SHA-256 over the *fully resolved* identity of the run:
   that share a name but differ in any parameter must never share
   results),
 - the design string,
-- every field of the resolved ``SimConfig`` (recursively), and
+- every field of the resolved ``SimConfig`` (recursively) except
+  ``batch_chunk``, a performance knob that cannot change a result, so one
+  result is stored under one key, and
 - a cache schema version (bump :data:`CACHE_SCHEMA_VERSION` when the
   simulator's semantics change and previously stored results go stale).
 
@@ -109,8 +111,16 @@ def workload_identity(workload: Any) -> Any:
 
 
 def config_identity(config: Any) -> Any:
-    """The fully-resolved ``SimConfig`` identity (recursive over presets)."""
-    return stable_identity(config)
+    """The fully-resolved ``SimConfig`` identity (recursive over presets).
+
+    ``batch_chunk`` is left out: it only picks how the trace is fed, and
+    every feed gives a bitwise-identical result
+    (``tests/test_sim_batch_golden.py``), so one result has one key.
+    """
+    identity = stable_identity(config)
+    if dataclasses.is_dataclass(config):
+        identity[1].pop("batch_chunk", None)
+    return identity
 
 
 def cache_key(workload: Any, design: str, config: Any) -> str:

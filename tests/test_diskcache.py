@@ -74,6 +74,14 @@ class TestIdentity:
         other = CFG.with_(ops_per_core=301)
         assert cache_key(w, "ideal", CFG) != cache_key(w, "ideal", other)
 
+    def test_batch_chunk_is_not_part_of_identity(self):
+        # a pure performance knob: every value gives the same result
+        w = get_workload("lbm06")
+        keys = {cache_key(w, "ideal", CFG.with_(batch_chunk=c)) for c in (0, 128, 1024)}
+        assert len(keys) == 1
+        # while a field that changes results still changes the key
+        assert cache_key(w, "ideal", CFG.with_(batch_chunk=0, seed=1)) not in keys
+
     def test_stable_identity_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             stable_identity(object())

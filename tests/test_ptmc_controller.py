@@ -213,9 +213,16 @@ class TestLLPIntegration:
         # LCT still says UNCOMPRESSED for this page => reads home, finds
         # Marker-IL, retries at the quad slot
         result = ptmc.read_line(9, 0, 0, FakeLLC())
-        if result.mispredicted:
-            assert result.accesses >= 2
-            assert category_counts(ptmc).get("mispredict_read", 0) >= 1
+        assert result.accesses == 2
+        assert result.mispredicted
+        assert category_counts(ptmc) == {
+            "data_write": 1,
+            "invalidate_write": 3,
+            "data_read": 1,
+            "mispredict_read": 1,
+        }
+        assert ptmc.llp.mispredictions == 1
+        assert ptmc.llp.extra_reissues == 0
 
     def test_group_base_never_predicted(self, ptmc, llc):
         before = ptmc.llp.predictions
