@@ -23,24 +23,48 @@ every call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Union
 
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy, make_policy
 from repro.telemetry import StatScope
-from repro.types import Level
+from repro.types import Contents, Level, line_data
 
 
-@dataclass(slots=True)
 class CacheLine:
-    """One resident line: contents plus tag-store metadata."""
+    """One resident line: contents plus tag-store metadata.
 
-    addr: int
-    data: bytes
-    dirty: bool = False
-    fill_level: Level = Level.UNCOMPRESSED
-    core_id: int = 0
-    prefetched: bool = False
+    ``data`` is the line's 64 bytes.  A line filled from a never-written
+    home slot may hold them unrendered, as a
+    :class:`~repro.types.FirstTouch`, until ``data`` is first read or a
+    store replaces them (:data:`~repro.types.line_data`).
+    """
+
+    __slots__ = ("addr", "_data", "dirty", "fill_level", "core_id", "prefetched")
+
+    def __init__(
+        self,
+        addr: int,
+        data: Contents,
+        dirty: bool = False,
+        fill_level: Level = Level.UNCOMPRESSED,
+        core_id: int = 0,
+        prefetched: bool = False,
+    ) -> None:
+        self.addr = addr
+        self._data = data
+        self.dirty = dirty
+        self.fill_level = fill_level
+        self.core_id = core_id
+        self.prefetched = prefetched
+
+    data = line_data
+
+    def __repr__(self) -> str:
+        return (
+            f"CacheLine(addr={self.addr!r}, data={self._data!r}, "
+            f"dirty={self.dirty!r}, fill_level={self.fill_level!r}, "
+            f"core_id={self.core_id!r}, prefetched={self.prefetched!r})"
+        )
 
 
 EvictedLine = CacheLine

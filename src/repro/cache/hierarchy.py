@@ -27,7 +27,7 @@ from repro.cache.cache import Cache, CacheLine, EvictedLine
 from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
 from repro.telemetry import StatScope
-from repro.types import Level
+from repro.types import Contents, Level
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,10 @@ class CacheHierarchy:
                     fill_level=result.level,
                     prefetched=True,
                 )
-        line = self._install_l3(addr, result.data, now, core_id, fill_level=result.level)
+        # the read's contents move into the L3 record as they are, so a
+        # deferred first-touch line stays unrendered until a reader of
+        # ``data`` renders it or a store replaces it
+        line = self._install_l3(addr, result._data, now, core_id, fill_level=result.level)
         l2.install(line)
         l1.install(line)
         if is_write:
@@ -255,7 +258,7 @@ class CacheHierarchy:
     def _install_l3(
         self,
         addr: int,
-        data: bytes,
+        data: Contents,
         now: int,
         core_id: int,
         fill_level: Level,

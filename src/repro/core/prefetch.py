@@ -52,11 +52,14 @@ class NextLinePrefetchController(MemoryController):
             and not crosses_page
         ):
             self.dram.access(next_addr, now, Category.PREFETCH_READ)
+            # co-fetched lines are bytes to every reader of ``extra_lines``
             extras[next_addr] = self.memory.read(next_addr)
             self.prefetches_issued += 1
         return ReadResult(
             addr=addr,
-            data=self.memory.read(addr),
+            # the demanded line, like the uncompressed baseline's, may
+            # reach the LLC unrendered
+            data=self.memory.read_deferred(addr),
             level=Level.UNCOMPRESSED,
             completion=completion,
             extra_lines=extras,

@@ -2,6 +2,12 @@
 
 One DRAM access per demanded line, one writeback per dirty eviction —
 the reference every design in the paper is normalised against.
+
+The controller never inspects the bytes it moves, so it reads a line
+with :meth:`~repro.dram.storage.PhysicalMemory.read_deferred`: a
+never-written line reaches the LLC unrendered, and in a simulation no
+one renders it, because a store replaces it and a clean eviction drops
+it (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ class UncompressedController(MemoryController):
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
         completion = self.dram.access(addr, now, Category.DATA_READ)
-        return ReadResult(addr, self.memory.read(addr), Level.UNCOMPRESSED, completion)
+        return ReadResult(addr, self.memory.read_deferred(addr), Level.UNCOMPRESSED, completion)
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView

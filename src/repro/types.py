@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Union
 
 
 class Level(IntEnum):
@@ -64,7 +64,51 @@ COMPRESSION_COST_CATEGORIES = frozenset(
 )
 
 
-@dataclass(slots=True)
+class FirstTouch:
+    """The contents of a never-written memory slot, not rendered yet.
+
+    :meth:`~repro.dram.storage.PhysicalMemory.read_deferred` hands one
+    out instead of the bytes.  A line record holding it (a
+    :class:`ReadResult` or a ``CacheLine``) calls :meth:`render` the
+    first time its ``data`` is read and keeps the bytes from then on.
+    """
+
+    __slots__ = ("_render", "line_addr")
+
+    def __init__(self, render: Callable[[int], bytes], line_addr: int) -> None:
+        self._render = render
+        self.line_addr = line_addr
+
+    def render(self) -> bytes:
+        """The slot's first-touch bytes, rendered from its address."""
+        return self._render(self.line_addr)
+
+    def __repr__(self) -> str:
+        return f"FirstTouch(line_addr={self.line_addr:#x})"
+
+
+#: What a line record holds as its contents: the bytes, or a deferral.
+Contents = Union[bytes, FirstTouch]
+
+
+def _rendered(record) -> bytes:
+    data = record._data
+    if data.__class__ is FirstTouch:
+        data = record._data = data.render()
+    return data
+
+
+def _replace(record, data: bytes) -> None:
+    record._data = data
+
+
+#: ``data`` of a line record: its 64 bytes, always.  The record keeps its
+#: contents in the ``_data`` slot, which may hold a :class:`FirstTouch`
+#: until the first read of ``data`` renders it; the cache hierarchy moves
+#: ``_data`` from a read into its L3 record without rendering it.
+line_data = property(_rendered, _replace, doc="The line's 64 bytes.")
+
+
 class ReadResult:
     """Outcome of a controller read: the demanded line plus free co-fetches.
 
@@ -72,16 +116,48 @@ class ReadResult:
     zero bandwidth cost (the paper installs them in L3).  ``accesses`` is
     the number of DRAM accesses performed, and ``completion`` the cycle at
     which the demanded data is available (after decompression latency).
-    Slotted, and built positionally on the hot path (fields in this order).
+    ``data`` is the demanded line's bytes (see :data:`line_data`); the
+    values of ``extra_lines`` are bytes.  Slotted, and built positionally
+    on the hot path (fields in this order).
     """
 
-    addr: int
-    data: bytes
-    level: Level
-    completion: int
-    accesses: int = 1
-    extra_lines: Dict[int, bytes] = field(default_factory=dict)
-    mispredicted: bool = False
+    __slots__ = (
+        "addr",
+        "_data",
+        "level",
+        "completion",
+        "accesses",
+        "extra_lines",
+        "mispredicted",
+    )
+
+    def __init__(
+        self,
+        addr: int,
+        data: Contents,
+        level: Level,
+        completion: int,
+        accesses: int = 1,
+        extra_lines: Optional[Dict[int, bytes]] = None,
+        mispredicted: bool = False,
+    ) -> None:
+        self.addr = addr
+        self._data = data
+        self.level = level
+        self.completion = completion
+        self.accesses = accesses
+        self.extra_lines = {} if extra_lines is None else extra_lines
+        self.mispredicted = mispredicted
+
+    data = line_data
+
+    def __repr__(self) -> str:
+        return (
+            f"ReadResult(addr={self.addr!r}, data={self._data!r}, "
+            f"level={self.level!r}, completion={self.completion!r}, "
+            f"accesses={self.accesses!r}, extra_lines={self.extra_lines!r}, "
+            f"mispredicted={self.mispredicted!r})"
+        )
 
 
 @dataclass(slots=True)

@@ -1,5 +1,6 @@
 """Unit tests for the baseline controllers (uncompressed, table-TMC, ideal, prefetch)."""
 
+import pytest
 
 from repro.core.ideal import IdealTMCController
 from repro.core.metadata_table import MetadataTableConfig, MetadataTableController
@@ -16,6 +17,24 @@ def build(cls, **kwargs):
     memory = PhysicalMemory(1 << 16)
     dram = DRAMSystem()
     return cls(memory, dram, **kwargs)
+
+
+def first_touch(addr):
+    """Distinct first-touch contents per slot (as a workload supplies)."""
+    return bytes([addr % 251]) * 64
+
+
+@pytest.mark.parametrize("cls", [UncompressedController, NextLinePrefetchController])
+def test_first_touch_read_outlives_a_rewrite_of_its_slot(cls):
+    """A read of a never-written slot keeps the value it had when read,
+    even once a dirty eviction has rewritten that slot."""
+    ctrl = cls(PhysicalMemory(1 << 16, initial_content=first_touch), DRAMSystem())
+    result = ctrl.read_line(5, 0, 0, FakeLLC())
+    ctrl.handle_eviction(evicted(5, b"\x01" * 64), 0, 0, FakeLLC())
+    assert ctrl.memory.read(5) == b"\x01" * 64
+    assert result.data == first_touch(5)
+    if cls is NextLinePrefetchController:
+        assert result.extra_lines == {6: first_touch(6)}
 
 
 class TestUncompressed:

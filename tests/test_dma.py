@@ -5,10 +5,14 @@ import pytest
 from repro.core.ptmc import PTMCController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
+from repro.sim.config import quick_config
 from repro.sim.dma import DMAAgent
+from repro.sim.system import SimulatedSystem
 from repro.types import Level
+from repro.workloads import get_workload
 from tests.controller_harness import FakeLLC, evicted
 from tests.lineutils import quad_friendly_line
+from tests.test_line_contents import current_contents
 
 
 @pytest.fixture
@@ -43,6 +47,24 @@ class TestDMARead:
         colliding = b"\x55" * 60 + controller.markers.marker(30, Level.PAIR)
         controller.handle_eviction(evicted(30, colliding), 0, 0, FakeLLC())
         assert dma.read_block(30, 1) == colliding
+
+    def test_snoops_clean_llc_lines_of_uncompressed_system(self):
+        """Clean L3 lines, first-touch ones included, are served from the
+        LLC with their contents; memory is never asked."""
+        config = quick_config(ops_per_core=400, warmup_ops=0)
+        system = SimulatedSystem(get_workload("lbm06"), "uncompressed", config)
+        system.run()
+        clean = [line.addr for line in system.hierarchy.l3.resident() if not line.dirty]
+        assert clean
+
+        def no_memory_read(*args):
+            raise AssertionError("DMA read a line the LLC holds from memory")
+
+        system.controller.read_line = no_memory_read
+        dma = DMAAgent(system.controller, system.hierarchy.llc_view)
+        for addr in clean:
+            assert dma.read_block(addr, 1) == current_contents(system, addr)
+        assert dma.reads == len(clean)
 
 
 class TestDMAWrite:

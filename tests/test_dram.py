@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cache.cache import CacheLine
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.dram.timing import DDRTiming, DRAMGeometry, ns_to_cycles
-from repro.types import Category
+from repro.types import Category, Level, ReadResult
 
 
 class TestTiming:
@@ -193,6 +194,79 @@ class TestPhysicalMemory:
         mem = PhysicalMemory(1024)
         mem.write(3, b"\x01" * 64)
         assert set(mem.resident_lines()) == {3}
+
+
+class TestDeferredRead:
+    """``read_deferred``: a never-written slot's contents, unrendered until
+    a record's ``data`` is read."""
+
+    @staticmethod
+    def memory(capacity=1024):
+        calls = []
+
+        def initial(addr):
+            calls.append(addr)
+            return bytes([addr % 256]) * 64
+
+        return PhysicalMemory(capacity, initial_content=initial), calls
+
+    def test_renders_nothing_until_data_is_read(self):
+        mem, calls = self.memory()
+        ReadResult(7, mem.read_deferred(7), Level.UNCOMPRESSED, 0)
+        CacheLine(8, mem.read_deferred(8))
+        assert calls == []
+        assert mem.resident_lines() == {}
+
+    def test_renders_once_when_data_is_read(self):
+        mem, calls = self.memory()
+        line = CacheLine(7, mem.read_deferred(7))
+        assert line.data == b"\x07" * 64
+        assert type(line.data) is bytes
+        assert calls == [7]
+
+    def test_bytes_equal_an_eager_read(self):
+        mem, _ = self.memory()
+        result = ReadResult(9, mem.read_deferred(9), Level.UNCOMPRESSED, 0)
+        assert result.data == mem.read(9)
+
+    def test_stored_slot_returns_its_bytes(self):
+        mem, calls = self.memory()
+        mem.write(3, b"\x01" * 64)
+        mem.read(4)
+        assert mem.read_deferred(3) == b"\x01" * 64
+        assert mem.read_deferred(4) == b"\x04" * 64
+        assert calls == [4]
+        assert set(mem.resident_lines()) == {3, 4}
+
+    def test_renders_from_the_address_not_the_slot(self):
+        mem, _ = self.memory()
+        line = CacheLine(5, mem.read_deferred(5))
+        mem.write(5, b"\x01" * 64)
+        assert line.data == b"\x05" * 64
+
+    def test_store_replaces_it_unrendered(self):
+        mem, calls = self.memory()
+        line = CacheLine(5, mem.read_deferred(5))
+        line.data = b"\x02" * 64
+        assert line.data == b"\x02" * 64
+        assert calls == []
+
+    def test_zero_fill_without_initial_content(self):
+        assert PhysicalMemory(16).read_deferred(3) == b"\x00" * 64
+
+    def test_bounds_checked(self):
+        mem, calls = self.memory(capacity=16)
+        with pytest.raises(IndexError):
+            mem.read_deferred(16)
+        with pytest.raises(IndexError):
+            mem.read_deferred(-1)
+        assert calls == []
+
+    def test_render_checks_line_size(self):
+        mem = PhysicalMemory(16, initial_content=lambda addr: b"short")
+        line = CacheLine(0, mem.read_deferred(0))
+        with pytest.raises(ValueError):
+            line.data
 
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.booleans()), max_size=60))
