@@ -15,7 +15,7 @@ Usage::
 from repro.analysis import banner, format_table
 from repro.compression import BDI, CPack, FPC, HybridCompressor
 from repro.core.packing import compress_group
-from repro.core.types import Level
+from repro.types import Level
 from repro.workloads import DataGenerator, DataProfile, PatternKind
 from repro.workloads.data_patterns import GRAPH_LIKE, SPEC_LIKE
 

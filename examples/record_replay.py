@@ -1,42 +1,50 @@
 #!/usr/bin/env python
 """Record/replay and DMA: the infrastructure around the simulator.
 
-1. records a workload's access trace to a portable binary file;
-2. replays it through two different memory designs, byte-for-byte the
-   same stream, and compares the outcomes;
+1. records a workload's access stream into a content-addressed trace
+   store (:mod:`repro.traces`) under a temporary directory;
+2. replays the stored trace through two different memory designs, the
+   same input stream for both, and compares the outcomes.  Stored
+   traces are address-only, so replay synthesizes the store data
+   deterministically (DESIGN.md §12);
 3. drives a cache-coherent DMA agent against PTMC-compressed memory
    (paper §VI-G: every access goes through the controller, so DMA and
    multi-socket traffic are transparently supported).
+
+Everything the example writes stays in its temporary directory.
 
 Usage::
 
     python examples/record_replay.py
 """
 
+import sys
 import tempfile
-import pathlib
 
 from repro.analysis import banner, format_table
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
-from repro.cpu.tracefile import load_trace, record_workload
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.sim.dma import DMAAgent
+from repro.traces import TraceWorkload, configure_trace_store
 from repro.vm.page_table import PageTable
 from repro.workloads import get_workload
+from repro.workloads.generators import WorkloadTraceGenerator
 
 HIER = HierarchyConfig(num_cores=1, l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024)
 
 
-def replay(trace_path, controller_cls):
+def replay(spec, controller_cls):
     memory = PhysicalMemory(1 << 20)
     dram = DRAMSystem()
     controller = controller_cls(memory, dram)
     hierarchy = CacheHierarchy(controller, HIER)
-    core = CoreModel(0, load_trace(trace_path), hierarchy, PageTable(1 << 20))
+    # loop=False: the stream ends with the trace, however many ops are asked for
+    records = spec.make_generator(0).generate(sys.maxsize)
+    core = CoreModel(0, records, hierarchy, PageTable(1 << 20))
     while core.step():
         pass
     return core, dram, controller, hierarchy
@@ -45,18 +53,24 @@ def replay(trace_path, controller_cls):
 def main() -> None:
     workload = get_workload("milc06")
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = pathlib.Path(tmp) / "milc06.trc.gz"
+        store = configure_trace_store(tmp)
 
         print(banner("1. Record"))
-        count = record_workload(workload, core_id=0, num_ops=6000, path=trace_path)
-        size_kb = trace_path.stat().st_size / 1024
-        print(f"recorded {count} accesses of '{workload.name}' "
-              f"to {trace_path.name} ({size_kb:.0f} KiB compressed)")
+        generator = WorkloadTraceGenerator(workload, 0)
+        accesses = [(r.is_write, r.vline) for r in generator.generate(6000)]
+        info, _ = store.ingest_records(accesses, name=workload.name)
+        print(f"recorded {info.records} accesses of '{workload.name}' "
+              f"({info.writes} writes, {info.unique_lines} lines) "
+              f"as trace {info.hash[:12]}")
+        print("stored traces are address-only: replay synthesizes store data "
+              "deterministically (DESIGN.md §12)")
+        spec = TraceWorkload(name=workload.name, trace_hash=info.hash, loop=False)
 
         print(banner("2. Replay through two designs"))
         rows = []
         for name, cls in (("uncompressed", UncompressedController), ("ptmc", PTMCController)):
-            core, dram, _, hierarchy = replay(trace_path, cls)
+            core, dram, _, hierarchy = replay(spec, cls)
+            assert core.mem_ops == info.records, (name, core.mem_ops)
             rows.append([
                 name,
                 core.time,
@@ -64,10 +78,11 @@ def main() -> None:
                 f"{hierarchy.l3.hit_rate:.1%}",
             ])
         print(format_table(["design", "cycles", "DRAM accesses", "L3 hit rate"], rows))
-        print("identical input stream; the designs differ only in the memory system")
+        print(f"identical input stream: each design consumed all {info.records} "
+              f"stored records; the designs differ only in the memory system")
 
         print(banner("3. DMA against compressed memory"))
-        core, dram, controller, hierarchy = replay(trace_path, PTMCController)
+        core, dram, controller, hierarchy = replay(spec, PTMCController)
         dma = DMAAgent(controller, hierarchy.llc_view, core_id=7)
         page_table = core.page_table
         start = page_table.translate(0, 0)

@@ -39,14 +39,14 @@ from repro.core.policy import (
 )
 from repro.core.prefetch import NextLinePrefetchController
 from repro.core.ptmc import PTMCConfig, PTMCController
-from repro.core.types import (
+from repro.core.uncompressed import UncompressedController
+from repro.types import (
     COMPRESSION_COST_CATEGORIES,
     Category,
     Level,
     ReadResult,
     WriteResult,
 )
-from repro.core.uncompressed import UncompressedController
 
 __all__ = [
     "address_map",

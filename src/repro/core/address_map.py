@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.types import Level
+from repro.types import Level
 
 GROUP_SIZE = 4
 """Lines per compression group (supports up to 4x compression)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.types import Level
+from repro.types import Level
 from repro.telemetry import StatScope
 from repro.util.hashing import mix64
 

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from repro.compression.base import LINE_SIZE
-from repro.core.types import Level
+from repro.types import Level
 from repro.util.hashing import KeyedHash, mix64
 
 MARKER_SIZE_DEFAULT = 4

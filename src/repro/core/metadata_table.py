@@ -24,7 +24,7 @@ from repro.compression.hybrid import HybridCompressor
 from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
 from repro.core.packing import compress_group, decompress_group
-from repro.core.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult, WriteResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope

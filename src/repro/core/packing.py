@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
-from repro.core.types import Level
+from repro.types import Level
 
 
 def payload_budget(level: Level, marker_size: int = 4) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.base_controller import LLCView, MemoryController
-from repro.core.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult, WriteResult
 from repro.cache.cache import EvictedLine
 from repro.telemetry import StatScope
 

@@ -29,7 +29,7 @@ from repro.core.llp import LineLocationPredictor
 from repro.core.markers import MarkerScheme, SlotKind, invert
 from repro.core.packing import compress_group, decompress_group
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy
-from repro.core.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult, WriteResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope

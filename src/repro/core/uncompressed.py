@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.cache.cache import EvictedLine
 from repro.core.base_controller import LLCView, MemoryController
-from repro.core.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult, WriteResult
 
 
 class UncompressedController(MemoryController):

@@ -1,12 +1,10 @@
-"""CPU substrate: trace format and the bounded-MLP core timing model."""
+"""CPU substrate: the trace record and the bounded-MLP core timing model."""
 
 from repro.cpu.core import CoreModel
-from repro.cpu.trace import TraceRecord, TraceStats, iter_with_stats, trace_from_lists
+from repro.cpu.trace import TraceRecord, trace_from_lists
 
 __all__ = [
     "CoreModel",
     "TraceRecord",
-    "TraceStats",
-    "iter_with_stats",
     "trace_from_lists",
 ]

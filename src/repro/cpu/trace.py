@@ -1,18 +1,19 @@
-"""Memory-access traces driving the cores.
+"""The trace record driving the cores.
 
 A trace is an iterable of :class:`TraceRecord`: "after ``gap`` non-memory
 instructions, perform this load/store to this virtual line".  Stores carry
 the new 64-byte contents, because compressibility is a property of real
 data values and the whole system under study manipulates real bytes.
 
-Traces come from the synthetic workload generators
-(:mod:`repro.workloads`) or can be built by hand / replayed from lists in
-tests and examples.
+Records come from the synthetic workload generators
+(:mod:`repro.workloads`), from stored traces replayed by
+:mod:`repro.traces` (the one on-disk trace format), or from lists built
+by hand in tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 
 class TraceRecord(NamedTuple):
@@ -48,25 +49,3 @@ def trace_from_lists(
         data = b"\x00" * 64 if is_write else None
         records.append(TraceRecord(gap, is_write, addr, data))
     return records
-
-
-class TraceStats:
-    """Running statistics over a consumed trace."""
-
-    def __init__(self) -> None:
-        self.records = 0
-        self.instructions = 0
-        self.writes = 0
-
-    def observe(self, record: TraceRecord) -> None:
-        self.records += 1
-        self.instructions += record.instructions
-        if record.is_write:
-            self.writes += 1
-
-
-def iter_with_stats(trace: Iterable[TraceRecord], stats: TraceStats) -> Iterator[TraceRecord]:
-    """Yield records while accumulating statistics."""
-    for record in trace:
-        stats.observe(record)
-        yield record

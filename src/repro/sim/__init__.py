@@ -11,15 +11,8 @@ from repro.sim.results import (
 )
 from repro.sim.dma import DMAAgent
 from repro.sim.diskcache import DiskCache, cache_key, workload_identity
-from repro.sim.parallel import BatchReport, run_batch
-from repro.sim.runner import (
-    clear_cache,
-    compare,
-    configure_disk_cache,
-    simulate,
-    suite_geomean,
-    sweep,
-)
+from repro.sim.parallel import BatchReport, run_batch, suite_geomean, sweep
+from repro.sim.runner import clear_cache, compare, configure_disk_cache, simulate
 from repro.sim.system import DESIGNS, SimulatedSystem, build_controller
 
 __all__ = [

@@ -1,17 +1,19 @@
-"""Process-parallel sweep execution (the batch evaluation engine).
+"""Sweep execution, in-process or over a process pool: the one sweep engine.
 
 The (workload, design, config) space is embarrassingly parallel: every
 simulation is a deterministic pure function of its seeds, so fanning a
 sweep out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-produces bitwise-identical results to the serial path while first runs
-scale with cores.  Workers share the parent's on-disk result cache
+produces bitwise-identical results to running it in-process while first
+runs scale with cores.  Workers share the parent's on-disk result cache
 (:mod:`repro.sim.diskcache`), so a re-run — even in a cold process —
 satisfies every job from disk without executing a single simulation.
 
-Entry points mirror the serial runner: :func:`run_batch` executes an
-explicit job list and reports per-run provenance and wall time;
-:func:`sweep` and :func:`suite_geomean` are the parallel counterparts of
-the runner functions of the same names.
+:func:`run_batch` executes an explicit job list and reports per-run
+provenance and wall time; :func:`sweep` and :func:`suite_geomean`
+(exported as ``repro.sweep`` and ``repro.suite_geomean``) build on it.
+With ``jobs <= 1`` every job runs in-process through
+:func:`repro.sim.runner.simulate_with_source`, the same call a pool
+process makes.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def sweep(
     jobs: Optional[int] = None,
     baseline: str = "uncompressed",
 ) -> Dict[str, Dict[str, float]]:
-    """Parallel speedup matrix, identical to the serial runner's."""
+    """Speedup matrix: {workload: {design: weighted speedup}}."""
     matrix, _ = sweep_with_report(workloads, designs, config, jobs, baseline)
     return matrix
 
@@ -239,7 +241,7 @@ def suite_geomean(
     config: Optional[SimConfig] = None,
     jobs: Optional[int] = None,
 ) -> float:
-    """Parallel geometric-mean weighted speedup over a suite."""
+    """Geometric-mean weighted speedup over a suite (the paper's averages)."""
     matrix, _ = sweep_with_report(workloads, [design], config, jobs)
     return geometric_mean(row[design] for row in matrix.values())
 

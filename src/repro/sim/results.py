@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.types import Category
+from repro.types import Category
 from repro.dram.system import DRAMStats
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
 from repro.telemetry import MetricValue

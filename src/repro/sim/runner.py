@@ -21,13 +21,13 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.sampler import ObsConfig
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig, bench_config
 from repro.sim.diskcache import DiskCache, cache_key
-from repro.sim.results import SimResult, geometric_mean, weighted_speedup
+from repro.sim.results import SimResult, weighted_speedup
 from repro.sim.system import DESIGNS, SimulatedSystem
 from repro.workloads.suites import Workload, get_workload
 
@@ -228,43 +228,6 @@ def compare(
     return weighted_speedup(result, base)
 
 
-def sweep(
-    workloads: Iterable[Workload],
-    designs: Iterable[str],
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Speedup matrix: {workload: {design: weighted speedup}}.
-
-    ``jobs > 1`` dispatches the runs to a process pool (deterministic
-    seeds make the parallel results bitwise-identical to serial ones).
-    """
-    if jobs is not None and jobs > 1:
-        from repro.sim import parallel
-
-        return parallel.sweep(workloads, designs, config, jobs=jobs)
-    matrix: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        matrix[workload.name] = {
-            design: compare(workload, design, config) for design in designs
-        }
-    return matrix
-
-
-def suite_geomean(
-    workloads: Iterable[Workload],
-    design: str,
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-) -> float:
-    """Geometric-mean weighted speedup over a suite (paper's averages)."""
-    if jobs is not None and jobs > 1:
-        from repro.sim import parallel
-
-        return parallel.suite_geomean(workloads, design, config, jobs=jobs)
-    return geometric_mean(compare(w, design, config) for w in workloads)
-
-
 def clear_cache() -> None:
     """Drop memoized simulation results (frees memory between sweeps)."""
     _memo.clear()
@@ -326,6 +289,4 @@ __all__ = [
     "simulate",
     "simulate_with_source",
     "stats",
-    "suite_geomean",
-    "sweep",
 ]

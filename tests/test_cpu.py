@@ -1,11 +1,11 @@
-"""Tests for the trace format and core timing model."""
+"""Tests for the trace record and core timing model."""
 
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
-from repro.cpu.trace import TraceRecord, TraceStats, iter_with_stats, trace_from_lists
+from repro.cpu.trace import TraceRecord, trace_from_lists
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.vm.page_table import PageTable
@@ -32,15 +32,6 @@ class TestTraceRecord:
         assert records[1].is_write
         assert records[1].write_data is not None
         assert not records[0].is_write
-
-    def test_stats_iterator(self):
-        stats = TraceStats()
-        records = trace_from_lists([1, 2, 3], gap=4, write_every=3)
-        consumed = list(iter_with_stats(records, stats))
-        assert len(consumed) == 3
-        assert stats.records == 3
-        assert stats.instructions == 15
-        assert stats.writes == 1
 
 
 class TestCoreModel:

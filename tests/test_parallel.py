@@ -10,6 +10,7 @@ import pytest
 
 from repro.sim import parallel, runner
 from repro.sim.config import quick_config
+from repro.sim.results import geometric_mean
 from repro.workloads import get_workload
 
 CFG = quick_config(ops_per_core=300, warmup_ops=100)
@@ -59,22 +60,17 @@ class TestRunBatch:
 
 class TestParallelMatchesSerial:
     def test_sweep_bitwise_identical(self):
-        serial = runner.sweep(
-            [get_workload(w) for w in WORKLOADS], DESIGNS, CFG
-        )
+        serial = {
+            workload.name: {d: runner.compare(workload, d, CFG) for d in DESIGNS}
+            for workload in map(get_workload, WORKLOADS)
+        }
         runner.clear_cache()
         with_pool = parallel.sweep(WORKLOADS, DESIGNS, CFG, jobs=4)
         assert with_pool == serial  # exact float equality, not approx
 
-    def test_runner_sweep_jobs_delegates(self):
-        serial = runner.sweep([get_workload("lbm06")], ["ideal"], CFG)
-        runner.clear_cache()
-        delegated = runner.sweep([get_workload("lbm06")], ["ideal"], CFG, jobs=2)
-        assert delegated == serial
-
     def test_suite_geomean_matches(self):
         workloads = [get_workload(w) for w in WORKLOADS[:2]]
-        serial = runner.suite_geomean(workloads, "ideal", CFG)
+        serial = geometric_mean(runner.compare(w, "ideal", CFG) for w in workloads)
         runner.clear_cache()
         assert parallel.suite_geomean(workloads, "ideal", CFG, jobs=2) == serial
 

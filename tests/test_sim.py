@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim.config import bench_config, paper_config, quick_config
 from repro.sim.results import SimResult, geometric_mean, normalized_bandwidth, weighted_speedup
-from repro.sim.runner import clear_cache, compare, simulate, suite_geomean, sweep
+from repro.sim import suite_geomean, sweep
+from repro.sim.runner import clear_cache, compare, simulate
 from repro.sim.system import DESIGNS, build_controller
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMStats, DRAMSystem

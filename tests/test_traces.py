@@ -35,6 +35,7 @@ from repro.traces.store import (
     TraceStoreError,
     configure_trace_store,
     content_hash,
+    trace_store,
 )
 from repro.workloads.characterize import reuse_distance_histogram
 
@@ -71,8 +72,6 @@ def toy_records(lines=48, hot=6, length=256):
 
 
 def ingest_toy(**kwargs):
-    from repro.traces.store import trace_store
-
     info, created = trace_store().ingest_records(toy_records(), **kwargs)
     return info, created
 
@@ -339,6 +338,29 @@ class TestTraceReplay:
         assert [(r.is_write, r.vline, r.gap) for r in batched] == [
             (r.is_write, r.vline, r.gap) for r in scalar
         ]
+
+    def test_recorded_workload_replays_once_then_ends(self):
+        from repro.workloads import get_workload
+        from repro.workloads.generators import WorkloadTraceGenerator
+
+        recorded = [
+            (r.is_write, r.vline)
+            for r in WorkloadTraceGenerator(get_workload("lbm06"), 0).generate(500)
+        ]
+        info, _ = trace_store().ingest_records(recorded)
+        assert info.records == 500
+        g = trace_workload(info.hash, loop=False).make_generator(0)
+        out = list(g.generate(1_000))
+        assert [(r.is_write, r.vline) for r in out] == recorded
+        assert g.replayed_records == 500
+        assert list(g.generate(1_000)) == []  # the stream has ended
+
+    def test_largest_line_addresses_survive_ingest_and_replay(self):
+        records = [(False, 2**63 - 1), (True, 2**64 - 1)]
+        info, _ = trace_store().ingest_records(records)
+        assert trace_store().load_records(info.hash) == records
+        out = list(trace_workload(info.hash, loop=False).make_generator(0).generate(10))
+        assert [(r.is_write, r.vline) for r in out] == records
 
     def test_limit_caps_the_replayed_records(self):
         info, _ = ingest_toy()

@@ -68,12 +68,3 @@ class TestRecords:
         a, b = WriteResult(), WriteResult()
         a.ganged.append(1)
         assert b.ganged == []
-
-
-class TestReExports:
-    def test_core_types_reexports(self):
-        import repro.core.types as core_types
-        import repro.types as top_types
-
-        assert core_types.Level is top_types.Level
-        assert core_types.Category is top_types.Category
