@@ -30,8 +30,8 @@ def _ablation(config):
         rows[key] = {
             "spec_speedup": compare("lbm06", "dynamic_ptmc", cfg),
             "gap_speedup": compare("bfs.twitter", "dynamic_ptmc", cfg),
-            "spec_enabled": spec.extras.get("compression_enabled_final", 1.0),
-            "gap_enabled": gap.extras.get("compression_enabled_final", 1.0),
+            "spec_enabled": spec.metrics["policy.compression_enabled"],
+            "gap_enabled": gap.metrics["policy.compression_enabled"],
         }
     return rows
 

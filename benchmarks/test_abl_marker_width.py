@@ -40,7 +40,7 @@ def _ablation(config):
         rows[str(marker_size)] = {
             "pair_fit": _pair_fit("soplex06", marker_size),
             "speedup": speedup,
-            "inversions": result.extras.get("inversions", 0),
+            "inversions": result.metrics["ptmc.inversions"],
         }
     return rows
 

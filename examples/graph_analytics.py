@@ -34,7 +34,7 @@ def main() -> None:
         for design in designs:
             row.append(f"{compare(workload, design, config):.3f}")
         result = simulate(workload, "dynamic_ptmc", config)
-        enabled = result.extras.get("compression_enabled_final", 1.0)
+        enabled = result.metrics["policy.compression_enabled"]
         row.append("on" if enabled >= 0.5 else "off")
         rows.append(row)
     print(format_table(["workload"] + designs + ["dynamic decision"], rows))
@@ -43,8 +43,8 @@ def main() -> None:
     for workload in workloads:
         result = simulate(workload, "dynamic_ptmc", config)
         print(
-            f"  {workload:14s} benefits={result.extras.get('policy_benefits', 0):>6.0f}"
-            f"  costs={result.extras.get('policy_costs', 0):>6.0f}"
+            f"  {workload:14s} benefits={result.metrics['policy.benefits']:>6.0f}"
+            f"  costs={result.metrics['policy.costs']:>6.0f}"
         )
     print(
         "\nBecause PTMC's metadata is inline, disabling compression requires"

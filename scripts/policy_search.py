@@ -106,9 +106,7 @@ def search(args: argparse.Namespace) -> dict:
         config = bench_config(
             ops_per_core=args.ops, warmup_ops=args.warmup, llc_policy=policy
         )
-        matrix, report = sweep_with_report(
-            workloads, designs, config, jobs=args.jobs, cache_dir=args.cache_dir
-        )
+        matrix, report = sweep_with_report(workloads, designs, config, jobs=args.jobs)
         row = {
             f"{design}_geomean": geometric_mean(
                 matrix[w.name][design] for w in workloads

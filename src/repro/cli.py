@@ -39,7 +39,9 @@ from repro.energy import relative_energy
 from repro.sim import runner
 from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache
-from repro.sim.runner import compare, simulate
+from repro.sim.parallel import sweep_with_report
+from repro.sim.results import geometric_mean, weighted_speedup
+from repro.sim.runner import simulate
 from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry
 from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME, get_workload
@@ -57,6 +59,13 @@ DEFAULT_TIMELINE_METRICS = (
     "llc.hits",
     "llc.misses",
     "dram.row_hits",
+)
+
+#: Controller and policy counters ``repro run`` prints under their paths
+#: (those the design registered).
+RUN_METRICS = (
+    "ptmc.inversions", "ptmc.invalidate_writes", "ptmc.clean_writebacks", "ptmc.lit_occupancy",
+    "policy.benefits", "policy.costs", "policy.compression_enabled",
 )
 
 
@@ -116,11 +125,10 @@ def cmd_run(args) -> int:
     config = _config(args)
     result = simulate(args.workload, args.design, config, obs=_obs(args))
     base = simulate(args.workload, "uncompressed", config)
-    speedup = compare(args.workload, args.design, config)
     rel = relative_energy(result, base)
     print(banner(f"{args.workload} on {args.design}"))
     rows = [
-        ["weighted speedup", f"{speedup:.3f}"],
+        ["weighted speedup", f"{weighted_speedup(result, base):.3f}"],
         ["cycles (max core)", result.elapsed_cycles],
         ["DRAM accesses", result.total_dram_accesses],
         ["L3 hit rate", f"{result.l3_hit_rate:.1%}"],
@@ -131,7 +139,8 @@ def cmd_run(args) -> int:
         rows.append(["LLP accuracy", f"{result.llp_accuracy:.1%}"])
     if result.metadata_hit_rate is not None:
         rows.append(["metadata-cache hit", f"{result.metadata_hit_rate:.1%}"])
-    for key, value in sorted(result.extras.items()):
+    counters = [(path, result.metrics[path]) for path in RUN_METRICS if path in result.metrics]
+    for key, value in counters + sorted(result.extras.items()):
         rows.append([key, f"{value:.0f}" if value >= 1 else f"{value:.3f}"])
     print(format_table(["metric", "value"], rows))
     print("\nDRAM traffic by category:")
@@ -182,25 +191,17 @@ def cmd_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _config(args)
+    designs = [design for design in DESIGNS if design != "uncompressed"]
+    matrix, _ = sweep_with_report([args.workload], designs, _config(args))
+    (row,) = matrix.values()
     print(banner(f"All designs on {args.workload} (speedup vs uncompressed)"))
-    rows = []
-    for design in DESIGNS:
-        if design == "uncompressed":
-            continue
-        rows.append([design, f"{compare(args.workload, design, config):.3f}"])
-    print(format_table(["design", "speedup"], rows))
+    print(format_table(["design", "speedup"], [[d, f"{row[d]:.3f}"] for d in designs]))
     return 0
 
 
 def cmd_suite(args) -> int:
-    from repro.sim.results import geometric_mean
-
-    config = _config(args)
-    workloads = SUITES[args.suite]
-    values = {}
-    for workload in workloads:
-        values[workload.name] = compare(workload, args.design, config)
+    matrix, _ = sweep_with_report(SUITES[args.suite], [args.design], _config(args))
+    values = {name: row[args.design] for name, row in matrix.items()}
     print(banner(f"{args.design} on suite '{args.suite}'"))
     print(
         format_table(
@@ -213,9 +214,6 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.sim.parallel import sweep_with_report
-    from repro.sim.results import geometric_mean
-
     config = _config(args)
     workloads = SUITES[args.suite]
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
@@ -453,8 +451,6 @@ def cmd_trace_info(args) -> int:
 
 
 def cmd_trace_run(args) -> int:
-    from repro.sim.parallel import sweep_with_report
-    from repro.sim.results import geometric_mean
     from repro.traces.replay import trace_workload
     from repro.traces.store import TraceStoreError
 

@@ -1,8 +1,14 @@
-"""Simulation engine: configs, system wiring, runner, caches, results."""
+"""Simulation engine: configs, system wiring, runner, caches, results.
+
+A run's :class:`SimResult` is its measured-window telemetry (``metrics``,
+keyed by registry path); the paper's quantities (``core_cycles``,
+``dram``, ``llp_accuracy``, ...) are accessors over fixed paths of it.
+A stored result carries :data:`repro.sim.results.CACHE_SCHEMA_VERSION`
+in both its disk-cache key and its payload.
+"""
 
 from repro.sim.config import SamplingConfig, SimConfig, bench_config, paper_config, quick_config
 from repro.sim.results import (
-    RESULT_SCHEMA_VERSION,
     ResultDecodeError,
     SimResult,
     geometric_mean,
@@ -21,7 +27,6 @@ __all__ = [
     "bench_config",
     "paper_config",
     "quick_config",
-    "RESULT_SCHEMA_VERSION",
     "ResultDecodeError",
     "SimResult",
     "DMAAgent",

@@ -15,8 +15,8 @@ Keys are a SHA-256 over the *fully resolved* identity of the run:
 - every field of the resolved ``SimConfig`` (recursively) except
   ``batch_chunk``, a performance knob that cannot change a result, so one
   result is stored under one key, and
-- a cache schema version (bump :data:`CACHE_SCHEMA_VERSION` when the
-  simulator's semantics change and previously stored results go stale).
+- :data:`~repro.sim.results.CACHE_SCHEMA_VERSION`, the one version of
+  stored results, which every entry's payload carries too.
 
 Entries are the versioned JSON produced by
 :meth:`repro.sim.results.SimResult.to_json_dict`; corrupt or
@@ -42,10 +42,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.obs.tracing import span
-from repro.sim.results import ResultDecodeError, SimResult
-
-#: Bump to invalidate every previously stored entry (key-side version).
-CACHE_SCHEMA_VERSION = 1
+from repro.sim.results import CACHE_SCHEMA_VERSION, ResultDecodeError, SimResult
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -134,23 +134,22 @@ def run_batch(
     tasks: Sequence[Job],
     config: Optional[SimConfig] = None,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> BatchReport:
     """Execute every (workload, design) task, in parallel when asked.
 
     ``jobs`` <= 1 (or ``None``) runs serially in-process; larger values
-    spread the tasks over that many worker processes.  ``cache_dir``
-    overrides the disk cache the workers use (defaults to the parent's
-    configured cache, if any).  All results are adopted into the parent's
-    in-process memo, so follow-up serial calls are free.
+    spread the tasks over that many worker processes.  Either way every
+    job goes through the runner's disk cache, if one is configured
+    (:func:`repro.sim.runner.configure_disk_cache`).  All results are
+    adopted into the parent's in-process memo, so follow-up serial calls
+    are free.
     """
     if config is None:
         config = bench_config()
     resolved: List[Job] = [
         (runner.resolve_workload(workload), design) for workload, design in tasks
     ]
-    if cache_dir is None and runner.disk_cache() is not None:
-        cache_dir = str(runner.disk_cache().root)
+    cache_dir = None if runner.disk_cache() is None else str(runner.disk_cache().root)
     trace_dir = None
     if any(hasattr(workload, "trace_hash") for workload, _ in resolved):
         from repro.traces.store import trace_store
@@ -202,14 +201,13 @@ def sweep_with_report(
     config: Optional[SimConfig] = None,
     jobs: Optional[int] = None,
     baseline: str = "uncompressed",
-    cache_dir: Optional[str] = None,
 ) -> Tuple[Dict[str, Dict[str, float]], BatchReport]:
     """Speedup matrix plus the batch's provenance/timing report."""
     workload_list = [runner.resolve_workload(w) for w in workloads]
     design_list = list(designs)
     needed = list(dict.fromkeys([*design_list, baseline]))
     tasks: List[Job] = [(w, d) for w in workload_list for d in needed]
-    report = run_batch(tasks, config=config, jobs=jobs, cache_dir=cache_dir)
+    report = run_batch(tasks, config=config, jobs=jobs)
     by_job: Dict[Tuple[str, str], SimResult] = {
         (w.name, d): result for (w, d), result in zip(tasks, report.results)
     }

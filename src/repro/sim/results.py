@@ -1,4 +1,12 @@
-"""Simulation results and the metrics derived from them."""
+"""Simulation results and the metrics derived from them.
+
+A :class:`SimResult` is the measured window's telemetry, keyed by
+registry path (``dram.row_hits``, ``ptmc.llp.accuracy``, ...), plus
+host-side provenance.  The paper's quantities (per-core cycles, DRAM
+traffic by category, L3 hits, LLP accuracy) are read-only accessors over
+fixed paths of that mapping; this module is the one place that knows
+which.
+"""
 
 from __future__ import annotations
 
@@ -8,28 +16,58 @@ from typing import Any, Dict, List, Optional
 
 from repro.types import Category
 from repro.dram.system import DRAMStats
-from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
+from repro.obs.timeseries import TimeSeries
 from repro.telemetry import MetricValue
 
-#: Version of the :class:`SimResult` JSON wire format.  Bump whenever the
-#: serialized shape changes *or* when simulation semantics change enough
-#: that previously cached results must not be reused — every persisted
-#: result embeds this and the disk cache treats a mismatch as a miss.
-#: v2: added the ``metrics`` mapping (telemetry-registry paths).
-#: v3: added the optional ``timeseries`` envelope (interval sampling).
-#: v2 payloads still decode (the added field is optional and the
-#: simulation semantics are unchanged), so warm disk caches survive.
-RESULT_SCHEMA_VERSION = 3
+#: Version of stored results, written into every disk-cache key and every
+#: result payload; a stored result of another version is never served.
+#: Bump it when the payload layout changes, or when the simulator's
+#: behaviour changes so that results stored by the old code go stale
+#: (``tests/test_golden_schema.py`` demands a bump when a golden moves).
+#: 4: a result is its metrics; no field or ``extras`` entry copies one.
+CACHE_SCHEMA_VERSION = 4
 
-#: Schema versions :meth:`SimResult.from_json_dict` accepts.
-SUPPORTED_SCHEMA_VERSIONS = (2, RESULT_SCHEMA_VERSION)
+#: ``DRAMStats`` counters, each read from ``dram.<name>``
+_DRAM_COUNTERS = (
+    "row_hits", "row_misses", "activations", "reads", "writes", "busy_cycles", "refresh_stalls",
+)
+_ACCESSES = "dram.accesses."
+_ACCESS_PATHS = frozenset(_ACCESSES + category.value for category in Category)
+
+#: The accessors that project ``metrics`` onto the paper's quantities.
+#: Decoding evaluates each, so a stored result lacking a path one of them
+#: reads is rejected at the cache, not failed on later.
+ACCESSORS = (
+    "core_cycles", "core_instructions", "dram", "l3_hits", "l3_misses",
+    "useful_prefetches", "demand_accesses", "llp_accuracy", "metadata_hit_rate",
+)
+
+
+def _count(path: str) -> property:
+    """A read-only accessor for the counter at ``path``."""
+    return property(lambda self: int(self.metrics[path]))
+
+
+def _rate(*paths: str) -> property:
+    """A read-only accessor for the first of ``paths`` present, else ``None``.
+
+    Each path belongs to one controller, so a result holds at most one.
+    """
+    def get(self) -> Optional[float]:
+        for path in paths:
+            if path in self.metrics:
+                return float(self.metrics[path])
+        return None
+
+    return property(get)
 
 
 class ResultDecodeError(ValueError):
     """A serialized ``SimResult`` could not be decoded.
 
-    Raised on schema-version mismatches, missing fields, and type errors;
-    the disk cache treats any of these as "entry absent" and re-simulates.
+    Raised on schema-version mismatches, missing fields or metric paths,
+    and type errors; the disk cache treats any of these as "entry absent"
+    and re-simulates.
     """
 
 
@@ -39,30 +77,71 @@ class SimResult:
 
     workload: str
     design: str
-    core_cycles: List[int]
-    core_instructions: List[int]
-    dram: DRAMStats
-    l3_hits: int = 0
-    l3_misses: int = 0
-    useful_prefetches: int = 0
-    demand_accesses: int = 0
-    llp_accuracy: Optional[float] = None
-    metadata_hit_rate: Optional[float] = None
+    #: measured-window telemetry keyed by registry path
+    metrics: Dict[str, MetricValue]
+    #: host-side provenance, never simulated output: ``sim_seconds`` (wall
+    #: time of the simulation), and on a cache replay ``cached`` and
+    #: ``serve_seconds``
     extras: Dict[str, float] = field(default_factory=dict)
-    #: measured-window telemetry keyed by registry path (``dram.row_hits``,
-    #: ``ptmc.llp.accuracy``, ...); the legacy fields above are projections
-    #: of this mapping kept for established consumers.
-    metrics: Dict[str, MetricValue] = field(default_factory=dict)
     #: phase-resolved telemetry samples (``None`` unless the run was
     #: observed with an :class:`~repro.obs.sampler.ObsConfig` that
     #: enabled interval sampling); purely additive — core metrics are
     #: identical with or without it.
     timeseries: Optional[TimeSeries] = None
 
+    # --- accessors: fixed registry paths -------------------------------
+
+    l3_hits = _count("llc.hits")
+    l3_misses = _count("llc.misses")
+    useful_prefetches = _count("llc.useful_prefetches")
+    demand_accesses = _count("llc.demand_accesses")
+    #: PTMC's line location predictor
+    llp_accuracy = _rate("ptmc.llp.accuracy")
+    #: table-based TMC's or MemZip's metadata cache
+    metadata_hit_rate = _rate(
+        "tmc_table.metadata_cache.hit_rate", "memzip.metadata_cache.hit_rate"
+    )
+
+    def _per_core(self, name: str) -> List[int]:
+        # every id below the highest ``core.<id>.*`` must carry ``name``
+        cores = 1 + max(
+            (int(path.split(".")[1]) for path in self.metrics if path.startswith("core.")),
+            default=-1,
+        )
+        return [int(self.metrics[f"core.{c}.{name}"]) for c in range(cores)]
+
+    @property
+    def core_cycles(self) -> List[int]:
+        """Measured cycles of each core (``core.<id>.cycles``)."""
+        return self._per_core("cycles")
+
+    @property
+    def core_instructions(self) -> List[int]:
+        """Measured instructions of each core (``core.<id>.instructions``)."""
+        return self._per_core("instructions")
+
+    @property
+    def dram(self) -> DRAMStats:
+        """The measured window's DRAM counters (``dram.*``).
+
+        ``accesses_by_category`` holds only the categories with traffic.
+        """
+        metrics = self.metrics
+        stats = DRAMStats(
+            **{name: int(metrics["dram." + name]) for name in _DRAM_COUNTERS}
+        )
+        for category in Category:
+            count = int(metrics[_ACCESSES + category.value])
+            if count:
+                stats.accesses_by_category[category] = count
+        return stats
+
+    # --- derived -------------------------------------------------------
+
     @property
     def elapsed_cycles(self) -> int:
         """Wall-clock of the whole run (slowest core)."""
-        return max(self.core_cycles) if self.core_cycles else 0
+        return max(self.core_cycles, default=0)
 
     @property
     def ipc_per_core(self) -> List[float]:
@@ -89,37 +168,13 @@ class SimResult:
     def to_json_dict(self) -> Dict[str, Any]:
         """Plain-JSON representation, tagged with the schema version."""
         return {
-            "schema": RESULT_SCHEMA_VERSION,
+            "schema": CACHE_SCHEMA_VERSION,
             "workload": self.workload,
             "design": self.design,
-            "core_cycles": list(self.core_cycles),
-            "core_instructions": list(self.core_instructions),
-            "dram": {
-                "accesses_by_category": {
-                    category.value: count
-                    for category, count in sorted(
-                        self.dram.accesses_by_category.items(),
-                        key=lambda kv: kv[0].value,
-                    )
-                },
-                "row_hits": self.dram.row_hits,
-                "row_misses": self.dram.row_misses,
-                "activations": self.dram.activations,
-                "reads": self.dram.reads,
-                "writes": self.dram.writes,
-                "busy_cycles": self.dram.busy_cycles,
-                "refresh_stalls": self.dram.refresh_stalls,
-            },
-            "l3_hits": self.l3_hits,
-            "l3_misses": self.l3_misses,
-            "useful_prefetches": self.useful_prefetches,
-            "demand_accesses": self.demand_accesses,
-            "llp_accuracy": self.llp_accuracy,
-            "metadata_hit_rate": self.metadata_hit_rate,
-            "extras": dict(sorted(self.extras.items())),
-            # sorted paths: dumped metrics diff deterministically even
+            # sorted keys: dumped results diff deterministically even
             # through serializers that preserve insertion order
             "metrics": dict(sorted(self.metrics.items())),
+            "extras": dict(sorted(self.extras.items())),
             "timeseries": (
                 None if self.timeseries is None else self.timeseries.to_json_dict()
             ),
@@ -131,59 +186,33 @@ class SimResult:
         if not isinstance(payload, dict):
             raise ResultDecodeError("result payload is not an object")
         schema = payload.get("schema")
-        if schema not in SUPPORTED_SCHEMA_VERSIONS:
+        if schema != CACHE_SCHEMA_VERSION:
             raise ResultDecodeError(
-                f"result schema {schema!r} not in supported {SUPPORTED_SCHEMA_VERSIONS}"
+                f"result schema {schema!r} is not {CACHE_SCHEMA_VERSION}"
             )
         try:
-            timeseries_payload = payload.get("timeseries") if schema >= 3 else None
-            try:
-                timeseries = (
-                    None
-                    if timeseries_payload is None
-                    else TimeSeries.from_json_dict(timeseries_payload)
-                )
-            except TimeSeriesDecodeError as exc:
-                raise ResultDecodeError(str(exc)) from exc
-            dram_payload = payload["dram"]
-            dram = DRAMStats(
-                accesses_by_category={
-                    Category(name): int(count)
-                    for name, count in dram_payload["accesses_by_category"].items()
-                },
-                row_hits=int(dram_payload["row_hits"]),
-                row_misses=int(dram_payload["row_misses"]),
-                activations=int(dram_payload["activations"]),
-                reads=int(dram_payload["reads"]),
-                writes=int(dram_payload["writes"]),
-                busy_cycles=int(dram_payload["busy_cycles"]),
-                refresh_stalls=int(dram_payload["refresh_stalls"]),
-            )
-            llp_accuracy = payload["llp_accuracy"]
-            metadata_hit_rate = payload["metadata_hit_rate"]
-            return cls(
+            timeseries = payload["timeseries"]
+            result = cls(
                 workload=str(payload["workload"]),
                 design=str(payload["design"]),
-                core_cycles=[int(c) for c in payload["core_cycles"]],
-                core_instructions=[int(i) for i in payload["core_instructions"]],
-                dram=dram,
-                l3_hits=int(payload["l3_hits"]),
-                l3_misses=int(payload["l3_misses"]),
-                useful_prefetches=int(payload["useful_prefetches"]),
-                demand_accesses=int(payload["demand_accesses"]),
-                llp_accuracy=None if llp_accuracy is None else float(llp_accuracy),
-                metadata_hit_rate=(
-                    None if metadata_hit_rate is None else float(metadata_hit_rate)
-                ),
+                metrics={str(k): _metric(v) for k, v in payload["metrics"].items()},
                 extras={str(k): float(v) for k, v in payload["extras"].items()},
-                metrics={
-                    str(k): (int(v) if isinstance(v, int) else float(v))
-                    for k, v in payload["metrics"].items()
-                },
-                timeseries=timeseries,
+                timeseries=(
+                    None if timeseries is None else TimeSeries.from_json_dict(timeseries)
+                ),
             )
+            for name in ACCESSORS:
+                getattr(result, name)
+        # TimeSeriesDecodeError is a ValueError
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ResultDecodeError(f"malformed result payload: {exc}") from exc
+        unknown = sorted(
+            path for path in result.metrics
+            if path.startswith(_ACCESSES) and path not in _ACCESS_PATHS
+        )
+        if unknown:
+            raise ResultDecodeError(f"unknown DRAM access categories: {unknown}")
+        return result
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -195,6 +224,13 @@ class SimResult:
         except json.JSONDecodeError as exc:
             raise ResultDecodeError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(payload)
+
+
+def _metric(value: Any) -> MetricValue:
+    """A stored metric value: a JSON number, never a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"metric value {value!r} is not a number")
+    return value
 
 
 def weighted_speedup(result: SimResult, baseline: SimResult) -> float:

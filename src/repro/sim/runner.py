@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.obs.sampler import ObsConfig
@@ -47,8 +47,6 @@ class RunnerStats:
     #: tracked apart from ``sim_seconds`` so replays never masquerade as
     #: simulation time
     hit_seconds: float = 0.0
-    #: wall time of each simulation actually executed, in call order
-    run_seconds: list = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -65,7 +63,6 @@ class RunnerStats:
         self.disk_hits = 0
         self.sim_seconds = 0.0
         self.hit_seconds = 0.0
-        self.run_seconds.clear()
 
 
 stats = RunnerStats()
@@ -119,7 +116,6 @@ def _execute(
     result.extras["sim_seconds"] = elapsed
     stats.executed += 1
     stats.sim_seconds += elapsed
-    stats.run_seconds.append(elapsed)
     return result
 
 

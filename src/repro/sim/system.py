@@ -18,13 +18,12 @@ from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
 from repro.dram.storage import PhysicalMemory
-from repro.dram.system import DRAMStats, DRAMSystem
+from repro.dram.system import DRAMSystem
 from repro.obs.sampler import IntervalSampler, ObsConfig
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.telemetry import Metrics, StatRegistry
-from repro.types import Category
 from repro.vm.page_table import LINES_PER_PAGE, PageTable
 from repro.workloads.generators import MixWorkload
 
@@ -290,65 +289,11 @@ class SimulatedSystem:
             else:
                 heapq.heappop(heap)
 
-    def _measured_dram(self, metrics: Metrics) -> DRAMStats:
-        """Measured-phase DRAM statistics rebuilt from the metric paths.
-
-        Only categories with measured traffic are materialised, matching
-        the historical accounting.  ``refresh_stalls`` stays zero here for
-        wire-format compatibility (it was never deltaed before); the true
-        measured value is available at ``dram.refresh_stalls``.
-        """
-        delta = DRAMStats(
-            row_hits=int(metrics["dram.row_hits"]),
-            row_misses=int(metrics["dram.row_misses"]),
-            activations=int(metrics["dram.activations"]),
-            reads=int(metrics["dram.reads"]),
-            writes=int(metrics["dram.writes"]),
-            busy_cycles=int(metrics["dram.busy_cycles"]),
-        )
-        for category in Category:
-            measured = int(metrics[f"dram.accesses.{category.value}"])
-            if measured:
-                delta.accesses_by_category[category] = measured
-        return delta
-
     def _collect(self, metrics: Metrics) -> SimResult:
-        """Shape the measured-window metrics into a :class:`SimResult`.
-
-        Every value is looked up by registry path; nothing here depends on
-        the concrete controller or policy type.
-        """
-        cores = range(self.config.num_cores)
-        result = SimResult(
+        """The measured-window metrics, by registry path, as a :class:`SimResult`."""
+        return SimResult(
             workload=self.workload.name,
             design=self.design,
-            core_cycles=[int(metrics[f"core.{c}.cycles"]) for c in cores],
-            core_instructions=[int(metrics[f"core.{c}.instructions"]) for c in cores],
-            dram=self._measured_dram(metrics),
-            l3_hits=int(metrics["llc.hits"]),
-            l3_misses=int(metrics["llc.misses"]),
-            useful_prefetches=int(metrics["llc.useful_prefetches"]),
-            demand_accesses=int(metrics["llc.demand_accesses"]),
             metrics=dict(metrics),
+            timeseries=None if self.sampler is None else self.sampler.timeseries(),
         )
-        design = self.controller.name
-        llp_accuracy = metrics.get(f"{design}.llp.accuracy")
-        if llp_accuracy is not None:
-            result.llp_accuracy = float(llp_accuracy)
-        metadata_hit_rate = metrics.get(f"{design}.metadata_cache.hit_rate")
-        if metadata_hit_rate is not None:
-            result.metadata_hit_rate = float(metadata_hit_rate)
-        if f"{design}.inversions" in metrics:
-            result.extras["inversions"] = metrics[f"{design}.inversions"]
-            result.extras["invalidate_writes"] = metrics[f"{design}.invalidate_writes"]
-            result.extras["clean_writebacks"] = metrics[f"{design}.clean_writebacks"]
-            result.extras["lit_occupancy"] = metrics[f"{design}.lit_occupancy"]
-        if "policy.benefits" in metrics:
-            result.extras["policy_benefits"] = metrics["policy.benefits"]
-            result.extras["policy_costs"] = metrics["policy.costs"]
-            result.extras["compression_enabled_final"] = metrics[
-                "policy.compression_enabled"
-            ]
-        if self.sampler is not None:
-            result.timeseries = self.sampler.timeseries()
-        return result

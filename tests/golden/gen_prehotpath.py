@@ -3,7 +3,8 @@
 Each case runs one simulation on a non-default branch of the simulator
 (replacement policy, closed-page DRAM, retain-lines ablation, tiny LIT
 under both overflow policies, 5-byte markers, non-default DRAM clock)
-and stores its ``SimResult.to_json_dict()`` payload.  The fixtures were
+and stores it in the fixtures' frozen layout (:func:`frozen_payload`,
+which ``tests/test_policy_golden.py`` shares).  The fixtures were
 captured from the code before the per-access hot path was rewritten;
 ``tests/test_hotpath_golden.py`` holds the current code to them bit for
 bit.  Re-running this script must be a no-op on a tree that passes that
@@ -28,6 +29,7 @@ from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.dram.timing import DDRTiming
 from repro.sim.config import SimConfig, quick_config
+from repro.sim.results import SimResult
 from repro.sim.system import SimulatedSystem
 from repro.types import Level
 from repro.util.hashing import mix64
@@ -35,6 +37,69 @@ from repro.workloads.generators import spec_like
 from repro.workloads.suites import get_workload
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
+
+#: Metric copies the frozen layout keeps in ``extras``: name -> registry path.
+FROZEN_EXTRAS = {
+    "inversions": "ptmc.inversions",
+    "invalidate_writes": "ptmc.invalidate_writes",
+    "clean_writebacks": "ptmc.clean_writebacks",
+    "lit_occupancy": "ptmc.lit_occupancy",
+    "policy_benefits": "policy.benefits",
+    "policy_costs": "policy.costs",
+    "compression_enabled_final": "policy.compression_enabled",
+}
+
+
+def frozen_payload(result: SimResult) -> dict:
+    """``result`` in the layout the whole-run fixtures were stored in.
+
+    That layout (result schema 3) stored the ``SimResult`` accessors as
+    fields beside ``metrics`` and copied seven metrics into ``extras``.
+    Results no longer store either; rendering them from the accessors
+    keeps every fixture byte for byte.  ``refresh_stalls`` is the constant
+    0 that layout stored: the measured value is ``dram.refresh_stalls`` in
+    ``metrics``.
+    """
+    dram = result.dram
+    return {
+        "schema": 3,
+        "workload": result.workload,
+        "design": result.design,
+        "core_cycles": result.core_cycles,
+        "core_instructions": result.core_instructions,
+        "dram": {
+            "accesses_by_category": {
+                category.value: count
+                for category, count in dram.accesses_by_category.items()
+            },
+            "row_hits": dram.row_hits,
+            "row_misses": dram.row_misses,
+            "activations": dram.activations,
+            "reads": dram.reads,
+            "writes": dram.writes,
+            "busy_cycles": dram.busy_cycles,
+            "refresh_stalls": 0,
+        },
+        "l3_hits": result.l3_hits,
+        "l3_misses": result.l3_misses,
+        "useful_prefetches": result.useful_prefetches,
+        "demand_accesses": result.demand_accesses,
+        "llp_accuracy": result.llp_accuracy,
+        "metadata_hit_rate": result.metadata_hit_rate,
+        "extras": {
+            **result.extras,
+            **{
+                name: result.metrics[path]
+                for name, path in FROZEN_EXTRAS.items()
+                if path in result.metrics
+            },
+        },
+        "metrics": dict(result.metrics),
+        "timeseries": (
+            None if result.timeseries is None else result.timeseries.to_json_dict()
+        ),
+    }
+
 
 #: the pinned workload and config of the ``prepolicy_*`` fixtures
 _CFG = quick_config(ops_per_core=400, warmup_ops=200)
@@ -205,7 +270,7 @@ def run_case(name: str) -> dict:
     if name in SCENARIOS:
         return _lit_scenario(SCENARIOS[name])
     make_workload, design, config = CASES[name]
-    return SimulatedSystem(make_workload(), design, config).run().to_json_dict()
+    return frozen_payload(SimulatedSystem(make_workload(), design, config).run())
 
 
 def fixture_path(name: str) -> pathlib.Path:

@@ -49,6 +49,20 @@ class TestCommands:
         assert "weighted speedup" in out
         assert "DRAM accesses" in out
 
+    def test_run_prints_counters_under_their_paths(self, capsys):
+        assert main(
+            ["--ops", "200", "--warmup", "100", "run", "lbm06", "dynamic_ptmc"]
+        ) == 0
+        rows = dict(
+            line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("ptmc.", "policy.", "sim_seconds"))
+        )
+        assert set(rows) == {
+            "ptmc.inversions", "ptmc.invalidate_writes", "ptmc.clean_writebacks",
+            "ptmc.lit_occupancy", "policy.benefits", "policy.costs",
+            "policy.compression_enabled", "sim_seconds",
+        }
+
     def test_stats(self, capsys):
         assert main(
             ["--ops", "200", "--warmup", "100", "stats", "lbm06", "dynamic_ptmc"]

@@ -2,8 +2,8 @@
 
 Covers the cache-key identity rules (full workload parameters, not just
 the name — the memoization-aliasing regression), the versioned JSON
-round trip for :class:`SimResult`, and corruption/version-mismatch
-handling.
+round trip for :class:`SimResult` and its layout (the metrics plus host
+provenance, nothing copied), and corruption/version-mismatch handling.
 """
 
 import dataclasses
@@ -20,10 +20,12 @@ from repro.sim.diskcache import (
     workload_identity,
 )
 from repro.sim.results import (
-    RESULT_SCHEMA_VERSION,
+    ACCESSORS,
+    CACHE_SCHEMA_VERSION,
     ResultDecodeError,
     SimResult,
 )
+from repro.sim.system import DESIGNS, SimulatedSystem
 from repro.workloads import get_workload
 from repro.workloads.generators import make_mix, spec_like
 
@@ -120,13 +122,29 @@ class TestSerialization:
 
     def test_schema_version_embedded(self):
         payload = small_result().to_json_dict()
-        assert payload["schema"] == RESULT_SCHEMA_VERSION
+        assert payload["schema"] == CACHE_SCHEMA_VERSION
 
     def test_version_mismatch_rejected(self):
         payload = small_result().to_json_dict()
-        payload["schema"] = RESULT_SCHEMA_VERSION + 1
+        payload["schema"] = CACHE_SCHEMA_VERSION + 1
         with pytest.raises(ResultDecodeError):
             SimResult.from_json_dict(payload)
+
+    @pytest.mark.parametrize("schema", [2, 3, None])
+    def test_earlier_versions_rejected(self, schema):
+        payload = small_result().to_json_dict()
+        payload["schema"] = schema
+        with pytest.raises(ResultDecodeError):
+            SimResult.from_json_dict(payload)
+
+    def test_key_carries_the_payload_version(self, monkeypatch):
+        import repro.sim.diskcache as diskcache
+
+        assert diskcache.CACHE_SCHEMA_VERSION == CACHE_SCHEMA_VERSION
+        w = get_workload("lbm06")
+        before = cache_key(w, "ideal", CFG)
+        monkeypatch.setattr(diskcache, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
+        assert cache_key(w, "ideal", CFG) != before
 
     def test_metrics_survive_round_trip(self):
         result = runner.simulate("lbm06", "dynamic_ptmc", CFG)
@@ -141,8 +159,45 @@ class TestSerialization:
             SimResult.from_json_dict(payload)
 
     def test_missing_field_rejected(self):
+        for field in ("workload", "design", "extras", "timeseries"):
+            payload = small_result().to_json_dict()
+            del payload[field]
+            with pytest.raises(ResultDecodeError):
+                SimResult.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "core.0.cycles",
+            "core.3.cycles",
+            "core.7.cycles",
+            "core.7.instructions",
+            "dram.reads",
+            "dram.refresh_stalls",
+            "dram.accesses.data_read",
+            "dram.accesses.maintenance",
+            "llc.hits",
+            "llc.misses",
+            "llc.useful_prefetches",
+            "llc.demand_accesses",
+        ],
+    )
+    def test_missing_metric_path_rejected(self, path):
         payload = small_result().to_json_dict()
-        del payload["dram"]
+        del payload["metrics"][path]
+        with pytest.raises(ResultDecodeError):
+            SimResult.from_json_dict(payload)
+
+    @pytest.mark.parametrize("value", ["12", None, True, [1], {"n": 1}])
+    def test_non_numeric_metric_rejected(self, value):
+        payload = small_result().to_json_dict()
+        payload["metrics"]["dram.reads"] = value
+        with pytest.raises(ResultDecodeError):
+            SimResult.from_json_dict(payload)
+
+    def test_malformed_timeseries_rejected(self):
+        payload = small_result().to_json_dict()
+        payload["timeseries"] = {"interval": 10, "points": "nope"}
         with pytest.raises(ResultDecodeError):
             SimResult.from_json_dict(payload)
 
@@ -152,9 +207,44 @@ class TestSerialization:
 
     def test_unknown_category_rejected(self):
         payload = small_result().to_json_dict()
-        payload["dram"]["accesses_by_category"]["warp_traffic"] = 3
+        payload["metrics"]["dram.accesses.warp_traffic"] = 3
         with pytest.raises(ResultDecodeError):
             SimResult.from_json_dict(payload)
+
+
+@pytest.fixture(scope="module", params=DESIGNS)
+def design_result(request):
+    """One bare ``SimulatedSystem.run()`` result per design."""
+    return SimulatedSystem(get_workload("lbm06"), request.param, CFG).run()
+
+
+class TestResultFormat:
+    """A result is its metrics: the payload copies none of them."""
+
+    def test_payload_keys(self, design_result):
+        assert set(design_result.to_json_dict()) == {
+            "schema", "workload", "design", "metrics", "extras", "timeseries"
+        }
+
+    def test_bare_run_has_no_extras(self, design_result):
+        # extras hold host provenance only (sim_seconds, cached,
+        # serve_seconds), which the runner adds, never the simulator
+        assert design_result.extras == {}
+
+    def test_round_trip_preserves_every_accessor(self, design_result):
+        decoded = SimResult.from_json(design_result.to_json())
+        assert decoded == design_result
+        for name in ACCESSORS:
+            assert getattr(decoded, name) == getattr(design_result, name), name
+
+    def test_dram_reads_the_measured_window(self, design_result):
+        metrics = design_result.metrics
+        dram = design_result.dram
+        assert dram.refresh_stalls == metrics["dram.refresh_stalls"]
+        assert dram.total_accesses == sum(
+            value for path, value in metrics.items() if path.startswith("dram.accesses.")
+        )
+        assert all(count > 0 for count in dram.accesses_by_category.values())
 
 
 class TestDiskCache:
@@ -189,10 +279,40 @@ class TestDiskCache:
         cache.put(key, small_result())
         path = tmp_path / key[:2] / f"{key}.json"
         payload = json.loads(path.read_text())
-        payload["schema"] = RESULT_SCHEMA_VERSION + 1
+        payload["schema"] = CACHE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(payload))
         assert cache.get(key) is None
         assert cache.counters.evicted_corrupt == 1
+
+    def test_entry_missing_a_metric_path_is_a_miss(self, tmp_path):
+        """A stored result lacking a path an accessor reads is deleted at
+        lookup and re-simulated, so no caller ever meets the KeyError."""
+        cache = DiskCache(tmp_path / "direct")
+        key = "ab" * 32
+        cache.put(key, small_result())
+        path = tmp_path / "direct" / key[:2] / f"{key}.json"
+        payload = json.loads(path.read_text())
+        del payload["metrics"]["dram.row_hits"]
+        path.write_text(json.dumps(payload))
+        assert cache.get(key) is None
+        assert cache.counters.evicted_corrupt == 1
+        assert not path.exists()
+
+        runner.configure_disk_cache(tmp_path / "runner")
+        first, _ = runner.simulate_with_source("lbm06", "static_ptmc", CFG)
+        (path,) = (tmp_path / "runner").glob("*/*.json")
+        payload = json.loads(path.read_text())
+        del payload["metrics"]["llc.misses"]
+        path.write_text(json.dumps(payload))
+        runner.clear_cache()
+        second, source = runner.simulate_with_source("lbm06", "static_ptmc", CFG)
+        assert source == "executed"
+        assert runner.disk_cache().counters.evicted_corrupt == 1
+        assert second.l3_misses == first.l3_misses
+        # the re-executed result replaced the damaged entry
+        runner.clear_cache()
+        _, source = runner.simulate_with_source("lbm06", "static_ptmc", CFG)
+        assert source == "disk"
 
     def test_clear_and_stats(self, tmp_path):
         cache = DiskCache(tmp_path)

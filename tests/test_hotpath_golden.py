@@ -12,25 +12,15 @@ rekey sweep and bitmap spills), 5-byte markers and a 2 GHz core clock.
 Each must be reproduced bit for bit.
 """
 
-import importlib.util
 import json
 import pathlib
 
 import pytest
 
+from tests.golden import gen_prehotpath as GEN
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-
-def _load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "gen_prehotpath", GOLDEN_DIR / "gen_prehotpath.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GEN = _load_generator()
 CASE_NAMES = (*GEN.CASES, *GEN.SCENARIOS)
 
 

@@ -115,11 +115,3 @@ def test_decode_rejects_malformed_series():
         TimeSeries.from_json_dict(
             {"interval": 10, "points": [{"accesses": 1, "phase": "bogus", "metrics": {}}]}
         )
-
-
-def test_v2_payload_without_timeseries_still_decodes():
-    payload = run().to_json_dict()
-    payload.pop("timeseries")
-    payload["schema"] = 2
-    restored = SimResult.from_json_dict(payload)
-    assert restored.timeseries is None

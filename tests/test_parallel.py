@@ -6,10 +6,15 @@ must be satisfied entirely from the on-disk cache with zero simulations
 executed.
 """
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.sim import parallel, runner
 from repro.sim.config import quick_config
+from repro.sim.diskcache import DiskCache
 from repro.sim.results import geometric_mean
 from repro.workloads import get_workload
 
@@ -88,12 +93,32 @@ class TestDiskCacheIntegration:
         assert set(matrix) == set(WORKLOADS)
 
     def test_explicit_cache_dir_shared_with_workers(self, tmp_path):
-        report = parallel.run_batch(
-            [("lbm06", "ideal")], config=CFG, jobs=2, cache_dir=str(tmp_path)
-        )
-        assert report.sources == ["executed"]
+        """The runner's configured cache is the one every job stores into,
+        whether it runs in-process (``jobs=1``) or in a pool process."""
+        runner.configure_disk_cache(tmp_path)
+        serial = parallel.run_batch([("lbm06", "ideal")], config=CFG, jobs=1)
+        pooled = parallel.run_batch([("lbm06", "uncompressed")], config=CFG, jobs=2)
+        assert serial.sources == pooled.sources == ["executed"]
+        assert len(DiskCache(tmp_path)) == 2
         runner.clear_cache()
         report = parallel.run_batch(
-            [("lbm06", "ideal")], config=CFG, jobs=2, cache_dir=str(tmp_path)
+            [("lbm06", "ideal"), ("lbm06", "uncompressed")], config=CFG, jobs=2
         )
-        assert report.sources == ["disk"]
+        assert report.sources == ["disk", "disk"]
+
+    def test_policy_search_script_stores_into_its_cache_dir(self, tmp_path):
+        """``scripts/policy_search.py`` runs its grid through the sweep
+        engine, and its pool processes store into ``--cache-dir``."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts/policy_search.py"
+        spec = importlib.util.spec_from_file_location("policy_search", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "rows.json"
+        assert script.main([
+            "--suite", "spec17", "--policies", "lru", "--designs", "static_ptmc",
+            "--ops", "150", "--warmup", "50", "--jobs", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
+        ]) == 0
+        assert list(json.loads(out.read_text())) == ["lru"]
+        # five workloads, each on static_ptmc and its uncompressed baseline
+        assert len(DiskCache(tmp_path / "cache")) == 10

@@ -1,13 +1,14 @@
 """Golden test: the policy seam leaves the default path bitwise identical.
 
-The fixtures under ``tests/golden/prepolicy_<design>.json`` are
-``SimResult.to_json_dict()`` payloads captured from the code *before*
-the replacement-policy refactor (commit 859ca33's hard-coded
-``OrderedDict`` LRU), for all seven designs on one pinned workload and
-config.  The refactored hierarchy running the default ``lru`` policy
-must reproduce every one of them exactly — same cycles, same DRAM
-traffic, same metric values — proving the seam introduction changed
-nothing on the default path.
+The fixtures under ``tests/golden/prepolicy_<design>.json`` are result
+payloads (schema 2) captured from the code *before* the
+replacement-policy refactor (commit 859ca33's hard-coded ``OrderedDict``
+LRU), for all seven designs on one pinned workload and config.  Results
+are compared in that frozen layout, rendered by
+``tests/golden/gen_prehotpath.frozen_payload``.  The refactored
+hierarchy running the default ``lru`` policy must reproduce every one of
+them exactly — same cycles, same DRAM traffic, same metric values —
+proving the seam introduction changed nothing on the default path.
 
 The only permitted difference is the *additive* telemetry this PR
 introduces (``llc.wasted_prefetches``, ``llc.policy_evictions``,
@@ -22,9 +23,10 @@ import pathlib
 import pytest
 
 from repro.sim.config import quick_config
-from repro.sim.results import SimResult
+from repro.sim.results import CACHE_SCHEMA_VERSION, SimResult
 from repro.sim.system import DESIGNS, SimulatedSystem
 from repro.workloads.generators import spec_like
+from tests.golden.gen_prehotpath import frozen_payload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -39,15 +41,15 @@ WORKLOAD = spec_like("golden", seed=11)
 
 def run_default(design: str) -> dict:
     result = SimulatedSystem(WORKLOAD, design, CFG).run()
-    payload = result.to_json_dict()
+    payload = frozen_payload(result)
     payload["metrics"] = {
         k: v for k, v in payload["metrics"].items() if k not in ADDED_METRICS
     }
     # Envelope-only wire-format churn since the fixtures were captured:
-    # v3 tags a new schema number and an optional (here absent)
-    # ``timeseries`` member.  Neither carries simulation output, so they
-    # are normalised away and every *simulated* value still compares
-    # bit for bit.
+    # the frozen layout (v3) tags a new schema number and an optional
+    # (here absent) ``timeseries`` member.  Neither carries simulation
+    # output, so they are normalised away and every *simulated* value
+    # still compares bit for bit.
     assert payload.pop("timeseries") is None
     payload.pop("schema")
     return payload
@@ -64,11 +66,27 @@ def test_default_lru_bitwise_identical_to_prerefactor(design):
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_fixture_decodes_as_current_schema(design):
-    """The captured payloads are live results, not stale wire formats."""
-    fixture_path = GOLDEN_DIR / f"prepolicy_{design}.json"
-    result = SimResult.from_json(fixture_path.read_text())
+    """Each fixture's ``metrics`` decode as a current result whose
+    accessors reproduce every other field the fixture stored: the legacy
+    fields were projections of the metrics, nothing more."""
+    fixture = json.loads((GOLDEN_DIR / f"prepolicy_{design}.json").read_text())
+    result = SimResult.from_json_dict(
+        {
+            "schema": CACHE_SCHEMA_VERSION,
+            "workload": fixture["workload"],
+            "design": fixture["design"],
+            "metrics": fixture["metrics"],
+            "extras": {},
+            "timeseries": None,
+        }
+    )
     assert result.design == design
     assert result.elapsed_cycles > 0
+    rendered = frozen_payload(result)
+    assert rendered.pop("timeseries") is None
+    rendered.pop("schema")
+    fixture.pop("schema")
+    assert rendered == fixture
 
 
 def test_explicit_lru_matches_default():

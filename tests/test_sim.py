@@ -8,7 +8,7 @@ from repro.sim import suite_geomean, sweep
 from repro.sim.runner import clear_cache, compare, simulate
 from repro.sim.system import DESIGNS, build_controller
 from repro.dram.storage import PhysicalMemory
-from repro.dram.system import DRAMStats, DRAMSystem
+from repro.dram.system import DRAMSystem
 from repro.types import Category
 from repro.workloads import get_workload
 
@@ -108,19 +108,26 @@ class TestRunner:
 
 class TestResults:
     def _result(self, cycles, reads=100, writes=20):
-        stats = DRAMStats()
-        stats.accesses_by_category = {
-            Category.DATA_READ: reads,
-            Category.DATA_WRITE: writes,
-        }
-        stats.reads, stats.writes = reads, writes
-        return SimResult(
-            workload="w",
-            design="d",
-            core_cycles=[cycles] * 2,
-            core_instructions=[1000] * 2,
-            dram=stats,
+        metrics = {f"dram.accesses.{category.value}": 0 for category in Category}
+        metrics.update(
+            {
+                "dram.accesses.data_read": reads,
+                "dram.accesses.data_write": writes,
+                "dram.reads": reads,
+                "dram.writes": writes,
+                "dram.row_hits": 0,
+                "dram.row_misses": 0,
+                "dram.activations": 0,
+                "dram.busy_cycles": 0,
+                "dram.refresh_stalls": 0,
+                "llc.hits": 0,
+                "llc.misses": 0,
+            }
         )
+        for core in range(2):
+            metrics[f"core.{core}.cycles"] = cycles
+            metrics[f"core.{core}.instructions"] = 1000
+        return SimResult(workload="w", design="d", metrics=metrics)
 
     def test_weighted_speedup(self):
         fast, slow = self._result(500), self._result(1000)
@@ -129,7 +136,7 @@ class TestResults:
     def test_weighted_speedup_requires_same_traces(self):
         a = self._result(500)
         b = self._result(500)
-        b.core_instructions = [999] * 2
+        b.metrics["core.1.instructions"] = 999
         with pytest.raises(ValueError):
             weighted_speedup(a, b)
 
@@ -142,7 +149,7 @@ class TestResults:
 
     def test_l3_hit_rate(self):
         result = self._result(500)
-        result.l3_hits, result.l3_misses = 30, 70
+        result.metrics["llc.hits"], result.metrics["llc.misses"] = 30, 70
         assert result.l3_hit_rate == pytest.approx(0.3)
 
     def test_geometric_mean(self):

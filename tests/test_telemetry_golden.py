@@ -41,6 +41,7 @@ def _legacy_snapshot(system):
             "reads": stats.reads,
             "writes": stats.writes,
             "busy_cycles": stats.busy_cycles,
+            "refresh_stalls": stats.refresh_stalls,
         },
         "l3_hits": system.hierarchy.l3.hits,
         "l3_misses": system.hierarchy.l3.misses,
@@ -85,13 +86,15 @@ def _legacy_expected(system, legacy):
         "dram_reads": stats.reads - base["reads"],
         "dram_writes": stats.writes - base["writes"],
         "dram_busy_cycles": stats.busy_cycles - base["busy_cycles"],
+        "dram_refresh_stalls": stats.refresh_stalls - base["refresh_stalls"],
         "l3_hits": system.hierarchy.l3.hits - legacy["l3_hits"],
         "l3_misses": system.hierarchy.l3.misses - legacy["l3_misses"],
         "useful_prefetches": system.hierarchy.useful_prefetches - legacy["useful"],
         "demand_accesses": system.hierarchy.demand_accesses - legacy["demand"],
         "llp_accuracy": None,
         "metadata_hit_rate": None,
-        "extras": {},
+        # the counters the legacy ``_collect`` copied into ``extras``, by path
+        "paths": {},
     }
     controller = system.controller
     if isinstance(controller, PTMCController):
@@ -102,12 +105,12 @@ def _legacy_expected(system, legacy):
             1.0 if predictions == 0 else 1.0 - mispredictions / predictions
         )
         inv0, inval0, cwb0 = legacy["ptmc"]
-        expected["extras"]["inversions"] = controller.inversions - inv0
-        expected["extras"]["invalidate_writes"] = (
+        expected["paths"]["ptmc.inversions"] = controller.inversions - inv0
+        expected["paths"]["ptmc.invalidate_writes"] = (
             controller.invalidate_writes - inval0
         )
-        expected["extras"]["clean_writebacks"] = controller.clean_writebacks - cwb0
-        expected["extras"]["lit_occupancy"] = len(controller.lit)
+        expected["paths"]["ptmc.clean_writebacks"] = controller.clean_writebacks - cwb0
+        expected["paths"]["ptmc.lit_occupancy"] = len(controller.lit)
     if isinstance(controller, MetadataTableController):
         h0, m0 = legacy["meta"]
         hits = controller.metadata_cache.hits - h0
@@ -118,9 +121,9 @@ def _legacy_expected(system, legacy):
         # never reset at the boundary: whole-run hit rate, warmup included
         expected["metadata_hit_rate"] = controller.metadata_hit_rate
     if isinstance(system.policy, SamplingPolicy):
-        expected["extras"]["policy_benefits"] = system.policy.benefits
-        expected["extras"]["policy_costs"] = system.policy.costs
-        expected["extras"]["compression_enabled_final"] = float(
+        expected["paths"]["policy.benefits"] = system.policy.benefits
+        expected["paths"]["policy.costs"] = system.policy.costs
+        expected["paths"]["policy.compression_enabled"] = float(
             sum(
                 system.policy.enabled_for(core)
                 for core in range(system.config.num_cores)
@@ -148,14 +151,15 @@ def test_registry_metrics_match_legacy_accounting(design):
     assert result.dram.reads == expected["dram_reads"]
     assert result.dram.writes == expected["dram_writes"]
     assert result.dram.busy_cycles == expected["dram_busy_cycles"]
-    assert result.dram.refresh_stalls == 0  # legacy wire-format parity
+    assert result.dram.refresh_stalls == expected["dram_refresh_stalls"]
     assert result.l3_hits == expected["l3_hits"]
     assert result.l3_misses == expected["l3_misses"]
     assert result.useful_prefetches == expected["useful_prefetches"]
     assert result.demand_accesses == expected["demand_accesses"]
     assert result.llp_accuracy == expected["llp_accuracy"]
     assert result.metadata_hit_rate == expected["metadata_hit_rate"]
-    assert result.extras == expected["extras"]
+    assert {path: result.metrics[path] for path in expected["paths"]} == expected["paths"]
+    assert result.extras == {}  # host provenance only, and a bare run has none
 
 
 @pytest.mark.parametrize("design", DESIGNS)
