@@ -1,7 +1,7 @@
 """Cache substrate: set-associative caches, pluggable replacement, hierarchy."""
 
 from repro.cache.cache import Cache, CacheLine, EvictedLine
-from repro.cache.hierarchy import AccessOutcome, CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.replacement import (
     DEFAULT_POLICY,
     POLICIES,
@@ -18,7 +18,6 @@ __all__ = [
     "Cache",
     "CacheLine",
     "EvictedLine",
-    "AccessOutcome",
     "CacheHierarchy",
     "HierarchyConfig",
     "DEFAULT_POLICY",

@@ -57,15 +57,6 @@ class HierarchyConfig:
     policy_seed: int = 0
 
 
-@dataclass(slots=True)
-class AccessOutcome:
-    """Where an access was served and when its data is available."""
-
-    completion: int
-    served_by: str  # "l1" | "l2" | "l3" | "mem"
-    mem_accesses: int = 0
-
-
 class _HierarchyLLCView(LLCView):
     """The controller's window into the L3 (plus inclusion maintenance)."""
 
@@ -134,6 +125,9 @@ class CacheHierarchy:
             policy_seed=config.policy_seed,
         )
         self.llc_view = _HierarchyLLCView(self)
+        self._l1_latency = config.l1_latency
+        self._l2_latency = config.l2_latency
+        self._l3_latency = config.l3_latency
         self.useful_prefetches = 0
         self.wasted_prefetches = 0
         self.demand_accesses = 0
@@ -185,18 +179,19 @@ class CacheHierarchy:
         is_write: bool,
         now: int,
         write_data: Optional[bytes] = None,
-    ) -> AccessOutcome:
-        """One demand access from a core; returns completion information."""
+    ) -> int:
+        """One demand access from a core; returns the cycle its data is
+        available (the serving level's latency after ``now``, or the
+        memory read's completion plus the L3's)."""
         if is_write and write_data is None:
             raise ValueError("writes must carry their new line contents")
         self.demand_accesses += 1
-        cfg = self.config
         l1 = self.l1s[core_id]
 
         if l1.lookup(addr) is not None:
             if is_write:
                 self._store(addr, write_data)
-            return AccessOutcome(now + cfg.l1_latency, "l1")
+            return now + self._l1_latency
 
         l2 = self.l2s[core_id]
         line = l2.lookup(addr)
@@ -204,9 +199,10 @@ class CacheHierarchy:
             l1.install(line)
             if is_write:
                 self._store(addr, write_data)
-            return AccessOutcome(now + cfg.l2_latency, "l2")
+            return now + self._l2_latency
 
-        line = self.l3.lookup(addr)
+        l3 = self.l3
+        line = l3.lookup(addr)
         if line is not None:
             # refresh ownership: the demanding core's L1/L2 now hold the
             # record, so inclusion maintenance must target *its* caches
@@ -220,29 +216,38 @@ class CacheHierarchy:
             l1.install(line)
             if is_write:
                 self._store(addr, write_data)
-            return AccessOutcome(now + cfg.l3_latency, "l3")
+            return now + self._l3_latency
 
         # L3 miss: go to the memory controller.
         result = self.controller.read_line(addr, now, core_id, self.llc_view)
-        for extra_addr, extra_data in result.extra_lines.items():
-            if self.l3.probe(extra_addr) is None:
-                self._install_l3(
-                    extra_addr,
-                    extra_data,
-                    now,
-                    core_id,
-                    fill_level=result.level,
-                    prefetched=True,
-                )
+        level = result.level
+        extra_lines = result.extra_lines
+        if extra_lines:
+            for extra_addr, extra_data in extra_lines.items():
+                if l3.probe(extra_addr) is None:
+                    self._install_l3(
+                        extra_addr, extra_data, now, core_id, level, prefetched=True
+                    )
         # the read's contents move into the L3 record as they are, so a
         # deferred first-touch line stays unrendered until a reader of
         # ``data`` renders it or a store replaces it
-        line = self._install_l3(addr, result._data, now, core_id, fill_level=result.level)
+        line = CacheLine(addr, result._data, False, level, core_id, False)
+        victim = l3.install(line)
+        if victim is not None:
+            # ``_left_l3`` for a capacity victim: account a wasted
+            # prefetch, back-invalidate the owner's private copies, then
+            # hand the victim to the controller
+            if victim.prefetched:
+                self.wasted_prefetches += 1
+            victim_core = victim.core_id
+            self.l1s[victim_core].invalidate(victim.addr)
+            self.l2s[victim_core].invalidate(victim.addr)
+            self.controller.handle_eviction(victim, now, victim_core, self.llc_view)
         l2.install(line)
         l1.install(line)
         if is_write:
             self._store(addr, write_data)
-        return AccessOutcome(result.completion + cfg.l3_latency, "mem", result.accesses)
+        return result.completion + self._l3_latency
 
     # ------------------------------------------------------------------
 
@@ -265,7 +270,10 @@ class CacheHierarchy:
         prefetched: bool = False,
     ) -> CacheLine:
         """Install a fresh L3 record (its address is not resident) and
-        hand any capacity victim to the controller; returns the record."""
+        hand any capacity victim to the controller; returns the record.
+
+        ``access`` does the same inline for the demanded line; this is
+        for the lines a compressed read co-fetches."""
         line = CacheLine(addr, data, False, fill_level, core_id, prefetched)
         victim = self.l3.install(line)
         if victim is not None:
@@ -288,19 +296,23 @@ class CacheHierarchy:
         self.l2s[core_id].invalidate(line.addr)
 
     def flush(self, now: int) -> None:
-        """Drain the hierarchy through the controller (end of simulation)."""
+        """Drain the hierarchy through the controller (end of simulation).
+
+        The L3 drains set by set, head first, each victim handed to the
+        controller as it leaves.  A controller's ``handle_eviction`` only
+        ever removes L3 lines (ganged partners), so every set before the
+        one draining stays empty, and the order is that of repeatedly
+        evicting the first resident line, in one pass.
+        """
         for caches in (self.l1s, self.l2s):
             for cache in caches:
                 cache.drain(lambda line: None)  # write-through: nothing to do
-        while True:
-            victim_line = next(self.l3.resident(), None)
-            if victim_line is None:
-                break
-            evicted = self.l3.evict(victim_line.addr)
-            if evicted is not None:
-                self.controller.handle_eviction(
-                    evicted, now, evicted.core_id, self.llc_view
-                )
+        llc_view = self.llc_view
+        self.l3.drain(
+            lambda victim: self.controller.handle_eviction(
+                victim, now, victim.core_id, llc_view
+            )
+        )
 
     @property
     def l3_hit_rate(self) -> float:

@@ -16,6 +16,11 @@ from repro.cache.cache import EvictedLine
 from repro.core.base_controller import LLCView, MemoryController
 from repro.types import Category, Level, ReadResult, WriteResult
 
+# enum members as globals, not reads through their class (DESIGN.md §14)
+_DATA_READ = Category.DATA_READ
+_DATA_WRITE = Category.DATA_WRITE
+_UNCOMPRESSED = Level.UNCOMPRESSED
+
 
 class UncompressedController(MemoryController):
     """Conventional memory: lines live at their home slots, always."""
@@ -23,14 +28,14 @@ class UncompressedController(MemoryController):
     name = "uncompressed"
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
-        completion = self.dram.access(addr, now, Category.DATA_READ)
-        return ReadResult(addr, self.memory.read_deferred(addr), Level.UNCOMPRESSED, completion)
+        completion = self.dram.access(addr, now, _DATA_READ)
+        return ReadResult(addr, self.memory.read_deferred(addr), _UNCOMPRESSED, completion)
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
     ) -> WriteResult:
         if not evicted.dirty:
             return WriteResult()
-        self.dram.access(evicted.addr, now, Category.DATA_WRITE)
+        self.dram.access(evicted.addr, now, _DATA_WRITE)
         self.memory.write(evicted.addr, evicted.data)
         return WriteResult(1)

@@ -82,7 +82,7 @@ class CoreModel:
         paddr = self.page_table.translate(self.core_id, vline)
         completion = self.hierarchy.access(
             self.core_id, paddr, is_write, time, write_data
-        ).completion
+        )
         if completion > time:
             outstanding.append(completion)
         return True

@@ -41,6 +41,9 @@ class PhysicalMemory:
         self.capacity_lines = capacity_lines
         self._lines: Dict[int, bytes] = {}
         self._initial_content = initial_content
+        #: ``_first_touch``, bound once rather than per deferral: every
+        #: FirstTouch this memory hands out calls it
+        self._render_first_touch = self._first_touch
 
     def read(self, line_addr: int) -> bytes:
         """Return the 64 bytes at ``line_addr``; a never-written slot's
@@ -65,13 +68,14 @@ class PhysicalMemory:
         :meth:`read` would have returned now, whatever is written there
         later.
         """
-        self._check(line_addr)
+        if not 0 <= line_addr < self.capacity_lines:  # ``_check``, inline
+            raise IndexError(f"line address {line_addr} out of range")
         data = self._lines.get(line_addr)
         if data is not None:
             return data
         if self._initial_content is None:
             return _ZERO_LINE
-        return FirstTouch(self._first_touch, line_addr)
+        return FirstTouch(self._render_first_touch, line_addr)
 
     def _first_touch(self, line_addr: int) -> bytes:
         data = self._initial_content(line_addr)

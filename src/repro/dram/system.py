@@ -53,11 +53,6 @@ class DRAMStats:
     busy_cycles: int = 0
     refresh_stalls: int = 0
 
-    def count(self, category: Category) -> None:
-        self.accesses_by_category[category] = (
-            self.accesses_by_category.get(category, 0) + 1
-        )
-
     @property
     def total_accesses(self) -> int:
         return sum(self.accesses_by_category.values())
@@ -75,7 +70,7 @@ class DRAMSystem:
 
     ``timing`` and ``geometry`` are frozen, so the cycle counts and the
     address-decode divisors every access needs are derived from them once,
-    here, rather than per access.
+    here, rather than per access; so is whether rows stay open.
     """
 
     def __init__(
@@ -90,7 +85,7 @@ class DRAMSystem:
             raise ValueError("page_policy must be 'open' or 'closed'")
         self.timing = timing
         self.geometry = geometry
-        self.page_policy = page_policy
+        self._open_page = page_policy == "open"
         self.refresh = refresh
         self.stats = DRAMStats()
         self._drain_threshold = write_queue_entries * timing.t_burst
@@ -129,20 +124,6 @@ class DRAMSystem:
                 lambda c=category: stats.accesses_by_category.get(c, 0),
             )
 
-    def _after_refresh(self, start: int) -> int:
-        """Push ``start`` past any overlapping refresh window.
-
-        All banks of a channel refresh together once per tREFI and are
-        unavailable for tRFC — the standard all-bank refresh model.
-        """
-        if not self.refresh:
-            return start
-        offset = start % self._t_refi
-        if offset < self._t_rfc:
-            self.stats.refresh_stalls += 1
-            return start - offset + self._t_rfc
-        return start
-
     def access(
         self,
         line_addr: int,
@@ -171,13 +152,14 @@ class DRAMSystem:
         channel = self._channels[stripe % self._num_channels]
         bank = channel.banks[rest % self._banks_per_channel]
         row = rest // self._banks_per_channel
-        stats.count(category)
+        counts = stats.accesses_by_category
+        counts[category] = counts.get(category, 0) + 1
         if burst_bytes == 64:
             t_transfer = self._t_line
         else:
             beats = max(1, (burst_bytes + 7) // 8)
             t_transfer = max(1, self._t_burst * beats // 8)
-        open_page = self.page_policy == "open"
+        open_page = self._open_page
 
         if category in WRITE_CATEGORIES:
             # row-buffer statistics still apply; timing goes to the backlog
@@ -205,7 +187,15 @@ class DRAMSystem:
                 )
                 channel.write_backlog = 0
 
-        start = self._after_refresh(now if now >= bank.ready_at else bank.ready_at)
+        start = now if now >= bank.ready_at else bank.ready_at
+        if self.refresh:
+            # all banks of a channel refresh together once per tREFI and
+            # are unavailable for tRFC (the standard all-bank model): a
+            # start inside that window waits for its end
+            offset = start % self._t_refi
+            if offset < self._t_rfc:
+                stats.refresh_stalls += 1
+                start = start - offset + self._t_rfc
         if not open_page:
             # rows auto-precharge after every access: constant activate cost
             stats.row_misses += 1

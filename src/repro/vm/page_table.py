@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 from repro.util.hashing import mix64
 
-LINES_PER_PAGE = 64  # 4KB pages / 64B lines
+LINES_PER_PAGE = 64  # 4KB pages / 64B lines; translate shifts by 6
 
 
 class PageTable:
@@ -35,13 +35,16 @@ class PageTable:
         return len(self._used_frames)
 
     def translate(self, core_id: int, vline: int) -> int:
-        """Virtual line address -> physical line address (allocate on demand)."""
-        vpage, offset = divmod(vline, LINES_PER_PAGE)
-        key = (core_id, vpage)
+        """Virtual line address -> physical line address (allocate on demand).
+
+        A page is 64 lines, so the page is ``vline >> 6`` and the offset
+        ``vline & 63``: ``divmod(vline, LINES_PER_PAGE)``, negatives too.
+        """
+        key = (core_id, vline >> 6)
         frame = self._mappings.get(key)
         if frame is None:
             frame = self._allocate(key)
-        return frame * LINES_PER_PAGE + offset
+        return (frame << 6) + (vline & 63)
 
     def _allocate(self, key: Tuple[int, int]) -> int:
         """Pick a pseudo-random free frame (linear probing on collision)."""

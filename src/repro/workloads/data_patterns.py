@@ -60,6 +60,17 @@ class PatternKind(Enum):
     RANDOM = "random"
 
 
+# The members as module globals: on Python 3.11 a member read through its
+# class takes ``EnumType.__getattr__``'s slow hook, and rendering and
+# ``DataGenerator.kind`` read them per line.
+_ZERO = PatternKind.ZERO
+_SMALL_INT = PatternKind.SMALL_INT
+_POINTER = PatternKind.POINTER
+_MEDIUM = PatternKind.MEDIUM
+_BOUNDARY = PatternKind.BOUNDARY
+_RANDOM = PatternKind.RANDOM
+
+
 @dataclass(frozen=True)
 class DataProfile:
     """Distribution over pattern families, assigned page by page.
@@ -158,13 +169,13 @@ class DataGenerator:
             h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
             h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
             if (h ^ (h >> 31)) & _DRAW_MASK < self._noise_cut:
-                kind = PatternKind.RANDOM
+                kind = _RANDOM
         if version > 0 and self._scramble_cut:
             h = (vline ^ (version << 32) ^ self.seed) & _M64
             h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
             h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
             if (h ^ (h >> 31)) & _DRAW_MASK < self._scramble_cut:
-                return PatternKind.RANDOM
+                return _RANDOM
         return kind
 
     def line(self, vline: int, version: int = 0) -> bytes:
@@ -186,10 +197,10 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
     Each family draws a chain of ``mix64`` values starting from the nonce
     (``s = mix64(s)`` per word); the chains are run inline.
     """
-    if kind is PatternKind.ZERO:
+    if kind is _ZERO:
         return _ZERO_LINE
     s = nonce & _M64
-    if kind is PatternKind.SMALL_INT:
+    if kind is _SMALL_INT:
         # sparse-array shape: a zero run followed by a few tiny values, so
         # the FPC size is stable across versions (a quad always fits)
         words = []
@@ -199,7 +210,7 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
             s ^= s >> 31
             words.append((s >> 8) % 15 - 7)  # in [-7, 7]
         return _PACK_SMALL_INTS(*words)
-    if kind is PatternKind.POINTER:
+    if kind is _POINTER:
         base = 0x7F0000000000 | ((nonce & 0xFFFF) << 20)
         values = []
         for _ in range(8):
@@ -208,7 +219,7 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
             s ^= s >> 31
             values.append(base + (s % 120))  # deltas fit one byte
         return _PACK_8Q(*values)
-    if kind is PatternKind.BOUNDARY:
+    if kind is _BOUNDARY:
         # 8 one-byte-range + 8 two-byte-range words: FPC encodes this in
         # exactly 240 bits (31B with the tag), so a *pair* sums to 62B —
         # it fits a bare 64-byte slot but not one with a 4-byte marker
@@ -227,7 +238,7 @@ def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:
             magnitude = 300 + s % 29000  # always the 16-bit class
             words.append(magnitude if s & (1 << 40) else -magnitude)
         return _PACK_16I(*words)
-    if kind is PatternKind.MEDIUM:
+    if kind is _MEDIUM:
         words = []
         for _ in range(16):
             s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _M64

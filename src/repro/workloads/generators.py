@@ -93,6 +93,11 @@ def draw_span(n: int) -> Tuple[int, int]:
     return n, n.bit_length()
 
 
+#: ``_new_record(TraceRecord, fields)`` is what the NamedTuple's generated
+#: ``__new__`` does with all four fields, without that Python frame
+_new_record = tuple.__new__
+
+
 class TraceExhausted(Exception):
     """Raised by ``_record()`` when a finite record source runs out.
 
@@ -148,13 +153,20 @@ class RecordStreamGenerator:
 
     def generate(self, num_ops: int) -> Iterator[TraceRecord]:
         """Yield up to ``num_ops`` trace records."""
+        record = self._record
+        # the base class's hook does nothing, so it is called only when
+        # overridden (in a subclass or on the instance)
+        on_replay = self._on_replay
+        if getattr(on_replay, "__func__", None) is RecordStreamGenerator._on_replay:
+            on_replay = None
         for _ in range(num_ops):
             try:
-                record = self._record()
+                item = record()
             except TraceExhausted:
                 return
-            self._on_replay(record)
-            yield record
+            if on_replay is not None:
+                on_replay(item)
+            yield item
 
     def generate_batched(
         self,
@@ -235,45 +247,47 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
 
     # ------------------------------------------------------------------
 
-    def _next_address(self) -> int:
-        footprint = self._footprint
+    def _record(self) -> TraceRecord:
+        """Draw the next trace record (the single source of RNG order).
+
+        The gap, then the address, then the store decision.  An address
+        finishes the burst opened by the last jump, continues the stream
+        (or jumps from it), or reuses a hot line or jumps at random,
+        which opens a burst.  Every address joins the hot set.
+        """
+        getrandbits = self._getrandbits
+        random = self._random
+        gap = draw_below(getrandbits, self._gap_span, self._gap_bits)
+        hot = self._hot
         if self._burst_left > 0:
             # finish the spatial neighbourhood opened by the last jump
             self._burst_left -= 1
-            addr = self._burst_pos = (self._burst_pos + 1) % footprint
-            self._hot.append(addr)
-            return addr
-        getrandbits = self._getrandbits
-        draw = self._random()
-        if draw < self._seq_frac:
-            addr = (self._stream_pos + 1) % footprint
-            if self._random() < self._jump_p:
-                addr = draw_below(getrandbits, footprint, self._footprint_bits)
-            self._stream_pos = addr
+            vline = self._burst_pos = (self._burst_pos + 1) % self._footprint
         else:
-            hot = self._hot
-            if draw < self._reuse_cut and hot:
-                n = len(hot)
-                addr = hot[draw_below(getrandbits, n, n.bit_length())]
+            draw = random()
+            if draw < self._seq_frac:
+                vline = (self._stream_pos + 1) % self._footprint
+                if random() < self._jump_p:
+                    vline = draw_below(getrandbits, self._footprint, self._footprint_bits)
+                self._stream_pos = vline
             else:
-                addr = draw_below(getrandbits, footprint, self._footprint_bits)
-            if self._burst_span > 1:
-                self._burst_pos = addr
-                self._burst_left = draw_below(
-                    getrandbits, self._burst_span, self._burst_bits
-                )
-        self._hot.append(addr)
-        return addr
-
-    def _record(self) -> TraceRecord:
-        """Draw the next trace record (the single source of RNG order)."""
-        gap = draw_below(self._getrandbits, self._gap_span, self._gap_bits)
-        vline = self._next_address()
-        if self._random() < self._write_frac:
-            version = self._versions.get(vline, 0) + 1
-            self._versions[vline] = version
-            return TraceRecord(gap, True, vline, self.data.line(vline, version))
-        return TraceRecord(gap, False, vline, None)
+                if draw < self._reuse_cut and hot:
+                    n = len(hot)
+                    vline = hot[draw_below(getrandbits, n, n.bit_length())]
+                else:
+                    vline = draw_below(getrandbits, self._footprint, self._footprint_bits)
+                if self._burst_span > 1:
+                    self._burst_pos = vline
+                    self._burst_left = draw_below(
+                        getrandbits, self._burst_span, self._burst_bits
+                    )
+        hot.append(vline)
+        if random() < self._write_frac:
+            versions = self._versions
+            version = versions.get(vline, 0) + 1
+            versions[vline] = version
+            return _new_record(TraceRecord, (gap, True, vline, self.data.line(vline, version)))
+        return _new_record(TraceRecord, (gap, False, vline, None))
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Tests for the cache hierarchy wired to a memory controller."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.cache import CacheLine
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.replacement import POLICIES
 from repro.core.policy import SamplingPolicy
@@ -36,12 +38,18 @@ def make_hierarchy(controller_cls=UncompressedController, policy=None):
 
 
 class TestServingLevels:
+    """``access`` returns the completion cycle: a hit completes its
+    level's latency after ``now`` (and counts in that level's hits); a
+    memory access completes later than the L3 latency would."""
+
     def test_miss_then_l1_hit(self):
         h = make_hierarchy()
         first = h.access(0, 5, False, 0)
-        assert first.served_by == "mem"
+        assert h.l3.misses == 1
+        assert first > SMALL.l3_latency
         second = h.access(0, 5, False, 1000)
-        assert second.served_by == "l1"
+        assert h.l1s[0].hits == 1
+        assert second == 1000 + SMALL.l1_latency
 
     def test_l2_hit_after_l1_eviction(self):
         h = make_hierarchy()
@@ -50,21 +58,27 @@ class TestServingLevels:
         sets = h.l1s[0].num_sets
         for i in range(1, 10):
             h.access(0, 5 + i * sets, False, 0)
-        outcome = h.access(0, 5, False, 0)
-        assert outcome.served_by in ("l2", "l3")
+        l2_hits, l3_hits = h.l2s[0].hits, h.l3.hits
+        completion = h.access(0, 5, False, 0)
+        served_by_l2 = h.l2s[0].hits == l2_hits + 1
+        served_by_l3 = h.l3.hits == l3_hits + 1
+        assert served_by_l2 != served_by_l3  # exactly one level served it
+        latency = SMALL.l2_latency if served_by_l2 else SMALL.l3_latency
+        assert completion == latency
 
     def test_latencies_ordered(self):
         h = make_hierarchy()
-        mem = h.access(0, 5, False, 0).completion
-        l1 = h.access(0, 5, False, 0).completion
+        mem = h.access(0, 5, False, 0)
+        l1 = h.access(0, 5, False, 0)
         assert l1 < mem
 
     def test_private_l1_per_core(self):
         h = make_hierarchy()
         h.access(0, 5, False, 0)
-        outcome = h.access(1, 5, False, 0)
+        completion = h.access(1, 5, False, 0)
         # core 1 misses its own L1/L2 but hits the shared L3
-        assert outcome.served_by == "l3"
+        assert (h.l1s[1].misses, h.l2s[1].misses, h.l3.hits) == (1, 1, 1)
+        assert completion == SMALL.l3_latency
 
 
 class TestWritePath:
@@ -184,8 +198,10 @@ class TestPrefetchAccounting:
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         # re-read the group base: neighbours install into L3 as prefetched
-        outcome = h.access(0, 8, False, 10_000)
-        assert outcome.served_by == "mem"
+        l3_misses = h.l3.misses
+        completion = h.access(0, 8, False, 10_000)
+        assert h.l3.misses == l3_misses + 1  # served by memory
+        assert completion > 10_000 + SMALL.l3_latency
         neighbour = h.l3.probe(9)
         assert neighbour is not None
         assert neighbour.prefetched
@@ -258,7 +274,8 @@ class TestPolicyHierarchyProperties:
     def test_rereference_hits_l1_every_policy(self, policy):
         h = self._policy_hierarchy(policy)
         h.access(0, 17, False, 0)
-        assert h.access(0, 17, False, 10).served_by == "l1"
+        assert h.access(0, 17, False, 10) == 10 + h.config.l1_latency
+        assert h.l1s[0].hits == 1
 
 
 class TestWastedPrefetchAccounting:
@@ -286,3 +303,236 @@ class TestWastedPrefetchAccounting:
         h.access(0, 9, False, 20_000)  # demand hit clears the prefetched bit
         h.llc_view.force_evict(9)
         assert h.wasted_prefetches == 0
+
+
+# ----------------------------------------------------------------------
+# Reference orchestration: ``access`` as a chain of helpers (``_store``,
+# ``_install_l3``, ``_left_l3``) and ``flush`` as a rescan from set 0,
+# copied here so the one-body ``access`` and the draining ``flush`` are
+# held to them bit for bit.  Each runs over a hierarchy of its own.
+
+
+def _reference_store(h, addr, data):
+    line = h.l3.probe(addr)
+    if line is None:
+        raise RuntimeError("inclusion violated: store target missing from L3")
+    line.data = data
+    line.dirty = True
+
+
+def _reference_left_l3(h, line):
+    if line.prefetched:
+        h.wasted_prefetches += 1
+    h.l1s[line.core_id].invalidate(line.addr)
+    h.l2s[line.core_id].invalidate(line.addr)
+
+
+def _reference_install_l3(h, addr, data, now, core_id, fill_level, prefetched=False):
+    line = CacheLine(addr, data, False, fill_level, core_id, prefetched)
+    victim = h.l3.install(line)
+    if victim is not None:
+        _reference_left_l3(h, victim)
+        h.controller.handle_eviction(victim, now, victim.core_id, h.llc_view)
+    return line
+
+
+def reference_access(h, core_id, addr, is_write, now, write_data=None):
+    """One demand access through ``h``; returns its completion cycle."""
+    if is_write and write_data is None:
+        raise ValueError("writes must carry their new line contents")
+    h.demand_accesses += 1
+    cfg = h.config
+    l1 = h.l1s[core_id]
+    if l1.lookup(addr) is not None:
+        if is_write:
+            _reference_store(h, addr, write_data)
+        return now + cfg.l1_latency
+    l2 = h.l2s[core_id]
+    line = l2.lookup(addr)
+    if line is not None:
+        l1.install(line)
+        if is_write:
+            _reference_store(h, addr, write_data)
+        return now + cfg.l2_latency
+    line = h.l3.lookup(addr)
+    if line is not None:
+        line.core_id = core_id
+        if line.prefetched:
+            line.prefetched = False
+            h.useful_prefetches += 1
+            if h.policy is not None and h.llc_view.is_sampled_set(addr):
+                h.policy.on_benefit(line.core_id)
+        l2.install(line)
+        l1.install(line)
+        if is_write:
+            _reference_store(h, addr, write_data)
+        return now + cfg.l3_latency
+    result = h.controller.read_line(addr, now, core_id, h.llc_view)
+    for extra_addr, extra_data in result.extra_lines.items():
+        if h.l3.probe(extra_addr) is None:
+            _reference_install_l3(
+                h, extra_addr, extra_data, now, core_id, result.level, prefetched=True
+            )
+    line = _reference_install_l3(h, addr, result._data, now, core_id, result.level)
+    l2.install(line)
+    l1.install(line)
+    if is_write:
+        _reference_store(h, addr, write_data)
+    return result.completion + cfg.l3_latency
+
+
+def reference_flush(h, now):
+    """Empty the private levels, then hand the L3's first resident line
+    to the controller until none is left."""
+    for cache in [*h.l1s, *h.l2s]:
+        cache.drain(lambda line: None)
+    while True:
+        victim = next(h.l3.resident(), None)
+        if victim is None:
+            break
+        evicted = h.l3.evict(victim.addr)
+        h.controller.handle_eviction(evicted, now, evicted.core_id, h.llc_view)
+
+
+def _hierarchy_state(h):
+    """Everything a simulation can observe of ``h``, for an equality test."""
+    caches = []
+    for cache in [h.l3, *h.l1s, *h.l2s]:
+        sets = [
+            [(a, l.dirty, l.fill_level, l.core_id, l.prefetched, l.data)
+             for a, l in cache_set.items()]
+            for cache_set in cache._sets
+        ]
+        caches.append(
+            (cache.name, cache.hits, cache.misses, cache.policy_evictions,
+             cache.prefetch_victims, sets)
+        )
+    controller = h.controller
+    benefits = None if h.policy is None else (h.policy.benefits, h.policy.costs)
+    return {
+        "caches": caches,
+        "prefetches": (h.useful_prefetches, h.wasted_prefetches, h.demand_accesses),
+        "benefits": benefits,
+        "dram": controller.dram.stats,
+        "memory": controller.memory.resident_lines(),
+    }
+
+
+def _twin_hierarchies(controller_name, cfg):
+    """Two hierarchies built alike, each over its own memory and DRAM."""
+    twins = []
+    for _ in range(2):
+        memory = PhysicalMemory(1 << 16)
+        dram = DRAMSystem()
+        if controller_name == "ptmc":
+            policy = SamplingPolicy(sample_period=2, num_cores=2)
+            controller = PTMCController(memory, dram, policy=policy)
+        else:
+            policy = None
+            controller = UncompressedController(memory, dram)
+        twins.append(CacheHierarchy(controller, cfg, policy))
+    return twins
+
+
+#: a 64-line L3 over 512 lines of traffic, so L3 victims, packed groups,
+#: co-fetches and their later hits or evictions are common
+_REF_CFG = dataclasses.replace(SMALL, l2_bytes=2 * 1024, l3_bytes=4 * 1024, policy_seed=3)
+
+#: one non-LRU policy at one level (LRU elsewhere), or one policy at all three
+_LEVEL_POLICIES = [
+    (level, policy)
+    for policy in sorted(POLICIES)
+    for level in ("l1", "l2", "l3", "all")
+    if policy != "lru" or level == "all"
+]
+
+
+def _stream(rng, length):
+    """``(addr, op)`` pairs: sequential runs (whole compression groups, so
+    PTMC packs, co-fetches and gangs), a hot range and scattered lines,
+    with loads, stores of compressible or noisy data and forced
+    evictions."""
+    addr = 0
+    for _ in range(length):
+        draw = rng.random()
+        if draw < 0.45:
+            addr = (addr + 1) % 512
+        elif draw < 0.7:
+            addr = rng.randrange(48)
+        else:
+            addr = rng.randrange(512)
+        op = rng.choices(["load", "store", "store_noise", "force_evict"], [6, 4, 1, 1])[0]
+        yield addr, op
+
+
+class TestAccessMatchesReference:
+    """``access`` is bit for bit the reference orchestration: the same
+    completion cycles, cache statistics, per-set key order, line records,
+    prefetch accounting, DRAM statistics and memory contents, for every
+    replacement policy at every level, under a controller that never
+    co-fetches and one that does."""
+
+    @pytest.mark.parametrize("controller_name", ["uncompressed", "ptmc"])
+    @pytest.mark.parametrize("level,policy", _LEVEL_POLICIES)
+    @settings(deadline=None, max_examples=8)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), length=st.integers(1, 400))
+    def test_access_matches_reference(self, controller_name, level, policy, seed, length):
+        levels = ("l1", "l2", "l3") if level == "all" else (level,)
+        cfg = dataclasses.replace(
+            _REF_CFG, **{f"{lv}_policy": policy for lv in levels}
+        )
+        h, ref = _twin_hierarchies(controller_name, cfg)
+        noise = bytes(range(64))
+        for cycle, (addr, op) in enumerate(_stream(random.Random(seed), length)):
+            if op == "force_evict":
+                h.llc_view.force_evict(addr)
+                ref.llc_view.force_evict(addr)
+                continue
+            core = (addr // 64) % 2  # pages are core-private
+            data = {"load": None, "store": quad_friendly_line(addr),
+                    "store_noise": noise}[op]
+            now = cycle * 40
+            completion = h.access(core, addr, data is not None, now, data)
+            assert completion == reference_access(
+                ref, core, addr, data is not None, now, data
+            )
+        assert _hierarchy_state(h) == _hierarchy_state(ref)
+
+
+class TestFlush:
+    @staticmethod
+    def _filled_twins():
+        """Two PTMC hierarchies holding compressible dirty groups, some
+        compacted and re-read (so flushing them gangs partners out)."""
+        twins = _twin_hierarchies("ptmc", SMALL)
+        for h in twins:
+            for addr in range(512):
+                core = (addr // 64) % 2
+                h.access(core, addr, True, addr * 20, quad_friendly_line(addr))
+            for addr in range(0, 96, 4):  # re-read evicted, packed groups
+                h.access((addr // 64) % 2, addr, False, 20_000 + addr * 20)
+        return twins
+
+    @staticmethod
+    def _record_victims(h):
+        seen = []
+        handle = h.controller.handle_eviction
+
+        def recorded(victim, now, core_id, llc):
+            result = handle(victim, now, core_id, llc)
+            seen.append((victim.addr, victim.dirty, victim.core_id, tuple(result.ganged)))
+            return result
+
+        h.controller.handle_eviction = recorded
+        return seen
+
+    def test_flush_matches_rescan_order(self):
+        h, ref = self._filled_twins()
+        assert _hierarchy_state(h) == _hierarchy_state(ref)
+        seen, ref_seen = self._record_victims(h), self._record_victims(ref)
+        h.flush(50_000)
+        reference_flush(ref, 50_000)
+        assert seen == ref_seen
+        assert any(ganged for *_, ganged in seen)  # the flush ganged partners
+        assert h.l3.occupancy() == 0
+        assert _hierarchy_state(h) == _hierarchy_state(ref)
