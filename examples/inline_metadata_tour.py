@@ -27,10 +27,12 @@ from repro.types import Level
 
 
 class TinyLLC(NullLLCView):
-    """A minimal LLC view holding explicit lines (for the demo)."""
+    """A minimal LLC view holding explicit lines (for the demo); it logs
+    the lines ganged eviction takes out of it."""
 
     def __init__(self):
         self.lines = {}
+        self.ganged = []
 
     def add(self, addr, data, dirty=True):
         self.lines[addr] = EvictedLine(addr, data, dirty, Level.UNCOMPRESSED, 0)
@@ -39,7 +41,10 @@ class TinyLLC(NullLLCView):
         return self.lines.get(addr)
 
     def force_evict(self, addr):
-        return self.lines.pop(addr, None)
+        line = self.lines.pop(addr, None)
+        if line is not None:
+            self.ganged.append(addr)
+        return line
 
 
 def sparse_line(values):
@@ -61,11 +66,10 @@ def main() -> None:
     llc = TinyLLC()
     for i in range(1, 4):
         llc.add(8 + i, lines[i])
-    result = ptmc.handle_eviction(
-        EvictedLine(8, lines[0], True, Level.UNCOMPRESSED, 0), 0, 0, llc
-    )
-    print(f"evicting line 8 with lines 9-11 resident -> level {result.level.name}")
-    print(f"ganged eviction pulled out: {result.ganged}")
+    ptmc.handle_eviction(EvictedLine(8, lines[0], True, Level.UNCOMPRESSED, 0), 0, 0, llc)
+    level = ptmc.markers.classify(8, memory.read(8)).level
+    print(f"evicting line 8 with lines 9-11 resident -> level {level.name}")
+    print(f"ganged eviction pulled out: {llc.ganged}")
     slot = memory.read(8)
     print(f"slot 8 tail (the 4:1 marker): {slot[-4:].hex()}")
     print(f"marker expected for slot 8 : {ptmc.markers.marker(8, Level.QUAD).hex()}")

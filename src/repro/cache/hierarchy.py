@@ -131,9 +131,6 @@ class CacheHierarchy:
         self.useful_prefetches = 0
         self.wasted_prefetches = 0
         self.demand_accesses = 0
-        # give prefetch-style controllers a residency filter
-        if hasattr(controller, "resident_filter"):
-            controller.resident_filter = lambda addr: self.l3.probe(addr) is not None
 
     def register_stats(self, scope: StatScope) -> None:
         """Expose LLC counters at the scope root plus L1/L2 aggregates.

@@ -45,7 +45,6 @@ from repro.types import (
     Category,
     Level,
     ReadResult,
-    WriteResult,
 )
 
 __all__ = [
@@ -83,6 +82,5 @@ __all__ = [
     "Category",
     "Level",
     "ReadResult",
-    "WriteResult",
     "UncompressedController",
 ]

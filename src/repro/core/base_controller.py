@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
-from repro.types import ReadResult, WriteResult
+from repro.types import ReadResult
 
 if TYPE_CHECKING:  # import kept lazy to avoid a cache <-> core cycle
     from repro.cache.cache import EvictedLine
@@ -73,8 +73,11 @@ class MemoryController(ABC):
     @abstractmethod
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
-        """Service an LLC eviction (clean or dirty)."""
+    ) -> None:
+        """Service an LLC eviction (clean or dirty).
+
+        What it costs shows in the DRAM categories and the design's
+        counters; the lines it gangs out have left ``llc``."""
 
     def register_stats(self, scope: StatScope) -> None:
         """Register this design's counters under its registry namespace.

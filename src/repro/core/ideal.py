@@ -23,7 +23,7 @@ from repro.compression.hybrid import HybridCompressor
 from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
 from repro.core.packing import payload_budget
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 
@@ -38,13 +38,9 @@ class IdealTMCController(MemoryController):
         memory: PhysicalMemory,
         dram: DRAMSystem,
         compressor: Optional[CompressionAlgorithm] = None,
-        marker_size: int = 4,
-        decompression_latency: int = DECOMPRESSION_LATENCY,
     ) -> None:
         super().__init__(memory, dram)
         self.compressor = compressor if compressor is not None else HybridCompressor()
-        self.marker_size = marker_size
-        self.decompression_latency = decompression_latency
         self._write_credit: dict = {}
 
     def _fits(self, addrs, level: Level) -> bool:
@@ -54,7 +50,7 @@ class IdealTMCController(MemoryController):
         bytes + marker reserve) so the co-fetch opportunity matches what
         PTMC could achieve with perfect knowledge.
         """
-        budget = payload_budget(level, self.marker_size)
+        budget = payload_budget(level)
         total = 0
         for addr in addrs:
             size = self.compressor.compressed_size(self.memory.read(addr))
@@ -78,12 +74,12 @@ class IdealTMCController(MemoryController):
                 co_fetched, level = [addr], Level.UNCOMPRESSED
         extras = {m: self.memory.read(m) for m in co_fetched if m != addr}
         if level is not Level.UNCOMPRESSED:
-            completion += self.decompression_latency
+            completion += DECOMPRESSION_LATENCY
         return ReadResult(addr, self.memory.read(addr), level, completion, 1, extras)
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
+    ) -> None:
         """Dirty writebacks only; compressible groups combine their writes.
 
         The oracle also gets compression's *write*-bandwidth benefit: when
@@ -93,7 +89,7 @@ class IdealTMCController(MemoryController):
         tracking timing).
         """
         if not evicted.dirty:
-            return WriteResult()  # clean evictions are free, as in the baseline
+            return  # clean evictions are free, as in the baseline
         self.memory.write(evicted.addr, evicted.data)
         group = address_map.group_lines(evicted.addr)
         if self._fits(group, Level.QUAD):
@@ -107,8 +103,7 @@ class IdealTMCController(MemoryController):
         remaining = self._write_credit.get(slot, 0)
         if remaining > 0:
             self._write_credit[slot] = remaining - 1
-            return WriteResult()  # absorbed by the group's combined write
+            return  # absorbed by the group's combined write
         self.dram.access(evicted.addr, now, Category.DATA_WRITE)
         if credit:
             self._write_credit[slot] = credit
-        return WriteResult(1)

@@ -20,26 +20,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cache.cache import Cache, EvictedLine
+from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.core.metadata_table import MetadataCache
+from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
 
-_PLACEHOLDER = b"\x00" * 64
+#: data lines one metadata line covers: 4-bit burst count x 128 lines = 64 bytes
+LINES_PER_METADATA_LINE = 128
 
 
 @dataclass(frozen=True)
 class MemZipConfig:
-    """Metadata organisation and burst quantisation."""
+    """Metadata-cache organisation."""
 
     cache_bytes: int = 32 * 1024
     cache_ways: int = 8
-    lines_per_metadata_slot: int = 128  # 4-bit burst count x 128 lines = 64B
-    decompression_latency: int = DECOMPRESSION_LATENCY
 
 
 class MemZipController(MemoryController):
@@ -59,30 +59,14 @@ class MemZipController(MemoryController):
         self.compressor = compressor if compressor is not None else HybridCompressor()
         #: burst count (8-byte beats, 1..8) per line; authoritative table
         self._bursts: Dict[int, int] = {}
-        self.metadata_cache = Cache(
-            config.cache_bytes, config.cache_ways, name="memzip_metadata"
+        self.metadata_cache = MetadataCache(
+            config.cache_bytes,
+            config.cache_ways,
+            "memzip_metadata",
+            LINES_PER_METADATA_LINE,
+            memory,
+            dram,
         )
-
-    # Metadata plumbing ----------------------------------------------------
-
-    def _metadata_addr(self, line_addr: int) -> int:
-        index = line_addr // self.config.lines_per_metadata_slot
-        return self.memory.capacity_lines - 1 - index
-
-    def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
-        meta_addr = self._metadata_addr(line_addr)
-        hit = self.metadata_cache.lookup(meta_addr)
-        if hit is not None:
-            hit.dirty = hit.dirty or dirty
-            return
-        self.dram.access(meta_addr, now, Category.METADATA_READ)
-        victim = self.metadata_cache.fill(meta_addr, _PLACEHOLDER, dirty=dirty)
-        if victim is not None and victim.dirty:
-            self.dram.access(victim.addr, now, Category.METADATA_WRITE)
-
-    @property
-    def metadata_hit_rate(self) -> float:
-        return self.metadata_cache.hit_rate
 
     def register_stats(self, scope: StatScope) -> None:
         """Expose the metadata cache (``memzip.metadata_cache.*``).
@@ -101,7 +85,7 @@ class MemZipController(MemoryController):
     # Read path ------------------------------------------------------------
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
-        self._touch_metadata(addr, now, dirty=False)
+        self.metadata_cache.touch(addr, now, dirty=False)
         bursts = self._burst_count(addr)
         completion = self.dram.access(
             addr, now, Category.DATA_READ, burst_bytes=bursts * 8
@@ -113,7 +97,7 @@ class MemZipController(MemoryController):
             # compressed slot layout: [payload length][payload][padding]
             payload = raw[1 : 1 + raw[0]]
             data = self.compressor.decompress(payload)
-            completion += self.config.decompression_latency
+            completion += DECOMPRESSION_LATENCY
         return ReadResult(
             addr=addr, data=data, level=Level.UNCOMPRESSED, completion=completion
         )
@@ -122,9 +106,9 @@ class MemZipController(MemoryController):
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
+    ) -> None:
         if not evicted.dirty:
-            return WriteResult()  # compressed image in memory is still valid
+            return  # compressed image in memory is still valid
         payload, size = self.compressor.compress_and_size(evicted.data)
         if payload is not None and size + 1 <= 56:
             stored = bytes([len(payload)]) + payload
@@ -139,8 +123,7 @@ class MemZipController(MemoryController):
             evicted.addr, now, Category.DATA_WRITE, burst_bytes=bursts * 8
         )
         self.memory.write(evicted.addr, slot)
-        self._touch_metadata(evicted.addr, now, dirty=bursts != previous)
-        return WriteResult(writes=1)
+        self.metadata_cache.touch(evicted.addr, now, dirty=bursts != previous)
 
     def storage_bits(self) -> Dict[str, int]:
         return {"metadata_cache": self.config.cache_bytes * 8}

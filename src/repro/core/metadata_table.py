@@ -16,38 +16,74 @@ capturing the spatial locality the paper grants prior designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cache.cache import Cache, EvictedLine
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
 from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
-from repro.core.packing import compress_group, decompress_group
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.core.packing import decompress_group, plan_group
+from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
 
-_EMPTY_MARKER = b""
+#: data lines one metadata line covers: 2-bit CSI x 256 lines = 64 bytes
+LINES_PER_METADATA_LINE = 256
+
+_PLACEHOLDER = b"\x00" * 64
+"""Metadata-cache lines model presence only; the controller keeps the
+table's contents."""
 
 
 @dataclass(frozen=True)
 class MetadataTableConfig:
-    """Metadata-cache and table organisation."""
+    """Metadata-cache organisation."""
 
     cache_bytes: int = 32 * 1024
     cache_ways: int = 8
-    lines_per_metadata_slot: int = 256  # 2 bits x 256 lines = 64 bytes
-    decompression_latency: int = DECOMPRESSION_LATENCY
 
 
-@dataclass
-class _LineState:
-    addr: int
-    data: bytes
-    dirty: bool
-    fill_level: Level
+class MetadataCache(Cache):
+    """The on-chip cache of a memory-mapped metadata table.
+
+    The table sits at the top of memory, one metadata line per
+    ``lines_per_line`` data lines.  :meth:`touch` reaches the line
+    covering a data line through the cache: a miss costs a
+    ``METADATA_READ``, and a dirty victim a ``METADATA_WRITE``.
+    """
+
+    def __init__(
+        self,
+        size_bytes: int,
+        ways: int,
+        name: str,
+        lines_per_line: int,
+        memory: PhysicalMemory,
+        dram: DRAMSystem,
+    ) -> None:
+        super().__init__(size_bytes, ways, name=name)
+        self._lines_per_line = lines_per_line
+        self._top = memory.capacity_lines - 1
+        self._dram = dram
+
+    def touch(self, line_addr: int, now: int, dirty: bool) -> None:
+        """Access the metadata of ``line_addr``, dirtying it if ``dirty``."""
+        meta_addr = self._top - line_addr // self._lines_per_line
+        hit = self.lookup(meta_addr)
+        if hit is not None:
+            hit.dirty = hit.dirty or dirty
+            return
+        self._dram.access(meta_addr, now, Category.METADATA_READ)
+        victim = self.fill(meta_addr, _PLACEHOLDER, dirty=dirty)
+        if victim is not None and victim.dirty:
+            self._dram.access(victim.addr, now, Category.METADATA_WRITE)
+
+
+def _no_marker(slot: int, level: Level) -> bytes:
+    """The CSI, not the slot, records a slot's level."""
+    return b""
 
 
 class MetadataTableController(MemoryController):
@@ -66,29 +102,17 @@ class MetadataTableController(MemoryController):
         self.config = config
         self.compressor = compressor if compressor is not None else HybridCompressor()
         self._csi: Dict[int, Level] = {}
-        self.metadata_cache = Cache(
-            config.cache_bytes, config.cache_ways, name="metadata_cache"
+        self.metadata_cache = MetadataCache(
+            config.cache_bytes,
+            config.cache_ways,
+            "metadata_cache",
+            LINES_PER_METADATA_LINE,
+            memory,
+            dram,
         )
         self.clean_writebacks = 0
 
     # Metadata plumbing ----------------------------------------------------
-
-    def _metadata_addr(self, line_addr: int) -> int:
-        """Physical slot of the metadata line covering ``line_addr``."""
-        index = line_addr // self.config.lines_per_metadata_slot
-        return self.memory.capacity_lines - 1 - index
-
-    def _touch_metadata(self, line_addr: int, now: int, dirty: bool) -> None:
-        """Access the CSI through the metadata cache, charging DRAM on miss."""
-        meta_addr = self._metadata_addr(line_addr)
-        hit = self.metadata_cache.lookup(meta_addr)
-        if hit is not None:
-            hit.dirty = hit.dirty or dirty
-            return
-        self.dram.access(meta_addr, now, Category.METADATA_READ)
-        victim = self.metadata_cache.fill(meta_addr, _placeholder, dirty=dirty)
-        if victim is not None and victim.dirty:
-            self.dram.access(victim.addr, now, Category.METADATA_WRITE)
 
     def _csi_level(self, addr: int) -> Level:
         return self._csi.get(addr, Level.UNCOMPRESSED)
@@ -103,9 +127,14 @@ class MetadataTableController(MemoryController):
             self._csi[addr] = level
         return True
 
-    @property
-    def metadata_hit_rate(self) -> float:
-        return self.metadata_cache.hit_rate
+    def _state(self, line: EvictedLine) -> EvictedLine:
+        """``line`` as an eviction sees it: its residency comes from the
+        authoritative CSI, not the LLC tag, so skip-write decisions can
+        never desync."""
+        addr = line.addr
+        return EvictedLine(
+            addr, line.data, line.dirty, self._csi_level(addr), line.core_id
+        )
 
     def register_stats(self, scope: StatScope) -> None:
         """Expose the metadata cache (``tmc_table.metadata_cache.*``)."""
@@ -115,7 +144,7 @@ class MetadataTableController(MemoryController):
     # Read path ------------------------------------------------------------
 
     def read_line(self, addr: int, now: int, core_id: int, llc: LLCView) -> ReadResult:
-        self._touch_metadata(addr, now, dirty=False)
+        self.metadata_cache.touch(addr, now, dirty=False)
         level = self._csi_level(addr)
         loc = address_map.location_for(addr, level)
         completion = self.dram.access(loc, now, Category.DATA_READ)
@@ -129,7 +158,7 @@ class MetadataTableController(MemoryController):
             addr=addr,
             data=lines[members.index(addr)],
             level=level,
-            completion=completion + self.config.decompression_latency,
+            completion=completion + DECOMPRESSION_LATENCY,
             extra_lines=extras,
         )
 
@@ -137,55 +166,41 @@ class MetadataTableController(MemoryController):
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
-        result = WriteResult()
-        gang = self._collect_gang(evicted, llc, result, now)
-        candidates: Dict[int, _LineState] = dict(gang)
+    ) -> None:
+        gang = self._collect_gang(evicted, llc, now)
+        candidates: Dict[int, EvictedLine] = dict(gang)
         for neighbour in address_map.group_lines(evicted.addr):
             if neighbour in candidates:
                 continue
             resident = llc.probe(neighbour)
             if resident is not None:
-                # previous residency comes from the authoritative CSI, not
-                # the LLC tag, so skip-write decisions can never desync
-                candidates[neighbour] = _LineState(
-                    neighbour, resident.data, resident.dirty, self._csi_level(neighbour)
-                )
+                candidates[neighbour] = self._state(resident)
 
-        units = []
-        for unit in self._plan_placement(evicted.addr, candidates):
-            level, slot, members, packed = unit
-            if level is Level.UNCOMPRESSED and members[0] not in gang:
-                continue
-            if level is not Level.UNCOMPRESSED and not any(m in gang for m in members):
-                continue
-            units.append(unit)
-            if level is not Level.UNCOMPRESSED:
+        # PTMC's placement with empty markers; a compressed unit must
+        # involve a line that is leaving, and gangs its partners out
+        base = address_map.group_base(evicted.addr)
+        csi_dirty = False
+        for level, slot, packed in plan_group(self.compressor, base, candidates, _no_marker):
+            if level is Level.UNCOMPRESSED:
+                if slot not in gang:
+                    continue  # resident neighbour not compacted: leave it be
+            else:
+                members = range(slot, slot + level)
+                if gang.keys().isdisjoint(members):
+                    continue  # don't compact groups unrelated to the victim
                 for member in members:
                     if member not in gang:
                         llc.force_evict(member)
                         gang[member] = candidates[member]
-                        result.ganged.append(member)
-        result.level = max(
-            (level for level, _, _, _ in units), default=Level.UNCOMPRESSED
-        )
-
-        csi_dirty = False
-        for level, slot, members, packed in units:
-            csi_dirty |= self._write_unit(level, slot, members, packed, gang, now, result)
+            csi_dirty |= self._write_unit(level, slot, packed, gang, now)
         if csi_dirty:
-            self._touch_metadata(evicted.addr, now, dirty=True)
-        return result
+            self.metadata_cache.touch(evicted.addr, now, dirty=True)
 
     def _collect_gang(
-        self, evicted: EvictedLine, llc: LLCView, result: WriteResult, now: int
-    ) -> Dict[int, _LineState]:
+        self, evicted: EvictedLine, llc: LLCView, now: int
+    ) -> Dict[int, EvictedLine]:
         """Ganged eviction driven by the authoritative CSI."""
-        gang: Dict[int, _LineState] = {
-            evicted.addr: _LineState(
-                evicted.addr, evicted.data, evicted.dirty, self._csi_level(evicted.addr)
-            )
-        }
+        gang: Dict[int, EvictedLine] = {evicted.addr: self._state(evicted)}
         frontier = [evicted.addr]
         while frontier:
             addr = frontier.pop()
@@ -198,61 +213,30 @@ class MetadataTableController(MemoryController):
                     continue
                 line = llc.force_evict(member)
                 if line is not None:
-                    gang[member] = _LineState(
-                        member, line.data, line.dirty, self._csi_level(member)
-                    )
-                    result.ganged.append(member)
-                    frontier.append(member)
+                    gang[member] = self._state(line)
                 else:
-                    # partner uncached: recover from the compressed slot (RMW)
+                    # partner uncached: recover from the compressed slot (RMW),
+                    # one read per missing member
                     self.dram.access(slot, now, Category.MAINTENANCE)
                     lines = decompress_group(
                         self.compressor, self.memory.read(slot), level
                     )
-                    members_all = address_map.slot_members(slot, level)
-                    gang[member] = _LineState(
-                        member, lines[members_all.index(member)], False, level
+                    gang[member] = EvictedLine(
+                        member, lines[member - slot], False, level
                     )
-                    frontier.append(member)
+                frontier.append(member)
         return gang
-
-    def _plan_placement(
-        self, addr: int, candidates: Dict[int, _LineState]
-    ) -> List[Tuple[Level, int, List[int], Optional[bytes]]]:
-        base = address_map.group_base(addr)
-        group = address_map.group_lines(addr)
-        if all(a in candidates for a in group):
-            packed = compress_group(
-                self.compressor, [candidates[a].data for a in group], _EMPTY_MARKER
-            )
-            if packed is not None:
-                return [(Level.QUAD, base, group, packed)]
-        units: List[Tuple[Level, int, List[int], Optional[bytes]]] = []
-        for pair_start in (base, base + 2):
-            pair = [pair_start, pair_start + 1]
-            present = [a for a in pair if a in candidates]
-            if len(present) == 2:
-                packed = compress_group(
-                    self.compressor, [candidates[a].data for a in pair], _EMPTY_MARKER
-                )
-                if packed is not None:
-                    units.append((Level.PAIR, pair_start, pair, packed))
-                    continue
-            for a in present:
-                units.append((Level.UNCOMPRESSED, a, [a], None))
-        return units
 
     def _write_unit(
         self,
         level: Level,
         slot: int,
-        members: List[int],
         packed: Optional[bytes],
-        gang: Dict[int, _LineState],
+        gang: Dict[int, EvictedLine],
         now: int,
-        result: WriteResult,
     ) -> bool:
         """Write one unit and update the CSI; returns whether CSI changed."""
+        members = address_map.slot_members(slot, level)
         states = [gang[a] for a in members]
         any_dirty = any(s.dirty for s in states)
         updates = [self._csi_set(a, level) for a in members]  # no short-circuit
@@ -272,16 +256,10 @@ class MetadataTableController(MemoryController):
             category = Category.DATA_WRITE if any_dirty else Category.CLEAN_WRITEBACK
             self.dram.access(slot, now, category)
             self.memory.write(slot, packed)
-        result.writes += 1
         if category is Category.CLEAN_WRITEBACK:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
         return changed
 
     def storage_bits(self) -> Dict[str, int]:
         """On-chip cost: the 32KB metadata cache dominates."""
         return {"metadata_cache": self.config.cache_bytes * 8}
-
-
-_placeholder = b"\x00" * 64
-"""Metadata-cache lines model presence only; contents live in ``_csi``."""

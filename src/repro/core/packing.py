@@ -14,10 +14,22 @@ space once the 4-byte marker is reserved".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionError
 from repro.types import Level
+
+if TYPE_CHECKING:  # import kept lazy to avoid a cache <-> core cycle
+    from repro.cache.cache import CacheLine
+
+#: A placement decision: (level, slot, packed slot bytes).  Its members
+#: are the ``level`` lines from ``slot`` on (``address_map.slot_members``).
+Unit = Tuple[Level, int, Optional[bytes]]
+
+# enum members as globals, not reads through their class (DESIGN.md §14)
+_UNCOMPRESSED = Level.UNCOMPRESSED
+_PAIR = Level.PAIR
+_QUAD = Level.QUAD
 
 
 def payload_budget(level: Level, marker_size: int = 4) -> int:
@@ -105,3 +117,45 @@ def decompress_group(
 ) -> List[bytes]:
     """Recover all member lines of a compressed slot, in group order."""
     return [algorithm.decompress(p) for p in unpack_slot(slot, level)]
+
+
+def plan_group(
+    compressor: CompressionAlgorithm,
+    base: int,
+    candidates: Mapping[int, CacheLine],
+    marker: Callable[[int, Level], bytes],
+) -> List[Unit]:
+    """Choose the new residency of a group's candidate lines (Fig. 3).
+
+    ``candidates`` maps lines of the group at ``base`` to their records
+    (read for ``data`` only).  All four pack 4:1 into ``base`` if they
+    fit; otherwise each even pair present packs 2:1 into its first line
+    if it fits; every other candidate goes home uncompressed.  A packed
+    slot ends with ``marker(slot, level)``, which is empty for a design
+    that keeps the level in a table.
+    """
+    # candidates never leave the group: four means all of it
+    if len(candidates) == 4:
+        packed = compress_group(
+            compressor,
+            [candidates[a].data for a in range(base, base + 4)],
+            marker(base, _QUAD),
+        )
+        if packed is not None:
+            return [(_QUAD, base, packed)]
+    units: List[Unit] = []
+    for pair_start in (base, base + 2):
+        first = candidates.get(pair_start)
+        second = candidates.get(pair_start + 1)
+        if first is not None and second is not None:
+            packed = compress_group(
+                compressor, [first.data, second.data], marker(pair_start, _PAIR)
+            )
+            if packed is not None:
+                units.append((_PAIR, pair_start, packed))
+                continue
+        if first is not None:
+            units.append((_UNCOMPRESSED, pair_start, None))
+        if second is not None:
+            units.append((_UNCOMPRESSED, pair_start + 1, None))
+    return units

@@ -9,10 +9,8 @@ free" out of a compressed slot matters.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.core.base_controller import LLCView, MemoryController
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult
 from repro.cache.cache import EvictedLine
 from repro.telemetry import StatScope
 
@@ -22,12 +20,8 @@ class NextLinePrefetchController(MemoryController):
 
     name = "nextline_prefetch"
 
-    def __init__(self, memory, dram, resident_filter: Optional[Callable[[int], bool]] = None):
+    def __init__(self, memory, dram):
         super().__init__(memory, dram)
-        #: callable answering "is this line already in the LLC?" so the
-        #: prefetcher does not waste bandwidth on resident lines; wired up
-        #: by the hierarchy at construction time.
-        self.resident_filter = resident_filter
         self.prefetches_issued = 0
 
     #: lines per 4KB page; next-line prefetchers do not cross page
@@ -42,14 +36,12 @@ class NextLinePrefetchController(MemoryController):
         completion = self.dram.access(addr, now, Category.DATA_READ)
         extras = {}
         next_addr = addr + 1
-        already_resident = (
-            self.resident_filter is not None and self.resident_filter(next_addr)
-        )
-        crosses_page = next_addr % self.LINES_PER_PAGE == 0
+        # no prefetch past the end of memory, across a page boundary, or of
+        # a line the LLC already holds
         if (
             next_addr < self.memory.capacity_lines
-            and not already_resident
-            and not crosses_page
+            and next_addr % self.LINES_PER_PAGE != 0
+            and llc.probe(next_addr) is None
         ):
             self.dram.access(next_addr, now, Category.PREFETCH_READ)
             # co-fetched lines are bytes to every reader of ``extra_lines``
@@ -67,9 +59,7 @@ class NextLinePrefetchController(MemoryController):
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
-        if not evicted.dirty:
-            return WriteResult()
-        self.dram.access(evicted.addr, now, Category.DATA_WRITE)
-        self.memory.write(evicted.addr, evicted.data)
-        return WriteResult(writes=1)
+    ) -> None:
+        if evicted.dirty:
+            self.dram.access(evicted.addr, now, Category.DATA_WRITE)
+            self.memory.write(evicted.addr, evicted.data)

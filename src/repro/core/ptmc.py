@@ -26,10 +26,10 @@ from repro.core import address_map
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
 from repro.core.lit import LineInversionTable, LITOverflow, LITPolicy
 from repro.core.llp import LineLocationPredictor
-from repro.core.markers import MarkerScheme, SlotKind, invert
-from repro.core.packing import compress_group, decompress_group
+from repro.core.markers import MARKER_SIZE_DEFAULT, MarkerScheme, SlotKind, invert
+from repro.core.packing import Unit, compress_group, decompress_group, plan_group
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
@@ -39,22 +39,25 @@ from repro.telemetry import StatScope
 class PTMCConfig:
     """Tunable parameters of the PTMC design (paper defaults)."""
 
-    marker_size: int = 4
+    marker_size: int = MARKER_SIZE_DEFAULT
     lct_entries: int = 512
     lit_capacity: int = 16
     lit_policy: LITPolicy = LITPolicy.REKEY
     ganged_eviction: bool = True
-    decompression_latency: int = DECOMPRESSION_LATENCY
     marker_key: int = 0x5EED
     #: how many rekey sweeps one store may trigger before falling back to
     #: a memory-mapped LIT spill (prevents unbounded rekey recursion when
     #: fresh markers keep colliding)
     max_rekeys: int = 3
 
+    def __post_init__(self) -> None:
+        if self.marker_size < MARKER_SIZE_DEFAULT:
+            raise ValueError(
+                f"PTMC markers must be at least {MARKER_SIZE_DEFAULT} bytes: a "
+                "never-written line is read without the collision check a "
+                "store gets, so a narrower marker misreads untouched memory"
+            )
 
-#: A placement decision: (level, slot, packed slot bytes).  Its members
-#: are the ``level`` lines from ``slot`` on (``address_map.slot_members``).
-_Unit = Tuple[Level, int, Optional[bytes]]
 
 # The enum members the read and eviction paths use, as module globals.
 # Python 3.11's ``EnumType`` defines ``__getattr__``, which puts every
@@ -158,7 +161,7 @@ class PTMCController(MemoryController):
         if entry is not None:
             llp.update_entry(entry, level)
         if level is not _UNCOMPRESSED:
-            completion += self.config.decompression_latency
+            completion += DECOMPRESSION_LATENCY
         self.reads_by_level[level] += 1
         return ReadResult(addr, data, level, completion, accesses, extras, accesses > 1)
 
@@ -202,12 +205,11 @@ class PTMCController(MemoryController):
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
+    ) -> None:
         addr = evicted.addr
         sampled = llc.is_sampled_set(addr)
         enabled = sampled or self.policy.enabled_for(core_id)
         ganged_eviction = self.config.ganged_eviction
-        result = WriteResult()
 
         # 1. Lines that must leave the LLC: the victim plus, by ganged
         #    eviction, every slot-mate of any previously compressed member
@@ -227,7 +229,7 @@ class PTMCController(MemoryController):
                     addr, evicted.data, evicted.dirty, verified, evicted.core_id
                 )
         compressed = evicted.fill_level is not _UNCOMPRESSED
-        gang = self._collect_gang(evicted, now, llc, result) if compressed else None
+        gang = self._collect_gang(evicted, now, llc) if compressed else None
 
         # 2. Compaction candidates: the gang plus still-resident group
         #    neighbours ("checks if the neighboring cachelines are present
@@ -257,23 +259,27 @@ class PTMCController(MemoryController):
             # A lone victim: uncompressed, with nothing to pack with, so it
             # goes home whatever the policy; a clean one is already there.
             if evicted.dirty:
-                self._write_uncompressed(addr, evicted.data, now, _DATA_WRITE, result)
-            return result
+                self._write_uncompressed(addr, evicted.data, now, _DATA_WRITE)
+            return
         if gang is None:
             gang = {addr: evicted}
 
-        # 3. Placement: 4:1, else 2:1 per pair, else home slots.  Compressed
-        #    units must involve at least one line that is actually leaving;
-        #    untouched residents keep their LLC lines.  Each placed unit is
-        #    written, unless memory already holds it, as soon as its partners
-        #    are ganged out (ganging touches only the LLC, writing only
-        #    memory, so no unit's write depends on a later unit), and every
-        #    placed line's previous residency is noted for step 4.  A
-        #    compressed victim whose slot-mates are all gone goes home alone.
+        # 3. Placement (Fig. 3): 4:1, else 2:1 per pair, else home slots;
+        #    with compression disabled (Dynamic-PTMC), existing groups are
+        #    preserved but none form.  Compressed units must involve at
+        #    least one line that is actually leaving; untouched residents
+        #    keep their LLC lines.  Each placed unit is written, unless
+        #    memory already holds it, as soon as its partners are ganged
+        #    out (ganging touches only the LLC, writing only memory, so no
+        #    unit's write depends on a later unit), and every placed line's
+        #    previous residency is noted for step 4.  A compressed victim
+        #    whose slot-mates are all gone goes home alone.
         if len(candidates) == 1:
-            plan: List[_Unit] = [(_UNCOMPRESSED, addr, None)]
+            plan: List[Unit] = [(_UNCOMPRESSED, addr, None)]
+        elif enabled:
+            plan = plan_group(self.compressor, base, candidates, self.markers.marker)
         else:
-            plan = self._plan_placement(addr, candidates, enabled)
+            plan = self._plan_preserving(candidates)
         new_slots = set()
         prev_slots = set()
         for level, slot, packed in plan:
@@ -281,7 +287,7 @@ class PTMCController(MemoryController):
                 state = gang.get(slot)
                 if state is None:
                     continue  # resident neighbour not compacted: leave it be
-                self._write_home(slot, state, now, sampled, core_id, result)
+                self._write_home(slot, state, now, sampled, core_id)
                 new_slots.add(slot)
                 prev_slots.add(address_map.location_for(slot, state.fill_level))
                 continue
@@ -295,17 +301,14 @@ class PTMCController(MemoryController):
                 if state is None:
                     llc.force_evict(member)  # ganged eviction of partner
                     state = gang[member] = candidates[member]
-                    result.ganged.append(member)
                 if state.dirty:
                     dirty = True
                 if state.fill_level != level:
                     unchanged = False
                 prev_slots.add(address_map.location_for(member, state.fill_level))
-            if level > result.level:
-                result.level = level
             new_slots.add(slot)
             if dirty or not unchanged:  # else the identical slot is resident
-                self._write_packed(slot, packed, dirty, now, sampled, core_id, result)
+                self._write_packed(slot, packed, dirty, now, sampled, core_id)
 
         # 4. Stale-slot analysis: previous residencies of every placed line
         #    that are not rewritten must be marked invalid (Fig. 13).
@@ -314,13 +317,12 @@ class PTMCController(MemoryController):
             for slot in sorted(stale):
                 if not self._stale_slot_confirmed(slot, gang):
                     continue
-                self._write_invalid(slot, now, result)
+                self._write_invalid(slot, now)
                 if sampled:
                     self.policy.on_cost(core_id)
-        return result
 
     def _collect_gang(
-        self, evicted: EvictedLine, now: int, llc: LLCView, result: WriteResult
+        self, evicted: EvictedLine, now: int, llc: LLCView
     ) -> Dict[int, EvictedLine]:
         """Ganged eviction: pull out every slot-mate of a compressed victim.
 
@@ -345,7 +347,6 @@ class PTMCController(MemoryController):
                     line = llc.force_evict(member)
                     if line is not None:
                         gang[member] = line
-                        result.ganged.append(member)
                         frontier.append(member)
                         continue
                 else:
@@ -399,55 +400,16 @@ class PTMCController(MemoryController):
         lines = decompress_group(self.compressor, raw, level)
         return EvictedLine(member, lines[member - slot], False, level, 0)
 
-    def _plan_placement(
-        self, addr: int, candidates: Dict[int, EvictedLine], enabled: bool
-    ) -> List[_Unit]:
-        """Choose the new residency for the candidate lines (Fig. 3).
-
-        With compression disabled (Dynamic-PTMC), existing compressed
-        groups are *preserved* where their data still fits — the paper's
-        point is that inline metadata lets compression be switched off
-        without globally decompressing memory — but no new groups form.
-        """
-        if not enabled:
-            return self._plan_preserving(candidates)
-        base = address_map.group_base(addr)
-        # candidates never leave the victim's group: four means all of it
-        if len(candidates) == 4:
-            packed = compress_group(
-                self.compressor,
-                [candidates[a].data for a in range(base, base + 4)],
-                self.markers.marker(base, _QUAD),
-            )
-            if packed is not None:
-                return [(_QUAD, base, packed)]
-        units: List[_Unit] = []
-        for pair_start in (base, base + 2):
-            first = candidates.get(pair_start)
-            second = candidates.get(pair_start + 1)
-            if first is not None and second is not None:
-                packed = compress_group(
-                    self.compressor,
-                    [first.data, second.data],
-                    self.markers.marker(pair_start, _PAIR),
-                )
-                if packed is not None:
-                    units.append((_PAIR, pair_start, packed))
-                    continue
-            if first is not None:
-                units.append((_UNCOMPRESSED, pair_start, None))
-            if second is not None:
-                units.append((_UNCOMPRESSED, pair_start + 1, None))
-        return units
-
-    def _plan_preserving(self, candidates: Dict[int, EvictedLine]) -> List[_Unit]:
+    def _plan_preserving(self, candidates: Dict[int, EvictedLine]) -> List[Unit]:
         """Disabled-compression placement: keep existing groups, form none.
 
         Members that were filled from a compressed slot stay together at
         that slot as long as their (possibly updated) data still fits;
         only genuinely incompressible updates force a relocation home.
+        The paper's point is that inline metadata lets compression be
+        switched off without globally decompressing memory.
         """
-        units: List[_Unit] = []
+        units: List[Unit] = []
         grouped: Dict[Tuple[int, Level], List[int]] = {}
         for a, state in candidates.items():
             if state.fill_level is _UNCOMPRESSED:
@@ -477,13 +439,12 @@ class PTMCController(MemoryController):
         now: int,
         sampled: bool,
         core_id: int,
-        result: WriteResult,
     ) -> None:
         """Write one line to its home slot unless memory already holds it."""
         if state.dirty:
-            self._write_uncompressed(slot, state.data, now, _DATA_WRITE, result)
+            self._write_uncompressed(slot, state.data, now, _DATA_WRITE)
         elif state.fill_level is not _UNCOMPRESSED:  # relocated home
-            self._write_uncompressed(slot, state.data, now, _CLEAN_WRITEBACK, result)
+            self._write_uncompressed(slot, state.data, now, _CLEAN_WRITEBACK)
             if sampled:
                 self.policy.on_cost(core_id)
         # else a clean line already correct at home — free eviction
@@ -496,7 +457,6 @@ class PTMCController(MemoryController):
         now: int,
         sampled: bool,
         core_id: int,
-        result: WriteResult,
     ) -> None:
         """Write a compressed slot whose contents changed."""
         category = _DATA_WRITE if dirty else _CLEAN_WRITEBACK
@@ -504,23 +464,19 @@ class PTMCController(MemoryController):
         self.memory.write(slot, packed)
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
-        result.writes += 1
         if not dirty:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
             if sampled:
                 self.policy.on_cost(core_id)
 
     def _write_uncompressed(
-        self, addr: int, data: bytes, now: int, category: Category, result: WriteResult
+        self, addr: int, data: bytes, now: int, category: Category
     ) -> None:
         """Store a plain line, inverting it on marker collision (Fig. 11)."""
         stored = self._encode_uncompressed(addr, data, now)
         self.dram.access(addr, now, category)
         self.memory.write(addr, stored)
-        result.writes += 1
         if category is _CLEAN_WRITEBACK:
-            result.clean_writebacks += 1
             self.clean_writebacks += 1
 
     def _encode_uncompressed(self, addr: int, data: bytes, now: int) -> bytes:
@@ -574,13 +530,12 @@ class PTMCController(MemoryController):
             return False  # already invalid; skip the redundant write
         return slot in gang and gang[slot].fill_level is _UNCOMPRESSED
 
-    def _write_invalid(self, slot: int, now: int, result: WriteResult) -> None:
+    def _write_invalid(self, slot: int, now: int) -> None:
         """Overwrite a stale slot with Marker-IL (Fig. 13)."""
         self.dram.access(slot, now, _INVALIDATE_WRITE)
         self.memory.write(slot, self.markers.invalid_marker(slot))
         if self.lit.remove(slot):
             self.dram.access(self._lit_spill_addr(slot), now, Category.MAINTENANCE)
-        result.invalidates += 1
         self.invalidate_writes += 1
 
     # ------------------------------------------------------------------

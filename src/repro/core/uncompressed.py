@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.cache.cache import EvictedLine
 from repro.core.base_controller import LLCView, MemoryController
-from repro.types import Category, Level, ReadResult, WriteResult
+from repro.types import Category, Level, ReadResult
 
 # enum members as globals, not reads through their class (DESIGN.md §14)
 _DATA_READ = Category.DATA_READ
@@ -33,9 +33,7 @@ class UncompressedController(MemoryController):
 
     def handle_eviction(
         self, evicted: EvictedLine, now: int, core_id: int, llc: LLCView
-    ) -> WriteResult:
-        if not evicted.dirty:
-            return WriteResult()
-        self.dram.access(evicted.addr, now, _DATA_WRITE)
-        self.memory.write(evicted.addr, evicted.data)
-        return WriteResult(1)
+    ) -> None:
+        if evicted.dirty:
+            self.dram.access(evicted.addr, now, _DATA_WRITE)
+            self.memory.write(evicted.addr, evicted.data)

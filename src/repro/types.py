@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Union
 
 
 class Level(IntEnum):
@@ -108,6 +108,10 @@ def _replace(record, data: bytes) -> None:
 #: ``_data`` from a read into its L3 record without rendering it.
 line_data = property(_rendered, _replace, doc="The line's 64 bytes.")
 
+#: ``extra_lines`` of a read that co-fetches nothing: one shared, read-only
+#: empty mapping rather than a fresh dict per read.
+_NO_EXTRA_LINES: Mapping[int, bytes] = MappingProxyType({})
+
 
 class ReadResult:
     """Outcome of a controller read: the demanded line plus free co-fetches.
@@ -138,7 +142,7 @@ class ReadResult:
         level: Level,
         completion: int,
         accesses: int = 1,
-        extra_lines: Optional[Dict[int, bytes]] = None,
+        extra_lines: Mapping[int, bytes] = _NO_EXTRA_LINES,
         mispredicted: bool = False,
     ) -> None:
         self.addr = addr
@@ -146,7 +150,7 @@ class ReadResult:
         self.level = level
         self.completion = completion
         self.accesses = accesses
-        self.extra_lines = {} if extra_lines is None else extra_lines
+        self.extra_lines = extra_lines
         self.mispredicted = mispredicted
 
     data = line_data
@@ -158,16 +162,3 @@ class ReadResult:
             f"accesses={self.accesses!r}, extra_lines={self.extra_lines!r}, "
             f"mispredicted={self.mispredicted!r})"
         )
-
-
-@dataclass(slots=True)
-class WriteResult:
-    """Outcome of a controller eviction/writeback operation (slotted, like
-    :class:`ReadResult`)."""
-
-    writes: int = 0
-    invalidates: int = 0
-    clean_writebacks: int = 0
-    level: Level = Level.UNCOMPRESSED
-    #: line addresses whose LLC copies must also be dropped (ganged eviction)
-    ganged: List[int] = field(default_factory=list)

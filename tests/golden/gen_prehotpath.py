@@ -19,7 +19,7 @@ import hashlib
 import json
 import pathlib
 import struct
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.cache import EvictedLine
 from repro.core.base_controller import LLCView
@@ -31,7 +31,7 @@ from repro.dram.timing import DDRTiming
 from repro.sim.config import SimConfig, quick_config
 from repro.sim.results import SimResult
 from repro.sim.system import SimulatedSystem
-from repro.types import Level
+from repro.types import Category, Level
 from repro.util.hashing import mix64
 from repro.workloads.generators import spec_like
 from repro.workloads.suites import get_workload
@@ -148,10 +148,12 @@ CASES: Dict[str, Tuple[Callable[[], object], str, SimConfig]] = {
 
 
 class _DictLLC(LLCView):
-    """A dict-backed LLC view for the controller-level scenarios."""
+    """A dict-backed LLC view for the controller-level scenarios; it logs
+    the lines it gives up to a controller, in order."""
 
     def __init__(self) -> None:
         self.lines: Dict[int, EvictedLine] = {}
+        self.given_up: List[int] = []
 
     def add(self, addr: int, data: bytes, dirty: bool = False,
             level: Level = Level.UNCOMPRESSED) -> None:
@@ -161,7 +163,10 @@ class _DictLLC(LLCView):
         return self.lines.get(addr)
 
     def force_evict(self, addr: int) -> Optional[EvictedLine]:
-        return self.lines.pop(addr, None)
+        line = self.lines.pop(addr, None)
+        if line is not None:
+            self.given_up.append(addr)
+        return line
 
     def is_sampled_set(self, addr: int) -> bool:
         return False
@@ -221,15 +226,26 @@ def _lit_scenario(policy: LITPolicy) -> dict:
     # an incompressible store into the quad gangs its slot-mates out
     now += 200
     del resident.lines[2]
-    write = ptmc.handle_eviction(
+    stats = dram.stats
+    before = dict(stats.accesses_by_category)
+    ptmc.handle_eviction(
         EvictedLine(2, _noise(2), True, Level.QUAD, 0), now, 0, resident
     )
-    stats = dram.stats
+    # what that eviction did: its writes by DRAM category, and the highest
+    # level the group's slots hold after it
+    written = {
+        c: stats.accesses_by_category.get(c, 0) - before.get(c, 0)
+        for c in (Category.DATA_WRITE, Category.INVALIDATE_WRITE,
+                  Category.CLEAN_WRITEBACK)
+    }
+    levels = [ptmc.markers.classify(slot, memory.read(slot)).level for slot in range(4)]
+    level = max((lv for lv in levels if lv is not None), default=Level.UNCOMPRESSED)
     return {
         "reads": reads,
-        "ganged": write.ganged,
-        "writes": [write.writes, write.invalidates, write.clean_writebacks,
-                   int(write.level)],
+        "ganged": resident.given_up,
+        "writes": [written[Category.DATA_WRITE] + written[Category.CLEAN_WRITEBACK],
+                   written[Category.INVALIDATE_WRITE],
+                   written[Category.CLEAN_WRITEBACK], int(level)],
         "dram": {
             "accesses_by_category": {
                 c.value: n for c, n in sorted(

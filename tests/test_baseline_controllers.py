@@ -78,7 +78,7 @@ class TestMetadataTable:
         ctrl.read_line(5, 0, 0, FakeLLC())
         ctrl.read_line(6, 0, 0, FakeLLC())  # same metadata line
         assert category_counts(ctrl)["metadata_read"] == 1
-        assert ctrl.metadata_hit_rate == 0.5
+        assert ctrl.metadata_cache.hit_rate == 0.5
 
     def test_compaction_updates_csi_for_all_members(self):
         ctrl = build(MetadataTableController)
@@ -191,10 +191,12 @@ class TestPrefetch:
 
     def test_resident_filter_suppresses_prefetch(self):
         ctrl = build(NextLinePrefetchController)
-        ctrl.resident_filter = lambda addr: True
-        result = ctrl.read_line(5, 0, 0, FakeLLC())
+        llc = FakeLLC()
+        llc.add(6, zero_line())  # the next line is already in the LLC
+        result = ctrl.read_line(5, 0, 0, llc)
         assert not result.extra_lines
         assert ctrl.prefetches_issued == 0
+        assert "prefetch_read" not in category_counts(ctrl)
 
     def test_prefetch_at_memory_end_skipped(self):
         ctrl = build(NextLinePrefetchController)

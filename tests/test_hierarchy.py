@@ -27,14 +27,34 @@ SMALL = HierarchyConfig(
 )
 
 
-def make_hierarchy(controller_cls=UncompressedController, policy=None):
+#: a 32-line L3 (4 sets of 8 ways), half of one core's L2, for the
+#: property tests: their streams overflow it, so inclusion is checked
+#: across L3 capacity victims
+TINY_L3 = dataclasses.replace(SMALL, l3_bytes=2 * 1024, l3_ways=8)
+
+
+def make_hierarchy(controller_cls=UncompressedController, policy=None, config=SMALL):
     memory = PhysicalMemory(1 << 16)
     dram = DRAMSystem()
     if policy is not None:
         controller = controller_cls(memory, dram, policy=policy)
     else:
         controller = controller_cls(memory, dram)
-    return CacheHierarchy(controller, SMALL, policy)
+    return CacheHierarchy(controller, config, policy)
+
+
+def core_of(addr):
+    """The core owning ``addr``: pages are core-private, as the VM model
+    allocates them, which inclusion's back-invalidation relies on."""
+    return (addr // 64) % 2
+
+
+def overflow_l3(h):
+    """Load one more distinct line than the L3 holds, so it has given up
+    a capacity victim and is full when a test's own stream begins."""
+    for addr in range(h.l3.num_sets * h.l3.ways + 1):
+        h.access(core_of(addr), addr, False, addr * 10)
+    assert h.l3.policy_evictions > 0
 
 
 class TestServingLevels:
@@ -159,17 +179,17 @@ class TestSharedRecords:
         max_size=250,
     ))
     def test_private_entries_are_the_l3_record(self, controller_cls, stream):
-        h = make_hierarchy(controller_cls)
+        h = make_hierarchy(controller_cls, config=TINY_L3)
+        overflow_l3(h)
+        self._assert_shared(h)
         noise = bytes(range(64))
-        for cycle, (addr, op) in enumerate(stream):
+        for cycle, (addr, op) in enumerate(stream, start=1000):
             if op == "force_evict":
                 h.llc_view.force_evict(addr)
             else:
-                # pages are core-private, as the VM model allocates them
-                core = (addr // 64) % 2
                 data = {"load": None, "store": quad_friendly_line(addr),
                         "store_noise": noise}[op]
-                h.access(core, addr, data is not None, cycle * 50, write_data=data)
+                h.access(core_of(addr), addr, data is not None, cycle * 50, write_data=data)
             self._assert_shared(h)
 
     def test_ganged_eviction_and_stores_keep_one_record(self):
@@ -229,10 +249,10 @@ class TestPolicyHierarchyProperties:
     replacement policy, not just the default LRU path."""
 
     @staticmethod
-    def _policy_hierarchy(policy):
+    def _policy_hierarchy(policy, config=SMALL):
         memory = PhysicalMemory(1 << 16)
         cfg = dataclasses.replace(
-            SMALL, l1_policy=policy, l2_policy=policy, l3_policy=policy, policy_seed=5
+            config, l1_policy=policy, l2_policy=policy, l3_policy=policy, policy_seed=5
         )
         return CacheHierarchy(UncompressedController(memory, DRAMSystem()), cfg)
 
@@ -240,17 +260,17 @@ class TestPolicyHierarchyProperties:
     @settings(deadline=None, max_examples=15)
     @given(stream=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=1),  # core
             st.integers(min_value=0, max_value=511),  # line address
             st.booleans(),  # write?
         ),
         max_size=120,
     ))
     def test_inclusion_and_occupancy_under_random_streams(self, policy, stream):
-        h = self._policy_hierarchy(policy)
-        for cycle, (core, addr, is_write) in enumerate(stream):
+        h = self._policy_hierarchy(policy, TINY_L3)
+        overflow_l3(h)
+        for cycle, (addr, is_write) in enumerate(stream, start=1000):
             data = LINE if is_write else None
-            h.access(core, addr, is_write, cycle * 10, write_data=data)
+            h.access(core_of(addr), addr, is_write, cycle * 10, write_data=data)
         for cache in [h.l3, *h.l1s, *h.l2s]:
             assert cache.occupancy() <= cache.num_sets * cache.ways
         for inner in [*h.l1s, *h.l2s]:
@@ -515,14 +535,26 @@ class TestFlush:
 
     @staticmethod
     def _record_victims(h):
+        """Log each victim handed to the controller with the lines its
+        eviction gangs out of the L3 (the ``force_evict`` calls that find
+        the line)."""
         seen = []
         handle = h.controller.handle_eviction
+        force_evict = h.llc_view.force_evict
+        ganged = []
+
+        def recording_force_evict(addr):
+            line = force_evict(addr)
+            if line is not None:
+                ganged.append(addr)
+            return line
 
         def recorded(victim, now, core_id, llc):
-            result = handle(victim, now, core_id, llc)
-            seen.append((victim.addr, victim.dirty, victim.core_id, tuple(result.ganged)))
-            return result
+            ganged.clear()
+            handle(victim, now, core_id, llc)
+            seen.append((victim.addr, victim.dirty, victim.core_id, tuple(ganged)))
 
+        h.llc_view.force_evict = recording_force_evict
         h.controller.handle_eviction = recorded
         return seen
 

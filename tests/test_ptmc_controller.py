@@ -25,6 +25,10 @@ def compressible_lines(n=4):
     return [quad_friendly_line(variant=i) for i in range(n)]
 
 
+def slot_kind(ptmc, slot):
+    return ptmc.markers.classify(slot, ptmc.memory.read(slot)).kind
+
+
 class TestUncompressedPath:
     def test_read_untouched_memory(self, ptmc, llc):
         result = ptmc.read_line(8, 0, 0, llc)
@@ -50,16 +54,15 @@ class TestCompaction:
         lines = compressible_lines()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=True)
-        result = ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
-        assert result.level is Level.QUAD
+        ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
         # ganged eviction pulled the partners out
         assert sorted(llc.force_evicted) == [9, 10, 11]
         # slot 8 classifies as a quad; homes 9..11 are invalidated
-        cls = ptmc.markers.classify(8, ptmc.memory.read(8))
-        assert cls.kind is SlotKind.QUAD
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
         for home in (9, 10, 11):
-            assert ptmc.markers.classify(home, ptmc.memory.read(home)).kind is SlotKind.INVALID
-        assert result.invalidates == 3
+            assert slot_kind(ptmc, home) is SlotKind.INVALID
+        assert ptmc.invalidate_writes == 3
+        assert category_counts(ptmc)["invalidate_write"] == 3
 
     def test_quad_lines_all_readable(self, ptmc, llc):
         lines = compressible_lines()
@@ -82,11 +85,10 @@ class TestCompaction:
     def test_pair_compaction_when_quad_absent(self, ptmc, llc):
         lines = [pointer_line(base=0x7F0011000000), pointer_line(base=0x7F0022000000)]
         llc.add(13, lines[1], dirty=True)
-        result = ptmc.handle_eviction(evicted(12, lines[0]), 0, 0, llc)
-        assert result.level is Level.PAIR
-        cls = ptmc.markers.classify(12, ptmc.memory.read(12))
-        assert cls.kind is SlotKind.PAIR
-        assert ptmc.markers.classify(13, ptmc.memory.read(13)).kind is SlotKind.INVALID
+        ptmc.handle_eviction(evicted(12, lines[0]), 0, 0, llc)
+        assert llc.force_evicted == [13]
+        assert slot_kind(ptmc, 12) is SlotKind.PAIR
+        assert slot_kind(ptmc, 13) is SlotKind.INVALID
 
     def test_incompressible_neighbours_stay_uncompressed(self, ptmc, llc):
         import random
@@ -95,24 +97,25 @@ class TestCompaction:
 
         rng = random.Random(1)
         llc.add(13, random_line(rng), dirty=True)
-        result = ptmc.handle_eviction(evicted(12, random_line(rng)), 0, 0, llc)
-        assert result.level is Level.UNCOMPRESSED
-        assert result.invalidates == 0
+        ptmc.handle_eviction(evicted(12, random_line(rng)), 0, 0, llc)
+        assert slot_kind(ptmc, 12) is SlotKind.UNCOMPRESSED
+        assert ptmc.invalidate_writes == 0
+        assert category_counts(ptmc) == {"data_write": 1}
         # the resident neighbour was NOT ganged out (no compaction happened)
         assert 13 in llc.lines
+        assert llc.force_evicted == []
 
     def test_absent_neighbours_no_compaction(self, ptmc, llc):
-        result = ptmc.handle_eviction(evicted(12, zero_line()), 0, 0, llc)
-        assert result.level is Level.UNCOMPRESSED
+        ptmc.handle_eviction(evicted(12, zero_line()), 0, 0, llc)
+        assert slot_kind(ptmc, 12) is SlotKind.UNCOMPRESSED
+        assert category_counts(ptmc) == {"data_write": 1}
 
     def test_clean_compaction_counts_clean_writeback(self, ptmc, llc):
         lines = compressible_lines()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=False)
-        result = ptmc.handle_eviction(
-            evicted(8, lines[0], dirty=False), 0, 0, llc
-        )
-        assert result.clean_writebacks == 1
+        ptmc.handle_eviction(evicted(8, lines[0], dirty=False), 0, 0, llc)
+        assert ptmc.clean_writebacks == 1
         assert category_counts(ptmc)["clean_writeback"] == 1
 
 
@@ -130,12 +133,11 @@ class TestSteadyState:
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=False, fill_level=Level.QUAD)
         before = ptmc.dram.stats.total_accesses
-        result = ptmc.handle_eviction(
+        ptmc.handle_eviction(
             evicted(8, lines[0], dirty=False, fill_level=Level.QUAD), 0, 0, llc
         )
         assert ptmc.dram.stats.total_accesses == before  # no traffic at all
-        assert result.writes == 0
-        assert result.invalidates == 0
+        assert sorted(llc.force_evicted) == [9, 10, 11]
 
     def test_dirty_group_rewritten_in_place(self, ptmc):
         lines = compressible_lines()
@@ -144,11 +146,13 @@ class TestSteadyState:
         llc = FakeLLC()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=False, fill_level=Level.QUAD)
-        result = ptmc.handle_eviction(
+        before = category_counts(ptmc)
+        ptmc.handle_eviction(
             evicted(8, updated, dirty=True, fill_level=Level.QUAD), 0, 0, llc
         )
-        assert result.writes == 1
-        assert result.invalidates == 0
+        # one write of slot 8, no invalidate
+        assert category_counts(ptmc) == {**before, "data_write": before["data_write"] + 1}
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
         assert ptmc.read_line(8, 0, 0, FakeLLC()).data == updated
 
     def test_update_breaking_group_relocates_members(self, ptmc):
@@ -182,10 +186,11 @@ class TestSteadyState:
         llc.add(9, new1, dirty=True, fill_level=Level.QUAD)
         llc.add(10, lines[2], dirty=False, fill_level=Level.QUAD)
         llc.add(11, lines[3], dirty=False, fill_level=Level.QUAD)
-        result = ptmc.handle_eviction(
+        ptmc.handle_eviction(
             evicted(8, new0, dirty=True, fill_level=Level.QUAD), 0, 0, llc
         )
-        assert result.level is Level.PAIR
+        assert slot_kind(ptmc, 8) is SlotKind.PAIR
+        assert slot_kind(ptmc, 10) is SlotKind.PAIR
         probe = FakeLLC()
         assert ptmc.read_line(8, 0, 0, probe).data == new0
         assert ptmc.read_line(9, 0, 0, probe).data == new1
@@ -307,9 +312,10 @@ class TestPolicyIntegration:
         lines = compressible_lines()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=True)
-        result = ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
-        assert result.level is Level.UNCOMPRESSED
+        ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
+        assert slot_kind(ptmc, 8) is SlotKind.UNCOMPRESSED
         assert 9 in llc.lines  # neighbours untouched
+        assert llc.force_evicted == []
 
     def test_sampled_group_compresses_despite_disabled_policy(self):
         ptmc = make_ptmc(policy=AlwaysOffPolicy())
@@ -317,8 +323,9 @@ class TestPolicyIntegration:
         lines = compressible_lines()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=True)
-        result = ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
-        assert result.level is Level.QUAD
+        ptmc.handle_eviction(evicted(8, lines[0]), 0, 0, llc)
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
+        assert sorted(llc.force_evicted) == [9, 10, 11]
 
     def test_disabled_preserves_existing_groups(self):
         ptmc = make_ptmc(policy=AlwaysOnPolicy())
@@ -352,10 +359,12 @@ class TestPolicyIntegration:
         llc = FakeLLC()
         for i in range(1, 4):
             llc.add(8 + i, lines[i], dirty=False, fill_level=Level.QUAD)
-        result = ptmc.handle_eviction(
+        before = category_counts(ptmc)
+        ptmc.handle_eviction(
             evicted(8, updated, dirty=True, fill_level=Level.QUAD), 0, 0, llc
         )
-        assert result.writes == 1
+        assert category_counts(ptmc) == {**before, "data_write": before["data_write"] + 1}
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
         assert ptmc.read_line(8, 0, 0, FakeLLC()).data == updated
 
 
@@ -367,3 +376,16 @@ class TestStorageBits:
         bits = ptmc.storage_bits()
         assert bits["line_inversion_table"] == 64 * 8
         assert bits["line_location_predictor"] == 128 * 8
+
+
+class TestMarkerWidth:
+    """A never-written line is read without a store's collision check, so
+    PTMC takes no marker narrower than the paper's 4 bytes.  Without the
+    guard, ``static_ptmc`` at ``quick_config`` finds a ``gcc06`` line
+    unlocatable with 1-byte markers, and a corrupt slot header in
+    ``pr.twitter`` with 2-byte ones."""
+
+    @pytest.mark.parametrize("marker_size", [1, 2, 3])
+    def test_narrow_markers_rejected(self, marker_size):
+        with pytest.raises(ValueError, match="at least 4 bytes"):
+            PTMCConfig(marker_size=marker_size)

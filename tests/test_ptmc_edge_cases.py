@@ -24,8 +24,8 @@ class TestSecondPair:
         lines = [pointer_line(base=0x7F0033000000), pointer_line(base=0x7F0044000000)]
         llc = FakeLLC()
         llc.add(11, lines[1], dirty=True)
-        result = ptmc.handle_eviction(evicted(10, lines[0]), 0, 0, llc)
-        assert result.level is Level.PAIR
+        ptmc.handle_eviction(evicted(10, lines[0]), 0, 0, llc)
+        assert llc.force_evicted == [11]
         assert ptmc.markers.classify(10, ptmc.memory.read(10)).kind is SlotKind.PAIR
         # first pair's slots untouched
         assert ptmc.markers.classify(8, ptmc.memory.read(8)).kind is SlotKind.UNCOMPRESSED
@@ -66,8 +66,9 @@ class TestTransitions:
         llc2.add(8, lines[0], dirty=False, fill_level=Level.PAIR)
         llc2.add(9, lines[1], dirty=False, fill_level=Level.PAIR)
         llc2.add(11, lines[3], dirty=True)
-        result = ptmc.handle_eviction(evicted(10, lines[2]), 0, 0, llc2)
-        assert result.level is Level.QUAD
+        ptmc.handle_eviction(evicted(10, lines[2]), 0, 0, llc2)
+        assert sorted(llc2.force_evicted) == [8, 9, 11]
+        assert ptmc.markers.classify(8, ptmc.memory.read(8)).kind is SlotKind.QUAD
         read = ptmc.read_line(8, 0, 0, NULL)
         assert read.level is Level.QUAD
         assert set(read.extra_lines) == {9, 10, 11}

@@ -3,8 +3,9 @@
 The golden fixtures prove that behaviour is unchanged, not that it is
 right.  Each scenario here drives a fresh controller over an all-zero
 memory through a few evictions and reads, and asserts every eviction's
-``WriteResult`` and every DRAM category count exactly, with the
-arithmetic spelled out beside it.
+effects exactly: each DRAM category count, the lines it gangs out of the
+LLC, the marker class of the slots it packs and the controller's
+counters, with the arithmetic spelled out beside it.
 
 Lines 8..11 form one 4-line group (slot 8 holds a 4:1 group, slots 8
 and 10 the two 2:1 pairs); a fresh LLP predicts UNCOMPRESSED everywhere.
@@ -16,7 +17,7 @@ from repro.core.lit import LITPolicy
 from repro.core.markers import SlotKind, invert
 from repro.core.policy import AlwaysOffPolicy
 from repro.core.ptmc import PTMCConfig
-from repro.types import Category, Level, WriteResult
+from repro.types import Category, Level
 from tests.controller_harness import FakeLLC, category_counts, evicted, make_ptmc
 from tests.lineutils import quad_friendly_line, zero_line
 
@@ -28,7 +29,11 @@ def compact_quad(ptmc, llc):
     """Evict dirty line 8 with clean 9..11 resident: one 4:1 writeback."""
     for i in (1, 2, 3):
         llc.add(8 + i, QUAD[i])
-    return ptmc.handle_eviction(evicted(8, QUAD[0]), 0, 0, llc)
+    ptmc.handle_eviction(evicted(8, QUAD[0]), 0, 0, llc)
+
+
+def slot_kind(ptmc, slot):
+    return ptmc.markers.classify(slot, ptmc.memory.read(slot)).kind
 
 
 class TestLoneVictims:
@@ -36,18 +41,19 @@ class TestLoneVictims:
         ptmc, llc = make_ptmc(), FakeLLC()
         # filled uncompressed, never written, no neighbour resident: the
         # home slot already holds it
-        result = ptmc.handle_eviction(evicted(9, zero_line(), dirty=False), 0, 0, llc)
-        assert result == WriteResult()
+        ptmc.handle_eviction(evicted(9, zero_line(), dirty=False), 0, 0, llc)
         assert category_counts(ptmc) == {}
+        assert llc.force_evicted == []
         assert len(ptmc.memory) == 0
 
     def test_dirty_lone_victim_costs_one_write(self):
         ptmc, llc = make_ptmc(), FakeLLC()
         data = bytes(range(64))
-        result = ptmc.handle_eviction(evicted(9, data), 0, 0, llc)
-        assert result == WriteResult(writes=1)
+        ptmc.handle_eviction(evicted(9, data), 0, 0, llc)
         assert category_counts(ptmc) == {"data_write": 1}
+        assert llc.force_evicted == []
         assert ptmc.memory.read(9) == data
+        assert slot_kind(ptmc, 9) is SlotKind.UNCOMPRESSED
 
     def test_compression_off_leaves_compressible_neighbours_alone(self):
         ptmc, llc = make_ptmc(policy=AlwaysOffPolicy()), FakeLLC()
@@ -55,33 +61,31 @@ class TestLoneVictims:
             llc.add(8 + i, QUAD[i], dirty=(i > 1))
         # the whole group would pack 4:1, but with compression off the
         # neighbours are not candidates: line 8 goes home alone
-        result = ptmc.handle_eviction(evicted(8, QUAD[0]), 0, 0, llc)
-        assert result == WriteResult(writes=1)
+        ptmc.handle_eviction(evicted(8, QUAD[0]), 0, 0, llc)
         assert category_counts(ptmc) == {"data_write": 1}
         assert llc.force_evicted == []
         assert sorted(llc.lines) == [9, 10, 11]
         assert ptmc.memory.read(8) == QUAD[0]
         assert len(ptmc.memory) == 1
-        # clean line 9, as lone under the same policy, costs nothing
-        result = ptmc.handle_eviction(llc.force_evict(9), 0, 0, llc)
-        assert result == WriteResult()
+        # clean line 9, as lone under the same policy, costs nothing and
+        # gangs nothing out (9 itself left by the test's own force_evict)
+        ptmc.handle_eviction(llc.force_evict(9), 0, 0, llc)
         assert category_counts(ptmc) == {"data_write": 1}
+        assert llc.force_evicted == [9]
+        assert sorted(llc.lines) == [10, 11]
 
 
 class TestGangedQuadWriteback:
     def test_quad_writeback_invalidates_three_stale_homes(self):
         ptmc, llc = make_ptmc(), FakeLLC()
-        result = compact_quad(ptmc, llc)
+        compact_quad(ptmc, llc)
         # 8..11 pack into slot 8: one data write (the victim is dirty); the
         # three partners leave the LLC with it, and each home copy they
         # leave behind is overwritten with Marker-IL
-        assert result == WriteResult(
-            writes=1, invalidates=3, level=Level.QUAD, ganged=[9, 10, 11]
-        )
         assert category_counts(ptmc) == {"data_write": 1, "invalidate_write": 3}
         assert llc.force_evicted == [9, 10, 11]
         assert llc.lines == {}
-        assert ptmc.markers.classify(8, ptmc.memory.read(8)).kind is SlotKind.QUAD
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
         for home in (9, 10, 11):
             assert ptmc.memory.read(home) == ptmc.markers.invalid_marker(home)
         assert (ptmc.invalidate_writes, ptmc.clean_writebacks) == (3, 0)
@@ -92,22 +96,29 @@ class TestGangedQuadWriteback:
         # refill the group from slot 8 as the LLC would, 10 then dirtied
         for i in range(4):
             llc.add(8 + i, QUAD[i], dirty=(i == 2), fill_level=Level.QUAD)
-        result = ptmc.handle_eviction(llc.force_evict(9), 0, 0, llc)
+        victim = llc.force_evict(9)
+        llc.force_evicted.clear()
+        ptmc.handle_eviction(victim, 0, 0, llc)
         # 9's slot-mates leave with it; the group still packs into slot 8,
         # which is rewritten once for the dirty member; nothing goes stale
-        assert result == WriteResult(writes=1, level=Level.QUAD, ganged=[8, 10, 11])
+        assert llc.force_evicted == [8, 10, 11]
         assert category_counts(ptmc) == {"data_write": 2, "invalidate_write": 3}
         assert llc.lines == {}
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
 
     def test_clean_resident_quad_is_free(self):
         ptmc, llc = make_ptmc(), FakeLLC()
         compact_quad(ptmc, llc)
         for i in range(4):
             llc.add(8 + i, QUAD[i], fill_level=Level.QUAD)
-        result = ptmc.handle_eviction(llc.force_evict(11), 0, 0, llc)
-        # slot 8 already holds exactly this group
-        assert result == WriteResult(level=Level.QUAD, ganged=[8, 9, 10])
+        victim = llc.force_evict(11)
+        llc.force_evicted.clear()
+        ptmc.handle_eviction(victim, 0, 0, llc)
+        # slot 8 already holds exactly this group: the slot-mates leave
+        # with 11, and nothing is written
+        assert llc.force_evicted == [8, 9, 10]
         assert category_counts(ptmc) == {"data_write": 1, "invalidate_write": 3}
+        assert slot_kind(ptmc, 8) is SlotKind.QUAD
 
 
 class TestCollisionToRekey:
@@ -121,19 +132,20 @@ class TestCollisionToRekey:
         first, second, third = colliding(9), colliding(13), colliding(17)
         # 1. line 9 ends with its slot's 2:1 marker: it is stored inverted
         #    and takes one of the LIT's two entries
-        assert ptmc.handle_eviction(evicted(9, first), 0, 0, llc) == WriteResult(writes=1)
+        ptmc.handle_eviction(evicted(9, first), 0, 0, llc)
+        assert category_counts(ptmc) == {"data_write": 1}
         assert ptmc.memory.read(9) == invert(first)
         assert (ptmc.inversions, ptmc.rekeys, sorted(ptmc.lit.entries())) == (1, 0, [9])
         # the read sees a complemented marker; the LIT says "inverted"
         assert ptmc.read_line(9, 0, 0, llc).data == first
         # 2. a second collision fills the LIT
-        assert ptmc.handle_eviction(evicted(13, second), 0, 0, llc) == WriteResult(writes=1)
+        ptmc.handle_eviction(evicted(13, second), 0, 0, llc)
         assert (ptmc.inversions, ptmc.rekeys, sorted(ptmc.lit.entries())) == (2, 0, [9, 13])
         assert category_counts(ptmc) == {"data_write": 2, "data_read": 1}
         # 3. a third overflows the LIT: the rekey sweep decodes and
         #    re-encodes both resident slots (2 x 2 maintenance accesses);
         #    under the fresh key none of the three lines collides any more
-        assert ptmc.handle_eviction(evicted(17, third), 0, 0, llc) == WriteResult(writes=1)
+        ptmc.handle_eviction(evicted(17, third), 0, 0, llc)
         assert (ptmc.inversions, ptmc.rekeys, len(ptmc.lit)) == (2, 1, 0)
         assert category_counts(ptmc) == {"data_write": 3, "data_read": 1, "maintenance": 4}
         for addr, data in ((9, first), (13, second), (17, third)):
@@ -168,8 +180,10 @@ class TestMispredict:
         ptmc, llc = make_ptmc(), FakeLLC()
         llc.add(11, QUAD[3])
         # 10 and 11 pack 2:1 into slot 10; 11's home copy goes stale
-        result = ptmc.handle_eviction(evicted(10, QUAD[2]), 0, 0, llc)
-        assert result == WriteResult(writes=1, invalidates=1, level=Level.PAIR, ganged=[11])
+        ptmc.handle_eviction(evicted(10, QUAD[2]), 0, 0, llc)
+        assert llc.force_evicted == [11]
+        assert category_counts(ptmc) == {"data_write": 1, "invalidate_write": 1}
+        assert slot_kind(ptmc, 10) is SlotKind.PAIR
         # predicted home 11 (Marker-IL), then the quad slot 8 (plain zeros,
         # line 8's own), then the pair slot 10: two re-issues, one mispredict
         result = ptmc.read_line(11, 0, 0, FakeLLC())

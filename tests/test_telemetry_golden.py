@@ -119,7 +119,7 @@ def _legacy_expected(system, legacy):
         expected["metadata_hit_rate"] = hits / total if total else 0.0
     if isinstance(controller, MemZipController):
         # never reset at the boundary: whole-run hit rate, warmup included
-        expected["metadata_hit_rate"] = controller.metadata_hit_rate
+        expected["metadata_hit_rate"] = controller.metadata_cache.hit_rate
     if isinstance(system.policy, SamplingPolicy):
         expected["paths"]["policy.benefits"] = system.policy.benefits
         expected["paths"]["policy.costs"] = system.policy.costs

@@ -6,7 +6,6 @@ from repro.types import (
     Category,
     Level,
     ReadResult,
-    WriteResult,
 )
 
 
@@ -55,16 +54,3 @@ class TestRecords:
         assert result.accesses == 1
         assert result.extra_lines == {}
         assert not result.mispredicted
-
-    def test_write_result_defaults(self):
-        result = WriteResult()
-        assert result.writes == 0
-        assert result.invalidates == 0
-        assert result.clean_writebacks == 0
-        assert result.level is Level.UNCOMPRESSED
-        assert result.ganged == []
-
-    def test_write_result_ganged_not_shared(self):
-        a, b = WriteResult(), WriteResult()
-        a.ganged.append(1)
-        assert b.ganged == []
