@@ -1,15 +1,14 @@
 """Shared configuration for the figure/table benchmarks.
 
 Every benchmark regenerates one of the paper's evaluation artefacts.
-Simulations are memoized process-wide (``repro.sim.runner``) and
-persisted to an on-disk result cache (``repro.sim.diskcache``), so
-designs and baselines shared between figures are only simulated once per
-pytest session — and a *repeat* session is served from disk without
-executing any simulation at all.  The cache lives in
-``benchmarks/.simcache`` (override with ``$REPRO_CACHE_DIR``); delete it
-or run ``repro cache clear`` after changing simulator semantics.  Each
-benchmark prints its rows (the "figure") and dumps them as JSON under
-``benchmarks/results/`` so EXPERIMENTS.md can cite them.
+Simulations are stored in the runner's on-disk result cache
+(``repro.sim.diskcache``), so designs and baselines shared between
+figures are only simulated once — and a *repeat* session is served from
+disk without executing any simulation at all.  The cache lives in
+``benchmarks/.simcache`` (override with ``$REPRO_CACHE_DIR``); its keys
+hash the simulator's sources, so a code change re-simulates on its own.
+Each benchmark prints its rows (the "figure") and dumps them as JSON
+under ``benchmarks/results/`` so EXPERIMENTS.md can cite them.
 
 Scale note: these run the ``bench_config`` system (DESIGN.md §4) — a
 proportionally scaled machine with short synthetic traces.  Shapes and
@@ -24,8 +23,9 @@ import pytest
 
 from repro.sim import runner
 from repro.sim.config import bench_config
+from repro.telemetry import StatRegistry
 
-#: the one config every figure uses (baselines shared via the runner cache)
+#: the one config every figure uses (baselines shared via the disk cache)
 BENCH_CONFIG = bench_config(ops_per_core=4000, warmup_ops=6000)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -41,17 +41,20 @@ def pytest_configure(config):
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Report (and persist) how much the result caches saved this session."""
-    stats = runner.execution_stats()
-    serviced = stats["executed"] + stats["memory_hits"] + stats["disk_hits"]
-    if not serviced:
+    """Report how much the result cache saved this session.
+
+    Printed, not saved: EXPERIMENTS.md renders only the committed rows,
+    so it never carries one machine's session.
+    """
+    registry = StatRegistry()
+    runner.register_stats(registry.scope("runner"))
+    stats = registry.delta()
+    if not stats["runner.executed"] + stats["runner.disk_hits"]:
         return
-    save_results("_cache_stats", {**stats, "cache_dir": str(CACHE_DIR)})
     terminalreporter.write_line(
-        f"sim result cache [{CACHE_DIR}]: {stats['executed']:.0f} executed "
-        f"({stats['sim_seconds']:.1f}s), {stats['disk_hits']:.0f} disk hits, "
-        f"{stats['memory_hits']:.0f} memory hits "
-        f"({stats['hit_seconds']:.2f}s serving replays)"
+        f"sim result cache [{CACHE_DIR}]: {stats['runner.executed']:.0f} executed "
+        f"({stats['runner.sim_seconds']:.1f}s), {stats['runner.disk_hits']:.0f} disk hits "
+        f"({stats['runner.hit_seconds']:.2f}s serving replays)"
     )
 
 
@@ -70,7 +73,7 @@ def config():
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 
-    Figure generation is deterministic and (via the runner cache)
+    Figure generation is deterministic and (via the disk cache)
     idempotent, so a single round is both sufficient and honest.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -18,7 +18,7 @@ Usage::
     python examples/graph_analytics.py
 """
 
-from repro import bench_config, compare, simulate
+from repro import bench_config, simulate, weighted_speedup
 from repro.analysis import banner, format_table
 
 
@@ -29,19 +29,21 @@ def main() -> None:
 
     print(banner("Graph analytics vs compression (paper §V)"))
     rows = []
+    dynamic = {}
     for workload in workloads:
-        row = [workload]
-        for design in designs:
-            row.append(f"{compare(workload, design, config):.3f}")
-        result = simulate(workload, "dynamic_ptmc", config)
-        enabled = result.metrics["policy.compression_enabled"]
-        row.append("on" if enabled >= 0.5 else "off")
-        rows.append(row)
+        base = simulate(workload, "uncompressed", config)
+        results = {design: simulate(workload, design, config) for design in designs}
+        dynamic[workload] = results["dynamic_ptmc"]
+        enabled = dynamic[workload].metrics["policy.compression_enabled"]
+        rows.append(
+            [workload]
+            + [f"{weighted_speedup(results[design], base):.3f}" for design in designs]
+            + ["on" if enabled >= 0.5 else "off"]
+        )
     print(format_table(["workload"] + designs + ["dynamic decision"], rows))
 
     print("\nDynamic-PTMC's utility counter per workload:")
-    for workload in workloads:
-        result = simulate(workload, "dynamic_ptmc", config)
+    for workload, result in dynamic.items():
         print(
             f"  {workload:14s} benefits={result.metrics['policy.benefits']:>6.0f}"
             f"  costs={result.metrics['policy.costs']:>6.0f}"

@@ -12,7 +12,7 @@ Usage::
 
 import sys
 
-from repro import DESIGNS, bench_config, compare, simulate
+from repro import DESIGNS, bench_config, simulate, weighted_speedup
 from repro.analysis import banner, format_table
 
 
@@ -32,12 +32,11 @@ def main() -> None:
     for design in DESIGNS:
         if design == "uncompressed":
             continue
-        speedup = compare(workload, design, config)
         result = simulate(workload, design, config)
         rows.append(
             [
                 design,
-                f"{speedup:.3f}",
+                f"{weighted_speedup(result, baseline):.3f}",
                 f"{result.l3_hit_rate:.1%}",
                 result.total_dram_accesses,
                 f"{result.llp_accuracy:.1%}" if result.llp_accuracy is not None else "-",

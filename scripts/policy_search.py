@@ -126,7 +126,7 @@ def search(args: argparse.Namespace) -> dict:
         print(
             f"  {policy:<10} {counts['jobs']} runs "
             f"({counts['executed']} executed, "
-            f"{counts['disk_hits'] + counts['memory_hits']} cached, "
+            f"{counts['disk_hits']} cached, "
             f"{report.wall_seconds:.1f}s)"
         )
         rows[policy] = row

@@ -3,9 +3,9 @@
 
 Runs one short simulation per design under the given policy, then
 proves the results round-trip through the content-addressed disk cache:
-the memo table is dropped (as a fresh process would see it), the same
-identities are requested again, and the replies must be served from
-disk and — modulo the replay markers — compare equal to the originals.
+the same identities are requested again, and the replies must be served
+from disk and — modulo the replay markers — compare equal to the
+originals.
 
 Usage::
 
@@ -64,8 +64,6 @@ def main(argv=None) -> int:
                 print("  FAIL: expected a cold execution", file=sys.stderr)
                 failures += 1
             originals[design] = result
-
-        runner.clear_cache()  # what a fresh process sees: only the disk store
 
         for design in designs:
             replay, source = runner.simulate_with_source(args.workload, design, config)

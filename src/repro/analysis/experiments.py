@@ -126,37 +126,16 @@ def render_experiment(experiment_id: str, payload) -> str:
     return "\n".join(lines)
 
 
-def render_harness_stats(payload) -> str:
-    """The benchmark session's execution/cache report (not a paper figure)."""
-    lines = [
-        "## Harness: simulation cache",
-        "",
-        "How the session's runs were serviced (``repro.sim.runner`` memo + "
-        "``repro.sim.diskcache`` persistent cache).  A fully warm cache "
-        "shows zero simulations executed.",
-        "",
-        "| key | value |",
-        "|---|---|",
-    ]
-    for key, value in sorted(payload.items()):
-        lines.append(f"| {key} | {_fmt(value)} |")
-    lines.append("")
-    return "\n".join(lines)
-
-
 def render(results_dir: pathlib.Path) -> str:
     parts = [_HEADER]
     ordering = list(PAPER_EXPECTATIONS)
     files = {p.stem: p for p in sorted(results_dir.glob("*.json"))}
-    harness = files.pop("_cache_stats", None)
     for experiment_id in ordering + sorted(set(files) - set(ordering)):
         path = files.get(experiment_id)
         if path is None or experiment_id.startswith("_"):
             continue
         payload = json.loads(path.read_text())
         parts.append(render_experiment(experiment_id, payload))
-    if harness is not None:
-        parts.append(render_harness_stats(json.loads(harness.read_text())))
     return "\n".join(parts)
 
 

@@ -239,8 +239,7 @@ def cmd_sweep(args) -> int:
     counts = report.counts()
     print(
         f"\n{counts['jobs']} runs with --jobs {report.jobs_used}: "
-        f"{counts['executed']} executed, {counts['disk_hits']} from disk, "
-        f"{counts['memory_hits']} from memory "
+        f"{counts['executed']} executed, {counts['disk_hits']} from disk "
         f"({report.wall_seconds:.2f}s wall)"
     )
     if report.seconds:
@@ -496,8 +495,7 @@ def cmd_trace_run(args) -> int:
         )
     print(
         f"{counts['jobs']} runs: {counts['executed']} executed, "
-        f"{counts['disk_hits']} from disk, {counts['memory_hits']} from memory "
-        f"({report.wall_seconds:.2f}s wall)"
+        f"{counts['disk_hits']} from disk ({report.wall_seconds:.2f}s wall)"
     )
     return 0
 

@@ -17,14 +17,13 @@ co-fetch, and it pays the same metadata traffic that motivates PTMC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
 from repro.compression.hybrid import HybridCompressor
 from repro.core.base_controller import DECOMPRESSION_LATENCY, LLCView, MemoryController
-from repro.core.metadata_table import MetadataCache
+from repro.core.metadata_table import MetadataCache, MetadataTableConfig
 from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
@@ -32,14 +31,6 @@ from repro.telemetry import StatScope
 
 #: data lines one metadata line covers: 4-bit burst count x 128 lines = 64 bytes
 LINES_PER_METADATA_LINE = 128
-
-
-@dataclass(frozen=True)
-class MemZipConfig:
-    """Metadata-cache organisation."""
-
-    cache_bytes: int = 32 * 1024
-    cache_ways: int = 8
 
 
 class MemZipController(MemoryController):
@@ -52,7 +43,7 @@ class MemZipController(MemoryController):
         memory: PhysicalMemory,
         dram: DRAMSystem,
         compressor: Optional[CompressionAlgorithm] = None,
-        config: MemZipConfig = MemZipConfig(),
+        config: MetadataTableConfig = MetadataTableConfig(),
     ) -> None:
         super().__init__(memory, dram)
         self.config = config

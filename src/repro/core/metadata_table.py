@@ -39,7 +39,7 @@ table's contents."""
 
 @dataclass(frozen=True)
 class MetadataTableConfig:
-    """Metadata-cache organisation."""
+    """Metadata-cache organisation, shared by table-TMC and MemZip."""
 
     cache_bytes: int = 32 * 1024
     cache_ways: int = 8

@@ -17,7 +17,7 @@ dynamically disabling compression safe without decompressing memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
@@ -29,7 +29,7 @@ from repro.core.llp import LineLocationPredictor
 from repro.core.markers import MARKER_SIZE_DEFAULT, MarkerScheme, SlotKind, invert
 from repro.core.packing import Unit, compress_group, decompress_group, plan_group
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy
-from repro.types import Category, Level, ReadResult
+from repro.types import _NO_EXTRA_LINES, Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
@@ -167,9 +167,10 @@ class PTMCController(MemoryController):
 
     def _interpret(
         self, loc: int, slot: bytes, addr: int, now: int
-    ) -> Optional[Tuple[bytes, Dict[int, bytes], Level]]:
+    ) -> Optional[Tuple[bytes, Mapping[int, bytes], Level]]:
         """Decode one slot into (line, co-fetched slot-mates, level);
-        ``None`` means "the line is not here"."""
+        ``None`` means "the line is not here".  An uncompressed line has
+        no slot-mates: it shares the read-only empty mapping."""
         cls = self.markers.classify(loc, slot)
         level = cls.level
         if level is not None:  # a 2:1 or 4:1 slot
@@ -185,7 +186,7 @@ class PTMCController(MemoryController):
             return None
         if kind is _MAYBE_INVERTED and self._lit_lookup(loc, now):
             slot = invert(slot)
-        return slot, {}, _UNCOMPRESSED
+        return slot, _NO_EXTRA_LINES, _UNCOMPRESSED
 
     def _lit_lookup(self, loc: int, now: int) -> bool:
         """Consult the LIT; memory-mapped spills cost a DRAM access."""

@@ -30,6 +30,10 @@ from repro.obs import tracing
 from repro.obs.timeseries import TimeSeries, TimeSeriesPoint
 from repro.telemetry import StatRegistry
 
+#: headline counter deltas each sample mirrors onto the active tracer as
+#: Chrome counter-track events, correlating the time series with spans
+TRACE_COUNTERS = ("dram.reads", "dram.writes", "llc.hits", "llc.misses")
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -45,14 +49,6 @@ class ObsConfig:
     sample_interval: int = 0
     #: restrict sampled metrics to these registry paths (``None`` = all)
     sample_paths: Optional[Tuple[str, ...]] = None
-    #: headline counter deltas mirrored onto the active tracer as Chrome
-    #: counter-track events, correlating the time series with spans
-    trace_counters: Tuple[str, ...] = (
-        "dram.reads",
-        "dram.writes",
-        "llc.hits",
-        "llc.misses",
-    )
 
     @property
     def sampling(self) -> bool:
@@ -68,7 +64,6 @@ class IntervalSampler:
         interval: int,
         paths: Optional[Tuple[str, ...]] = None,
         phase: str = "warmup",
-        trace_counters: Tuple[str, ...] = (),
     ) -> None:
         if interval <= 0:
             raise ValueError("sampling interval must be positive (0 disables)")
@@ -76,7 +71,6 @@ class IntervalSampler:
         self.interval = interval
         self.paths = paths
         self.phase = phase
-        self.trace_counters = trace_counters
         self.accesses = 0
         self._since_sample = 0
         self._base = registry.snapshot()
@@ -123,14 +117,9 @@ class IntervalSampler:
         )
         self._base = self.registry.snapshot()
         self._since_sample = 0
-        if self.trace_counters:
-            values = {
-                path: float(metrics[path])
-                for path in self.trace_counters
-                if path in metrics
-            }
-            if values:
-                tracing.counter("sim.sample", values, category="sim")
+        values = {path: float(metrics[path]) for path in TRACE_COUNTERS if path in metrics}
+        if values:
+            tracing.counter("sim.sample", values, category="sim")
 
     def timeseries(self) -> TimeSeries:
         """The series collected so far (points are shared, not copied)."""

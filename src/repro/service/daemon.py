@@ -89,6 +89,11 @@ class LeaseLostError(RuntimeError):
 #: Queue-depth histogram bounds (jobs waiting at submission time).
 QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
+#: A failed attempt's retry delay grows by this factor per attempt from
+#: ``StoreSource.backoff_base``, capped at ``BACKOFF_MAX_S`` seconds.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 60.0
+
 
 @dataclasses.dataclass
 class ServiceStats:
@@ -154,15 +159,11 @@ class StoreSource:
         stats: Optional[ServiceStats] = None,
         log: Optional[StructuredLog] = None,
         backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 60.0,
     ) -> None:
         self.store = store
         self.stats = stats or ServiceStats()
         self.log = log or StructuredLog()
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
 
     def claim(self, worker_id: str, lease_seconds: float) -> Optional[Job]:
         job = self.store.claim(worker_id=worker_id, lease_seconds=lease_seconds)
@@ -196,7 +197,7 @@ class StoreSource:
         """Apply the retry rule to one failed attempt.
 
         While attempts remain the job is re-queued with ``not_before =
-        now + base * factor**(attempts-1)`` (capped at ``backoff_max``);
+        now + base * BACKOFF_FACTOR**(attempts-1)`` (capped at ``BACKOFF_MAX_S``);
         on its last attempt it fails terminally.  An ``invalid`` job (one
         the daemon's worker cannot resolve) fails terminally at once: it
         was validated against this process's roster and trace store at
@@ -205,8 +206,8 @@ class StoreSource:
         delay = None
         if not invalid and job.attempts < job.max_attempts:
             delay = min(
-                self.backoff_base * self.backoff_factor ** (max(job.attempts, 1) - 1),
-                self.backoff_max,
+                self.backoff_base * BACKOFF_FACTOR ** (max(job.attempts, 1) - 1),
+                BACKOFF_MAX_S,
             )
         if not self.store.fail(job.id, error, retry_delay=delay, worker_id=worker_id):
             return self._lost(job, worker_id)

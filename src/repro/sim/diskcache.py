@@ -15,12 +15,13 @@ Keys are a SHA-256 over the *fully resolved* identity of the run:
 - every field of the resolved ``SimConfig`` (recursively) except
   ``batch_chunk``, a performance knob that cannot change a result, so one
   result is stored under one key, and
-- :data:`~repro.sim.results.CACHE_SCHEMA_VERSION`, the one version of
-  stored results, which every entry's payload carries too.
+- :func:`code_digest`, a hash of the ``repro`` sources that produce the
+  result: a behaviour change is a source change, so results stored by
+  other code are never served.
 
 Entries are the versioned JSON produced by
-:meth:`repro.sim.results.SimResult.to_json_dict`; corrupt or
-version-mismatched files are discarded and treated as misses.
+:meth:`repro.sim.results.SimResult.to_json_dict`; corrupt files and
+payloads of another layout version are discarded and treated as misses.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -42,7 +44,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.obs.tracing import span
-from repro.sim.results import CACHE_SCHEMA_VERSION, ResultDecodeError, SimResult
+from repro.sim.results import ResultDecodeError, SimResult
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -98,8 +100,8 @@ def stable_identity(obj: Any) -> Any:
 def workload_identity(workload: Any) -> Any:
     """The workload's *full parameter* identity.
 
-    This — not ``workload.name`` — is what memoization and disk-cache
-    keys must use: a ``WorkloadSpec`` reduces to every field (footprint,
+    This — not ``workload.name`` — is what a disk-cache key must
+    use: a ``WorkloadSpec`` reduces to every field (footprint,
     locality fractions, data profile, seed, …) and a ``MixWorkload`` to
     its per-core spec list, so same-named-but-different workloads get
     distinct keys.
@@ -120,11 +122,27 @@ def config_identity(config: Any) -> Any:
     return identity
 
 
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """SHA-256 over every ``*.py`` of the imported ``repro`` package.
+
+    Each file contributes its path relative to the package and the hash
+    of its bytes, in path order.  Computed on first use, once per
+    process (a simulation that never meets the cache never pays for it).
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def cache_key(workload: Any, design: str, config: Any) -> str:
     """Stable SHA-256 key for one (workload, design, config) run."""
     blob = json.dumps(
         {
-            "schema": CACHE_SCHEMA_VERSION,
+            "code": code_digest(),
             "workload": workload_identity(workload),
             "design": design,
             "config": config_identity(config),
@@ -158,7 +176,7 @@ class DiskCache:
 
     Concurrent writers (the parallel sweep workers) are safe: entries are
     written to a temporary file and ``os.replace``-d into place, and any
-    truncated/corrupt/stale-schema file is deleted and reported as a miss.
+    truncated, corrupt or other-layout file is deleted and reported as a miss.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
@@ -316,10 +334,10 @@ class DiskCache:
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
     "CacheCounters",
     "DiskCache",
     "cache_key",
+    "code_digest",
     "config_identity",
     "default_cache_dir",
     "stable_identity",

@@ -29,7 +29,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.tracing import instant, span
 from repro.sim import runner
 from repro.sim.config import SimConfig, bench_config
-from repro.sim.diskcache import cache_key
 from repro.sim.results import SimResult, geometric_mean, weighted_speedup
 from repro.workloads.suites import Workload
 
@@ -47,7 +46,7 @@ class BatchReport:
     results: List[SimResult] = field(default_factory=list)
     #: (workload name, design) identifying each result, in job order
     job_names: List[Tuple[str, str]] = field(default_factory=list)
-    #: where each result came from: "memory" | "disk" | "executed"
+    #: where each result came from: "disk" | "executed"
     sources: List[str] = field(default_factory=list)
     #: per-job wall time as observed by the process that served it
     seconds: List[float] = field(default_factory=list)
@@ -58,15 +57,10 @@ class BatchReport:
     def executed(self) -> int:
         return self.sources.count("executed")
 
-    @property
-    def cache_hits(self) -> int:
-        return len(self.sources) - self.executed
-
     def counts(self) -> Dict[str, int]:
         return {
             "jobs": len(self.sources),
             "executed": self.executed,
-            "memory_hits": self.sources.count("memory"),
             "disk_hits": self.sources.count("disk"),
         }
 
@@ -122,7 +116,7 @@ def run_job(job: Tuple[Workload, str, SimConfig]) -> Tuple[SimResult, str, float
     """Execute one (workload, design, config) task in this process.
 
     Returns ``(result, source, seconds)`` where ``source`` is the
-    runner's provenance string (``"memory"`` | ``"disk"`` | ``"executed"``).
+    runner's provenance string (``"disk"`` | ``"executed"``).
     """
     workload, design, config = job
     start = time.perf_counter()
@@ -140,9 +134,8 @@ def run_batch(
     ``jobs`` <= 1 (or ``None``) runs serially in-process; larger values
     spread the tasks over that many worker processes.  Either way every
     job goes through the runner's disk cache, if one is configured
-    (:func:`repro.sim.runner.configure_disk_cache`).  All results are
-    adopted into the parent's in-process memo, so follow-up serial calls
-    are free.
+    (:func:`repro.sim.runner.configure_disk_cache`), so a later call for
+    the same identity is served from disk in this process or any other.
     """
     if config is None:
         config = bench_config()
@@ -187,7 +180,6 @@ def run_batch(
                 source=source,
                 seconds=round(seconds, 6),
             )
-            runner.adopt(cache_key(workload, design, config), result)
             report.results.append(result)
             report.job_names.append((workload.name, design))
             report.sources.append(source)

@@ -19,11 +19,12 @@ from repro.dram.system import DRAMStats
 from repro.obs.timeseries import TimeSeries
 from repro.telemetry import MetricValue
 
-#: Version of stored results, written into every disk-cache key and every
-#: result payload; a stored result of another version is never served.
-#: Bump it when the payload layout changes, or when the simulator's
-#: behaviour changes so that results stored by the old code go stale
-#: (``tests/test_golden_schema.py`` demands a bump when a golden moves).
+#: Layout version of a result payload, written into every payload and
+#: checked by every decode (the disk cache, ``ServiceClient.result`` and
+#: the daemon's upload route); a payload of another version is rejected.
+#: Bump it only when the layout changes: the disk-cache key hashes the
+#: code itself (:func:`repro.sim.diskcache.code_digest`), so a behaviour
+#: change needs no bump.
 #: 4: a result is its metrics; no field or ``extras`` entry copies one.
 CACHE_SCHEMA_VERSION = 4
 

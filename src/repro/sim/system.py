@@ -51,16 +51,7 @@ def build_controller(
     if design == "tmc_table":
         return MetadataTableController(memory, dram, config=config.metadata), None
     if design == "memzip":
-        from repro.core.memzip import MemZipConfig
-
-        return (
-            MemZipController(
-                memory,
-                dram,
-                config=MemZipConfig(cache_bytes=config.metadata.cache_bytes),
-            ),
-            None,
-        )
+        return MemZipController(memory, dram, config=config.metadata), None
     if design == "ideal":
         return IdealTMCController(memory, dram), None
     if design == "static_ptmc":
@@ -149,7 +140,6 @@ class SimulatedSystem:
             self.obs.sample_interval,
             paths=self.obs.sample_paths,
             phase="warmup" if self.config.warmup_ops else "measured",
-            trace_counters=self.obs.trace_counters,
         )
 
     def _make_batch(self) -> Optional[BatchCompressor]:

@@ -148,7 +148,7 @@ def characterize(workload, config=None, baseline=None) -> WorkloadProfile:
     """Full Table-II-style row for one workload.
 
     ``baseline`` may pass a pre-computed uncompressed SimResult; otherwise
-    one is obtained through the (memoizing) runner.
+    one is obtained through the runner (and its disk cache, if any).
     """
     from repro.sim.runner import simulate
 

@@ -1,16 +1,23 @@
 """Tests for the content-addressed on-disk result cache.
 
 Covers the cache-key identity rules (full workload parameters, not just
-the name — the memoization-aliasing regression), the versioned JSON
-round trip for :class:`SimResult` and its layout (the metrics plus host
-provenance, nothing copied), and corruption/version-mismatch handling.
+the name — the memoization-aliasing regression — and the code digest),
+the versioned JSON round trip for :class:`SimResult` and its layout (the
+metrics plus host provenance, nothing copied), and corruption/
+version-mismatch handling.
 """
 
 import dataclasses
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.sim import runner
 from repro.sim.config import quick_config
 from repro.sim.diskcache import (
@@ -34,11 +41,9 @@ CFG = quick_config(ops_per_core=300, warmup_ops=100)
 
 @pytest.fixture(autouse=True)
 def _isolated_runner():
-    """Fresh memo and no disk cache unless a test configures one."""
-    runner.clear_cache()
+    """No disk cache unless a test configures one."""
     runner.configure_disk_cache(enabled=False)
     yield
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 
@@ -89,18 +94,90 @@ class TestIdentity:
             stable_identity(object())
 
 
+#: the ``repro`` package this test run imports
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+
+
+def run_python(code: str, path: pathlib.Path) -> str:
+    """stdout of ``code`` run in a fresh interpreter importing from ``path``."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(path)},
+        cwd=path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def digest_of(root: pathlib.Path) -> str:
+    """The code digest of the ``repro`` package under ``root``."""
+    out = run_python(
+        "import repro\n"
+        "from repro.sim.diskcache import code_digest\n"
+        "print(repro.__file__)\n"
+        "print(code_digest())\n",
+        root,
+    )
+    imported, digest = out.split()
+    assert pathlib.Path(imported).resolve().is_relative_to(root.resolve())
+    return digest
+
+
+class TestCodeDigest:
+    def test_digest_follows_every_source_byte(self, tmp_path):
+        same = tmp_path / "same"
+        changed = tmp_path / "changed"
+        for root in (same, changed):
+            shutil.copytree(
+                PACKAGE, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+            )
+        # one byte of one comment: the code still runs, the bytes differ
+        path = changed / "repro" / "sim" / "results.py"
+        source = bytearray(path.read_bytes())
+        at = source.index(b"#: ") + 2
+        source[at] = ord("x")
+        path.write_bytes(bytes(source))
+        original = digest_of(PACKAGE.parent)
+        assert digest_of(same) == original
+        assert digest_of(changed) != original
+
+    def test_simulation_alone_never_computes_the_digest(self):
+        """Building and running a system never meets the cache, so it
+        never hashes the sources; the first key does, once."""
+        out = run_python(
+            "import repro.sim\n"
+            "from repro.sim import SimulatedSystem, cache_key, quick_config\n"
+            "from repro.sim.diskcache import code_digest\n"
+            "from repro.workloads import get_workload\n"
+            "config = quick_config(ops_per_core=50, warmup_ops=10)\n"
+            "workload = get_workload('lbm06')\n"
+            "SimulatedSystem(workload, 'uncompressed', config).run()\n"
+            "print(code_digest.cache_info().misses)\n"
+            "cache_key(workload, 'ideal', config)\n"
+            "cache_key(workload, 'uncompressed', config)\n"
+            "print(code_digest.cache_info().misses)\n",
+            PACKAGE.parent,
+        )
+        assert out.split() == ["0", "1"]
+
+
 class TestRunnerAliasingRegression:
-    def test_same_name_workloads_do_not_share_results(self):
+    def test_same_name_workloads_do_not_share_results(self, tmp_path):
         """Two same-named workloads with different parameters must not
-        return each other's memoized results (the old name-keyed bug)."""
+        return each other's cached results (the old name-keyed bug)."""
+        runner.configure_disk_cache(tmp_path)
         small = spec_like("dup", footprint_lines=256, seed=3)
         large = spec_like("dup", footprint_lines=8192, seq_frac=0.1, seed=3)
         a = runner.simulate(small, "uncompressed", CFG)
         b = runner.simulate(large, "uncompressed", CFG)
         assert a is not b
         assert a.core_cycles != b.core_cycles
-        # and each key still memoizes correctly on repeat (hits replay as
-        # marked copies, never the other workload's result)
+        assert len(DiskCache(tmp_path)) == 2
+        # and each key is served correctly on repeat (hits replay marked,
+        # never the other workload's result)
         again_small = runner.simulate(small, "uncompressed", CFG)
         again_large = runner.simulate(large, "uncompressed", CFG)
         assert again_small.extras["cached"] == 1.0
@@ -138,13 +215,17 @@ class TestSerialization:
             SimResult.from_json_dict(payload)
 
     def test_key_carries_the_payload_version(self, monkeypatch):
+        """The key carries the code digest: other code, another key.  The
+        payload's layout version is checked at decode, not keyed."""
         import repro.sim.diskcache as diskcache
 
-        assert diskcache.CACHE_SCHEMA_VERSION == CACHE_SCHEMA_VERSION
         w = get_workload("lbm06")
         before = cache_key(w, "ideal", CFG)
-        monkeypatch.setattr(diskcache, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
-        assert cache_key(w, "ideal", CFG) != before
+        monkeypatch.setattr(diskcache, "code_digest", lambda: "0" * 64)
+        other = cache_key(w, "ideal", CFG)
+        assert other != before
+        monkeypatch.setattr(diskcache, "CACHE_SCHEMA_VERSION", 0, raising=False)
+        assert cache_key(w, "ideal", CFG) == other
 
     def test_metrics_survive_round_trip(self):
         result = runner.simulate("lbm06", "dynamic_ptmc", CFG)
@@ -304,13 +385,11 @@ class TestDiskCache:
         payload = json.loads(path.read_text())
         del payload["metrics"]["llc.misses"]
         path.write_text(json.dumps(payload))
-        runner.clear_cache()
         second, source = runner.simulate_with_source("lbm06", "static_ptmc", CFG)
         assert source == "executed"
         assert runner.disk_cache().counters.evicted_corrupt == 1
         assert second.l3_misses == first.l3_misses
         # the re-executed result replaced the damaged entry
-        runner.clear_cache()
         _, source = runner.simulate_with_source("lbm06", "static_ptmc", CFG)
         assert source == "disk"
 
@@ -328,7 +407,6 @@ class TestDiskCache:
         runner.configure_disk_cache(tmp_path)
         first, src_first = runner.simulate_with_source("lbm06", "ideal", CFG)
         assert src_first == "executed"
-        runner.clear_cache()  # simulate a fresh process (memo gone)
         second, src_second = runner.simulate_with_source("lbm06", "ideal", CFG)
         assert src_second == "disk"
         assert second is not first
@@ -464,7 +542,6 @@ class TestPolicyKeying:
             "lbm06", "static_ptmc", CFG.with_(llc_policy="fifo")
         )
         assert src_lru == src_fifo == "executed"  # no key collision
-        runner.clear_cache()  # fresh process: only the disk store remains
         lru2, src = runner.simulate_with_source(
             "lbm06", "static_ptmc", CFG.with_(llc_policy="lru")
         )
@@ -481,8 +558,10 @@ class TestPolicyKeying:
         cfg = CFG.with_(llc_policy="srrip")
         _, first = runner.simulate_with_source("lbm06", "static_ptmc", cfg)
         _, second = runner.simulate_with_source("lbm06", "static_ptmc", cfg)
+        # an equal config built anew is the same identity
+        _, third = runner.simulate_with_source(
+            "lbm06", "static_ptmc", CFG.with_(llc_policy="srrip")
+        )
         assert first == "executed"
-        assert second == "memory"
-        runner.clear_cache()
-        _, third = runner.simulate_with_source("lbm06", "static_ptmc", cfg)
-        assert third == "disk"
+        assert second == third == "disk"
+        assert len(DiskCache(tmp_path)) == 1

@@ -65,10 +65,8 @@ def store(tmp_path):
 @pytest.fixture(autouse=True)
 def _isolated_runner(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
     yield
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.memzip import MemZipConfig, MemZipController
+from repro.core.memzip import MemZipController
+from repro.core.metadata_table import MetadataTableConfig
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from tests.controller_harness import FakeLLC, category_counts, evicted
@@ -75,12 +76,28 @@ class TestMetadata:
         assert category_counts(memzip)["metadata_read"] == 1
 
     def test_size_change_dirties_metadata(self, memzip):
-        config = MemZipConfig(cache_bytes=2 * 64, cache_ways=1)
+        config = MetadataTableConfig(cache_bytes=2 * 64, cache_ways=1)
         small = MemZipController(PhysicalMemory(1 << 16), DRAMSystem(refresh=False), config=config)
         small.handle_eviction(evicted(5, zero_line()), 0, 0, FakeLLC())
         for i in range(8):
             small.read_line(i * 2048, 0, 0, FakeLLC())
         assert category_counts(small).get("metadata_write", 0) >= 1
+
+
+class TestMetadataCacheConfig:
+    def test_both_table_designs_take_the_configured_organisation(self):
+        """MemZip's metadata cache is sized *and* shaped by
+        ``SimConfig.metadata``, exactly as table-TMC's is."""
+        from repro.sim.config import quick_config
+        from repro.sim.system import build_controller
+
+        config = quick_config(metadata=MetadataTableConfig(cache_bytes=1024, cache_ways=4))
+        for design in ("tmc_table", "memzip"):
+            controller, _ = build_controller(
+                design, PhysicalMemory(1 << 16), DRAMSystem(refresh=False), config
+            )
+            cache = controller.metadata_cache
+            assert (cache.num_sets, cache.ways) == (4, 4), design
 
 
 class TestIntegration:

@@ -26,41 +26,46 @@ DESIGNS = ["static_ptmc", "dynamic_ptmc", "ideal"]
 
 @pytest.fixture(autouse=True)
 def _isolated_runner():
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
     runner.stats.reset()
     yield
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 
 class TestRunBatch:
-    def test_serial_batch_reports_sources(self):
-        report = parallel.run_batch(
-            [("lbm06", "ideal"), ("lbm06", "uncompressed")], config=CFG
-        )
-        assert report.counts() == {
-            "jobs": 2,
-            "executed": 2,
-            "memory_hits": 0,
-            "disk_hits": 0,
-        }
+    def test_serial_batch_reports_sources(self, tmp_path):
+        runner.configure_disk_cache(tmp_path)
+        tasks = [("lbm06", "ideal"), ("lbm06", "uncompressed")]
+        report = parallel.run_batch(tasks, config=CFG)
+        assert report.counts() == {"jobs": 2, "executed": 2, "disk_hits": 0}
         assert len(report.seconds) == 2
         assert all(s > 0 for s in report.seconds)
         assert report.wall_seconds > 0
+        again = parallel.run_batch(tasks, config=CFG)
+        assert again.counts() == {"jobs": 2, "executed": 0, "disk_hits": 2}
 
-    def test_repeat_batch_hits_memory(self):
+    def test_repeat_batch_hits_memory(self, tmp_path):
+        """A repeated identity is served from disk in the same process;
+        with no disk cache it runs again."""
         tasks = [("lbm06", "ideal")]
         parallel.run_batch(tasks, config=CFG)
+        assert parallel.run_batch(tasks, config=CFG).sources == ["executed"]
+        runner.configure_disk_cache(tmp_path)
+        parallel.run_batch(tasks, config=CFG)
         report = parallel.run_batch(tasks, config=CFG)
-        assert report.sources == ["memory"]
+        assert report.sources == ["disk"]
 
-    def test_parallel_results_adopted_by_parent(self):
+    def test_parallel_results_adopted_by_parent(self, tmp_path):
+        """Results the pool processes computed reach the parent through
+        the shared disk cache: serial follow-ups execute nothing."""
+        runner.configure_disk_cache(tmp_path)
         tasks = [("lbm06", "ideal"), ("mcf06", "ideal")]
-        parallel.run_batch(tasks, config=CFG, jobs=2)
-        # the parent's memo was seeded: serial follow-ups are free
+        pooled = parallel.run_batch(tasks, config=CFG, jobs=2)
         _, source = runner.simulate_with_source("lbm06", "ideal", CFG)
-        assert source == "memory"
+        assert source == "disk"
+        assert runner.stats.executed == 0
+        replay = runner.simulate("mcf06", "ideal", CFG)
+        assert replay.metrics == pooled.results[1].metrics
 
 
 class TestParallelMatchesSerial:
@@ -69,14 +74,12 @@ class TestParallelMatchesSerial:
             workload.name: {d: runner.compare(workload, d, CFG) for d in DESIGNS}
             for workload in map(get_workload, WORKLOADS)
         }
-        runner.clear_cache()
         with_pool = parallel.sweep(WORKLOADS, DESIGNS, CFG, jobs=4)
         assert with_pool == serial  # exact float equality, not approx
 
     def test_suite_geomean_matches(self):
         workloads = [get_workload(w) for w in WORKLOADS[:2]]
         serial = geometric_mean(runner.compare(w, "ideal", CFG) for w in workloads)
-        runner.clear_cache()
         assert parallel.suite_geomean(workloads, "ideal", CFG, jobs=2) == serial
 
 
@@ -85,8 +88,6 @@ class TestDiskCacheIntegration:
         runner.configure_disk_cache(tmp_path)
         _, first = parallel.sweep_with_report(WORKLOADS, DESIGNS, CFG, jobs=4)
         assert first.executed == len(WORKLOADS) * (len(DESIGNS) + 1)
-        # cold process: memo gone, only the disk cache remains
-        runner.clear_cache()
         matrix, second = parallel.sweep_with_report(WORKLOADS, DESIGNS, CFG, jobs=4)
         assert second.executed == 0
         assert second.counts()["disk_hits"] == first.executed
@@ -100,7 +101,6 @@ class TestDiskCacheIntegration:
         pooled = parallel.run_batch([("lbm06", "uncompressed")], config=CFG, jobs=2)
         assert serial.sources == pooled.sources == ["executed"]
         assert len(DiskCache(tmp_path)) == 2
-        runner.clear_cache()
         report = parallel.run_batch(
             [("lbm06", "ideal"), ("lbm06", "uncompressed")], config=CFG, jobs=2
         )

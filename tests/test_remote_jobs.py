@@ -25,10 +25,8 @@ OPS, WARMUP = 200, 100
 @pytest.fixture(autouse=True)
 def _isolated_runner(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
     yield
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 

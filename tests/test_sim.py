@@ -5,7 +5,8 @@ import pytest
 from repro.sim.config import bench_config, paper_config, quick_config
 from repro.sim.results import SimResult, geometric_mean, normalized_bandwidth, weighted_speedup
 from repro.sim import suite_geomean, sweep
-from repro.sim.runner import clear_cache, compare, simulate
+from repro.sim import runner
+from repro.sim.runner import compare, simulate
 from repro.sim.system import DESIGNS, build_controller
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
@@ -63,15 +64,20 @@ class TestRunner:
         assert result.elapsed_cycles > 0
         assert len(result.core_cycles) == CFG.num_cores
 
-    def test_cache_hit_returns_marked_copy(self):
-        clear_cache()
-        a = simulate("lbm06", "uncompressed", CFG)
-        b = simulate("lbm06", "uncompressed", CFG)
-        # replays never alias (or mutate) the memoized result; they carry
-        # their own serve timing instead of the original's wall clock
-        assert b is not a
+    def test_cache_hit_returns_marked_copy(self, tmp_path):
+        runner.configure_disk_cache(tmp_path)
+        try:
+            a = simulate("lbm06", "uncompressed", CFG)
+            b = simulate("lbm06", "uncompressed", CFG)
+            c = simulate("lbm06", "uncompressed", CFG)
+        finally:
+            runner.configure_disk_cache(enabled=False)
+        # each replay is its own decoded object, never the executed result
+        # or another replay; it carries its own serve timing instead of
+        # the original's wall clock
+        assert b is not a and c is not b
         assert "cached" not in a.extras
-        assert b.extras["cached"] == 1.0
+        assert b.extras["cached"] == c.extras["cached"] == 1.0
         assert b.extras["serve_seconds"] >= 0.0
         assert b.extras["sim_seconds"] == a.extras["sim_seconds"]
         assert b.core_cycles == a.core_cycles
@@ -82,12 +88,6 @@ class TestRunner:
         b = simulate("lbm06", "uncompressed", CFG, use_cache=False)
         assert a is not b
         assert a.core_cycles == b.core_cycles  # deterministic
-
-    def test_clear_cache(self):
-        a = simulate("lbm06", "uncompressed", CFG)
-        clear_cache()
-        b = simulate("lbm06", "uncompressed", CFG)
-        assert a is not b
 
     def test_compare_self_is_one(self):
         assert compare("lbm06", "uncompressed", CFG) == pytest.approx(1.0)

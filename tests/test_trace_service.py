@@ -28,12 +28,10 @@ def _isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     clear_record_memo()
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
     yield
     clear_record_memo()
     store_module._default_store = None
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 

@@ -51,12 +51,10 @@ def _isolated_stores(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     configure_trace_store(tmp_path / "traces")
     clear_record_memo()
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
     yield
     clear_record_memo()
     store_module._default_store = None
-    runner.clear_cache()
     runner.configure_disk_cache(enabled=False)
 
 
