@@ -66,11 +66,6 @@ class _DeltaPlan:
     deltas: List[int]  # signed deltas, one per element
 
 
-def _signed_fits(value: int, nbytes: int) -> bool:
-    bits = nbytes * 8
-    return -(1 << (bits - 1)) <= value < (1 << (bits - 1))
-
-
 class BDI(CompressionAlgorithm):
     """Base-Delta-Immediate with an implicit zero base."""
 
@@ -192,13 +187,6 @@ class BDI(CompressionAlgorithm):
             encodings[feasible] = encoding
             decided |= feasible
         return sizes, encodings
-
-    def _plan(
-        self, line: bytes, encoding: int, base_bytes: int, delta_bytes: int
-    ) -> Optional[_DeltaPlan]:
-        """Find base/deltas for one (k, d) configuration, or None."""
-        elements = _ELEMENTS[base_bytes].unpack(line)
-        return self._plan_elements(elements, encoding, delta_bytes)
 
     @staticmethod
     def _plan_elements(

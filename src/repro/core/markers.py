@@ -7,6 +7,13 @@ contents became stale after a relocation are overwritten with a 64-byte
 per-line from a keyed hash so an adversary cannot force collisions
 (paper: "Attack-Resilient Marker Codes").
 
+The hardware recomputes a slot's markers from the key when it needs them
+(Table III provisions 72 bytes of on-chip state).  This model memoizes
+them instead, as one 16-byte record per touched slot at the default
+4-byte marker: the pair marker, the quad marker and the 8-byte block
+that Marker-IL repeats.  Marker-IL and every complement are derived from
+the record when needed and never stored.
+
 An uncompressed line whose data coincidentally ends with a marker (or
 equals Marker-IL) would be misinterpreted, so it is stored bit-inverted
 and recorded in the Line Inversion Table; an inverted line's tail matches
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.compression.base import LINE_SIZE
 from repro.types import Level
@@ -31,6 +38,10 @@ the paper recommends 5 bytes for systems with hundreds of gigabytes."""
 _TWEAK_PAIR = 1
 _TWEAK_QUAD = 2
 _TWEAK_INVALID = 3
+
+#: Marker-IL is its 8-byte seed block repeated over the line.
+_BLOCK_SIZE = 8
+_BLOCK_COPIES = LINE_SIZE // _BLOCK_SIZE
 
 
 class SlotKind(Enum):
@@ -61,16 +72,25 @@ def invert(data: bytes) -> bytes:
     return data.translate(_INVERT_TABLE)
 
 
+# The enum members the hot paths use, as module globals: Python 3.11's
+# ``EnumType.__getattr__`` makes every read through the class slow.
+_PAIR = Level.PAIR
+_QUAD = Level.QUAD
+_KIND_PAIR = SlotKind.PAIR
+_KIND_QUAD = SlotKind.QUAD
+_KIND_INVALID = SlotKind.INVALID
+
 #: The five possible classifications, shared by every ``classify`` call.
-_QUAD_SLOT = SlotClass(SlotKind.QUAD, Level.QUAD)
-_PAIR_SLOT = SlotClass(SlotKind.PAIR, Level.PAIR)
-_INVALID_SLOT = SlotClass(SlotKind.INVALID)
+_QUAD_SLOT = SlotClass(_KIND_QUAD, _QUAD)
+_PAIR_SLOT = SlotClass(_KIND_PAIR, _PAIR)
+_INVALID_SLOT = SlotClass(_KIND_INVALID)
 _MAYBE_INVERTED_SLOT = SlotClass(SlotKind.MAYBE_INVERTED)
 _UNCOMPRESSED_SLOT = SlotClass(SlotKind.UNCOMPRESSED)
 
-#: Per-slot marker values, precomputed for the hot path:
-#: ``(pair, quad, invalid, inv_pair, inv_quad, inv_invalid)``.
-_SlotMarkers = Tuple[bytes, bytes, bytes, bytes, bytes, bytes]
+#: One slot's marker record, ``pair + quad + block`` for marker size
+#: ``s``: ``pair = rec[:s]``, ``quad = rec[s:2s]`` and ``block =
+#: rec[-8:]``, so Marker-IL is ``block * 8`` and its tail is ``rec[-s:]``.
+_SlotMarkers = bytes
 
 
 class MarkerScheme:
@@ -78,8 +98,9 @@ class MarkerScheme:
 
     ``key`` plays the role of the machine's secret marker key; calling
     :meth:`rekey` models the paper's LIT-overflow recovery that regenerates
-    all marker values (§IV-C Option 2).  Marker values are memoized per
-    slot because slot classification runs on every memory read.
+    all marker values (§IV-C Option 2).  Slot classification runs on every
+    memory read, so each touched slot's markers are memoized as one
+    record (``_SlotMarkers``) until the next rekey.
     """
 
     def __init__(self, key: int = 0x5EED, marker_size: int = MARKER_SIZE_DEFAULT) -> None:
@@ -106,7 +127,7 @@ class MarkerScheme:
     # Marker values ------------------------------------------------------
 
     def _derive(self, loc: int) -> _SlotMarkers:
-        """Compute the collision-free marker set for one slot.
+        """Compute the collision-free marker record for one slot.
 
         The pair marker, quad marker, their complements and the tail of
         Marker-IL must be pairwise distinct or classification would be
@@ -116,11 +137,11 @@ class MarkerScheme:
         size = self.marker_size
         # one keyed digest per slot seeds all three markers (cheap: marker
         # derivation runs once per slot touched); unpredictability still
-        # rests on the key.  Marker-IL repeats one 8-byte block.
+        # rests on the key.  Marker-IL repeats the digest's 8-byte block.
         seed = self._hash.hash64(loc, _TWEAK_INVALID)
-        invalid = (seed.to_bytes(8, "little") * ((LINE_SIZE + 7) // 8))[:LINE_SIZE]
-        inv_invalid = invalid.translate(_INVERT_TABLE)
-        taken = [invalid[-size:], inv_invalid[-size:]]
+        block = seed.to_bytes(_BLOCK_SIZE, "little")
+        invalid_tail = block[-size:]
+        taken = [invalid_tail, invalid_tail.translate(_INVERT_TABLE)]
         fresh = []
         for attempt in (_TWEAK_PAIR, _TWEAK_QUAD):
             while True:
@@ -132,15 +153,7 @@ class MarkerScheme:
                     fresh.append(value)
                     break
                 attempt += 0x100
-        pair, quad = fresh
-        return (
-            pair,
-            quad,
-            invalid,
-            pair.translate(_INVERT_TABLE),
-            quad.translate(_INVERT_TABLE),
-            inv_invalid,
-        )
+        return fresh[0] + fresh[1] + block
 
     def _slot_markers(self, loc: int) -> _SlotMarkers:
         cached = self._cache.get(loc)
@@ -151,40 +164,52 @@ class MarkerScheme:
 
     def marker(self, loc: int, level: Level) -> bytes:
         """The marker a compressed slot at ``loc`` must end with."""
-        if level is Level.PAIR:
-            return self._slot_markers(loc)[0]
-        if level is Level.QUAD:
-            return self._slot_markers(loc)[1]
+        if level is _PAIR:
+            return self._slot_markers(loc)[: self.marker_size]
+        if level is _QUAD:
+            size = self.marker_size
+            return self._slot_markers(loc)[size : size + size]
         raise ValueError("uncompressed slots carry no marker")
 
     def invalid_marker(self, loc: int) -> bytes:
         """The 64-byte Invalid-Line marker (Marker-IL) for slot ``loc``."""
-        return self._slot_markers(loc)[2]
+        return self._slot_markers(loc)[-_BLOCK_SIZE:] * _BLOCK_COPIES
 
     # Classification -----------------------------------------------------
 
     def classify(self, loc: int, slot: bytes) -> SlotClass:
         """Interpret the 64 bytes read from slot ``loc``.
 
-        Order of checks mirrors the hardware: full-line Marker-IL first,
-        then the compressed markers on the tail, then their complements
-        (possible inversion), else plain uncompressed data.  The result is
-        one of five shared :class:`SlotClass` values.
+        Checks run in this order: the quad marker and then the pair
+        marker on the tail, the full-line Marker-IL, then the complements
+        of all three (possible inversion), else plain uncompressed data.
+        A full line is compared only when its tail already matches
+        Marker-IL's.  The result is one of five shared :class:`SlotClass`
+        values.
         """
         if len(slot) != LINE_SIZE:
             raise ValueError("slots are exactly 64 bytes")
         markers = self._cache.get(loc)
         if markers is None:
             markers = self._slot_markers(loc)
-        pair, quad, invalid, inv_pair, inv_quad, inv_invalid = markers
-        tail = slot[-self.marker_size :]
+        size = self.marker_size
+        tail = slot[-size:]
+        quad = markers[size : size + size]
         if tail == quad:
             return _QUAD_SLOT
+        pair = markers[:size]
         if tail == pair:
             return _PAIR_SLOT
-        if slot == invalid:
+        invalid_tail = markers[-size:]
+        if tail == invalid_tail and slot == markers[-_BLOCK_SIZE:] * _BLOCK_COPIES:
             return _INVALID_SLOT
-        if tail == inv_quad or tail == inv_pair or slot == inv_invalid:
+        tail = tail.translate(_INVERT_TABLE)
+        if tail == quad or tail == pair:
+            return _MAYBE_INVERTED_SLOT
+        if (
+            tail == invalid_tail
+            and slot.translate(_INVERT_TABLE) == markers[-_BLOCK_SIZE:] * _BLOCK_COPIES
+        ):
             return _MAYBE_INVERTED_SLOT
         return _UNCOMPRESSED_SLOT
 
@@ -198,7 +223,7 @@ class MarkerScheme:
         manufacture a real marker and corrupt the line.
         """
         kind = self.classify(loc, line).kind
-        return kind is SlotKind.PAIR or kind is SlotKind.QUAD or kind is SlotKind.INVALID
+        return kind is _KIND_PAIR or kind is _KIND_QUAD or kind is _KIND_INVALID
 
     def storage_bits(self) -> int:
         """On-chip storage for the global marker seeds (Table III).

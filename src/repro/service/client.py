@@ -18,6 +18,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+from repro.sim.diskcache import code_digest
 from repro.sim.results import SimResult
 
 #: Environment variable naming the daemon to talk to.
@@ -215,11 +216,16 @@ class ServiceClient:
         result: SimResult,
         source: str = "remote",
     ) -> Dict[str, Any]:
-        """Replicate a finished result to the daemon's cache; job -> done."""
+        """Replicate a finished result to the daemon's cache; job -> done.
+
+        The upload names the code that produced it; a daemon running
+        other code refuses it with 409.
+        """
         payload = {
             "worker_id": worker_id,
             "result": result.to_json_dict(),
             "source": source,
+            "code": code_digest(),
         }
         return self._request("PUT", f"/jobs/{job_id}/result", payload)["job"]
 

@@ -47,7 +47,7 @@ from repro.service.worker import (
     resolve_job_workload,
 )
 from repro.sim import runner
-from repro.sim.diskcache import DiskCache, cache_key
+from repro.sim.diskcache import DiskCache, cache_key, code_digest
 from repro.sim.results import ResultDecodeError, SimResult
 from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry, StatScope
@@ -83,7 +83,8 @@ class WorkerProtocolError(ValueError):
 
 
 class LeaseLostError(RuntimeError):
-    """The caller no longer holds the job's lease (reaped or re-owned)."""
+    """The caller no longer holds the job's lease (reaped, re-owned, or
+    its attempt failed because its result came from other code)."""
 
 
 #: Queue-depth histogram bounds (jobs waiting at submission time).
@@ -655,13 +656,20 @@ class ServiceDaemon:
     def remote_result(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Adopt a worker's finished result: cache it, mark the job done.
 
-        The payload carries the :meth:`SimResult.to_json_dict` dict; the
-        daemon writes it through its content-addressed cache under the
+        The payload carries the :meth:`SimResult.to_json_dict` dict and
+        the worker's :func:`~repro.sim.diskcache.code_digest`; the daemon
+        writes the result through its content-addressed cache under the
         job's key, so results replicate to the shared store exactly as
-        if the local pool had produced them.
+        if the local pool had produced them.  The key names this
+        daemon's code, so a result from other code is never cached: the
+        attempt fails under the retry rule and the worker is told its
+        lease is gone.
         """
         worker_id, _lease = self._worker_fields(payload)
         job = self.store.find(job_id)
+        code = payload.get("code")
+        if not isinstance(code, str):
+            raise WorkerProtocolError("'code' must be the worker's code digest string")
         result_dict = payload.get("result")
         if not isinstance(result_dict, dict):
             raise WorkerProtocolError("'result' must be a SimResult JSON object")
@@ -676,6 +684,14 @@ class ServiceDaemon:
         source = payload.get("source") or "remote"
         if not isinstance(source, str):
             raise WorkerProtocolError("'source' must be a string")
+        if code != code_digest():
+            error = (
+                f"result from other code: worker {worker_id!r} runs {code}, "
+                f"the daemon runs {code_digest()}"
+            )
+            if not self.source.fail(job, worker_id, error):
+                raise LeaseLostError(f"job {job.id} is no longer leased to worker {worker_id!r}")
+            raise LeaseLostError(f"job {job.id}: {error}; attempt failed, result not cached")
         # Persist before the state flip so a GET /jobs/<id>/result that
         # races the transition never sees done-without-result.
         self.cache.put(job.key, result)

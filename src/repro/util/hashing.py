@@ -40,13 +40,3 @@ class KeyedHash:
         h = mix64(message ^ self._k0)
         h = mix64(h ^ (tweak * 0xD6E8FEB86659FD93 & _MASK64))
         return mix64(h ^ self._k1)
-
-    def digest(self, message: int, nbytes: int, tweak: int = 0) -> bytes:
-        """Return ``nbytes`` of keyed output, expanded counter-mode style."""
-        out = bytearray()
-        counter = 0
-        while len(out) < nbytes:
-            block = self.hash64(message ^ (counter << 48), tweak)
-            out.extend(block.to_bytes(8, "little"))
-            counter += 1
-        return bytes(out[:nbytes])

@@ -132,7 +132,3 @@ def get_workload(name: str) -> Workload:
         raise KeyError(
             f"unknown workload {name!r}; available: {sorted(BY_NAME)}"
         ) from None
-
-
-def suite_of(workload: Workload) -> str:
-    return workload.suite

@@ -36,20 +36,6 @@ class TestKeyedHash:
         h = KeyedHash(9)
         assert h.hash64(7, tweak=0) != h.hash64(7, tweak=1)
 
-    def test_digest_length(self):
-        h = KeyedHash(3)
-        for nbytes in (1, 4, 8, 9, 64):
-            assert len(h.digest(5, nbytes)) == nbytes
-
-    def test_digest_prefix_consistent(self):
-        h = KeyedHash(3)
-        assert h.digest(5, 4) == h.digest(5, 8)[:4]
-
-    def test_digest_uniformity_coarse(self):
-        h = KeyedHash(1234)
-        digests = [h.digest(i, 4) for i in range(2_000)]
-        assert len(set(digests)) == 2_000
-
 
 @given(st.integers(min_value=0), st.integers(min_value=0, max_value=2**64 - 1))
 def test_hash64_in_range(key, message):

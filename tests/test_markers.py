@@ -1,11 +1,15 @@
 """Tests for inline-metadata markers, classification and inversion."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.markers as markers_module
 from repro.core.markers import MarkerScheme, SlotKind, invert
 from repro.types import Level
+from repro.util.hashing import KeyedHash, mix64
 from tests.lineutils import zero_line
 
 
@@ -223,3 +227,166 @@ class TestClassifyAcrossRekey:
         assert scheme.classify(loc, slot).kind is _reference_kind(scheme, loc, slot)
         for own in _probe_slots(scheme, loc):
             assert scheme.classify(loc, own).kind is _reference_kind(scheme, loc, own)
+
+
+_INVERT = bytes(i ^ 0xFF for i in range(256))
+_TWEAK_PAIR, _TWEAK_QUAD, _TWEAK_INVALID = 1, 2, 3
+
+
+class _FrozenScheme:
+    """The marker scheme as it was when each slot's memo held six byte
+    strings: ``_derive`` and ``classify`` copied verbatim.
+
+    ``_reference_kind`` above derives from the public values, so it
+    cannot see a changed marker value; this copy can.  Markers live only
+    in memory contents, so a changed value moves no golden either.
+    """
+
+    def __init__(self, key, marker_size):
+        self.marker_size = marker_size
+        self._generation = 0
+        self._set_key(key)
+
+    def rekey(self):
+        self._generation += 1
+        self._set_key(self._hash.hash64(self._generation, tweak=0xDEAD))
+
+    def _set_key(self, key):
+        self._hash = KeyedHash(key)
+        self._cache = {}
+
+    def _derive(self, loc):
+        size = self.marker_size
+        seed = self._hash.hash64(loc, _TWEAK_INVALID)
+        invalid = (seed.to_bytes(8, "little") * ((64 + 7) // 8))[:64]
+        inv_invalid = invalid.translate(_INVERT)
+        taken = [invalid[-size:], inv_invalid[-size:]]
+        fresh = []
+        for attempt in (_TWEAK_PAIR, _TWEAK_QUAD):
+            while True:
+                value = mix64(seed ^ attempt).to_bytes(8, "little")[:size]
+                inverse = value.translate(_INVERT)
+                if value not in taken and inverse not in taken:
+                    taken.append(value)
+                    taken.append(inverse)
+                    fresh.append(value)
+                    break
+                attempt += 0x100
+        pair, quad = fresh
+        return (
+            pair,
+            quad,
+            invalid,
+            pair.translate(_INVERT),
+            quad.translate(_INVERT),
+            inv_invalid,
+        )
+
+    def _slot_markers(self, loc):
+        cached = self._cache.get(loc)
+        if cached is None:
+            cached = self._derive(loc)
+            self._cache[loc] = cached
+        return cached
+
+    def marker(self, loc, level):
+        return self._slot_markers(loc)[0 if level is Level.PAIR else 1]
+
+    def invalid_marker(self, loc):
+        return self._slot_markers(loc)[2]
+
+    def classify(self, loc, slot):
+        pair, quad, invalid, inv_pair, inv_quad, inv_invalid = self._slot_markers(loc)
+        tail = slot[-self.marker_size :]
+        if tail == quad:
+            return markers_module._QUAD_SLOT
+        if tail == pair:
+            return markers_module._PAIR_SLOT
+        if slot == invalid:
+            return markers_module._INVALID_SLOT
+        if tail == inv_quad or tail == inv_pair or slot == inv_invalid:
+            return markers_module._MAYBE_INVERTED_SLOT
+        return markers_module._UNCOMPRESSED_SLOT
+
+    def collides(self, loc, line):
+        kind = self.classify(loc, line).kind
+        return kind in (SlotKind.PAIR, SlotKind.QUAD, SlotKind.INVALID)
+
+
+def _crafted_slots(ref, loc, body):
+    """A slot for every branch of ``classify`` at ``loc``, from ``ref``'s values."""
+    size = ref.marker_size
+    head = body[: 64 - size]
+    invalid = ref.invalid_marker(loc)
+    tails = [
+        ref.marker(loc, Level.QUAD),
+        ref.marker(loc, Level.PAIR),
+        invert(ref.marker(loc, Level.QUAD)),
+        invert(ref.marker(loc, Level.PAIR)),
+        # the tail alone equals Marker-IL's tail, or its complement
+        invalid[-size:],
+        invert(invalid[-size:]),
+    ]
+    slots = [head + tail for tail in tails]
+    slots += [invalid, invert(invalid), body, invert(body)]
+    # Marker-IL with one byte changed ahead of its (still matching) tail
+    slots.append(bytes([invalid[0] ^ 1]) + invalid[1:])
+    slots.append(invert(slots[-1]))
+    return slots
+
+
+class TestMatchesFrozenScheme:
+    """Every marker value, classification and collision verdict equals
+    the six-tuple scheme's, at every marker size and across rekeys."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**28 - 1), min_size=1, max_size=4),
+        st.lists(st.binary(min_size=64, max_size=64), min_size=1, max_size=3),
+    )
+    def test_values_and_verdicts_match(self, size, key, locs, bodies):
+        scheme = MarkerScheme(key=key, marker_size=size)
+        ref = _FrozenScheme(key, size)
+        for _epoch in range(3):
+            for loc in locs:
+                assert scheme.marker(loc, Level.PAIR) == ref.marker(loc, Level.PAIR)
+                assert scheme.marker(loc, Level.QUAD) == ref.marker(loc, Level.QUAD)
+                assert scheme.invalid_marker(loc) == ref.invalid_marker(loc)
+                for body in bodies:
+                    for slot in _crafted_slots(ref, loc, body):
+                        assert scheme.classify(loc, slot) is ref.classify(loc, slot)
+                        assert scheme.collides(loc, slot) is ref.collides(loc, slot)
+            scheme.rekey()
+            ref.rekey()
+
+    def test_every_branch_is_reached(self):
+        seen = set()
+        for size in range(1, 9):
+            ref = _FrozenScheme(0x5EED, size)
+            scheme = MarkerScheme(key=0x5EED, marker_size=size)
+            for slot in _crafted_slots(ref, 40, bytes(range(64))):
+                cls = scheme.classify(40, slot)
+                assert cls is ref.classify(40, slot)
+                seen.add(cls.kind)
+        assert seen == set(SlotKind)
+
+
+def test_memo_holds_one_small_record_per_slot():
+    # The memo is the largest structure a PTMC simulation builds: one
+    # entry per touched slot.  Six byte strings per slot (two of them
+    # 64-byte lines) took about 490 B a slot; one record takes about 110.
+    for size in (4, 8):
+        scheme = MarkerScheme(key=3, marker_size=size)
+        line = bytes(range(64))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for loc in range(10_000):
+                scheme.classify(loc, line)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(scheme._cache) == 10_000
+        assert held <= 1_500_000, (size, held)

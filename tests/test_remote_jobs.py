@@ -5,6 +5,8 @@ attempt on a remote worker cannot be renewed forever: the heartbeat is
 refused (409 over HTTP) and the reaper takes the job back when its
 lease lapses.  One retry rule decides the backoff and the terminal
 verdict for a local failure and for a worker's ``POST /jobs/<id>/fail``.
+An upload names the code that produced it, and the daemon caches only
+results of its own code.
 """
 
 import time
@@ -12,12 +14,14 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.service import client as client_module
 from repro.service import jobstore
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobstore import JobStore
+from repro.service.jobstore import Job, JobStore
 from repro.sim import runner
-from repro.service.worker import _Running
-from tests.test_distributed import make_daemon, submit
+from repro.sim.diskcache import DiskCache, code_digest
+from repro.service.worker import HttpSource, _Running
+from tests.test_distributed import CFG, make_daemon, submit
 
 OPS, WARMUP = 200, 100
 
@@ -158,5 +162,58 @@ class TestOneRetryRule:
                         assert backoff == pytest.approx(delay, abs=1e-6)
             assert daemon.stats.retried == 2
             assert daemon.stats.failed == 2
+        finally:
+            daemon.stop()
+
+
+class TestUploadNamesItsCode:
+    FOREIGN = "f" * 64
+
+    def test_result_of_other_code_is_refused_and_fails_the_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        daemon = make_daemon(tmp_path, backoff_base=0.05)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, max_attempts=2)
+            result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
+            monkeypatch.setattr(client_module, "code_digest", lambda: self.FOREIGN)
+            source = HttpSource(client)
+            for attempt, state in ((1, jobstore.QUEUED), (2, jobstore.FAILED)):
+                time.sleep(0.1)  # past the previous attempt's backoff
+                claimed = Job(**client.claim("w1", lease_seconds=60.0))
+                assert claimed.id == job["id"]
+                # 409: the worker drops the job as it does a lost lease
+                assert source.finish(claimed, "w1", result, "remote") is False
+                assert source.stats.lease_lost == attempt
+                assert DiskCache(tmp_path / "simcache").get(claimed.key) is None
+                row = daemon.store.get(job["id"])
+                assert (row.state, row.attempts) == (state, attempt)
+                assert row.lease_until is None
+                assert self.FOREIGN in row.error and code_digest() in row.error
+            assert daemon.stats.retried == 1
+            assert daemon.stats.failed == 1
+            assert daemon.stats.completed == 0
+        finally:
+            daemon.stop()
+
+    def test_upload_without_code_is_a_protocol_error(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+            claimed = client.claim("w1", lease_seconds=60.0)
+            result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
+            payload = {"worker_id": "w1", "result": result.to_json_dict()}
+            for code in (None, 7):
+                if code is not None:
+                    payload["code"] = code
+                with pytest.raises(ServiceError) as err:
+                    client._request("PUT", f"/jobs/{job['id']}/result", payload)
+                assert err.value.status == 400
+                assert "code" in str(err.value)
+            row = daemon.store.get(job["id"])
+            assert (row.state, row.worker_id) == (jobstore.RUNNING, "w1")
+            assert DiskCache(tmp_path / "simcache").get(claimed["key"]) is None
         finally:
             daemon.stop()
