@@ -81,11 +81,13 @@ class MemZipController(MemoryController):
         completion = self.dram.access(
             addr, now, Category.DATA_READ, burst_bytes=bursts * 8
         )
-        raw = self.memory.read(addr)
         if bursts == 8:
-            data = raw
+            # stored as is: the LLC gets it as read, a never-written line
+            # unrendered (DESIGN.md §14)
+            data = self.memory.read_deferred(addr)
         else:
             # compressed slot layout: [payload length][payload][padding]
+            raw = self.memory.read(addr)
             payload = raw[1 : 1 + raw[0]]
             data = self.compressor.decompress(payload)
             completion += DECOMPRESSION_LATENCY

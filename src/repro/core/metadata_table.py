@@ -148,11 +148,13 @@ class MetadataTableController(MemoryController):
         level = self._csi_level(addr)
         loc = address_map.location_for(addr, level)
         completion = self.dram.access(loc, now, Category.DATA_READ)
-        slot = self.memory.read(loc)
         if level is Level.UNCOMPRESSED:
-            return ReadResult(addr=addr, data=slot, level=level, completion=completion)
+            # the line is the slot itself: the LLC gets it as read, a
+            # never-written one unrendered (DESIGN.md §14)
+            data = self.memory.read_deferred(loc)
+            return ReadResult(addr=addr, data=data, level=level, completion=completion)
         members = address_map.slot_members(loc, level)
-        lines = decompress_group(self.compressor, slot, level)
+        lines = decompress_group(self.compressor, self.memory.read(loc), level)
         extras = {m: line for m, line in zip(members, lines) if m != addr}
         return ReadResult(
             addr=addr,

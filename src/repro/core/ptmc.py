@@ -12,6 +12,12 @@ A :class:`~repro.core.policy.CompressionPolicy` decides whether new
 compactions happen; plugging in ``SamplingPolicy`` yields Dynamic-PTMC.
 Reads always honour markers regardless of policy — that is what makes
 dynamically disabling compression safe without decompressing memory.
+
+New pages are installed uncompressed, so a slot no store has written
+holds its own line at home and carries no marker.  The controller reads
+every slot with :meth:`~repro.dram.storage.PhysicalMemory.read_deferred`
+and interprets a never-written one (a :class:`~repro.types.FirstTouch`)
+by that rule, unrendered and unclassified (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from repro.core.llp import LineLocationPredictor
 from repro.core.markers import MARKER_SIZE_DEFAULT, MarkerScheme, SlotKind, invert
 from repro.core.packing import Unit, compress_group, decompress_group, plan_group
 from repro.core.policy import AlwaysOnPolicy, CompressionPolicy
-from repro.types import _NO_EXTRA_LINES, Category, Level, ReadResult
+from repro.types import _NO_EXTRA_LINES, Category, Contents, FirstTouch, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
@@ -53,9 +59,9 @@ class PTMCConfig:
     def __post_init__(self) -> None:
         if self.marker_size < MARKER_SIZE_DEFAULT:
             raise ValueError(
-                f"PTMC markers must be at least {MARKER_SIZE_DEFAULT} bytes: a "
-                "never-written line is read without the collision check a "
-                "store gets, so a narrower marker misreads untouched memory"
+                f"PTMC markers must be at least {MARKER_SIZE_DEFAULT} bytes, the "
+                "paper's width for a 16 GB memory (under one expected marker "
+                "collision over its 2^28 lines)"
             )
 
 
@@ -133,7 +139,7 @@ class PTMCController(MemoryController):
             entry = llp.entry(addr)
             first = address_map.location_for(addr, llp.predict_entry(entry))
         completion = self.dram.access(first, now, _DATA_READ)
-        found = self._interpret(first, self.memory.read(first), addr, now)
+        found = self._interpret(first, self.memory.read_deferred(first), addr, now)
         accesses = 1
         if found is None:
             # Re-issue to the other candidates, most co-located level
@@ -146,7 +152,7 @@ class PTMCController(MemoryController):
                 probed = loc
                 completion = self.dram.access(loc, now, _MISPREDICT_READ)
                 accesses += 1
-                found = self._interpret(loc, self.memory.read(loc), addr, now)
+                found = self._interpret(loc, self.memory.read_deferred(loc), addr, now)
                 if found is not None:
                     break
             else:
@@ -166,11 +172,15 @@ class PTMCController(MemoryController):
         return ReadResult(addr, data, level, completion, accesses, extras, accesses > 1)
 
     def _interpret(
-        self, loc: int, slot: bytes, addr: int, now: int
-    ) -> Optional[Tuple[bytes, Mapping[int, bytes], Level]]:
+        self, loc: int, slot: Contents, addr: int, now: int
+    ) -> Optional[Tuple[Contents, Mapping[int, bytes], Level]]:
         """Decode one slot into (line, co-fetched slot-mates, level);
         ``None`` means "the line is not here".  An uncompressed line has
-        no slot-mates: it shares the read-only empty mapping."""
+        no slot-mates: it shares the read-only empty mapping.  A slot
+        nobody wrote is its own line, plain, so it is the line only at
+        home, and goes to the LLC unrendered."""
+        if slot.__class__ is FirstTouch:
+            return (slot, _NO_EXTRA_LINES, _UNCOMPRESSED) if loc == addr else None
         cls = self.markers.classify(loc, slot)
         level = cls.level
         if level is not None:  # a 2:1 or 4:1 slot
@@ -199,6 +209,12 @@ class PTMCController(MemoryController):
     def _lit_spill_addr(self, loc: int) -> int:
         """Slot of the memory-mapped inversion bitmap covering ``loc``."""
         return self.memory.capacity_lines - 1 - (loc // (LINE_SIZE * 8))
+
+    def _written(self, loc: int) -> Optional[bytes]:
+        """The bytes stored at ``loc``, or ``None`` when nobody wrote it
+        (it then holds its own line, plain, and carries no marker)."""
+        raw = self.memory.read_deferred(loc)
+        return None if raw.__class__ is FirstTouch else raw
 
     # ------------------------------------------------------------------
     # Eviction path (§IV-C "Handling Updates", "Ganged Eviction")
@@ -382,7 +398,10 @@ class PTMCController(MemoryController):
         that design performs anyway (the sim charges it at the call site).
         """
         for loc, _ in address_map.candidate_locations(addr):
-            cls = self.markers.classify(loc, self.memory.read(loc))
+            raw = self._written(loc)
+            if raw is None:
+                continue  # a slot nobody wrote holds no group
+            cls = self.markers.classify(loc, raw)
             if cls.kind in (SlotKind.PAIR, SlotKind.QUAD):
                 if address_map.location_for(addr, cls.level) == loc:
                     return cls.level
@@ -394,7 +413,9 @@ class PTMCController(MemoryController):
         """Read-modify-write support: pull an uncached slot-mate from DRAM."""
         if charge:
             self.dram.access(slot, now, Category.MAINTENANCE)
-        raw = self.memory.read(slot)
+        raw = self._written(slot)
+        if raw is None:
+            return None  # a slot nobody wrote holds no group
         cls = self.markers.classify(slot, raw)
         if cls.kind not in (SlotKind.PAIR, SlotKind.QUAD) or cls.level != level:
             return None  # slot moved on since this line was filled; tag is stale
@@ -520,15 +541,17 @@ class PTMCController(MemoryController):
         check (a free peek in the simulator) protects the functional model
         when the retain-lines ablation leaves tags stale.
         """
-        cls = self.markers.classify(slot, self.memory.read(slot))
-        level = cls.level
-        if level is not None:  # a 2:1 or 4:1 slot
-            return any(
-                m in gang and gang[m].fill_level == level
-                for m in address_map.slot_members(slot, level)
-            )
-        if cls.kind is _INVALID:
-            return False  # already invalid; skip the redundant write
+        raw = self._written(slot)
+        if raw is not None:  # else the slot holds its own line, plain
+            cls = self.markers.classify(slot, raw)
+            level = cls.level
+            if level is not None:  # a 2:1 or 4:1 slot
+                return any(
+                    m in gang and gang[m].fill_level == level
+                    for m in address_map.slot_members(slot, level)
+                )
+            if cls.kind is _INVALID:
+                return False  # already invalid; skip the redundant write
         return slot in gang and gang[slot].fill_level is _UNCOMPRESSED
 
     def _write_invalid(self, slot: int, now: int) -> None:
@@ -544,12 +567,13 @@ class PTMCController(MemoryController):
     # ------------------------------------------------------------------
 
     def _rekey_sweep(self, now: int) -> None:
-        """Regenerate markers and re-encode every resident slot.
+        """Regenerate markers and re-encode every written slot.
 
         The paper expects this less than once per 10 million years; it is
         implemented for completeness and to keep the functional model
-        consistent.  Every resident slot is decoded under the old markers
-        and re-written under the new ones (charged as maintenance traffic).
+        consistent.  Every written slot is decoded under the old markers
+        and re-written under the new ones (charged as maintenance traffic);
+        a slot nobody wrote carries no marker and is left alone.
         """
         self.rekeys += 1
         resident = self.memory.resident_lines()

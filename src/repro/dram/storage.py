@@ -10,7 +10,9 @@ returns 64-byte bursts and nothing more.
 A never-written slot holds its first-touch contents, rendered from its
 address.  :meth:`PhysicalMemory.read` renders and stores them;
 :meth:`PhysicalMemory.read_deferred` hands them over unrendered, for a
-controller that never inspects what it reads (DESIGN.md §14).
+controller that passes them to the LLC as they are: new pages are
+installed uncompressed, so a never-written slot holds its own line
+(DESIGN.md §14).
 """
 
 from __future__ import annotations

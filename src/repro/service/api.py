@@ -10,14 +10,17 @@ Routes (all JSON in, JSON out)::
     GET    /jobs/<id>/result the finished job's SimResult JSON
     DELETE /jobs/<id>        cancel a queued job
     POST   /jobs/claim       lease the best queued job to a worker
-                             {worker_id, lease_seconds?} -> job or
-                             {"job": null} when the queue is empty
+                             {worker_id, code, lease_seconds?} -> job or
+                             {"job": null} when the queue is empty; 409
+                             and no lease when ``code`` (the worker's
+                             code digest) is not the daemon's
     POST   /jobs/<id>/heartbeat
                              renew a worker's lease {worker_id,
                              lease_seconds?}; 409 when the lease is lost
     PUT    /jobs/<id>/result upload a worker's finished result
-                             {worker_id, result, source?}; the daemon
-                             caches it and marks the job done
+                             {worker_id, code, result, source?}; the
+                             daemon caches it and marks the job done
+                             (409 and a failed attempt for other code)
     POST   /jobs/<id>/fail   report a worker-side failure {worker_id,
                              error} (retries with backoff like local)
     POST   /jobs/<id>/release
@@ -63,6 +66,7 @@ from repro.obs import prometheus
 from repro.obs.tracing import span
 from repro.service import jobstore
 from repro.service.daemon import (
+    ForeignCodeError,
     IngestError,
     LeaseLostError,
     QueueFullError,
@@ -283,7 +287,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(201 if created else 200, {"job": job.as_dict(), "created": created})
 
     def _worker_route(self, transition, *job_id: str, max_bytes: int = MAX_BODY_BYTES) -> None:
-        """One worker transition: 400 bad payload, 404 unknown job, 409 lease lost.
+        """One worker transition: 400 bad payload, 404 unknown job, 409 lease
+        lost or worker code not the daemon's.
 
         A claim names no job and may answer ``{"job": null}``.
         """
@@ -293,7 +298,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, str(exc)) from None
         except KeyError as exc:
             raise ApiError(404, str(exc)) from None
-        except LeaseLostError as exc:
+        except (LeaseLostError, ForeignCodeError) as exc:
             raise ApiError(409, str(exc)) from None
         self._reply(200, {"job": job.as_dict() if job is not None else None})
 

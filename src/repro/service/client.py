@@ -195,8 +195,16 @@ class ServiceClient:
     def claim(
         self, worker_id: str, lease_seconds: Optional[float] = None
     ) -> Optional[Dict[str, Any]]:
-        """Lease the best queued job; ``None`` when the queue is empty."""
-        payload = {"worker_id": worker_id, "lease_seconds": lease_seconds}
+        """Lease the best queued job; ``None`` when the queue is empty.
+
+        The claim names the code this process runs; a daemon running
+        other code refuses it with 409 and leases nothing.
+        """
+        payload = {
+            "worker_id": worker_id,
+            "lease_seconds": lease_seconds,
+            "code": code_digest(),
+        }
         return self._request("POST", "/jobs/claim", payload)["job"]
 
     def heartbeat(

@@ -87,6 +87,10 @@ class LeaseLostError(RuntimeError):
     its attempt failed because its result came from other code)."""
 
 
+class ForeignCodeError(RuntimeError):
+    """A worker claimed a job while running other code than the daemon."""
+
+
 #: Queue-depth histogram bounds (jobs waiting at submission time).
 QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
@@ -623,12 +627,32 @@ class ServiceDaemon:
         return worker_id, lease
 
     def claim_job(self, payload: Dict[str, Any]) -> Optional[Job]:
-        """Lease the best queued job to a remote worker (``None`` = empty)."""
+        """Lease the best queued job to a remote worker (``None`` = empty).
+
+        The claim names the worker's :func:`~repro.sim.diskcache.code_digest`.
+        A worker running other code leases nothing, so it spends no
+        simulation and no job attempt: its results could never be cached
+        under this daemon's keys.
+        """
         worker_id, lease = self._worker_fields(payload)
         lease = lease or self.lease_seconds
         if lease <= 0:
             raise WorkerProtocolError("lease_seconds must be > 0")
+        code = self._worker_code(payload)
+        if code != code_digest():
+            raise ForeignCodeError(
+                f"worker {worker_id!r} runs {code}, the daemon runs "
+                f"{code_digest()}; no job leased"
+            )
         return self.source.claim(worker_id, lease)
+
+    @staticmethod
+    def _worker_code(payload: Dict[str, Any]) -> str:
+        """The code digest a claim or an upload names."""
+        code = payload.get("code")
+        if not isinstance(code, str):
+            raise WorkerProtocolError("'code' must be the worker's code digest string")
+        return code
 
     def heartbeat_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Renew a worker's lease; raises :class:`LeaseLostError` if gone.
@@ -667,9 +691,7 @@ class ServiceDaemon:
         """
         worker_id, _lease = self._worker_fields(payload)
         job = self.store.find(job_id)
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise WorkerProtocolError("'code' must be the worker's code digest string")
+        code = self._worker_code(payload)
         result_dict = payload.get("result")
         if not isinstance(result_dict, dict):
             raise WorkerProtocolError("'result' must be a SimResult JSON object")
@@ -844,6 +866,7 @@ class ServiceDaemon:
 
 __all__ = [
     "ALLOWED_CONFIG_KEYS",
+    "ForeignCodeError",
     "IngestError",
     "LeaseLostError",
     "QueueFullError",

@@ -109,11 +109,14 @@ class WorkerStats:
 class HttpSource:
     """The job source of ``repro worker``: a daemon's HTTP worker routes.
 
-    A 404 or 409 answer means the lease is lost.  Any other error (an
-    unreachable or throttled daemon) is logged and treated as
-    transient: a claim backs off for the daemon's ``Retry-After`` hint,
-    a heartbeat is retried at the next renewal, and a result or failure
-    that cannot be delivered is left to the daemon's lease reaper.
+    A 404 or 409 answer to a job's request means the lease is lost.  Any
+    other error (an unreachable or throttled daemon) is logged and
+    treated as transient: a claim backs off for the daemon's
+    ``Retry-After`` hint, a heartbeat is retried at the next renewal,
+    and a result or failure that cannot be delivered is left to the
+    daemon's lease reaper.  A claim the daemon refuses because this
+    worker runs other code (409) is logged the same way and leases
+    nothing.
     """
 
     def __init__(self, client: ServiceClient, log: Optional[StructuredLog] = None) -> None:

@@ -77,3 +77,26 @@ def test_uncompressed_renders_only_stores():
     for generator, versions in zip(system.generators, asked):
         assert len(versions) == sum(generator._versions.values()) > 0
         assert 0 not in versions
+
+
+@pytest.mark.parametrize(
+    "design", ["uncompressed", "static_ptmc", "dynamic_ptmc", "tmc_table", "memzip"]
+)
+def test_memory_stores_only_written_slots(design):
+    """These designs read a never-written slot deferred, so memory ends a
+    run holding exactly the slots the controller wrote: no first-touch
+    line is rendered into it, and a PTMC rekey sweep would re-encode
+    written slots only."""
+    system = SimulatedSystem(get_workload("lbm06"), design, CFG)
+    memory = system.memory
+    write = memory.write
+    written = set()
+
+    def logged(line_addr, data):
+        written.add(line_addr)
+        write(line_addr, data)
+
+    memory.write = logged
+    system.run()
+    assert written
+    assert set(memory.resident_lines()) == written

@@ -1,11 +1,15 @@
 """Unit tests for the PTMC controller's read and eviction paths."""
 
+import hashlib
+
 import pytest
 
 from repro.core.lit import LITPolicy
 from repro.core.markers import SlotKind, invert
 from repro.core.policy import AlwaysOffPolicy, AlwaysOnPolicy
-from repro.core.ptmc import PTMCConfig
+from repro.core.ptmc import PTMCConfig, PTMCController
+from repro.dram.storage import PhysicalMemory
+from repro.dram.system import DRAMSystem
 from repro.types import Level
 from tests.controller_harness import FakeLLC, category_counts, evicted, make_ptmc
 from tests.lineutils import pointer_line, quad_friendly_line, zero_line
@@ -270,6 +274,74 @@ class TestInversion:
         assert ptmc.read_line(9, 0, 0, llc).data == data
 
 
+def noise_line(loc):
+    """Incompressible first-touch contents of slot ``loc``."""
+    return hashlib.sha512(loc.to_bytes(8, "little")).digest()
+
+
+class TestFirstTouch:
+    """New pages are installed uncompressed, so a slot nobody wrote holds
+    its own line and carries no marker, whatever its tail: PTMC reads it
+    by that rule, unrendered, and never classifies it."""
+
+    @staticmethod
+    def make(contents=None, renders=None, config=None):
+        """Static PTMC over memory whose never-written slot ``loc`` holds
+        ``contents[loc]`` (else noise), logging each render."""
+        contents = {} if contents is None else contents
+
+        def render(loc):
+            if renders is not None:
+                renders.append(loc)
+            return contents.get(loc) or noise_line(loc)
+
+        memory = PhysicalMemory(1 << 16, initial_content=render)
+        return PTMCController(memory, DRAMSystem(), config=config or PTMCConfig())
+
+    @pytest.mark.parametrize("addr, level", [(8, Level.QUAD), (10, Level.PAIR)])
+    def test_line_whose_tail_is_its_slot_marker_reads_as_itself(self, llc, addr, level):
+        contents = {}
+        ptmc = self.make(contents)
+        line = contents[addr] = noise_line(addr)[:60] + ptmc.markers.marker(addr, level)
+        result = ptmc.read_line(addr, 0, 0, llc)
+        assert result.data == line
+        assert result.level is Level.UNCOMPRESSED
+        assert (result.accesses, dict(result.extra_lines)) == (1, {})
+
+    def test_group_base_with_quad_marker_tail_does_not_hold_its_neighbour(self, llc):
+        contents = {}
+        ptmc = self.make(contents)
+        contents[8] = noise_line(8)[:60] + ptmc.markers.marker(8, Level.QUAD)
+        ptmc.llp.update(9, Level.QUAD)  # probe the group base first
+        result = ptmc.read_line(9, 0, 0, llc)
+        assert result.data == noise_line(9)
+        assert result.level is Level.UNCOMPRESSED
+        assert (result.accesses, result.mispredicted) == (2, True)
+
+    def test_retain_lines_eviction_sees_no_group_in_a_first_touch_slot(self, llc):
+        contents = {}
+        ptmc = self.make(contents, config=PTMCConfig(ganged_eviction=False))
+        contents[8] = noise_line(8)[:60] + ptmc.markers.marker(8, Level.QUAD)
+        ptmc.handle_eviction(evicted(9, noise_line(9), dirty=False), 0, 0, llc)
+        assert category_counts(ptmc) == {}
+        assert ptmc.memory.resident_lines() == {}
+
+    def test_read_renders_marks_and_stores_nothing_until_data_is_read(self, llc):
+        renders = []
+        ptmc = self.make(renders=renders)
+        for addr in (8, 9, 10, 11):
+            result = ptmc.read_line(addr, 0, 0, llc)
+            assert result.level is Level.UNCOMPRESSED
+            assert renders == []
+            assert ptmc.markers._cache == {}
+            assert len(ptmc.memory) == 0
+            eager = PhysicalMemory(1 << 16, initial_content=noise_line).read(addr)
+            assert result.data == eager
+            assert renders == [addr]
+            renders.clear()
+        assert len(ptmc.memory) == 0
+
+
 class TestLITOverflow:
     def test_rekey_sweep_preserves_contents(self, llc):
         config = PTMCConfig(lit_capacity=2, lit_policy=LITPolicy.REKEY)
@@ -379,11 +451,8 @@ class TestStorageBits:
 
 
 class TestMarkerWidth:
-    """A never-written line is read without a store's collision check, so
-    PTMC takes no marker narrower than the paper's 4 bytes.  Without the
-    guard, ``static_ptmc`` at ``quick_config`` finds a ``gcc06`` line
-    unlocatable with 1-byte markers, and a corrupt slot header in
-    ``pr.twitter`` with 2-byte ones."""
+    """PTMC takes no marker narrower than the paper's 4 bytes, its width
+    for a 16 GB memory (``MarkerScheme`` itself accepts 1-8 bytes)."""
 
     @pytest.mark.parametrize("marker_size", [1, 2, 3])
     def test_narrow_markers_rejected(self, marker_size):

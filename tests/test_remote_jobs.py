@@ -5,8 +5,9 @@ attempt on a remote worker cannot be renewed forever: the heartbeat is
 refused (409 over HTTP) and the reaper takes the job back when its
 lease lapses.  One retry rule decides the backoff and the terminal
 verdict for a local failure and for a worker's ``POST /jobs/<id>/fail``.
-An upload names the code that produced it, and the daemon caches only
-results of its own code.
+A claim and an upload name the code of the worker that sends them: the
+daemon leases jobs only to workers running its own code, and caches
+only results of its own code.
 """
 
 import time
@@ -177,14 +178,16 @@ class TestUploadNamesItsCode:
             client = ServiceClient(daemon.url)
             job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, max_attempts=2)
             result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
-            monkeypatch.setattr(client_module, "code_digest", lambda: self.FOREIGN)
             source = HttpSource(client)
             for attempt, state in ((1, jobstore.QUEUED), (2, jobstore.FAILED)):
                 time.sleep(0.1)  # past the previous attempt's backoff
                 claimed = Job(**client.claim("w1", lease_seconds=60.0))
                 assert claimed.id == job["id"]
-                # 409: the worker drops the job as it does a lost lease
-                assert source.finish(claimed, "w1", result, "remote") is False
+                # the worker's code changes between its claim and its
+                # upload; 409: it drops the job as it does a lost lease
+                with monkeypatch.context() as patched:
+                    patched.setattr(client_module, "code_digest", lambda: self.FOREIGN)
+                    assert source.finish(claimed, "w1", result, "remote") is False
                 assert source.stats.lease_lost == attempt
                 assert DiskCache(tmp_path / "simcache").get(claimed.key) is None
                 row = daemon.store.get(job["id"])
@@ -194,6 +197,51 @@ class TestUploadNamesItsCode:
             assert daemon.stats.retried == 1
             assert daemon.stats.failed == 1
             assert daemon.stats.completed == 0
+        finally:
+            daemon.stop()
+
+    def test_claim_of_other_code_leases_nothing(self, tmp_path, monkeypatch):
+        daemon = make_daemon(tmp_path)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, max_attempts=1)
+            source = HttpSource(client)
+            with monkeypatch.context() as patched:
+                patched.setattr(client_module, "code_digest", lambda: self.FOREIGN)
+                with pytest.raises(ServiceError) as err:
+                    client.claim("stale", lease_seconds=60.0)
+                assert err.value.status == 409
+                assert self.FOREIGN in str(err.value) and code_digest() in str(err.value)
+                assert source.claim("stale", 60.0) is None
+            assert source.stats.claimed == 0
+            row = daemon.store.get(job["id"])
+            assert (row.state, row.attempts, row.worker_id) == (jobstore.QUEUED, 0, None)
+            # a worker running the daemon's code then completes it
+            claimed = source.claim("w1", 60.0)
+            assert claimed.id == job["id"]
+            result = runner.simulate("lbm06", "ideal", CFG, use_cache=False)
+            assert source.finish(claimed, "w1", result, "remote") is True
+            row = daemon.store.get(job["id"])
+            assert (row.state, row.attempts) == (jobstore.DONE, 1)
+            assert DiskCache(tmp_path / "simcache").get(claimed.key) is not None
+        finally:
+            daemon.stop()
+
+    def test_claim_without_code_is_a_protocol_error(self, tmp_path):
+        daemon = make_daemon(tmp_path)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+            payload = {"worker_id": "w1", "lease_seconds": 60.0}
+            for code in (None, 7):
+                if code is not None:
+                    payload["code"] = code
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", "/jobs/claim", payload)
+                assert err.value.status == 400
+                assert "code" in str(err.value)
+            row = daemon.store.get(job["id"])
+            assert (row.state, row.attempts) == (jobstore.QUEUED, 0)
         finally:
             daemon.stop()
 
