@@ -3,31 +3,36 @@
 PTMC is orthogonal to the per-line compressor.  FPC alone, BDI alone,
 the paper's FPC+BDI hybrid and an extended FPC+BDI+C-Pack stack all run
 unchanged through the same controller; richer algorithm mixes co-locate
-more groups and gain more.
+more groups and gain more.  Each stack is a ``SimConfig.compression``,
+so each row is a plain runner identity; every row's baseline is the one
+uncompressed run of the harness config.
 """
 
-from benchmarks.ablation_utils import run_custom
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_table
-from repro.compression import BDI, CPack, FPC, HybridCompressor
+from repro.sim.results import weighted_speedup
 
+#: ``SimConfig.compression`` of each row
 STACKS = {
-    "fpc_only": lambda: HybridCompressor([FPC()]),
-    "bdi_only": lambda: HybridCompressor([BDI()]),
-    "fpc+bdi": lambda: HybridCompressor([FPC(), BDI()]),
-    "fpc+bdi+cpack": lambda: HybridCompressor([FPC(), BDI(), CPack()]),
+    "fpc_only": ("fpc",),
+    "bdi_only": ("bdi",),
+    "fpc+bdi": ("fpc", "bdi"),
+    "fpc+bdi+cpack": ("fpc", "bdi", "cpack"),
 }
 
 
 def _ablation(config):
+    configs = {name: config.with_(compression=stack) for name, stack in STACKS.items()}
+    runs = run_figure(
+        [("lbm06", "uncompressed", config)]
+        + [("lbm06", "static_ptmc", cfg) for cfg in configs.values()]
+    )
+    baseline = runs["lbm06", "uncompressed", config]
     rows = {}
-    for name, factory in STACKS.items():
-        def mutate(system, factory=factory):
-            system.controller.compressor = factory()
-
-        result, speedup = run_custom("lbm06", "static_ptmc", config, mutate)
+    for name, cfg in configs.items():
+        result = runs["lbm06", "static_ptmc", cfg]
         rows[name] = {
-            "speedup": speedup,
+            "speedup": weighted_speedup(result, baseline),
             "l3_hit_rate": result.l3_hit_rate,
             "llp_accuracy": result.llp_accuracy or 0.0,
         }

@@ -5,9 +5,8 @@ bench re-runs the comparison under closed-page mode and with refresh
 disabled, checking the speedup survives each variation.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
-from repro.sim.runner import compare
 
 VARIANTS = {
     "open+refresh": {},
@@ -18,14 +17,20 @@ VARIANTS = {
 
 
 def _ablation(config):
-    rows = {}
-    for name, overrides in VARIANTS.items():
-        cfg = config.with_(**overrides)
-        rows[name] = {
-            "spec_speedup": compare("lbm06", "dynamic_ptmc", cfg),
-            "gap_speedup": compare("bfs.twitter", "dynamic_ptmc", cfg),
+    configs = {name: config.with_(**overrides) for name, overrides in VARIANTS.items()}
+    runs = run_figure(
+        (workload, design, cfg)
+        for cfg in configs.values()
+        for workload in ("lbm06", "bfs.twitter")
+        for design in ("dynamic_ptmc", "uncompressed")
+    )
+    return {
+        name: {
+            "spec_speedup": speedup(runs, "lbm06", "dynamic_ptmc", cfg),
+            "gap_speedup": speedup(runs, "bfs.twitter", "dynamic_ptmc", cfg),
         }
-    return rows
+        for name, cfg in configs.items()
+    }
 
 
 def test_ablation_dram_policy(benchmark, config):

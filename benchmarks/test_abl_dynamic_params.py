@@ -5,10 +5,9 @@ workload keeps compression on, a graph workload turns it off, regardless
 of the exact counter width or sampled fraction.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.sim.config import SamplingConfig
-from repro.sim.runner import compare, simulate
 
 SWEEP = [
     {"counter_bits": 8, "sample_period": 4},
@@ -19,21 +18,31 @@ SWEEP = [
 
 
 def _ablation(config):
-    rows = {}
-    for params in SWEEP:
-        cfg = config.with_(
+    configs = {
+        f"bits={params['counter_bits']},period={params['sample_period']}": config.with_(
             sampling=SamplingConfig(per_core=False, benefit_weight=3, **params)
         )
-        key = f"bits={params['counter_bits']},period={params['sample_period']}"
-        spec = simulate("lbm06", "dynamic_ptmc", cfg)
-        gap = simulate("bfs.twitter", "dynamic_ptmc", cfg)
-        rows[key] = {
-            "spec_speedup": compare("lbm06", "dynamic_ptmc", cfg),
-            "gap_speedup": compare("bfs.twitter", "dynamic_ptmc", cfg),
-            "spec_enabled": spec.metrics["policy.compression_enabled"],
-            "gap_enabled": gap.metrics["policy.compression_enabled"],
+        for params in SWEEP
+    }
+    runs = run_figure(
+        (workload, design, cfg)
+        for cfg in configs.values()
+        for workload in ("lbm06", "bfs.twitter")
+        for design in ("dynamic_ptmc", "uncompressed")
+    )
+
+    def enabled(workload, cfg):
+        return runs[workload, "dynamic_ptmc", cfg].metrics["policy.compression_enabled"]
+
+    return {
+        key: {
+            "spec_speedup": speedup(runs, "lbm06", "dynamic_ptmc", cfg),
+            "gap_speedup": speedup(runs, "bfs.twitter", "dynamic_ptmc", cfg),
+            "spec_enabled": enabled("lbm06", cfg),
+            "gap_enabled": enabled("bfs.twitter", cfg),
         }
-    return rows
+        for key, cfg in configs.items()
+    }
 
 
 def test_ablation_dynamic_parameters(benchmark, config):

@@ -9,8 +9,7 @@ cost, so the asserted shape is the design argument itself: ganged
 eviction eliminates RMW traffic entirely and never performs worse.
 """
 
-from benchmarks.ablation_utils import run_custom
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
 from repro.types import Category
@@ -19,13 +18,22 @@ WORKLOADS = ("lbm06", "soplex06", "mcf06")
 
 
 def _ablation(config):
+    configs = {
+        label: config.with_(ptmc=PTMCConfig(ganged_eviction=ganged))
+        for label, ganged in (("ganged", True), ("retain", False))
+    }
+    runs = run_figure(
+        (workload, design, cfg)
+        for workload in WORKLOADS
+        for cfg in configs.values()
+        for design in ("static_ptmc", "uncompressed")
+    )
     rows = {}
     for workload in WORKLOADS:
         row = {}
-        for label, ganged in (("ganged", True), ("retain", False)):
-            cfg = config.with_(ptmc=PTMCConfig(ganged_eviction=ganged))
-            result, speedup = run_custom(workload, "static_ptmc", cfg)
-            row[f"{label}_speedup"] = speedup
+        for label, cfg in configs.items():
+            result = runs[workload, "static_ptmc", cfg]
+            row[f"{label}_speedup"] = speedup(runs, workload, "static_ptmc", cfg)
             row[f"{label}_l3_hit"] = result.l3_hit_rate
             row[f"{label}_rmw"] = result.dram.accesses_by_category.get(
                 Category.MAINTENANCE, 0

@@ -4,23 +4,29 @@ Accuracy saturates once the LCT covers the concurrently hot pages —
 beyond that, more entries buy nothing, which is why 128 bytes suffice.
 """
 
-from benchmarks.ablation_utils import run_custom
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
 
 
 def _ablation(config):
-    rows = {}
-    for entries in (16, 64, 512, 4096):
-        cfg = config.with_(ptmc=PTMCConfig(lct_entries=entries))
-        result, speedup = run_custom("soplex06", "static_ptmc", cfg)
-        rows[entries] = {
-            "llp_accuracy": result.llp_accuracy or 0.0,
-            "speedup": speedup,
+    configs = {
+        entries: config.with_(ptmc=PTMCConfig(lct_entries=entries))
+        for entries in (16, 64, 512, 4096)
+    }
+    runs = run_figure(
+        ("soplex06", design, cfg)
+        for cfg in configs.values()
+        for design in ("static_ptmc", "uncompressed")
+    )
+    return {
+        entries: {
+            "llp_accuracy": runs["soplex06", "static_ptmc", cfg].llp_accuracy or 0.0,
+            "speedup": speedup(runs, "soplex06", "static_ptmc", cfg),
             "storage_bytes": entries * 2 / 8,
         }
-    return rows
+        for entries, cfg in configs.items()
+    }
 
 
 def test_ablation_llp_size(benchmark, config):

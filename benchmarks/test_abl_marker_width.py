@@ -6,8 +6,7 @@ pairs/quads fit) while driving the already negligible collision
 probability further down — this bench quantifies the trade.
 """
 
-from benchmarks.ablation_utils import run_custom
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.compression import HybridCompressor
 from repro.core.packing import compress_group
@@ -33,14 +32,21 @@ def _pair_fit(workload_name: str, marker_size: int) -> float:
 
 
 def _ablation(config):
+    configs = {
+        marker_size: config.with_(ptmc=PTMCConfig(marker_size=marker_size))
+        for marker_size in (4, 5, 8)
+    }
+    runs = run_figure(
+        ("soplex06", design, cfg)
+        for cfg in configs.values()
+        for design in ("static_ptmc", "uncompressed")
+    )
     rows = {"0 (no marker)": {"pair_fit": _pair_fit("soplex06", 0)}}
-    for marker_size in (4, 5, 8):
-        cfg = config.with_(ptmc=PTMCConfig(marker_size=marker_size))
-        result, speedup = run_custom("soplex06", "static_ptmc", cfg)
+    for marker_size, cfg in configs.items():
         rows[str(marker_size)] = {
             "pair_fit": _pair_fit("soplex06", marker_size),
-            "speedup": speedup,
-            "inversions": result.metrics["ptmc.inversions"],
+            "speedup": speedup(runs, "soplex06", "static_ptmc", cfg),
+            "inversions": runs["soplex06", "static_ptmc", cfg].metrics["ptmc.inversions"],
         }
     return rows
 

@@ -9,23 +9,26 @@ non-commodity design on compressible workloads and beat it where
 MemZip's metadata traffic bites.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
-from repro.sim.runner import compare, simulate
 
 WORKLOADS = ["lbm06", "libquantum06", "soplex06", "mcf06", "bfs.twitter", "pr.web"]
 
 
 def _comparison(config):
-    rows = {}
-    for workload in WORKLOADS:
-        memzip = simulate(workload, "memzip", config)
-        rows[workload] = {
-            "memzip": compare(workload, "memzip", config),
-            "dynamic_ptmc": compare(workload, "dynamic_ptmc", config),
-            "memzip_md_hit": memzip.metadata_hit_rate or 0.0,
+    runs = run_figure(
+        (workload, design, config)
+        for workload in WORKLOADS
+        for design in ("memzip", "dynamic_ptmc", "uncompressed")
+    )
+    return {
+        workload: {
+            "memzip": speedup(runs, workload, "memzip", config),
+            "dynamic_ptmc": speedup(runs, workload, "dynamic_ptmc", config),
+            "memzip_md_hit": runs[workload, "memzip", config].metadata_hit_rate or 0.0,
         }
-    return rows
+        for workload in WORKLOADS
+    }
 
 
 def test_memzip_comparison(benchmark, config):

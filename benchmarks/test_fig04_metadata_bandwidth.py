@@ -5,19 +5,24 @@ metadata; metadata alone can exceed 50% extra bandwidth on graph
 workloads, which is the motivation for inline metadata.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_bandwidth
 from repro.sim.results import normalized_bandwidth
-from repro.sim.runner import simulate
 from repro.workloads import HIGH_MPKI
 
 
 def _fig04(config):
+    runs = run_figure(
+        (workload, design, config)
+        for workload in HIGH_MPKI
+        for design in ("uncompressed", "tmc_table")
+    )
     stacks = {}
     for workload in HIGH_MPKI:
-        baseline = simulate(workload, "uncompressed", config)
-        table = simulate(workload, "tmc_table", config)
-        norm = normalized_bandwidth(table, baseline)
+        norm = normalized_bandwidth(
+            runs[workload.name, "tmc_table", config],
+            runs[workload.name, "uncompressed", config],
+        )
         stacks[workload.name] = {
             "data": norm.get("data_read", 0.0) + norm.get("data_write", 0.0),
             "additional_writes": norm.get("clean_writeback", 0.0)

@@ -5,21 +5,19 @@ The paper's motivation plot: an idealized compressed memory gains
 metadata lookups loses badly on graphs (up to 49% slowdown).
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import JOBS, run_once, save_results
 from repro.analysis import banner, format_speedups
+from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
-from repro.sim.runner import compare
 from repro.workloads import GAP, HIGH_MPKI
 
 
 def _fig05(config):
-    speedups = {}
-    for workload in HIGH_MPKI:
-        speedups[workload.name] = {
-            "ideal_tmc": compare(workload, "ideal", config),
-            "tmc_with_metadata": compare(workload, "tmc_table", config),
-        }
-    return speedups
+    matrix, _ = sweep_with_report(HIGH_MPKI, ["ideal", "tmc_table"], config, jobs=JOBS)
+    return {
+        name: {"ideal_tmc": row["ideal"], "tmc_with_metadata": row["tmc_table"]}
+        for name, row in matrix.items()
+    }
 
 
 def test_fig05_ideal_vs_table(benchmark, config):

@@ -5,17 +5,21 @@ first access more often than a 32KB metadata cache can answer without a
 memory access (98% vs the metadata cache's much lower hit rate).
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_table
-from repro.sim.runner import simulate
 from repro.workloads import HIGH_MPKI
 
 
 def _fig09(config):
+    runs = run_figure(
+        (workload, design, config)
+        for workload in HIGH_MPKI
+        for design in ("tmc_table", "static_ptmc")
+    )
     rows = {}
     for workload in HIGH_MPKI:
-        table = simulate(workload, "tmc_table", config)
-        ptmc = simulate(workload, "static_ptmc", config)
+        table = runs[workload.name, "tmc_table", config]
+        ptmc = runs[workload.name, "static_ptmc", config]
         rows[workload.name] = {
             "metadata_cache_hit": table.metadata_hit_rate or 0.0,
             "llp_accuracy": ptmc.llp_accuracy or 0.0,

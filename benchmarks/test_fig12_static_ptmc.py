@@ -5,20 +5,17 @@ incompressible workloads; graphs still lose under Static-PTMC (their
 slowdown is the remaining inherent compression cost, Fig. 14).
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import JOBS, run_once, save_results
 from repro.analysis import banner, format_speedups
+from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
-from repro.sim.runner import compare
 from repro.workloads import GAP, MEMORY_INTENSIVE, MIXES, SPEC06, SPEC17
 
 
 def _fig12(config):
-    speedups = {}
-    for workload in MEMORY_INTENSIVE:
-        speedups[workload.name] = {
-            "tmc_table": compare(workload, "tmc_table", config),
-            "static_ptmc": compare(workload, "static_ptmc", config),
-        }
+    speedups, _ = sweep_with_report(
+        MEMORY_INTENSIVE, ["tmc_table", "static_ptmc"], config, jobs=JOBS
+    )
     return speedups
 
 

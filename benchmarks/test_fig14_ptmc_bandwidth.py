@@ -6,19 +6,24 @@ writebacks plus invalidate writes — dominant on graphs, which motivates
 Dynamic-PTMC.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_bandwidth, stacked_chart
 from repro.sim.results import normalized_bandwidth
-from repro.sim.runner import simulate
 from repro.workloads import MEMORY_INTENSIVE
 
 
 def _fig14(config):
+    runs = run_figure(
+        (workload, design, config)
+        for workload in MEMORY_INTENSIVE
+        for design in ("uncompressed", "static_ptmc")
+    )
     stacks = {}
     for workload in MEMORY_INTENSIVE:
-        baseline = simulate(workload, "uncompressed", config)
-        ptmc = simulate(workload, "static_ptmc", config)
-        norm = normalized_bandwidth(ptmc, baseline)
+        norm = normalized_bandwidth(
+            runs[workload.name, "static_ptmc", config],
+            runs[workload.name, "uncompressed", config],
+        )
         stacks[workload.name] = {
             "data": norm.get("data_read", 0.0) + norm.get("data_write", 0.0),
             "clean_evict_inv": norm.get("clean_writeback", 0.0)

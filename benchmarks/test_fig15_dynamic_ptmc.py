@@ -5,23 +5,29 @@ helps and disables it where it hurts, approaching the zero-overhead ideal
 on average with (near) no slowdown anywhere.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import JOBS, run_once, save_results
 from repro.analysis import banner, format_speedups, hbar_chart
+from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
-from repro.sim.runner import compare
 from repro.workloads import GAP, MEMORY_INTENSIVE, SPEC06, SPEC17
 
 
 def _fig15(config):
-    speedups = {}
-    for workload in MEMORY_INTENSIVE:
-        speedups[workload.name] = {
-            "tmc_table": compare(workload, "tmc_table", config),
-            "static_ptmc": compare(workload, "static_ptmc", config),
-            "dynamic_ptmc": compare(workload, "dynamic_ptmc", config),
-            "ideal_tmc": compare(workload, "ideal", config),
+    matrix, _ = sweep_with_report(
+        MEMORY_INTENSIVE,
+        ["tmc_table", "static_ptmc", "dynamic_ptmc", "ideal"],
+        config,
+        jobs=JOBS,
+    )
+    return {
+        name: {
+            "tmc_table": row["tmc_table"],
+            "static_ptmc": row["static_ptmc"],
+            "dynamic_ptmc": row["dynamic_ptmc"],
+            "ideal_tmc": row["ideal"],
         }
-    return speedups
+        for name, row in matrix.items()
+    }
 
 
 def test_fig15_dynamic_ptmc(benchmark, config):

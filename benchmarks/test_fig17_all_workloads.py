@@ -5,17 +5,15 @@ workloads: robust (no slowdowns beyond noise) with large gains on the
 compressible, bandwidth-bound end.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import JOBS, run_once, save_results
 from repro.analysis import banner, format_table, sorted_curve
-from repro.sim.runner import compare
+from repro.sim.parallel import sweep_with_report
 from repro.workloads import ALL_64
 
 
 def _fig17(config):
-    return {
-        workload.name: compare(workload, "dynamic_ptmc", config)
-        for workload in ALL_64
-    }
+    matrix, _ = sweep_with_report(ALL_64, ["dynamic_ptmc"], config, jobs=JOBS)
+    return {name: row["dynamic_ptmc"] for name, row in matrix.items()}
 
 
 def test_fig17_all_64_workloads(benchmark, config):

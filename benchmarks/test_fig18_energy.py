@@ -4,20 +4,25 @@ Fewer DRAM requests cut dynamic energy; the speedup cuts background
 energy and EDP (paper: -5% energy, -10% EDP at paper scale).
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_table
 from repro.energy import relative_energy
 from repro.sim.results import geometric_mean
-from repro.sim.runner import simulate
 from repro.workloads import HIGH_MPKI
 
 
 def _fig18(config):
+    runs = run_figure(
+        (workload, design, config)
+        for workload in HIGH_MPKI
+        for design in ("uncompressed", "dynamic_ptmc")
+    )
     rows = {}
     for workload in HIGH_MPKI:
-        base = simulate(workload, "uncompressed", config)
-        ours = simulate(workload, "dynamic_ptmc", config)
-        rel = relative_energy(ours, base)
+        rel = relative_energy(
+            runs[workload.name, "dynamic_ptmc", config],
+            runs[workload.name, "uncompressed", config],
+        )
         rows[workload.name] = {
             "speedup": rel.speedup,
             "power": rel.power,

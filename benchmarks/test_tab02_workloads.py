@@ -7,16 +7,19 @@ workload is memory-bound at the benchmark scale, graph footprints dwarf
 SPEC's, and SPEC data compresses better than graph data.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_table
 from repro.workloads import GAP, MEMORY_INTENSIVE, SPEC06, SPEC17
 from repro.workloads.characterize import characterize
 
 
 def _tab02(config):
+    runs = run_figure((workload, "uncompressed", config) for workload in MEMORY_INTENSIVE)
     rows = {}
     for workload in MEMORY_INTENSIVE:
-        profile = characterize(workload, config)
+        profile = characterize(
+            workload, baseline=runs[workload.name, "uncompressed", config]
+        )
         rows[workload.name] = {
             "suite": profile.suite,
             "l3_mpki": profile.l3_mpki,

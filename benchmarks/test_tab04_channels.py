@@ -7,23 +7,31 @@ SPEC subset keeps the sweep tractable; the paper reports the average.
 
 from dataclasses import replace
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.sim.results import geometric_mean
-from repro.sim.runner import compare
 from repro.workloads import GAP, SPEC06, SPEC17
 
 WORKLOADS = [SPEC06[0], SPEC06[2], SPEC06[4], SPEC17[0], SPEC17[2], GAP[0]]
 
 
 def _tab04(config):
-    rows = {}
-    for channels in (1, 2, 4):
-        cfg = config.with_(geometry=replace(config.geometry, channels=channels))
-        rows[channels] = geometric_mean(
-            compare(w, "dynamic_ptmc", cfg) for w in WORKLOADS
+    configs = {
+        channels: config.with_(geometry=replace(config.geometry, channels=channels))
+        for channels in (1, 2, 4)
+    }
+    runs = run_figure(
+        (workload, design, cfg)
+        for cfg in configs.values()
+        for workload in WORKLOADS
+        for design in ("dynamic_ptmc", "uncompressed")
+    )
+    return {
+        channels: geometric_mean(
+            speedup(runs, w.name, "dynamic_ptmc", cfg) for w in WORKLOADS
         )
-    return rows
+        for channels, cfg in configs.items()
+    }
 
 
 def test_tab04_channel_sensitivity(benchmark, config):

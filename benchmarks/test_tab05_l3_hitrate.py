@@ -4,19 +4,24 @@ The co-fetched lines installed in L3 are useful: SPEC's L3 hit rate
 rises markedly (17.3% -> 23.9% in the paper), graphs are untouched.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import run_figure, run_once, save_results
 from repro.analysis import banner, format_table
-from repro.sim.runner import simulate
 from repro.workloads import GAP, MIXES, SPEC06, SPEC17
 
 SUITES = {"SPEC": SPEC06 + SPEC17, "GAP": GAP, "MIX": MIXES}
 
 
 def _tab05(config):
+    runs = run_figure(
+        (workload, design, config)
+        for workloads in SUITES.values()
+        for workload in workloads
+        for design in ("uncompressed", "dynamic_ptmc")
+    )
     rows = {}
     for suite, workloads in SUITES.items():
-        base = [simulate(w, "uncompressed", config).l3_hit_rate for w in workloads]
-        ptmc = [simulate(w, "dynamic_ptmc", config).l3_hit_rate for w in workloads]
+        base = [runs[w.name, "uncompressed", config].l3_hit_rate for w in workloads]
+        ptmc = [runs[w.name, "dynamic_ptmc", config].l3_hit_rate for w in workloads]
         rows[suite] = {
             "baseline": sum(base) / len(base),
             "dynamic_ptmc": sum(ptmc) / len(ptmc),

@@ -6,27 +6,29 @@ on bandwidth-bound workloads (paper: -5.7% SPEC, -21.1% GAP, -7.3% MIX
 vs PTMC's +8.5% / 0.0% / +4.2%).
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import JOBS, run_once, save_results
 from repro.analysis import banner, format_table
+from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
-from repro.sim.runner import compare
 from repro.workloads import GAP, MIXES, SPEC06, SPEC17
 
 SUITES = {"SPEC": SPEC06 + SPEC17, "GAP": GAP, "MIX": MIXES}
 
 
 def _tab06(config):
-    rows = {}
-    for suite, workloads in SUITES.items():
-        rows[suite] = {
-            "nextline_prefetch": geometric_mean(
-                compare(w, "prefetch", config) for w in workloads
-            ),
-            "dynamic_ptmc": geometric_mean(
-                compare(w, "dynamic_ptmc", config) for w in workloads
-            ),
+    matrix, _ = sweep_with_report(
+        [w for workloads in SUITES.values() for w in workloads],
+        ["prefetch", "dynamic_ptmc"],
+        config,
+        jobs=JOBS,
+    )
+    return {
+        suite: {
+            "nextline_prefetch": geometric_mean(matrix[w.name]["prefetch"] for w in workloads),
+            "dynamic_ptmc": geometric_mean(matrix[w.name]["dynamic_ptmc"] for w in workloads),
         }
-    return rows
+        for suite, workloads in SUITES.items()
+    }
 
 
 def test_tab06_prefetch_comparison(benchmark, config):

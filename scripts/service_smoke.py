@@ -131,7 +131,10 @@ def main() -> None:
         for path in ("service.completed", "service.queue_depth", "runner.executed"):
             if path not in metrics:
                 fail(f"metrics missing {path}")
-        print("metrics expose service.* and runner.* paths")
+        # the job ran in a pool process; the daemon counts it as its own
+        if metrics["runner.executed"] < 1:
+            fail(f"runner.executed is {metrics['runner.executed']} after an executed job")
+        print("metrics expose service.* and runner.* paths, the pool's run counted")
 
         with urllib.request.urlopen(f"{url}/metrics?format=prometheus") as resp:
             ctype = resp.headers["Content-Type"]

@@ -169,9 +169,7 @@ def cmd_stats(args) -> int:
         if missing:
             print(
                 f"metrics not present in this result: {', '.join(missing)}\n"
-                "(cached results from older runs may lack newer paths — "
-                "re-run with --no-disk-cache or 'repro cache clear'; "
-                f"'repro stats {args.workload} {args.design} --json' lists "
+                f"('repro stats {args.workload} {args.design} --json' lists "
                 "every available path)"
             )
             return 2
@@ -283,9 +281,7 @@ def cmd_timeline(args) -> int:
         if missing:
             print(
                 f"series not present in this result: {', '.join(missing)}\n"
-                "(cached results from older runs may lack newer series — "
-                "re-run with --no-disk-cache or 'repro cache clear'; "
-                f"available: {', '.join(available)})"
+                f"(available: {', '.join(available)})"
             )
             return 2
     else:

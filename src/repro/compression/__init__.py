@@ -17,7 +17,12 @@ from repro.compression.fvc import DEFAULT_FREQUENT_VALUES, FVC, train_dictionary
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.zeroline import ZeroLine
 
+#: The per-line algorithms a simulated design can compress with, by
+#: ``name`` (the names ``SimConfig.compression`` lists).
+ALGORITHMS = {algorithm.name: algorithm for algorithm in (FPC, BDI, CPack, FVC, ZeroLine)}
+
 __all__ = [
+    "ALGORITHMS",
     "LINE_SIZE",
     "CompressionAlgorithm",
     "CompressionError",

@@ -50,7 +50,6 @@ class PTMCConfig:
     lit_capacity: int = 16
     lit_policy: LITPolicy = LITPolicy.REKEY
     ganged_eviction: bool = True
-    marker_key: int = 0x5EED
     #: how many rekey sweeps one store may trigger before falling back to
     #: a memory-mapped LIT spill (prevents unbounded rekey recursion when
     #: fresh markers keep colliding)
@@ -101,7 +100,7 @@ class PTMCController(MemoryController):
         self.config = config
         self.compressor = compressor if compressor is not None else HybridCompressor()
         self.policy = policy if policy is not None else AlwaysOnPolicy()
-        self.markers = MarkerScheme(config.marker_key, config.marker_size)
+        self.markers = MarkerScheme(marker_size=config.marker_size)
         self.llp = LineLocationPredictor(config.lct_entries)
         self.lit = LineInversionTable(config.lit_capacity, config.lit_policy)
         # statistics

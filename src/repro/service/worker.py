@@ -386,7 +386,9 @@ class Worker:
     def _harvest(self) -> bool:
         """Settle finished futures, then time out jobs past their deadline.
 
-        *Every* expired job is collected per pass, and expiry is only
+        A finished run is counted in this process's ``runner.stats``
+        (``/metrics`` reads them): the pool process counted it only in
+        its own.  *Every* expired job is collected per pass, and expiry is only
         declared after a final :meth:`Future.done` check in
         :meth:`_on_timeout`.
         """
@@ -396,11 +398,12 @@ class Worker:
         for entry in list(self._inflight.values()):
             if entry.future.done():
                 try:
-                    result, source, _seconds = entry.future.result()
+                    result, source, seconds = entry.future.result()
                 except Exception as exc:  # noqa: BLE001 — worker error is data
                     error = f"{type(exc).__name__}: {exc}"
                     self._settled += self._leave(entry, "failed", self.source.fail, error)
                 else:
+                    runner.stats.add(source, seconds)
                     self._settled += self._leave(
                         entry, "done", self.source.finish, result, source
                     )

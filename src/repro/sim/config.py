@@ -16,9 +16,10 @@ Two preset scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
+from repro.compression import ALGORITHMS
 from repro.core.metadata_table import MetadataTableConfig
 from repro.core.ptmc import PTMCConfig
 from repro.dram.timing import DDRTiming, DRAMGeometry
@@ -64,12 +65,25 @@ class SimConfig:
     is an ordinary serialisable field, so it participates in the
     disk-cache key: two runs differing only in replacement policy never
     share a stored result."""
+    compression: Tuple[str, ...] = ("fpc", "bdi")
+    """The algorithms (``repro.compression.ALGORITHMS`` names, in tag
+    order) whose smallest payload each line is stored as, by every design
+    that compresses: ``tmc_table``, ``memzip``, ``ideal`` and PTMC.  The
+    paper's stack is FPC+BDI (§III-A); the compression ablation runs
+    others (§VII-A)."""
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     timing: DDRTiming = field(default_factory=DDRTiming)
     geometry: DRAMGeometry = field(default_factory=DRAMGeometry)
     metadata: MetadataTableConfig = field(default_factory=MetadataTableConfig)
     ptmc: PTMCConfig = field(default_factory=PTMCConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
+
+    def __post_init__(self) -> None:
+        if not self.compression or not set(self.compression) <= ALGORITHMS.keys():
+            raise ValueError(
+                f"compression {self.compression!r} must name one or more of "
+                f"{sorted(ALGORITHMS)}"
+            )
 
     def with_(self, **overrides) -> "SimConfig":
         """Functional update (the config is frozen)."""

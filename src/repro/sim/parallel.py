@@ -8,12 +8,13 @@ runs scale with cores.  Workers share the parent's on-disk result cache
 (:mod:`repro.sim.diskcache`), so a re-run — even in a cold process —
 satisfies every job from disk without executing a single simulation.
 
-:func:`run_batch` executes an explicit job list and reports per-run
-provenance and wall time; :func:`sweep` and :func:`suite_geomean`
-(exported as ``repro.sweep`` and ``repro.suite_geomean``) build on it.
-With ``jobs <= 1`` every job runs in-process through
-:func:`repro.sim.runner.simulate_with_source`, the same call a pool
-process makes.
+:func:`run_batch` executes an explicit list of (workload, design,
+config) identities and reports per-run provenance and wall time;
+:func:`sweep` and :func:`suite_geomean` (exported as ``repro.sweep``
+and ``repro.suite_geomean``) build on it.  With ``jobs <= 1`` every job
+runs in-process through :func:`repro.sim.runner.simulate_with_source`,
+the same call a pool process makes.  Either way the calling process's
+``runner.stats`` counts every run of the batch.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.tracing import instant, span
 from repro.sim import runner
-from repro.sim.config import SimConfig, bench_config
+from repro.sim.config import SimConfig
 from repro.sim.results import SimResult, geometric_mean, weighted_speedup
 from repro.workloads.suites import Workload
 
-#: One unit of work: (workload, design) under the batch's config.
-Job = Tuple[Workload, str]
+#: One unit of work: a (workload, design, config) identity.
+Job = Tuple[Workload, str, SimConfig]
 
 #: How often a pool process checks that its parent is still alive, seconds.
 PARENT_CHECK_S = 0.5
@@ -112,7 +113,7 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def run_job(job: Tuple[Workload, str, SimConfig]) -> Tuple[SimResult, str, float]:
+def run_job(job: Job) -> Tuple[SimResult, str, float]:
     """Execute one (workload, design, config) task in this process.
 
     Returns ``(result, source, seconds)`` where ``source`` is the
@@ -124,27 +125,24 @@ def run_job(job: Tuple[Workload, str, SimConfig]) -> Tuple[SimResult, str, float
     return result, source, time.perf_counter() - start
 
 
-def run_batch(
-    tasks: Sequence[Job],
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-) -> BatchReport:
-    """Execute every (workload, design) task, in parallel when asked.
+def run_batch(tasks: Sequence[Job], jobs: Optional[int] = None) -> BatchReport:
+    """Execute every (workload, design, config) task, in parallel when asked.
 
     ``jobs`` <= 1 (or ``None``) runs serially in-process; larger values
     spread the tasks over that many worker processes.  Either way every
     job goes through the runner's disk cache, if one is configured
     (:func:`repro.sim.runner.configure_disk_cache`), so a later call for
-    the same identity is served from disk in this process or any other.
+    the same identity is served from disk in this process or any other,
+    and is counted in this process's ``runner.stats``.  A ``None``
+    config is :func:`~repro.sim.config.bench_config`.
     """
-    if config is None:
-        config = bench_config()
     resolved: List[Job] = [
-        (runner.resolve_workload(workload), design) for workload, design in tasks
+        (runner.resolve_workload(workload), design, config)
+        for workload, design, config in tasks
     ]
     cache_dir = None if runner.disk_cache() is None else str(runner.disk_cache().root)
     trace_dir = None
-    if any(hasattr(workload, "trace_hash") for workload, _ in resolved):
+    if any(hasattr(workload, "trace_hash") for workload, _, _ in resolved):
         from repro.traces.store import trace_store
 
         trace_dir = str(trace_store().root)
@@ -160,18 +158,18 @@ def run_batch(
         workers=report.jobs_used,
     ):
         if report.jobs_used <= 1:
-            outcomes = [run_job((w, d, config)) for w, d in resolved]
+            outcomes = [run_job(job) for job in resolved]
         else:
             with ProcessPoolExecutor(
                 max_workers=report.jobs_used,
                 initializer=init_worker,
                 initargs=(cache_dir, trace_dir),
             ) as pool:
-                outcomes = list(
-                    pool.map(run_job, [(w, d, config) for w, d in resolved])
-                )
+                outcomes = list(pool.map(run_job, resolved))
+            for _, source, seconds in outcomes:
+                runner.stats.add(source, seconds)
         report.wall_seconds = time.perf_counter() - start
-        for (workload, design), (result, source, seconds) in zip(resolved, outcomes):
+        for (workload, design, _), (result, source, seconds) in zip(resolved, outcomes):
             instant(
                 "sweep.job_done",
                 category="sweep",
@@ -198,10 +196,10 @@ def sweep_with_report(
     workload_list = [runner.resolve_workload(w) for w in workloads]
     design_list = list(designs)
     needed = list(dict.fromkeys([*design_list, baseline]))
-    tasks: List[Job] = [(w, d) for w in workload_list for d in needed]
-    report = run_batch(tasks, config=config, jobs=jobs)
+    tasks: List[Job] = [(w, d, config) for w in workload_list for d in needed]
+    report = run_batch(tasks, jobs=jobs)
     by_job: Dict[Tuple[str, str], SimResult] = {
-        (w.name, d): result for (w, d), result in zip(tasks, report.results)
+        (w.name, d): result for (w, d, _), result in zip(tasks, report.results)
     }
     matrix = {
         w.name: {

@@ -50,6 +50,20 @@ class RunnerStats:
         self.sim_seconds = 0.0
         self.hit_seconds = 0.0
 
+    def add(self, source: str, seconds: float) -> None:
+        """Count one run by its source, ``"executed"`` or ``"disk"``.
+
+        A pool process counts its runs only in its own stats, so the
+        process that farmed a run out adds the ``(source, seconds)`` the
+        pool returned (``parallel.run_batch``, the service ``Worker``).
+        """
+        if source == "executed":
+            self.executed += 1
+            self.sim_seconds += seconds
+        else:
+            self.disk_hits += 1
+            self.hit_seconds += seconds
+
 
 stats = RunnerStats()
 
@@ -100,8 +114,7 @@ def _execute(
         result = SimulatedSystem(workload, design, config, obs=obs).run()
     elapsed = time.perf_counter() - start
     result.extras["sim_seconds"] = elapsed
-    stats.executed += 1
-    stats.sim_seconds += elapsed
+    stats.add("executed", elapsed)
     return result
 
 
@@ -130,7 +143,7 @@ def _serve_hit(result: SimResult, started: float) -> SimResult:
     it does not double as "how long this call took".
     """
     elapsed = time.perf_counter() - started
-    stats.hit_seconds += elapsed
+    stats.add("disk", elapsed)
     result.extras["cached"] = 1.0
     result.extras["serve_seconds"] = elapsed
     return result
@@ -162,7 +175,6 @@ def simulate_with_source(
     key = cache_key(workload, design, config)
     loaded = disk.get(key)
     if loaded is not None and _obs_satisfied(loaded, obs):
-        stats.disk_hits += 1
         return _serve_hit(loaded, started), "disk"
     result = _execute(workload, design, config, obs=obs)
     disk.put(key, result)

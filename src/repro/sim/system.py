@@ -7,6 +7,7 @@ import heapq
 from typing import Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.compression import ALGORITHMS, HybridCompressor
 from repro.compression.batch import BatchCompressor
 from repro.core.base_controller import MemoryController
 from repro.core.ideal import IdealTMCController
@@ -45,18 +46,25 @@ def build_controller(
     dram: DRAMSystem,
     config: SimConfig,
 ) -> Tuple[MemoryController, Optional[CompressionPolicy]]:
-    """Instantiate one of the studied designs by name."""
+    """Instantiate one of the studied designs by name.
+
+    Every design that compresses gets the ``HybridCompressor`` of
+    ``config.compression``.
+    """
     if design == "uncompressed":
         return UncompressedController(memory, dram), None
+    if design == "prefetch":
+        return NextLinePrefetchController(memory, dram), None
+    compressor = HybridCompressor([ALGORITHMS[name]() for name in config.compression])
     if design == "tmc_table":
-        return MetadataTableController(memory, dram, config=config.metadata), None
+        return MetadataTableController(memory, dram, compressor, config=config.metadata), None
     if design == "memzip":
-        return MemZipController(memory, dram, config=config.metadata), None
+        return MemZipController(memory, dram, compressor, config=config.metadata), None
     if design == "ideal":
-        return IdealTMCController(memory, dram), None
+        return IdealTMCController(memory, dram, compressor), None
     if design == "static_ptmc":
         policy = AlwaysOnPolicy()
-        return PTMCController(memory, dram, config=config.ptmc, policy=policy), policy
+        return PTMCController(memory, dram, compressor, config=config.ptmc, policy=policy), policy
     if design == "dynamic_ptmc":
         policy = SamplingPolicy(
             counter_bits=config.sampling.counter_bits,
@@ -65,9 +73,7 @@ def build_controller(
             per_core=config.sampling.per_core,
             benefit_weight=config.sampling.benefit_weight,
         )
-        return PTMCController(memory, dram, config=config.ptmc, policy=policy), policy
-    if design == "prefetch":
-        return NextLinePrefetchController(memory, dram), None
+        return PTMCController(memory, dram, compressor, config=config.ptmc, policy=policy), policy
     raise ValueError(f"unknown design {design!r}; choose from {DESIGNS}")
 
 

@@ -328,8 +328,7 @@ class TestSortedKeyOrdering:
         from repro.sim.parallel import run_batch
 
         report = run_batch(
-            [("lbm06", "ideal")],
-            config=bench_config(ops_per_core=150, warmup_ops=50),
+            [("lbm06", "ideal", bench_config(ops_per_core=150, warmup_ops=50))]
         )
         for row in report.metrics_matrix():
             keys = list(row["metrics"])

@@ -81,6 +81,15 @@ class TestIdentity:
         other = CFG.with_(ops_per_core=301)
         assert cache_key(w, "ideal", CFG) != cache_key(w, "ideal", other)
 
+    def test_compression_stack_is_part_of_identity(self):
+        w = get_workload("lbm06")
+        keys = {
+            cache_key(w, "static_ptmc", CFG.with_(compression=stack))
+            for stack in (("fpc", "bdi"), ("fpc",), ("bdi", "fpc"))
+        }
+        assert len(keys) == 3
+        assert cache_key(w, "static_ptmc", CFG) in keys
+
     def test_batch_chunk_is_not_part_of_identity(self):
         # a pure performance knob: every value gives the same result
         w = get_workload("lbm06")

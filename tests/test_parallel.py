@@ -35,37 +35,64 @@ def _isolated_runner():
 class TestRunBatch:
     def test_serial_batch_reports_sources(self, tmp_path):
         runner.configure_disk_cache(tmp_path)
-        tasks = [("lbm06", "ideal"), ("lbm06", "uncompressed")]
-        report = parallel.run_batch(tasks, config=CFG)
+        tasks = [("lbm06", "ideal", CFG), ("lbm06", "uncompressed", CFG)]
+        report = parallel.run_batch(tasks)
         assert report.counts() == {"jobs": 2, "executed": 2, "disk_hits": 0}
         assert len(report.seconds) == 2
         assert all(s > 0 for s in report.seconds)
         assert report.wall_seconds > 0
-        again = parallel.run_batch(tasks, config=CFG)
+        again = parallel.run_batch(tasks)
         assert again.counts() == {"jobs": 2, "executed": 0, "disk_hits": 2}
 
     def test_repeat_batch_hits_memory(self, tmp_path):
         """A repeated identity is served from disk in the same process;
         with no disk cache it runs again."""
-        tasks = [("lbm06", "ideal")]
-        parallel.run_batch(tasks, config=CFG)
-        assert parallel.run_batch(tasks, config=CFG).sources == ["executed"]
+        tasks = [("lbm06", "ideal", CFG)]
+        parallel.run_batch(tasks)
+        assert parallel.run_batch(tasks).sources == ["executed"]
         runner.configure_disk_cache(tmp_path)
-        parallel.run_batch(tasks, config=CFG)
-        report = parallel.run_batch(tasks, config=CFG)
+        parallel.run_batch(tasks)
+        report = parallel.run_batch(tasks)
         assert report.sources == ["disk"]
+
+    def test_each_task_runs_under_its_own_config(self):
+        other = CFG.with_(compression=("bdi",))
+        report = parallel.run_batch(
+            [("lbm06", "static_ptmc", CFG), ("lbm06", "static_ptmc", other)], jobs=2
+        )
+        assert report.results[0].metrics == runner.simulate("lbm06", "static_ptmc", CFG).metrics
+        assert report.results[1].metrics == runner.simulate(
+            "lbm06", "static_ptmc", other
+        ).metrics
+        assert report.results[0].metrics != report.results[1].metrics
 
     def test_parallel_results_adopted_by_parent(self, tmp_path):
         """Results the pool processes computed reach the parent through
         the shared disk cache: serial follow-ups execute nothing."""
         runner.configure_disk_cache(tmp_path)
-        tasks = [("lbm06", "ideal"), ("mcf06", "ideal")]
-        pooled = parallel.run_batch(tasks, config=CFG, jobs=2)
+        tasks = [("lbm06", "ideal", CFG), ("mcf06", "ideal", CFG)]
+        pooled = parallel.run_batch(tasks, jobs=2)
+        assert runner.stats.executed == 2  # the pool's runs, counted here
         _, source = runner.simulate_with_source("lbm06", "ideal", CFG)
         assert source == "disk"
-        assert runner.stats.executed == 0
+        assert runner.stats.executed == 2
         replay = runner.simulate("mcf06", "ideal", CFG)
         assert replay.metrics == pooled.results[1].metrics
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_calling_process_counts_every_run(self, tmp_path, jobs):
+        """A pool process counts its runs only in its own stats, so the
+        batch adds them to the caller's: a cold batch reads as executed
+        and a warm one as disk hits, whichever process ran each task."""
+        runner.configure_disk_cache(tmp_path)
+        tasks = [(w, "ideal", CFG) for w in WORKLOADS]
+        cold = parallel.run_batch(tasks, jobs=jobs)
+        assert runner.stats.executed == len(tasks) == cold.executed
+        assert runner.stats.disk_hits == 0
+        assert runner.stats.sim_seconds > 0
+        parallel.run_batch(tasks, jobs=jobs)
+        assert runner.stats.disk_hits == len(tasks)
+        assert runner.stats.executed == len(tasks)
 
 
 class TestParallelMatchesSerial:
@@ -97,12 +124,12 @@ class TestDiskCacheIntegration:
         """The runner's configured cache is the one every job stores into,
         whether it runs in-process (``jobs=1``) or in a pool process."""
         runner.configure_disk_cache(tmp_path)
-        serial = parallel.run_batch([("lbm06", "ideal")], config=CFG, jobs=1)
-        pooled = parallel.run_batch([("lbm06", "uncompressed")], config=CFG, jobs=2)
+        serial = parallel.run_batch([("lbm06", "ideal", CFG)], jobs=1)
+        pooled = parallel.run_batch([("lbm06", "uncompressed", CFG)], jobs=2)
         assert serial.sources == pooled.sources == ["executed"]
         assert len(DiskCache(tmp_path)) == 2
         report = parallel.run_batch(
-            [("lbm06", "ideal"), ("lbm06", "uncompressed")], config=CFG, jobs=2
+            [("lbm06", "ideal", CFG), ("lbm06", "uncompressed", CFG)], jobs=2
         )
         assert report.sources == ["disk", "disk"]
 

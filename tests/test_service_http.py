@@ -178,6 +178,17 @@ class TestApiSurface:
         assert "runner.executed" in metrics
         assert "runner.disk.stores" in metrics
 
+    def test_metrics_count_the_runs_of_the_pool(self, daemon):
+        """A pool process counts a run only in its own stats; the daemon
+        adds each harvested job's run to its own, which /metrics reads."""
+        runner.stats.reset()
+        client = ServiceClient(daemon.url)
+        job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        assert client.wait(job["id"], timeout=120)["source"] == "executed"
+        metrics = client.metrics()
+        assert metrics["runner.executed"] >= 1
+        assert metrics["runner.sim_seconds"] > 0
+
 
 def http_get(url: str):
     """``(status, content_type, body)`` without raising on HTTP errors."""

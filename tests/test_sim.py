@@ -55,6 +55,25 @@ class TestBuildController:
         )
         assert isinstance(policy, SamplingPolicy)
 
+    @pytest.mark.parametrize(
+        "design", ["tmc_table", "memzip", "ideal", "static_ptmc", "dynamic_ptmc"]
+    )
+    @pytest.mark.parametrize("stack", [("fpc", "bdi"), ("bdi",), ("fpc", "bdi", "cpack")])
+    def test_compressing_designs_use_the_configured_stack(self, design, stack):
+        config = CFG.with_(compression=stack)
+        controller, _ = build_controller(
+            design, PhysicalMemory(1 << 12), DRAMSystem(), config
+        )
+        names = tuple(a.name for a in controller.compressor.algorithms)
+        assert names == config.compression
+
+    @pytest.mark.parametrize("stack", [("fpc", "lz4"), (), "fpc"])
+    def test_unknown_compression_lists_the_choices(self, stack):
+        with pytest.raises(ValueError) as err:
+            CFG.with_(compression=stack)
+        for name in ("bdi", "cpack", "fpc", "fvc", "zero"):
+            assert repr(name) in str(err.value)
+
 
 class TestRunner:
     def test_simulate_returns_result(self):
