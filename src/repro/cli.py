@@ -38,7 +38,7 @@ from repro.analysis import banner, format_metrics, format_table
 from repro.energy import relative_energy
 from repro.sim import runner
 from repro.sim.config import bench_config
-from repro.sim.diskcache import DiskCache
+from repro.sim.diskcache import DiskCache, code_digest
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean, weighted_speedup
 from repro.sim.runner import simulate
@@ -591,6 +591,9 @@ def cmd_worker(args) -> int:
         print("repro worker needs the disk cache (results are written "
               "through it before upload); drop --no-disk-cache")
         return 2
+    # the digest of the code imported now, before any job (pool processes
+    # inherit it): claims and uploads must name the code that runs them
+    code_digest()
     log = StructuredLog(stream=None if args.quiet else sys.stderr)
     source = HttpSource(ServiceClient(args.url, token=args.token), log=log)
     worker = Worker(

@@ -20,7 +20,7 @@ identical to a scalar one.
 
 :class:`BatchCompressor` wraps one scalar algorithm and adds the glue the
 simulator needs: bytes⇄array conversion, per-line size vectors, and
-(for memoizing algorithms) seeding the shared size memo so subsequent
+(for memoizing algorithms) seeding the size memo so subsequent
 scalar ``compressed_size``/``cached_size`` queries become dict hits.
 """
 

@@ -17,14 +17,17 @@ one.  ``tests/test_hybrid.py`` locks the rule with a regression test.
 how the benchmarks explore PTMC's algorithm-orthogonality claim (§VII-A).
 Results are memoized by line content — the algorithms are pure functions,
 and workloads repeat data patterns heavily, so this makes the simulator
-orders of magnitude faster without changing any result.  Two memo layers
-are shared process-wide: payloads (``compress``) and sizes
-(``compressed_size``); the size memo can be bulk-seeded from the
-vectorized batch kernel (:meth:`seed_sizes`), which is how the
-batch-driven simulator avoids recompressing whole trace chunks line by
-line.  A third memo, payload -> line for ``decompress``, belongs to the
-instance: a compressed read unpacks every member of its slot, and the
-same payloads are read back again and again within one simulation.
+orders of magnitude faster without changing any result.  Two memo layers,
+payloads (``compress``) and sizes (``compressed_size``), are handed in
+by the caller, so they can outlive the instance: a simulation passes
+its workload's (:meth:`repro.workloads.data.WorkloadData.compression_memos`),
+which every run of that workload shares; an instance given none keeps
+its own.  The size memo can be bulk-seeded from the vectorized batch
+kernel (:meth:`seed_sizes`), which is how the batch-driven simulator
+avoids recompressing whole trace chunks line by line.  A third memo,
+payload -> line for ``decompress``, belongs to the instance: a
+compressed read unpacks every member of its slot, and the same payloads
+are read back again and again within one simulation.
 """
 
 from __future__ import annotations
@@ -35,15 +38,6 @@ from repro.compression.base import LINE_SIZE, CompressionAlgorithm, CompressionE
 from repro.compression.bdi import BDI
 from repro.compression.fpc import FPC
 
-#: process-wide payload memo pools, keyed by the algorithm-name tuple
-_SHARED_CACHES: Dict[Tuple[str, ...], Dict[bytes, Optional[bytes]]] = {}
-
-#: process-wide size memo pools (same keying); sizes are derivable from
-#: payloads but much cheaper to produce in batch, so they get their own
-#: layer that the vectorized kernels can seed directly
-_SHARED_SIZE_CACHES: Dict[Tuple[str, ...], Dict[bytes, int]] = {}
-
-
 class HybridCompressor(CompressionAlgorithm):
     """Try several algorithms and keep the smallest self-describing payload."""
 
@@ -53,6 +47,7 @@ class HybridCompressor(CompressionAlgorithm):
         self,
         algorithms: Optional[Iterable[CompressionAlgorithm]] = None,
         memoize: bool = True,
+        memos: Optional[Tuple[Dict[bytes, Optional[bytes]], Dict[bytes, int]]] = None,
     ) -> None:
         algs: List[CompressionAlgorithm] = (
             list(algorithms) if algorithms is not None else [FPC(), BDI()]
@@ -63,12 +58,14 @@ class HybridCompressor(CompressionAlgorithm):
             raise ValueError("at most 255 algorithms (one-byte tag)")
         self._algorithms: Tuple[CompressionAlgorithm, ...] = tuple(algs)
         self._memoize = memoize
-        # results are shared across instances with the same algorithm list:
-        # simulations run several designs over identical workload data, and
-        # compression is a pure function of (algorithms, line)
-        key = tuple(a.name for a in self._algorithms)
-        self._cache: Dict[bytes, Optional[bytes]] = _SHARED_CACHES.setdefault(key, {})
-        self._sizes: Dict[bytes, int] = _SHARED_SIZE_CACHES.setdefault(key, {})
+        # payload and charged size by line, for this algorithm list: a
+        # pure function of (algorithms, line), so ``memos`` may be shared
+        # by every compressor of the same list over the same data.  Sizes
+        # are derivable from payloads but much cheaper to produce in
+        # batch, so they get their own layer the kernels can seed.
+        self._cache: Dict[bytes, Optional[bytes]]
+        self._sizes: Dict[bytes, int]
+        self._cache, self._sizes = memos if memos is not None else ({}, {})
         #: decompressed lines by payload, scoped to this instance (and so to
         #: the simulated system that owns it)
         self._lines: Dict[bytes, bytes] = {}
@@ -180,7 +177,7 @@ class HybridCompressor(CompressionAlgorithm):
         return line
 
     def clear_cache(self) -> None:
-        """Drop memoized results (useful to bound memory in long sweeps)."""
+        """Drop memoized results, the shared payload and size memos included."""
         self._cache.clear()
         self._sizes.clear()
         self._lines.clear()

@@ -434,6 +434,7 @@ class ServiceDaemon:
             doc="seconds since this daemon process started",
         )
         runner.register_stats(self.registry.scope("runner"))
+        self._register_pool_stats()
         self.traces.stats.register_stats(self.registry.scope("trace"))
         # The HTTP server imports are local so the daemon object stays
         # usable in contexts that never open a socket (unit tests).
@@ -442,6 +443,31 @@ class ServiceDaemon:
         self.server = make_server(self, host, port)
         self._http_thread: Optional[threading.Thread] = None
         self._worker_thread: Optional[threading.Thread] = None
+
+    def _register_pool_stats(self) -> None:
+        """Gauges of what the pool process of the last harvested job holds.
+
+        The workload stores live in the pool processes, so the daemon
+        reports what its :class:`Worker` last carried home from one.
+        """
+        worker = self.worker
+        data = self.registry.scope("runner").scope("data")
+        data.gauge(
+            "workloads",
+            lambda: worker.pool_data_held[0],
+            doc="workload stores a pool process retained after its last job",
+        )
+        data.gauge(
+            "entries",
+            lambda: worker.pool_data_held[1],
+            doc="entries (first-touch lines, payloads, sizes, trace records) "
+                "those stores hold",
+        )
+        self.registry.scope("worker").gauge(
+            "pool_rss_mb",
+            lambda: round(worker.pool_rss_mb, 3),
+            doc="peak RSS of the pool process of the last harvested job, MB",
+        )
 
     # -- addresses -------------------------------------------------------
 
@@ -835,8 +861,11 @@ class ServiceDaemon:
 
         Only *lease-less* orphans (rows from a legacy scheduler) are
         recovered; leased rows are the reaper's business, since a live
-        remote worker may still hold them.
+        remote worker may still hold them.  The code digest is taken
+        first, before any request is served: claims, uploads and result
+        keys then name the code this process imported.
         """
+        code_digest()
         self._http_thread = threading.Thread(
             target=self.server.serve_forever, name="repro-service-http", daemon=True
         )

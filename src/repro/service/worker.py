@@ -34,7 +34,7 @@ import queue
 import socket
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.logging import StructuredLog
 from repro.obs.tracing import async_begin, async_end
@@ -236,6 +236,11 @@ class Worker:
         self._wakeups: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[str, _Running] = {}
+        #: what the pool process that ran the last harvested job held
+        #: after it: its workload stores' ``(workloads, entries)`` and its
+        #: peak RSS in MB (``/metrics`` reads them)
+        self.pool_data_held: Tuple[int, int] = (0, 0)
+        self.pool_rss_mb = 0.0
 
     # -- control ---------------------------------------------------------
 
@@ -388,9 +393,11 @@ class Worker:
 
         A finished run is counted in this process's ``runner.stats``
         (``/metrics`` reads them): the pool process counted it only in
-        its own.  *Every* expired job is collected per pass, and expiry is only
-        declared after a final :meth:`Future.done` check in
-        :meth:`_on_timeout`.
+        its own.  What that pool process holds after the run, its
+        workload stores and peak RSS, is kept as :attr:`pool_data_held`
+        and :attr:`pool_rss_mb`.  *Every* expired job is collected per
+        pass, and expiry is only declared after a final
+        :meth:`Future.done` check in :meth:`_on_timeout`.
         """
         progressed = False
         now = time.monotonic()
@@ -398,12 +405,13 @@ class Worker:
         for entry in list(self._inflight.values()):
             if entry.future.done():
                 try:
-                    result, source, seconds = entry.future.result()
+                    result, source, seconds, held, rss_mb = entry.future.result()
                 except Exception as exc:  # noqa: BLE001 — worker error is data
                     error = f"{type(exc).__name__}: {exc}"
                     self._settled += self._leave(entry, "failed", self.source.fail, error)
                 else:
                     runner.stats.add(source, seconds)
+                    self.pool_data_held, self.pool_rss_mb = held, rss_mb
                     self._settled += self._leave(
                         entry, "done", self.source.finish, result, source
                     )

@@ -13,7 +13,8 @@ Keys are a SHA-256 over the *fully resolved* identity of the run:
   results),
 - the design string,
 - every field of the resolved ``SimConfig`` (recursively) except
-  ``batch_chunk``, a performance knob that cannot change a result, so one
+  ``batch_chunk``, a performance knob that cannot change a result, and
+  the sections the design never reads (:data:`UNREAD_SECTIONS`), so one
   result is stored under one key, and
 - :func:`code_digest`, a hash of the ``repro`` sources that produce the
   result: a behaviour change is a source change, so results stored by
@@ -109,16 +110,34 @@ def workload_identity(workload: Any) -> Any:
     return stable_identity(workload)
 
 
-def config_identity(config: Any) -> Any:
-    """The fully-resolved ``SimConfig`` identity (recursive over presets).
+#: The ``SimConfig`` sections each design never reads.  Only
+#: ``system.build_controller`` reads these four, and only for the designs
+#: that use them; ``tests/test_diskcache.py`` runs every design with each
+#: section listed here perturbed and finds the same metrics.
+UNREAD_SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "uncompressed": ("compression", "metadata", "ptmc", "sampling"),
+    "prefetch": ("compression", "metadata", "ptmc", "sampling"),
+    "ideal": ("metadata", "ptmc", "sampling"),
+    "tmc_table": ("ptmc", "sampling"),
+    "memzip": ("ptmc", "sampling"),
+    "static_ptmc": ("metadata", "sampling"),
+    "dynamic_ptmc": ("metadata",),
+}
+
+
+def config_identity(config: Any, design: str) -> Any:
+    """The fully-resolved ``SimConfig`` identity of a run of ``design``
+    (recursive over presets).
 
     ``batch_chunk`` is left out: it only picks how the trace is fed, and
     every feed gives a bitwise-identical result
-    (``tests/test_sim_batch_golden.py``), so one result has one key.
+    (``tests/test_sim_batch_golden.py``).  So are the sections ``design``
+    never reads (:data:`UNREAD_SECTIONS`).  One result has one key.
     """
     identity = stable_identity(config)
     if dataclasses.is_dataclass(config):
-        identity[1].pop("batch_chunk", None)
+        for name in ("batch_chunk", *UNREAD_SECTIONS.get(design, ())):
+            identity[1].pop(name, None)
     return identity
 
 
@@ -129,6 +148,9 @@ def code_digest() -> str:
     Each file contributes its path relative to the package and the hash
     of its bytes, in path order.  Computed on first use, once per
     process (a simulation that never meets the cache never pays for it).
+    ``repro serve`` and ``repro worker`` call it when they start, so the
+    digest they name is the code they imported, however long they wait
+    for their first job; their forked pool processes inherit it.
     """
     package = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
@@ -145,7 +167,7 @@ def cache_key(workload: Any, design: str, config: Any) -> str:
             "code": code_digest(),
             "workload": workload_identity(workload),
             "design": design,
-            "config": config_identity(config),
+            "config": config_identity(config, design),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -336,6 +358,7 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CacheCounters",
     "DiskCache",
+    "UNREAD_SECTIONS",
     "cache_key",
     "code_digest",
     "config_identity",

@@ -19,7 +19,9 @@ the same call a pool process makes.  Either way the calling process's
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import resource
 import signal
 import threading
 import time
@@ -91,11 +93,17 @@ def init_worker(cache_dir: Optional[str], trace_dir: Optional[str] = None) -> No
     ``terminate()`` could never stop a stuck job.  So SIGTERM's default
     action is restored here (SIGINT keeps the inherited handler), and
     the process exits once its parent is gone, so a SIGKILLed parent
-    leaves no orphans.
+    leaves no orphans.  The parent is the PID fixed when this process was
+    created, not ``os.getppid()`` now: a parent killed before this
+    initializer runs has already handed its children to another process.
+    That PID is the OS parent because the pools fork (the default start
+    method on Linux through Python 3.13).
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(
-        target=_exit_with_parent, args=(os.getppid(),), name="repro-parent-check",
+        target=_exit_with_parent,
+        args=(multiprocessing.parent_process().pid,),
+        name="repro-parent-check",
         daemon=True,
     ).start()
     if cache_dir is not None:
@@ -113,16 +121,22 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def run_job(job: Job) -> Tuple[SimResult, str, float]:
+def run_job(job: Job) -> Tuple[SimResult, str, float, Tuple[int, int], float]:
     """Execute one (workload, design, config) task in this process.
 
-    Returns ``(result, source, seconds)`` where ``source`` is the
-    runner's provenance string (``"disk"`` | ``"executed"``).
+    Returns ``(result, source, seconds, held, rss_mb)``: ``source`` is the
+    runner's provenance string (``"disk"`` | ``"executed"``), ``held``
+    the ``(workloads, entries)`` this process's workload stores retain
+    afterwards (:func:`repro.sim.runner.workload_data_held`) and
+    ``rss_mb`` its peak resident set so far.  A pool process's stores
+    and memory are its own, so the caller learns of them only this way.
     """
     workload, design, config = job
     start = time.perf_counter()
     result, source = runner.simulate_with_source(workload, design, config)
-    return result, source, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return result, source, seconds, runner.workload_data_held(), rss_mb
 
 
 def run_batch(tasks: Sequence[Job], jobs: Optional[int] = None) -> BatchReport:
@@ -166,10 +180,10 @@ def run_batch(tasks: Sequence[Job], jobs: Optional[int] = None) -> BatchReport:
                 initargs=(cache_dir, trace_dir),
             ) as pool:
                 outcomes = list(pool.map(run_job, resolved))
-            for _, source, seconds in outcomes:
+            for _, source, seconds, _, _ in outcomes:
                 runner.stats.add(source, seconds)
         report.wall_seconds = time.perf_counter() - start
-        for (workload, design, _), (result, source, seconds) in zip(resolved, outcomes):
+        for (workload, design, _), (result, source, seconds, _, _) in zip(resolved, outcomes):
             instant(
                 "sweep.job_done",
                 category="sweep",

@@ -13,23 +13,48 @@ simulates it — so two workloads that share a name but differ in
 parameters never alias each other's results, and no stored result is
 served to different code.  ``compare`` produces the paper's headline
 metric: weighted speedup over the uncompressed baseline.
+
+An executed run shares its workload's data with every other run of that
+workload in this process: first-touch lines, compression memos and
+decoded trace records live in one
+:class:`~repro.workloads.data.WorkloadData` per workload
+(:func:`workload_data`), found by the workload's content and dropped
+least recently used first once the stores hold more than
+:data:`WORKLOAD_DATA_BOUND` entries.
 """
 
 from __future__ import annotations
 
+import json
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.obs.sampler import ObsConfig
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig, bench_config
-from repro.sim.diskcache import DiskCache, cache_key
+from repro.sim.diskcache import DiskCache, cache_key, workload_identity
 from repro.sim.results import SimResult, weighted_speedup
 from repro.sim.system import DESIGNS, SimulatedSystem
+from repro.workloads.data import WorkloadData
 from repro.workloads.suites import Workload, get_workload
 
 _disk: Optional[DiskCache] = None
+
+#: Entries (first-touch lines, compression payloads and sizes, trace
+#: records) the workload stores of one process may retain after a run,
+#: beside the store that run used.  The 12 roster workloads a service
+#: rotates held 73,117 after 240 service-sized ``ideal`` jobs, so all of
+#: them stay warm; one bench-scale ``pr.twitter`` ``ideal`` store holds
+#: about 514,000 and displaces the rest.  Six bench-scale runs of six
+#: workloads in one process peaked at 143.9 MB with this bound, and at
+#: 174.4 MB with process-wide memos (2-core VM, Python 3.11).
+WORKLOAD_DATA_BOUND = 150_000
+
+#: this process's workload stores by serialized workload identity, least
+#: recently used first
+_workload_data: "OrderedDict[str, WorkloadData]" = OrderedDict()
 
 
 @dataclass
@@ -101,18 +126,54 @@ def resolve_workload(workload) -> Workload:
     return workload
 
 
+def workload_data(workload: Workload) -> WorkloadData:
+    """This process's store for ``workload``, made on first use.
+
+    Found by the workload's full parameter identity, never by object: a
+    pickled or rebuilt copy of a workload finds the same store.  The key
+    is the workload alone, since the data depend on neither the run
+    length nor ``SimConfig.seed``: a longer run of a workload reuses
+    what a shorter one filled.
+    """
+    key = json.dumps(workload_identity(workload), sort_keys=True, separators=(",", ":"))
+    data = _workload_data.pop(key, None)
+    if data is None:
+        data = WorkloadData()
+    _workload_data[key] = data  # now the most recently used
+    return data
+
+
+def _trim_workload_data(keep: WorkloadData) -> None:
+    """Drop least recently used stores, never ``keep``, until the rest
+    hold at most :data:`WORKLOAD_DATA_BOUND` entries."""
+    held = sum(data.entries() for data in _workload_data.values())
+    for key, data in list(_workload_data.items()):
+        if held <= WORKLOAD_DATA_BOUND:
+            break
+        if data is not keep:
+            del _workload_data[key]
+            held -= data.entries()
+
+
+def workload_data_held() -> Tuple[int, int]:
+    """``(workloads, entries)``: the stores this process retains."""
+    return len(_workload_data), sum(data.entries() for data in _workload_data.values())
+
+
 def _execute(
     workload: Workload,
     design: str,
     config: SimConfig,
     obs: Optional[ObsConfig] = None,
 ) -> SimResult:
+    data = workload_data(workload)
     start = time.perf_counter()
     with span(
         "runner.execute", category="runner", design=design, workload=workload.name
     ):
-        result = SimulatedSystem(workload, design, config, obs=obs).run()
+        result = SimulatedSystem(workload, design, config, obs=obs, workload_data=data).run()
     elapsed = time.perf_counter() - start
+    _trim_workload_data(data)
     result.extras["sim_seconds"] = elapsed
     stats.add("executed", elapsed)
     return result
@@ -240,6 +301,7 @@ def register_stats(scope) -> None:
 __all__ = [
     "DESIGNS",
     "RunnerStats",
+    "WORKLOAD_DATA_BOUND",
     "compare",
     "configure_disk_cache",
     "disk_cache",
@@ -248,4 +310,6 @@ __all__ = [
     "simulate",
     "simulate_with_source",
     "stats",
+    "workload_data",
+    "workload_data_held",
 ]

@@ -26,6 +26,7 @@ from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.telemetry import Metrics, StatRegistry
 from repro.vm.page_table import LINES_PER_PAGE, PageTable
+from repro.workloads.data import WorkloadData
 from repro.workloads.generators import MixWorkload
 
 #: Design names accepted by :func:`build_controller` and the runner.
@@ -45,17 +46,24 @@ def build_controller(
     memory: PhysicalMemory,
     dram: DRAMSystem,
     config: SimConfig,
+    workload_data: Optional[WorkloadData] = None,
 ) -> Tuple[MemoryController, Optional[CompressionPolicy]]:
     """Instantiate one of the studied designs by name.
 
     Every design that compresses gets the ``HybridCompressor`` of
-    ``config.compression``.
+    ``config.compression``, memoizing into ``workload_data``'s memos for
+    that stack (its own when ``None``).  This is the only reader of
+    ``config``'s ``compression``, ``metadata``, ``ptmc`` and ``sampling``
+    sections; ``diskcache.UNREAD_SECTIONS`` lists, per design, the ones
+    it never reads.
     """
     if design == "uncompressed":
         return UncompressedController(memory, dram), None
     if design == "prefetch":
         return NextLinePrefetchController(memory, dram), None
-    compressor = HybridCompressor([ALGORITHMS[name]() for name in config.compression])
+    stack = config.compression
+    memos = None if workload_data is None else workload_data.compression_memos(stack)
+    compressor = HybridCompressor([ALGORITHMS[name]() for name in stack], memos=memos)
     if design == "tmc_table":
         return MetadataTableController(memory, dram, compressor, config=config.metadata), None
     if design == "memzip":
@@ -78,7 +86,14 @@ def build_controller(
 
 
 class SimulatedSystem:
-    """An 8-core system running one workload on one memory design."""
+    """An 8-core system running one workload on one memory design.
+
+    ``workload_data`` is the workload's store of shared, pure-function
+    data (:class:`~repro.workloads.data.WorkloadData`): the runner passes
+    the process's store for the workload, so its runs share first-touch
+    lines, compression memos and trace records.  Given none, the system
+    builds a private one and shares nothing with any other run.
+    """
 
     def __init__(
         self,
@@ -86,16 +101,18 @@ class SimulatedSystem:
         design: str,
         config: SimConfig,
         obs: Optional[ObsConfig] = None,
+        workload_data: Optional[WorkloadData] = None,
     ):
         self.workload = workload
         self.design = design
         self.config = config
         self.obs = obs or ObsConfig()
+        self.workload_data = workload_data if workload_data is not None else WorkloadData()
         self.page_table = PageTable(config.capacity_lines, seed=config.seed + 99)
         # each spec builds its own generator flavour: synthetic specs a
         # WorkloadTraceGenerator, trace workloads a TraceReplayGenerator
         self.generators = [
-            self._spec_for_core(core).make_generator(core)
+            self._spec_for_core(core).make_generator(core, self.workload_data)
             for core in range(config.num_cores)
         ]
         self.memory = PhysicalMemory(
@@ -108,7 +125,7 @@ class SimulatedSystem:
             refresh=config.refresh,
         )
         self.controller, self.policy = build_controller(
-            design, self.memory, self.dram, config
+            design, self.memory, self.dram, config, self.workload_data
         )
         hcfg = config.hierarchy
         if hcfg.num_cores != config.num_cores:

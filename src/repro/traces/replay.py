@@ -23,18 +23,23 @@ RNG, mirroring the synthetic generators.
 In rate mode every core replays the *same* address stream with a
 distinct data/timing seed (``with_seed(seed + core_id)`` — the same
 per-core decorrelation the synthetic roster gets).
+
+The decoded records, like the line contents, belong to the run's
+:class:`~repro.workloads.data.WorkloadData`, keyed by trace-store root
+and trace hash: the eight per-core generators of a run, and every run
+that shares the store, decode a stored trace once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cpu.trace import TraceRecord
-from repro.traces.formats import Access
 from repro.traces.store import TraceStore, trace_store
-from repro.workloads.data_patterns import SPEC_LIKE, DataGenerator, DataProfile
+from repro.workloads.data import WorkloadData
+from repro.workloads.data_patterns import SPEC_LIKE, DataProfile
 from repro.workloads.generators import (
     RecordStreamGenerator,
     TraceExhausted,
@@ -68,8 +73,10 @@ class TraceWorkload:
     def memory_intensive(self) -> bool:
         return True
 
-    def make_generator(self, core_id: int) -> "TraceReplayGenerator":
-        return TraceReplayGenerator(self, core_id)
+    def make_generator(
+        self, core_id: int, workload_data: Optional[WorkloadData] = None
+    ) -> "TraceReplayGenerator":
+        return TraceReplayGenerator(self, core_id, workload_data)
 
 
 def trace_workload(
@@ -88,48 +95,33 @@ def trace_workload(
     return TraceWorkload(trace_hash=digest, **overrides)
 
 
-#: process-wide record memo so 8 per-core generators (and repeat runs)
-#: decode each stored trace once; values are read-only lists
-_records_memo: Dict[Tuple[str, str], List[Access]] = {}
-
-
-def _shared_records(trace_hash: str) -> List[Access]:
-    store = trace_store()
-    key = (str(store.root), trace_hash)
-    records = _records_memo.get(key)
-    if records is None:
-        records = store.load_records(trace_hash)
-        _records_memo[key] = records
-    return records
-
-
-def clear_record_memo() -> None:
-    """Drop decoded-trace memo entries (tests / long-lived daemons)."""
-    _records_memo.clear()
-
-
 class TraceReplayGenerator(RecordStreamGenerator):
     """Deterministic replay of one stored trace on one core.
 
     Implements the full workload-generator interface the simulator
     consumes: ``spec``/``data`` attributes, and the inherited
     ``reference``, ``current_data``, ``generate`` and
-    ``generate_batched`` (bitwise-identical record streams).
+    ``generate_batched`` (bitwise-identical record streams).  The line
+    contents and the decoded records come from ``workload_data`` (a
+    private store when ``None``).
     """
 
-    def __init__(self, spec: TraceWorkload, core_id: int) -> None:
+    def __init__(
+        self,
+        spec: TraceWorkload,
+        core_id: int,
+        workload_data: Optional[WorkloadData] = None,
+    ) -> None:
         self.spec = spec
         self.core_id = core_id
         self._rng = random.Random(spec.seed * 1_000_003 + core_id)
         self._getrandbits = self._rng.getrandbits
         # randint(0, 2 * mean_gap) as draw_below arguments
         self._gap_span, self._gap_bits = draw_span(2 * spec.mean_gap + 1)
-        self.data = DataGenerator(
-            spec.profile,
-            seed=spec.seed * 7_919 + core_id,
-            write_scramble=spec.write_scramble,
-        )
-        records = _shared_records(spec.trace_hash)
+        if workload_data is None:
+            workload_data = WorkloadData()
+        self.data = workload_data.data_generator(spec, core_id)
+        records = workload_data.trace_records(trace_store(), spec.trace_hash)
         if spec.limit > 0:
             records = records[: spec.limit]
         if not records:
@@ -173,6 +165,5 @@ class TraceReplayGenerator(RecordStreamGenerator):
 __all__ = [
     "TraceReplayGenerator",
     "TraceWorkload",
-    "clear_record_memo",
     "trace_workload",
 ]

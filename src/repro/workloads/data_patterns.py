@@ -25,6 +25,10 @@ simulator can regenerate identical bytes anywhere and memoized
 compression stays valid.  Every draw is a SplitMix64 chain
 (:func:`repro.util.hashing.mix64`); rendering runs the chains inline,
 which ``tests/test_workloads.py`` holds to the ``mix64`` definition.
+A :class:`DataGenerator` keeps the first-touch (version-0) lines it has
+rendered; it belongs to its workload's
+:class:`~repro.workloads.data.WorkloadData`, so those lines are kept as
+long as that store is (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -148,6 +152,8 @@ class DataGenerator:
         self._hash = KeyedHash(seed ^ 0xDA7A)
         #: page -> pattern family (``DataProfile.kind_for_page`` is pure)
         self._page_kinds: Dict[int, PatternKind] = {}
+        #: vline -> its first-touch (version-0) contents
+        self._first_touch: Dict[int, bytes] = {}
         # the noise and write-scramble probabilities as draw cut-offs
         self._noise_cut = profile.noise * _DRAW_BITS
         self._scramble_cut = write_scramble * _DRAW_BITS
@@ -181,14 +187,26 @@ class DataGenerator:
     def line(self, vline: int, version: int = 0) -> bytes:
         """The 64 bytes this line holds at this version.
 
-        Not memoized: a simulation asks for each ``(vline, version)`` once
-        (a store's new version, or a line's first-touch contents), so a
-        memo would only hold every rendered line for the whole run.
+        Version 0, a line's first-touch contents, is memoized: every run
+        of the workload reads the same first-touch lines.  A stored
+        version is not: a run asks for each once and its trace record
+        carries it, so a memo of it would never hit.
         """
+        if not version:
+            line = self._first_touch.get(vline)
+            if line is not None:
+                return line
         h = (vline ^ (version << 20) ^ self.seed) & _M64
         h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _M64
         h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _M64
-        return render_pattern(self.kind(vline, version), h ^ (h >> 31), self._hash)
+        line = render_pattern(self.kind(vline, version), h ^ (h >> 31), self._hash)
+        if not version:
+            self._first_touch[vline] = line
+        return line
+
+    def first_touch_lines(self) -> int:
+        """How many first-touch lines the memo holds."""
+        return len(self._first_touch)
 
 
 def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:

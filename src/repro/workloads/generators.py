@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import TraceRecord
+from repro.workloads.data import WorkloadData
 from repro.workloads.data_patterns import (
     GRAPH_LIKE,
     SPEC_LIKE,
@@ -62,10 +63,13 @@ class WorkloadSpec:
     def memory_intensive(self) -> bool:
         return self.suite != "low"
 
-    def make_generator(self, core_id: int) -> "WorkloadTraceGenerator":
+    def make_generator(
+        self, core_id: int, workload_data: Optional[WorkloadData] = None
+    ) -> "WorkloadTraceGenerator":
         """The per-core generator for this spec (polymorphic with
-        :class:`repro.traces.replay.TraceWorkload`)."""
-        return WorkloadTraceGenerator(self, core_id)
+        :class:`repro.traces.replay.TraceWorkload`), drawing its line
+        contents from ``workload_data`` (a private store when ``None``)."""
+        return WorkloadTraceGenerator(self, core_id, workload_data)
 
 
 def draw_below(getrandbits: Callable[[int], int], n: int, bits: int) -> int:
@@ -216,17 +220,20 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
     draw sequence is the one ``randrange``/``randint`` would make.
     """
 
-    def __init__(self, spec: WorkloadSpec, core_id: int) -> None:
+    def __init__(
+        self,
+        spec: WorkloadSpec,
+        core_id: int,
+        workload_data: Optional[WorkloadData] = None,
+    ) -> None:
         self.spec = spec
         self.core_id = core_id
         self._rng = random.Random(spec.seed * 1_000_003 + core_id)
         self._random = self._rng.random
         self._getrandbits = self._rng.getrandbits
-        self.data = DataGenerator(
-            spec.profile,
-            seed=spec.seed * 7_919 + core_id,
-            write_scramble=spec.write_scramble,
-        )
+        if workload_data is None:
+            workload_data = WorkloadData()
+        self.data = workload_data.data_generator(spec, core_id)
         self._versions: Dict[int, int] = {}
         # randrange(footprint), randint(0, 2 * mean_gap) and
         # randint(0, jump_burst - 1) as draw_below arguments

@@ -34,7 +34,7 @@ import tempfile
 from typing import Callable, Dict, Iterator, List, Tuple
 
 import repro.traces.store as store_module
-from repro.traces.replay import TraceWorkload, clear_record_memo
+from repro.traces.replay import TraceWorkload
 from repro.traces.store import configure_trace_store
 from repro.workloads.data_patterns import (
     ALL_ZERO,
@@ -118,11 +118,9 @@ def _temporary_trace_store():
     previous = store_module._default_store
     with tempfile.TemporaryDirectory() as root:
         store = configure_trace_store(root)
-        clear_record_memo()
         try:
             yield store
         finally:
-            clear_record_memo()
             store_module._default_store = previous
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -491,14 +493,12 @@ class TestTraceCLI:
     @pytest.fixture(autouse=True)
     def _isolated_trace_store(self, tmp_path, monkeypatch):
         import repro.traces.store as store_module
-        from repro.traces.replay import clear_record_memo
         from repro.traces.store import configure_trace_store
 
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         configure_trace_store(tmp_path / "traces")
-        clear_record_memo()
+        monkeypatch.setattr(runner, "_workload_data", OrderedDict())
         yield
-        clear_record_memo()
         store_module._default_store = None
 
     @pytest.fixture

@@ -20,9 +20,14 @@ import pytest
 import repro
 from repro.sim import runner
 from repro.sim.config import quick_config
+from repro.core.metadata_table import MetadataTableConfig
+from repro.core.ptmc import PTMCConfig
+from repro.sim.config import SamplingConfig
 from repro.sim.diskcache import (
+    UNREAD_SECTIONS,
     DiskCache,
     cache_key,
+    code_digest,
     stable_identity,
     workload_identity,
 )
@@ -103,6 +108,63 @@ class TestIdentity:
             stable_identity(object())
 
 
+#: one changed value per section only ``build_controller`` reads
+PERTURBED = {
+    "compression": ("bdi",),
+    "metadata": MetadataTableConfig(cache_bytes=256, cache_ways=4),
+    "ptmc": PTMCConfig(lct_entries=16, ganged_eviction=False),
+    "sampling": SamplingConfig(counter_bits=3, sample_period=2, per_core=False),
+}
+
+
+class TestUnreadSections:
+    """A section a design never reads is left out of its runs' identity.
+
+    Verified, not assumed: each left-out section is perturbed and the run
+    is simulated, and its metrics must equal the unperturbed run's.
+    """
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_left_out_sections_change_neither_metrics_nor_key(self, design):
+        w = get_workload("lbm06")
+        base = SimulatedSystem(w, design, CFG).run().metrics
+        for section in UNREAD_SECTIONS[design]:
+            config = CFG.with_(**{section: PERTURBED[section]})
+            assert cache_key(w, design, config) == cache_key(w, design, CFG), section
+            assert SimulatedSystem(w, design, config).run().metrics == base, section
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_kept_sections_change_the_key(self, design):
+        w = get_workload("lbm06")
+        kept = {
+            section: value
+            for section, value in PERTURBED.items()
+            if section not in UNREAD_SECTIONS[design]
+        }
+        kept["hierarchy"] = dataclasses.replace(CFG.hierarchy, l3_bytes=32 * 1024)
+        for section, value in kept.items():
+            config = CFG.with_(**{section: value})
+            assert cache_key(w, design, config) != cache_key(w, design, CFG), section
+
+    @pytest.mark.parametrize(
+        "section, design",
+        [
+            ("compression", "ideal"),
+            ("metadata", "tmc_table"),
+            ("ptmc", "static_ptmc"),
+            ("sampling", "dynamic_ptmc"),
+        ],
+    )
+    def test_each_perturbation_moves_a_design_that_reads_it(self, section, design):
+        w = get_workload("lbm06")
+        config = CFG.with_(**{section: PERTURBED[section]})
+        base = SimulatedSystem(w, design, CFG).run().metrics
+        assert SimulatedSystem(w, design, config).run().metrics != base
+
+    def test_every_design_has_an_entry(self):
+        assert set(UNREAD_SECTIONS) == set(DESIGNS)
+
+
 #: the ``repro`` package this test run imports
 PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 
@@ -171,6 +233,38 @@ class TestCodeDigest:
             PACKAGE.parent,
         )
         assert out.split() == ["0", "1"]
+
+    def test_the_daemon_takes_the_digest_before_it_serves(self, tmp_path):
+        from repro.service.daemon import ServiceDaemon
+
+        daemon = ServiceDaemon(
+            db_path=tmp_path / "service.db", cache_dir=tmp_path / "cache", workers=1
+        )
+        code_digest.cache_clear()
+        try:
+            daemon.start(run_scheduler=False)
+            assert code_digest.cache_info().currsize == 1
+        finally:
+            daemon.stop()
+
+    def test_a_worker_takes_the_digest_before_any_job(self, tmp_path, monkeypatch):
+        import signal
+
+        from repro.cli import main
+        from repro.service.worker import Worker, WorkerStats
+
+        filled = []
+
+        def run(worker):
+            filled.append(code_digest.cache_info().currsize)
+            return WorkerStats()
+
+        monkeypatch.setattr(Worker, "run", run)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        code_digest.cache_clear()
+        argv = ["--cache-dir", str(tmp_path), "worker", "--url", "http://127.0.0.1:9", "--quiet"]
+        assert main(argv) == 0
+        assert filled == [1]
 
 
 class TestRunnerAliasingRegression:

@@ -321,7 +321,7 @@ class TestSchedulerTimeouts:
         pool = scheduler._pool
         job, future = claim_inflight(store, scheduler,
                                      deadline=time.monotonic() - 1.0)
-        future.set_result((None, "executed", 0.01))
+        future.set_result((None, "executed", 0.01, (0, 0), 0.0))
         assert scheduler._harvest()  # harvests, no timeout declared
         assert not pool.killed
         assert scheduler.stats.timeouts == 0
@@ -356,7 +356,7 @@ class TestSchedulerTimeouts:
                                   deadline=time.monotonic() - 1.0)
         done_by, done_future = claim_inflight(store, scheduler)
         pending_by, _ = claim_inflight(store, scheduler)
-        done_future.set_result((None, "executed", 0.01))
+        done_future.set_result((None, "executed", 0.01, (0, 0), 0.0))
         # _harvest settles the done bystander first (it is simply done),
         # then handles the expired job; drive _on_timeout directly to
         # model the done-after-deadline-check interleaving.

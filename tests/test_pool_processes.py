@@ -10,6 +10,7 @@ behind.
 
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 import repro
 from repro.service import jobstore
 from repro.service.client import ServiceClient
-from repro.sim import runner
+from repro.sim import parallel, runner
 from tests.test_distributed import make_daemon
 from tests.test_service import wait_for
 from tests.test_service_wake import SLOW_OPS, alive
@@ -128,3 +129,43 @@ def test_sigkilled_worker_leaves_no_pool_processes(tmp_path):
         if worker is not None:
             kill_group(worker)
         daemon.stop()
+
+
+#: A pool process whose parent is gone before ``init_worker`` runs: it
+#: waits until it has been re-parented, then runs the initializer.
+ORPHANED_BEFORE_INIT = """\
+import multiprocessing, os, time
+from repro.sim import parallel
+
+def pool_process():
+    parent = multiprocessing.parent_process().pid
+    while os.getppid() == parent:
+        time.sleep(0.01)
+    parallel.init_worker(None)
+    time.sleep(60)
+
+process = multiprocessing.get_context("fork").Process(target=pool_process)
+process.start()
+print(process.pid, flush=True)
+os._exit(0)
+"""
+
+
+def test_pool_process_orphaned_before_its_initializer_exits():
+    """The parent to watch is the one that created the process: read
+    after the parent died, ``os.getppid()`` names the new parent."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    launcher = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED_BEFORE_INIT],
+        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        ready, _, _ = select.select([launcher.stdout], [], [], 30)
+        assert ready, "the launcher printed no pool process"
+        pid = int(launcher.stdout.readline())
+        launcher.wait(timeout=30)
+        assert wait_for(lambda: not alive(pid), timeout=4 * parallel.PARENT_CHECK_S), (
+            f"pool process {pid} outlived its parent"
+        )
+    finally:
+        kill_group(launcher)

@@ -189,6 +189,18 @@ class TestApiSurface:
         assert metrics["runner.executed"] >= 1
         assert metrics["runner.sim_seconds"] > 0
 
+    def test_metrics_show_what_the_pool_process_holds(self, daemon):
+        """The workload stores live in the pool process; the daemon shows
+        what the one that ran the last job holds, and its peak RSS."""
+        client = ServiceClient(daemon.url)
+        assert client.metrics()["runner.data.entries"] == 0
+        job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        assert client.wait(job["id"], timeout=120)["source"] == "executed"
+        metrics = client.metrics()
+        assert metrics["runner.data.workloads"] >= 1
+        assert metrics["runner.data.entries"] > 0
+        assert metrics["worker.pool_rss_mb"] > 0
+
 
 def http_get(url: str):
     """``(status, content_type, body)`` without raising on HTTP errors."""

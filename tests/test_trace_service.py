@@ -7,6 +7,7 @@ submit`` use.
 """
 
 import gzip
+from collections import OrderedDict
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon
 from repro.sim import runner
 from repro.traces import formats
-from repro.traces.replay import clear_record_memo
 from repro.traces.store import content_hash
 
 OPS, WARMUP = 150, 100
@@ -27,10 +27,9 @@ def _isolated(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    clear_record_memo()
+    monkeypatch.setattr(runner, "_workload_data", OrderedDict())
     runner.configure_disk_cache(enabled=False)
     yield
-    clear_record_memo()
     store_module._default_store = None
     runner.configure_disk_cache(enabled=False)
 

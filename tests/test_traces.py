@@ -11,6 +11,7 @@ the scalar and batched simulation paths, and across parallel sweeps.
 import dataclasses
 import gzip
 import io
+from collections import OrderedDict
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.traces.formats import (
     parse_text_line,
     sniff_format,
 )
-from repro.traces.replay import TraceWorkload, clear_record_memo, trace_workload
+from repro.traces.replay import TraceWorkload, trace_workload
 from repro.traces.store import (
     TraceStore,
     TraceStoreError,
@@ -50,10 +51,9 @@ def _isolated_stores(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     configure_trace_store(tmp_path / "traces")
-    clear_record_memo()
+    monkeypatch.setattr(runner, "_workload_data", OrderedDict())
     runner.configure_disk_cache(enabled=False)
     yield
-    clear_record_memo()
     store_module._default_store = None
     runner.configure_disk_cache(enabled=False)
 
@@ -382,7 +382,6 @@ class TestTraceReplay:
         info, _ = ingest_toy()
         spec = trace_workload(info.hash)
         first = SimulatedSystem(spec, "dynamic_ptmc", CFG).run()
-        clear_record_memo()
         second = SimulatedSystem(spec, "dynamic_ptmc", CFG).run()
         assert comparable(first) == comparable(second)
 
@@ -447,12 +446,13 @@ class TestTraceCaching:
         b["extras"].pop("serve_seconds", None)
         assert a == b
 
-    def test_parallel_sweep_matches_serial(self):
+    def test_parallel_sweep_matches_serial(self, monkeypatch):
         from repro.sim.parallel import sweep_with_report
 
         info, _ = ingest_toy()
         spec = trace_workload(info.hash)
         serial, _ = sweep_with_report([spec], ["static_ptmc"], CFG)
-        clear_record_memo()
+        # the pool processes fork from here: give them no decoded records
+        monkeypatch.setattr(runner, "_workload_data", OrderedDict())
         parallel, _ = sweep_with_report([spec], ["static_ptmc"], CFG, jobs=2)
         assert parallel == serial
