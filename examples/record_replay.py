@@ -34,14 +34,14 @@ from repro.vm.page_table import PageTable
 from repro.workloads import get_workload
 from repro.workloads.generators import WorkloadTraceGenerator
 
-HIER = HierarchyConfig(num_cores=1, l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024)
+HIER = HierarchyConfig(l1_bytes=8 * 1024, l2_bytes=32 * 1024, l3_bytes=128 * 1024)
 
 
 def replay(spec, controller_cls):
     memory = PhysicalMemory(1 << 20)
     dram = DRAMSystem()
     controller = controller_cls(memory, dram)
-    hierarchy = CacheHierarchy(controller, HIER)
+    hierarchy = CacheHierarchy(controller, HIER, num_cores=1)
     # loop=False: the stream ends with the trace, however many ops are asked for
     records = spec.make_generator(0).generate(sys.maxsize)
     core = CoreModel(0, records, hierarchy, PageTable(1 << 20))

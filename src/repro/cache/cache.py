@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterator, List, Optional, Union
 
-from repro.cache.replacement import LRUPolicy, ReplacementPolicy, make_policy
+from repro.cache.replacement import DEFAULT_POLICY, LRUPolicy, ReplacementPolicy, make_policy
 from repro.telemetry import StatScope
 from repro.types import Contents, Level, line_data
 
@@ -88,10 +88,8 @@ class Cache:
     """A set-associative cache of 64-byte lines with pluggable replacement.
 
     ``policy`` accepts a registry name (``"lru"``, ``"fifo"``,
-    ``"random"``, ``"srrip"``, ``"pref_lru"``), a ready
-    :class:`ReplacementPolicy` instance, or ``None`` for the default LRU.
-    ``policy_seed`` feeds per-cache deterministic randomness (only the
-    random policy uses it).
+    ``"random"``, ``"srrip"``, ``"pref_lru"``) or a ready
+    :class:`ReplacementPolicy` instance.
     """
 
     def __init__(
@@ -100,8 +98,7 @@ class Cache:
         ways: int,
         line_size: int = 64,
         name: str = "cache",
-        policy: Union[str, ReplacementPolicy, None] = None,
-        policy_seed: int = 0,
+        policy: Union[str, ReplacementPolicy] = DEFAULT_POLICY,
     ) -> None:
         if size_bytes % (ways * line_size) != 0:
             raise ValueError("cache size must be a multiple of ways * line size")
@@ -112,10 +109,8 @@ class Cache:
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        if policy is None:
-            policy = "lru"
         if isinstance(policy, str):
-            policy = make_policy(policy, cache_name=name, seed=policy_seed)
+            policy = make_policy(policy, cache_name=name)
         self.policy = policy
         policy.bind(self.num_sets, ways)
         self.hits = 0

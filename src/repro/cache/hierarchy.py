@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.cache import Cache, CacheLine, EvictedLine
+from repro.cache.replacement import DEFAULT_POLICY
 from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
 from repro.telemetry import StatScope
@@ -32,16 +33,14 @@ from repro.types import Contents, Level
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Cache sizes/latencies (paper Table I; latencies are typical values).
+    """Cache sizes, ways and latencies (paper Table I; latencies are
+    typical values).
 
-    ``l1_policy``/``l2_policy``/``l3_policy`` name the replacement policy
-    each level runs (registry names from
-    :mod:`repro.cache.replacement`); ``policy_seed`` feeds per-cache
-    deterministic randomness so seeded-random policies stay bitwise
-    reproducible across parallel sweep workers.
+    The core count and the L3's replacement policy are
+    ``SimConfig.num_cores`` and ``SimConfig.llc_policy``, handed to
+    :class:`CacheHierarchy` on their own; the private levels run LRU.
     """
 
-    num_cores: int = 8
     l1_bytes: int = 32 * 1024
     l1_ways: int = 8
     l1_latency: int = 3
@@ -51,10 +50,6 @@ class HierarchyConfig:
     l3_bytes: int = 8 * 1024 * 1024
     l3_ways: int = 16
     l3_latency: int = 35
-    l1_policy: str = "lru"
-    l2_policy: str = "lru"
-    l3_policy: str = "lru"
-    policy_seed: int = 0
 
 
 class _HierarchyLLCView(LLCView):
@@ -86,44 +81,30 @@ class _HierarchyLLCView(LLCView):
 
 
 class CacheHierarchy:
-    """L1/L2 per core + shared L3, fronting a memory controller."""
+    """L1/L2 per core + shared L3, fronting a memory controller.
+
+    ``num_cores`` pairs of private LRU caches sit under one L3 running
+    ``llc_policy`` (a :data:`~repro.cache.replacement.POLICIES` name).
+    """
 
     def __init__(
         self,
         controller: MemoryController,
-        config: HierarchyConfig = HierarchyConfig(),
+        config: HierarchyConfig,
+        num_cores: int,
         policy: Optional[CompressionPolicy] = None,
+        llc_policy: str = DEFAULT_POLICY,
     ) -> None:
         self.config = config
         self.controller = controller
         self.policy = policy
         self.l1s: List[Cache] = [
-            Cache(
-                config.l1_bytes,
-                config.l1_ways,
-                name=f"l1_{c}",
-                policy=config.l1_policy,
-                policy_seed=config.policy_seed,
-            )
-            for c in range(config.num_cores)
+            Cache(config.l1_bytes, config.l1_ways, name=f"l1_{c}") for c in range(num_cores)
         ]
         self.l2s: List[Cache] = [
-            Cache(
-                config.l2_bytes,
-                config.l2_ways,
-                name=f"l2_{c}",
-                policy=config.l2_policy,
-                policy_seed=config.policy_seed,
-            )
-            for c in range(config.num_cores)
+            Cache(config.l2_bytes, config.l2_ways, name=f"l2_{c}") for c in range(num_cores)
         ]
-        self.l3 = Cache(
-            config.l3_bytes,
-            config.l3_ways,
-            name="l3",
-            policy=config.l3_policy,
-            policy_seed=config.policy_seed,
-        )
+        self.l3 = Cache(config.l3_bytes, config.l3_ways, name="l3", policy=llc_policy)
         self.llc_view = _HierarchyLLCView(self)
         self._l1_latency = config.l1_latency
         self._l2_latency = config.l2_latency

@@ -185,18 +185,17 @@ POLICIES: Dict[str, Type[ReplacementPolicy]] = {
     for cls in (LRUPolicy, FIFOPolicy, RandomPolicy, SRRIPPolicy, PrefetchAwareLRUPolicy)
 }
 
-#: The policy every cache level uses unless configured otherwise.
+#: The policy of every private cache level, and of the L3 unless
+#: ``SimConfig.llc_policy`` names another.
 DEFAULT_POLICY = LRUPolicy.name
 
 
-def make_policy(
-    name: str, cache_name: str = "cache", seed: int = 0
-) -> ReplacementPolicy:
+def make_policy(name: str, cache_name: str = "cache") -> ReplacementPolicy:
     """Instantiate a registered policy for one cache.
 
-    ``cache_name`` and ``seed`` only matter to policies that need
-    per-cache deterministic randomness (:class:`RandomPolicy`); the rest
-    ignore them.
+    ``cache_name`` only matters to a policy that needs per-cache
+    deterministic randomness (:class:`RandomPolicy`, seeded 0); the rest
+    ignore it.
     """
     try:
         cls = POLICIES[name]
@@ -205,7 +204,7 @@ def make_policy(
             f"unknown replacement policy {name!r}; choose from {sorted(POLICIES)}"
         ) from None
     if cls is RandomPolicy:
-        return cls(cache_name=cache_name, seed=seed)
+        return cls(cache_name=cache_name)
     return cls()
 
 

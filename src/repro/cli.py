@@ -73,7 +73,7 @@ def _config(args) -> "SimConfig":
     return bench_config(
         ops_per_core=args.ops,
         warmup_ops=args.warmup,
-        llc_policy=getattr(args, "llc_policy", None),
+        llc_policy=args.llc_policy,
     )
 
 
@@ -114,9 +114,9 @@ def cmd_policies(args) -> int:
     ]
     print(format_table(["name", "class", "description"], rows))
     print(
-        "\n(* default)  Select with --llc-policy on run/stats/compare/"
-        "suite/sweep/submit, or sweep the whole space with "
-        "scripts/policy_search.py."
+        "\n(* default)  These are the shared L3's choices; the private L1s "
+        "and L2s run lru.  Select one with --llc-policy on run/stats/compare/"
+        "suite/sweep/submit, or sweep them all with scripts/policy_search.py."
     )
     return 0
 
@@ -457,7 +457,7 @@ def cmd_trace_run(args) -> int:
             seed=args.trace_seed,
             mean_gap=args.gap,
         )
-    except TraceStoreError as exc:
+    except (TraceStoreError, ValueError) as exc:
         print(f"trace error: {exc}")
         return 2
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
@@ -706,16 +706,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="PTMC (HPCA 2019) reproduction — simulation driver",
     )
-    from repro.cache.replacement import POLICIES
+    from repro.cache.replacement import DEFAULT_POLICY, POLICIES
 
     parser.add_argument("--ops", type=int, default=4000, help="measured ops per core")
     parser.add_argument("--warmup", type=int, default=6000, help="warmup ops per core")
     parser.add_argument(
         "--llc-policy",
         choices=sorted(POLICIES),
-        default=None,
-        help="LLC replacement policy (default: the hierarchy's, i.e. lru; "
-        "see 'repro policies')",
+        default=DEFAULT_POLICY,
+        help="the shared L3's replacement policy (default: %(default)s; "
+        "the private L1s and L2s run lru; see 'repro policies')",
     )
     parser.add_argument(
         "--cache-dir",

@@ -40,12 +40,7 @@ from repro.core.policy import (
 from repro.core.prefetch import NextLinePrefetchController
 from repro.core.ptmc import PTMCConfig, PTMCController
 from repro.core.uncompressed import UncompressedController
-from repro.types import (
-    COMPRESSION_COST_CATEGORIES,
-    Category,
-    Level,
-    ReadResult,
-)
+from repro.types import Category, Level, ReadResult
 
 __all__ = [
     "address_map",
@@ -77,7 +72,6 @@ __all__ = [
     "NextLinePrefetchController",
     "PTMCConfig",
     "PTMCController",
-    "COMPRESSION_COST_CATEGORIES",
     "Category",
     "Level",
     "ReadResult",

@@ -57,9 +57,6 @@ class DRAMStats:
     def total_accesses(self) -> int:
         return sum(self.accesses_by_category.values())
 
-    def category_count(self, *categories: Category) -> int:
-        return sum(self.accesses_by_category.get(c, 0) for c in categories)
-
 
 class DRAMSystem:
     """Timing front-end for the memory channels.
@@ -225,10 +222,3 @@ class DRAMSystem:
         stats.reads += 1
         stats.busy_cycles += t_transfer
         return completion
-
-    def channel_utilisation(self, elapsed_cycles: int) -> float:
-        """Fraction of total data-bus cycles carrying transfers."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        total_bus = elapsed_cycles * self.geometry.channels
-        return min(1.0, self.stats.busy_cycles / total_bus)

@@ -24,7 +24,6 @@ instrumented run is bitwise-identical to an uninstrumented one (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.obs import tracing
 from repro.obs.timeseries import TimeSeries, TimeSeriesPoint
@@ -47,8 +46,6 @@ class ObsConfig:
 
     #: line-accesses between samples; ``0`` disables sampling entirely
     sample_interval: int = 0
-    #: restrict sampled metrics to these registry paths (``None`` = all)
-    sample_paths: Optional[Tuple[str, ...]] = None
 
     @property
     def sampling(self) -> bool:
@@ -62,14 +59,12 @@ class IntervalSampler:
         self,
         registry: StatRegistry,
         interval: int,
-        paths: Optional[Tuple[str, ...]] = None,
         phase: str = "warmup",
     ) -> None:
         if interval <= 0:
             raise ValueError("sampling interval must be positive (0 disables)")
         self.registry = registry
         self.interval = interval
-        self.paths = paths
         self.phase = phase
         self.accesses = 0
         self._since_sample = 0
@@ -110,8 +105,6 @@ class IntervalSampler:
 
     def _sample(self) -> None:
         metrics = self.registry.delta(self._base)
-        if self.paths is not None:
-            metrics = {path: metrics[path] for path in self.paths if path in metrics}
         self._points.append(
             TimeSeriesPoint(accesses=self.accesses, phase=self.phase, metrics=metrics)
         )

@@ -35,7 +35,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache.replacement import POLICIES
 from repro.obs.logging import StructuredLog
 from repro.service import jobstore
 from repro.service.jobstore import Job, JobStore
@@ -114,7 +113,6 @@ class ServiceStats:
     dedup_active: int = 0
     #: submissions served instantly from the shared disk cache
     dedup_cache: int = 0
-    orphans_recovered: int = 0
     #: unfinished claims handed back with the attempt refunded (a drain,
     #: or the bystanders of a timed-out job's pool kill)
     drain_requeued: int = 0
@@ -232,7 +230,7 @@ class StoreSource:
 
     def release(self, job: Job, worker_id: str) -> bool:
         """Re-queue an unfinished claim with its attempt refunded."""
-        if not self.store.requeue(job.id, refund_attempt=True, worker_id=worker_id):
+        if not self.store.requeue(job.id, worker_id=worker_id):
             return self._lost(job, worker_id)
         self.stats.drain_requeued += 1
         self.log.event("job_released", job_id=job.id, worker_id=worker_id)
@@ -507,13 +505,6 @@ class ServiceDaemon:
         if trace_keys and not workload_name.startswith("trace:"):
             raise SubmitError(
                 f"{sorted(trace_keys)} only apply to trace:<hash> workloads"
-            )
-        if int(config_overrides.get("trace_limit", 0) or 0) < 0:
-            raise SubmitError("trace_limit must be >= 0")
-        llc_policy = config_overrides.get("llc_policy")
-        if llc_policy is not None and llc_policy not in POLICIES:
-            raise SubmitError(
-                f"unknown llc_policy {llc_policy!r}; choose from {sorted(POLICIES)}"
             )
         try:
             workload = resolve_job_workload(workload_name, config_overrides)
@@ -857,13 +848,12 @@ class ServiceDaemon:
         self._close()
 
     def _boot(self, run_worker: bool) -> None:
-        """Start HTTP and the lease reaper, then recover crash orphans.
+        """Start HTTP and the lease reaper.
 
-        Only *lease-less* orphans (rows from a legacy scheduler) are
-        recovered; leased rows are the reaper's business, since a live
-        remote worker may still hold them.  The code digest is taken
-        first, before any request is served: claims, uploads and result
-        keys then name the code this process imported.
+        A job a crashed daemon left ``running`` is the reaper's once its
+        lease lapses, like any other abandoned claim.  The code digest
+        is taken first, before any request is served: claims, uploads
+        and result keys then name the code this process imported.
         """
         code_digest()
         self._http_thread = threading.Thread(
@@ -871,14 +861,8 @@ class ServiceDaemon:
         )
         self._http_thread.start()
         self._start_reaper()
-        orphans = self.store.recover_orphans(only_leaseless=True)
-        self.stats.orphans_recovered += len(orphans)
         if run_worker:
-            self.log.event(
-                "scheduler_started",
-                workers=self.worker.concurrency,
-                orphans_recovered=len(orphans),
-            )
+            self.log.event("scheduler_started", workers=self.worker.concurrency)
 
     def _close(self) -> None:
         self._stop_reaper()

@@ -291,22 +291,20 @@ class JobStore:
 
     def claim(
         self,
+        worker_id: str,
+        lease_seconds: float,
         now: Optional[float] = None,
-        worker_id: Optional[str] = None,
-        lease_seconds: Optional[float] = None,
     ) -> Optional[Job]:
         """Atomically lease the best eligible queued job to one worker.
 
         Eligibility honours backoff (``not_before``); ordering is
         priority (higher first), then FIFO on submission time.  The
-        claimed row records ``worker_id`` and, when ``lease_seconds``
-        is given, ``lease_until = now + lease_seconds`` — the deadline
-        by which the worker must :meth:`heartbeat` or lose the job to
-        :meth:`reap_expired`.  A claim without a lease (legacy callers)
-        is never reaped.
+        claimed row records ``worker_id`` and ``lease_until = now +
+        lease_seconds`` — the deadline by which the worker must
+        :meth:`heartbeat` or lose the job to :meth:`reap_expired`.
         """
         now = time.time() if now is None else now
-        lease_until = (now + lease_seconds) if lease_seconds else None
+        lease_until = now + lease_seconds
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
@@ -362,19 +360,21 @@ class JobStore:
     def reap_expired(self, now: Optional[float] = None) -> List[Job]:
         """Re-queue (or terminally fail) every job whose lease lapsed.
 
-        The claim's attempt is *not* refunded — a job whose worker keeps
-        dying must still exhaust its bounded retries.  A job already on
-        its last attempt fails terminally here rather than looping.  A
-        job past its :attr:`Job.deadline` records a timeout error either
-        way, as a local timeout does.  Returns the reaped jobs as they
-        were *before* reaping (so the caller can see which worker lost
-        each lease).
+        A ``running`` row without a lease (left by a daemon that predates
+        leases, in a migrated database) counts as lapsed.  The claim's
+        attempt is *not* refunded — a job whose worker keeps dying, or
+        keeps crashing its daemon, must still exhaust its bounded
+        retries.  A job already on its last attempt fails terminally
+        here rather than looping.  A job past its :attr:`Job.deadline`
+        records a timeout error either way, as a local timeout does.
+        Returns the reaped jobs as they were *before* reaping (so the
+        caller can see which worker lost each lease).
         """
         now = time.time() if now is None else now
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM jobs WHERE state = ? "
-                "AND lease_until IS NOT NULL AND lease_until < ?",
+                "AND (lease_until IS NULL OR lease_until < ?)",
                 (RUNNING, now),
             ).fetchall()
             expired = [_row_to_job(row) for row in rows]
@@ -467,56 +467,23 @@ class JobStore:
             self._conn.commit()
             return cur.rowcount > 0
 
-    def requeue(
-        self,
-        job_id: str,
-        refund_attempt: bool = False,
-        worker_id: Optional[str] = None,
-    ) -> bool:
-        """``running -> queued`` (a released claim; optionally refund it).
+    def requeue(self, job_id: str, worker_id: Optional[str] = None) -> bool:
+        """``running -> queued`` with the attempt refunded (a released claim).
 
         Owner-guarded when ``worker_id`` is given (see :meth:`finish`):
         ``False`` means the caller no longer holds the job's lease.
         """
         now = time.time()
-        refund = 1 if refund_attempt else 0
         with self._lock:
             cur = self._conn.execute(
                 "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
                 "worker_id = NULL, lease_until = NULL, "
-                "attempts = MAX(attempts - ?, 0), updated_at = ? "
+                "attempts = MAX(attempts - 1, 0), updated_at = ? "
                 f"WHERE id = ? AND state = ?{_OWNED_BY}",
-                (QUEUED, refund, now, job_id, RUNNING, worker_id, worker_id),
+                (QUEUED, now, job_id, RUNNING, worker_id, worker_id),
             )
             self._conn.commit()
             return cur.rowcount > 0
-
-    def recover_orphans(self, only_leaseless: bool = False) -> List[Job]:
-        """Re-queue ``running`` jobs abandoned by a crash (daemon boot).
-
-        ``only_leaseless=True`` restricts recovery to rows claimed
-        without a lease (legacy lease-less schedulers): *leased* rows
-        are left for the continuous reaper (:meth:`reap_expired`), since
-        a live remote worker may still legitimately hold them across a
-        daemon restart.  Unlike a graceful drain, the claim's attempt is
-        *not* refunded — a job that keeps crashing the daemon must still
-        exhaust its bounded retries instead of looping forever.
-        """
-        now = time.time()
-        lease_filter = " AND lease_until IS NULL" if only_leaseless else ""
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT id FROM jobs WHERE state = ?{lease_filter}", (RUNNING,)
-            ).fetchall()
-            ids = [row["id"] for row in rows]
-            self._conn.execute(
-                "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
-                "worker_id = NULL, lease_until = NULL, "
-                f"updated_at = ? WHERE state = ?{lease_filter}",
-                (QUEUED, now, RUNNING),
-            )
-            self._conn.commit()
-        return [self.get(job_id) for job_id in ids]
 
     # -- client side -----------------------------------------------------
 

@@ -16,9 +16,10 @@ Two preset scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.replacement import DEFAULT_POLICY, POLICIES
 from repro.compression import ALGORITHMS
 from repro.core.metadata_table import MetadataTableConfig
 from repro.core.ptmc import PTMCConfig
@@ -58,13 +59,13 @@ class SimConfig:
     seed: int = 0
     page_policy: str = "open"
     refresh: bool = True
-    llc_policy: Optional[str] = None
-    """LLC replacement-policy override (a registry name from
-    :mod:`repro.cache.replacement`: ``lru``/``fifo``/``random``/``srrip``/
-    ``pref_lru``).  ``None`` defers to ``hierarchy.l3_policy``.  The knob
-    is an ordinary serialisable field, so it participates in the
-    disk-cache key: two runs differing only in replacement policy never
-    share a stored result."""
+    llc_policy: str = DEFAULT_POLICY
+    """The shared L3's replacement policy, a name from
+    ``repro.cache.replacement.POLICIES`` (``lru``/``fifo``/``random``/
+    ``srrip``/``pref_lru``); the private L1s and L2s always run LRU.  The
+    only replacement-policy knob, so two runs differing only in it never
+    share a stored result, and the default and an explicit ``"lru"`` are
+    one identity."""
     compression: Tuple[str, ...] = ("fpc", "bdi")
     """The algorithms (``repro.compression.ALGORITHMS`` names, in tag
     order) whose smallest payload each line is stored as, by every design
@@ -83,6 +84,10 @@ class SimConfig:
             raise ValueError(
                 f"compression {self.compression!r} must name one or more of "
                 f"{sorted(ALGORITHMS)}"
+            )
+        if self.llc_policy not in POLICIES:
+            raise ValueError(
+                f"unknown llc_policy {self.llc_policy!r}; choose from {sorted(POLICIES)}"
             )
 
     def with_(self, **overrides) -> "SimConfig":

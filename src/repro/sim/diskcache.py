@@ -70,8 +70,10 @@ def stable_identity(obj: Any) -> Any:
 
     Dataclasses are tagged with their class name so two different types
     with coincidentally equal fields cannot collide; enum members reduce
-    to (type, value); dict entries are sorted by their serialized key so
-    insertion order never leaks into the hash.
+    to (type, value); dict entries keep their insertion order, which is
+    part of a value's meaning where one reaches an identity
+    (``DataProfile.weights``: its ``DataGenerator`` draws a line's family
+    by walking the weights in that order).
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -86,11 +88,7 @@ def stable_identity(obj: Any) -> Any:
         }
         return [type(obj).__name__, fields]
     if isinstance(obj, dict):
-        entries = sorted(
-            (json.dumps(stable_identity(k), sort_keys=True), stable_identity(v))
-            for k, v in obj.items()
-        )
-        return ["dict", entries]
+        return ["dict", [[stable_identity(k), stable_identity(v)] for k, v in obj.items()]]
     if isinstance(obj, (list, tuple)):
         return ["seq", [stable_identity(item) for item in obj]]
     if isinstance(obj, (set, frozenset)):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from typing import Optional, Tuple
 
@@ -127,12 +126,10 @@ class SimulatedSystem:
         self.controller, self.policy = build_controller(
             design, self.memory, self.dram, config, self.workload_data
         )
-        hcfg = config.hierarchy
-        if hcfg.num_cores != config.num_cores:
-            hcfg = dataclasses.replace(hcfg, num_cores=config.num_cores)
-        if config.llc_policy is not None and hcfg.l3_policy != config.llc_policy:
-            hcfg = dataclasses.replace(hcfg, l3_policy=config.llc_policy)
-        self.hierarchy = CacheHierarchy(self.controller, hcfg, self.policy)
+        self.hierarchy = CacheHierarchy(
+            self.controller, config.hierarchy, config.num_cores, self.policy,
+            llc_policy=config.llc_policy,
+        )
         self.batch = self._make_batch()
         total_ops = config.ops_per_core + config.warmup_ops
         self.cores = [
@@ -161,7 +158,6 @@ class SimulatedSystem:
         return IntervalSampler(
             self.registry,
             self.obs.sample_interval,
-            paths=self.obs.sample_paths,
             phase="warmup" if self.config.warmup_ops else "measured",
         )
 

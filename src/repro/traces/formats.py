@@ -244,18 +244,6 @@ def parse_bytes(
         raise ValueError(f"unknown trace format {fmt!r}; choose auto/text/binary")
 
 
-def parse_path(
-    path,
-    fmt: str = "auto",
-    mode: str = "strict",
-    stats: Optional[ParseStats] = None,
-) -> Iterator[Access]:
-    """Parse a trace file from disk (gzip and format auto-detected)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    yield from parse_bytes(data, fmt=fmt, mode=mode, stats=stats)
-
-
 def format_text(accesses: Iterable[Access]) -> str:
     """Render accesses back as canonical text (one ``r/w 0x... `` per line)."""
     return "".join(
@@ -275,7 +263,6 @@ __all__ = [
     "encode_records",
     "format_text",
     "parse_bytes",
-    "parse_path",
     "parse_text",
     "parse_text_line",
     "sniff_format",

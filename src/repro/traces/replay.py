@@ -66,6 +66,10 @@ class TraceWorkload:
     profile: DataProfile = field(default_factory=lambda: SPEC_LIKE)
     write_scramble: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.limit < 0:
+            raise ValueError(f"limit must be >= 0 (0 = the whole trace), not {self.limit}")
+
     def with_seed(self, seed: int) -> "TraceWorkload":
         return replace(self, seed=seed)
 

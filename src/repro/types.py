@@ -57,13 +57,6 @@ WRITE_CATEGORIES = frozenset(
     }
 )
 
-#: Categories that exist only because compression is enabled; the paper's
-#: Dynamic-PTMC counts these as the "bandwidth cost of compression".
-COMPRESSION_COST_CATEGORIES = frozenset(
-    {Category.MISPREDICT_READ, Category.CLEAN_WRITEBACK, Category.INVALIDATE_WRITE}
-)
-
-
 class FirstTouch:
     """The contents of a never-written memory slot, not rendered yet.
 

@@ -63,8 +63,3 @@ class BitReader:
             raise EOFError("bit stream exhausted")
         self._pos = end
         return (self._value >> (self._nbits - end)) & ((1 << nbits) - 1)
-
-    @property
-    def bits_remaining(self) -> int:
-        """Bits left in the underlying buffer (including padding)."""
-        return self._nbits - self._pos

@@ -30,10 +30,6 @@ class PageTable:
         self._used_frames: Dict[int, Tuple[int, int]] = {}
         self._next_probe = 0
 
-    @property
-    def frames_allocated(self) -> int:
-        return len(self._used_frames)
-
     def translate(self, core_id: int, vline: int) -> int:
         """Virtual line address -> physical line address (allocate on demand).
 

@@ -70,12 +70,6 @@ class TestBitReader:
         with pytest.raises(EOFError):
             reader.read(1)
 
-    def test_bits_remaining(self):
-        reader = BitReader(b"\x00\x00")
-        assert reader.bits_remaining == 16
-        reader.read(5)
-        assert reader.bits_remaining == 11
-
     def test_read_spanning_bytes(self):
         reader = BitReader(bytes([0b00000001, 0b10000000]))
         assert reader.read(4) == 0
@@ -128,7 +122,7 @@ def test_reader_matches_bit_at_a_time_reference(data, widths):
                 fast.read(width)
             continue
         assert fast.read(width) == expected
-        assert fast.bits_remaining == len(data) * 8 - slow._pos
+        assert fast._pos == slow._pos
 
 
 def test_negative_width_rejected():

@@ -163,8 +163,8 @@ class TestPolicySeam:
         assert type(small_cache().policy).name == "lru"
 
     def test_policy_string_resolved_per_cache(self):
-        a = Cache(1024, 2, name="l3", policy="random", policy_seed=9)
-        b = Cache(1024, 2, name="l3", policy="random", policy_seed=9)
+        a = Cache(1024, 2, name="l3", policy="random")
+        b = Cache(1024, 2, name="l3", policy="random")
         assert a.policy is not b.policy  # own RNG per cache instance
 
     def test_drain_notifies_policy(self):
@@ -185,7 +185,7 @@ class TestPolicySeam:
         policy=st.sampled_from(["lru", "fifo", "random", "srrip", "pref_lru"]),
     )
     def test_occupancy_bounded_for_every_policy(self, addresses, policy):
-        cache = Cache(2 * 4 * 64, ways=2, policy=policy, name="prop", policy_seed=2)
+        cache = Cache(2 * 4 * 64, ways=2, policy=policy, name="prop")
         for addr in addresses:
             cache.fill(addr, LINE)
         assert cache.occupancy() <= 8

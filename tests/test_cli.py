@@ -462,9 +462,9 @@ class TestPolicyCLI:
         )
         assert args.llc_policy == "srrip"
 
-    def test_llc_policy_defaults_to_none(self):
+    def test_llc_policy_defaults_to_lru(self):
         args = build_parser().parse_args(["run", "lbm06", "ideal"])
-        assert args.llc_policy is None
+        assert args.llc_policy == "lru"
 
     def test_unknown_policy_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
@@ -573,6 +573,19 @@ class TestTraceCLI:
         assert "trace error" in capsys.readouterr().out
         assert main(["trace", "run", "feedface"]) == 2
         assert "trace error" in capsys.readouterr().out
+
+    def test_negative_trace_limit_is_a_clean_error(self, capsys, trace_file, tmp_path):
+        assert main(["trace", "ingest", str(trace_file)]) == 0
+        out = capsys.readouterr().out
+        digest = [ln for ln in out.splitlines() if ln.startswith("full hash:")][0]
+        cache_dir = tmp_path / "results"
+        assert main([
+            "--cache-dir", str(cache_dir),
+            "trace", "run", digest.split()[-1], "--trace-limit", "-5", "--designs", "ideal",
+        ]) == 2
+        out = capsys.readouterr().out
+        assert "trace error" in out and "limit must be >= 0" in out
+        assert not list(cache_dir.glob("*/*.json"))  # nothing simulated or stored
 
     def test_missing_trace_file_is_a_clean_error(self, capsys, tmp_path):
         assert main(["trace", "ingest", str(tmp_path / "nope.trace")]) == 2

@@ -16,7 +16,8 @@ def make_core(records, mlp=4, width=4, cores=1):
     dram = DRAMSystem()
     hierarchy = CacheHierarchy(
         UncompressedController(memory, dram),
-        HierarchyConfig(num_cores=cores, l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+        HierarchyConfig(l1_bytes=1024, l2_bytes=4096, l3_bytes=16384),
+        cores,
     )
     page_table = PageTable(1 << 16)
     return CoreModel(0, iter(records), hierarchy, page_table, width=width, mlp=mlp)

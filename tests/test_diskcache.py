@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.sim import runner
-from repro.sim.config import quick_config
+from repro.sim.config import bench_config, quick_config
 from repro.core.metadata_table import MetadataTableConfig
 from repro.core.ptmc import PTMCConfig
 from repro.sim.config import SamplingConfig
@@ -39,6 +39,7 @@ from repro.sim.results import (
 )
 from repro.sim.system import DESIGNS, SimulatedSystem
 from repro.workloads import get_workload
+from repro.workloads.data_patterns import DataGenerator, DataProfile, PatternKind
 from repro.workloads.generators import make_mix, spec_like
 
 CFG = quick_config(ops_per_core=300, warmup_ops=100)
@@ -102,6 +103,20 @@ class TestIdentity:
         assert len(keys) == 1
         # while a field that changes results still changes the key
         assert cache_key(w, "ideal", CFG.with_(batch_chunk=0, seed=1)) not in keys
+
+    def test_dict_entry_order_is_part_of_identity(self):
+        # a profile's weights are walked in insertion order, so the same
+        # weights in two orders put other families on every page
+        zero_first = DataProfile({PatternKind.ZERO: 0.5, PatternKind.SMALL_INT: 0.5}, noise=0.0)
+        int_first = DataProfile({PatternKind.SMALL_INT: 0.5, PatternKind.ZERO: 0.5}, noise=0.0)
+        lines = range(0, 1000 * 64, 64)  # the first line of 1,000 pages
+        a, b = DataGenerator(zero_first, seed=3), DataGenerator(int_first, seed=3)
+        assert all(a.kind(line) != b.kind(line) for line in lines)
+        keys = {
+            cache_key(spec_like("w", profile=profile), "ideal", CFG)
+            for profile in (zero_first, int_first)
+        }
+        assert len(keys) == 2
 
     def test_stable_identity_rejects_unknown_types(self):
         with pytest.raises(TypeError):
@@ -619,22 +634,23 @@ class TestMaintenance:
 
 
 class TestPolicyKeying:
-    """Replacement-policy knobs are part of the result identity: sweeps
-    over policies must never collide in the shared store."""
+    """The LLC replacement policy is part of the result identity: sweeps
+    over policies must never collide in the shared store, and one policy
+    is one identity."""
 
     def test_llc_policy_knob_changes_key(self):
         w = get_workload("lbm06")
-        keys = {cache_key(w, "static_ptmc", CFG.with_(llc_policy=p))
-                for p in (None, "lru", "fifo", "random", "srrip", "pref_lru")}
-        assert len(keys) == 6  # None and explicit "lru" are distinct identities
+        keys = {p: cache_key(w, "static_ptmc", CFG.with_(llc_policy=p))
+                for p in ("lru", "fifo", "random", "srrip", "pref_lru")}
+        assert len(set(keys.values())) == 5
+        # the default is "lru": one identity, not a sixth
+        assert cache_key(w, "static_ptmc", CFG) == keys["lru"]
 
-    def test_hierarchy_policy_fields_change_key(self):
-        w = get_workload("lbm06")
-        base = cache_key(w, "ideal", CFG)
-        hcfg = dataclasses.replace(CFG.hierarchy, l3_policy="srrip")
-        assert cache_key(w, "ideal", CFG.with_(hierarchy=hcfg)) != base
-        seeded = dataclasses.replace(CFG.hierarchy, policy_seed=1)
-        assert cache_key(w, "ideal", CFG.with_(hierarchy=seeded)) != base
+    def test_unknown_llc_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown llc_policy 'belady'.*srrip"):
+            bench_config(llc_policy="belady")
+        with pytest.raises(ValueError, match="llc_policy"):
+            CFG.with_(llc_policy=None)
 
     def test_policy_differing_runs_store_distinct_results(self, tmp_path):
         runner.configure_disk_cache(tmp_path)

@@ -73,6 +73,36 @@ def _isolated_runner(tmp_path, monkeypatch):
 # -- jobstore: leases ----------------------------------------------------
 
 
+def pre_lease_db(path, state, attempts):
+    """A database from before leases, holding one row ``j1`` in ``state``:
+    the jobs table without the ``worker_id`` and ``lease_until`` columns."""
+    import sqlite3
+
+    started_at = "NULL" if state == jobstore.QUEUED else "1.0"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        f"""
+        CREATE TABLE jobs (
+            id TEXT PRIMARY KEY, key TEXT NOT NULL,
+            workload TEXT NOT NULL, design TEXT NOT NULL,
+            config_json TEXT NOT NULL,
+            priority INTEGER NOT NULL DEFAULT 0, state TEXT NOT NULL,
+            attempts INTEGER NOT NULL DEFAULT 0,
+            max_attempts INTEGER NOT NULL DEFAULT 3,
+            timeout REAL, not_before REAL NOT NULL DEFAULT 0,
+            source TEXT, error TEXT, created_at REAL NOT NULL,
+            updated_at REAL NOT NULL, started_at REAL, finished_at REAL
+        );
+        INSERT INTO jobs VALUES ('j1', 'k1', 'lbm06', 'ideal', '{{}}',
+            0, '{state}', {attempts}, 3, NULL, 0, NULL, NULL, 1.0, 1.0,
+            {started_at}, NULL);
+        """
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
 class TestLeases:
     def test_claim_records_worker_and_lease(self, store):
         submit(store)
@@ -80,11 +110,19 @@ class TestLeases:
         assert job.worker_id == "w1"
         assert job.lease_until == 130.0
 
-    def test_leaseless_claim_is_never_reaped(self, store):
-        submit(store)
-        job = store.claim(worker_id="w1")
-        assert job.lease_until is None
-        assert store.reap_expired(now=time.time() + 10_000) == []
+    def test_leaseless_running_row_is_reaped(self, tmp_path):
+        # Only a daemon from before leases left running rows without one:
+        # the reaper takes them back like any lapsed claim, attempt kept.
+        upgraded = JobStore(pre_lease_db(tmp_path / "old.db", "running", attempts=1))
+        try:
+            assert upgraded.get("j1").lease_until is None
+            reaped = upgraded.reap_expired()
+            assert [job.id for job in reaped] == ["j1"]
+            back = upgraded.get("j1")
+            assert back.state == jobstore.QUEUED and back.started_at is None
+            assert back.attempts == 1
+        finally:
+            upgraded.close()
 
     def test_heartbeat_extends_lease(self, store):
         submit(store)
@@ -157,8 +195,7 @@ class TestLeases:
         job, _ = claim_inflight(store, worker)
         store.reap_expired(now=time.time() + 2 * worker.lease_seconds)
         assert store.claim(worker_id="w2", lease_seconds=30.0).id == job.id
-        assert not store.requeue(job.id, refund_attempt=True,
-                                 worker_id=worker.worker_id)
+        assert not store.requeue(job.id, worker_id=worker.worker_id)
         worker.drain_seconds = 0.0
         worker._drain()
         row = store.get(job.id)
@@ -166,45 +203,27 @@ class TestLeases:
         assert row.attempts == 2
         assert worker.stats.drain_requeued == 0
 
-    def test_boot_recovery_spares_leased_rows(self, store):
-        # A leased row may belong to a live remote worker: boot-time
-        # recovery must leave it to the reaper.
-        submit(store, "lbm06", "ideal")
-        submit(store, "mcf06", "ideal")
+    def test_boot_recovery_spares_leased_rows(self, store, tmp_path):
+        # A leased row may belong to a live remote worker: a daemon
+        # booting over it leaves it to the reaper, which takes it back
+        # only once the lease lapses.
+        submit(store)
         leased = store.claim(worker_id="remote", lease_seconds=300.0)
-        legacy = store.claim(worker_id="old-daemon")  # no lease
-        recovered = store.recover_orphans(only_leaseless=True)
-        assert [j.id for j in recovered] == [legacy.id]
-        assert store.get(leased.id).state == jobstore.RUNNING
-        # full (legacy) recovery still takes everything
-        assert len(store.recover_orphans()) == 1
+        daemon = ServiceDaemon(
+            db_path=store.path, cache_dir=tmp_path / "simcache", port=0, workers=1
+        )
+        daemon.start()
+        try:
+            assert daemon.reap_leases() == []
+            row = store.get(leased.id)
+            assert row.state == jobstore.RUNNING and row.worker_id == "remote"
+        finally:
+            daemon.stop()
+        reaped = store.reap_expired(now=time.time() + 301.0)
+        assert [job.id for job in reaped] == [leased.id]
 
     def test_old_database_schema_is_migrated(self, tmp_path):
-        import sqlite3
-
-        # A pre-lease database: same table minus the two new columns.
-        db = tmp_path / "old.db"
-        conn = sqlite3.connect(db)
-        conn.executescript(
-            """
-            CREATE TABLE jobs (
-                id TEXT PRIMARY KEY, key TEXT NOT NULL,
-                workload TEXT NOT NULL, design TEXT NOT NULL,
-                config_json TEXT NOT NULL,
-                priority INTEGER NOT NULL DEFAULT 0, state TEXT NOT NULL,
-                attempts INTEGER NOT NULL DEFAULT 0,
-                max_attempts INTEGER NOT NULL DEFAULT 3,
-                timeout REAL, not_before REAL NOT NULL DEFAULT 0,
-                source TEXT, error TEXT, created_at REAL NOT NULL,
-                updated_at REAL NOT NULL, started_at REAL, finished_at REAL
-            );
-            INSERT INTO jobs VALUES ('j1', 'k1', 'lbm06', 'ideal', '{}',
-                0, 'queued', 0, 3, NULL, 0, NULL, NULL, 1.0, 1.0, NULL, NULL);
-            """
-        )
-        conn.commit()
-        conn.close()
-        upgraded = JobStore(db)
+        upgraded = JobStore(pre_lease_db(tmp_path / "old.db", "queued", attempts=0))
         try:
             job = upgraded.get("j1")
             assert job.worker_id is None and job.lease_until is None
@@ -244,8 +263,8 @@ class TestJobStoreFixes:
         first, _ = submit(store, "lbm06", "ideal", priority=0)
         other, _ = submit(store, "mcf06", "ideal", priority=3)
         submit(store, "lbm06", "ideal", priority=9)  # join + raise
-        assert store.claim().id == first.id
-        assert store.claim().id == other.id
+        assert store.claim("w1", 30.0).id == first.id
+        assert store.claim("w1", 30.0).id == other.id
 
     def test_retrying_fail_clears_claim_bookkeeping(self, store):
         submit(store)
@@ -691,7 +710,7 @@ class JobStoreMachine(RuleBasedStateMachine):
         )
 
     @rule(worker=st.sampled_from(WORKERS),
-          lease=st.sampled_from([None, 5.0]))
+          lease=st.sampled_from([1.0, 5.0]))
     def claim(self, worker, lease):
         self.store.claim(now=self.now, worker_id=worker, lease_seconds=lease)
 
@@ -721,17 +740,13 @@ class JobStoreMachine(RuleBasedStateMachine):
     @rule(worker=st.sampled_from(WORKERS))
     def requeue(self, worker):
         for job in self._running():
-            self.store.requeue(job.id, refund_attempt=True, worker_id=worker)
+            self.store.requeue(job.id, worker_id=worker)
             break
 
     @rule(dt=st.sampled_from([0.5, 3.0, 10.0]))
     def advance_and_reap(self, dt):
         self.now += dt
         self.store.reap_expired(now=self.now)
-
-    @rule()
-    def boot_recovery(self):
-        self.store.recover_orphans(only_leaseless=True)
 
     @invariant()
     def store_is_consistent(self):

@@ -145,14 +145,6 @@ class TestStats:
         assert dram.stats.accesses_by_category[Category.DATA_READ] == 1
         assert dram.stats.accesses_by_category[Category.METADATA_READ] == 1
         assert dram.stats.total_accesses == 3
-        assert dram.stats.category_count(Category.DATA_READ, Category.DATA_WRITE) == 2
-
-    def test_utilisation_bounded(self):
-        dram = DRAMSystem()
-        now = 0
-        for i in range(32):
-            now = dram.access(i, now, Category.DATA_READ)
-        assert 0.0 < dram.channel_utilisation(now) <= 1.0
 
 
 class TestPhysicalMemory:

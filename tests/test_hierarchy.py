@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import CacheLine
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.cache.replacement import POLICIES
+from repro.cache.replacement import DEFAULT_POLICY, POLICIES, make_policy
 from repro.core.policy import SamplingPolicy
 from repro.core.ptmc import PTMCController
 from repro.core.uncompressed import UncompressedController
@@ -19,8 +19,10 @@ from tests.lineutils import quad_friendly_line
 
 LINE = b"\x00" * 64
 
+#: cores of every test hierarchy (``core_of`` spreads pages over them)
+CORES = 2
+
 SMALL = HierarchyConfig(
-    num_cores=2,
     l1_bytes=1024,
     l2_bytes=4 * 1024,
     l3_bytes=16 * 1024,
@@ -40,7 +42,7 @@ def make_hierarchy(controller_cls=UncompressedController, policy=None, config=SM
         controller = controller_cls(memory, dram, policy=policy)
     else:
         controller = controller_cls(memory, dram)
-    return CacheHierarchy(controller, config, policy)
+    return CacheHierarchy(controller, config, CORES, policy)
 
 
 def core_of(addr):
@@ -195,7 +197,7 @@ class TestSharedRecords:
     def test_ganged_eviction_and_stores_keep_one_record(self):
         memory = PhysicalMemory(1 << 16)
         controller = PTMCController(memory, DRAMSystem())
-        h = CacheHierarchy(controller, SMALL)
+        h = CacheHierarchy(controller, SMALL, CORES)
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         for addr in range(8, 12):  # the gang left the private levels too
@@ -214,7 +216,7 @@ class TestPrefetchAccounting:
         memory = PhysicalMemory(1 << 16)
         dram = DRAMSystem()
         controller = PTMCController(memory, dram)
-        h = CacheHierarchy(controller, SMALL)
+        h = CacheHierarchy(controller, SMALL, CORES)
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         # re-read the group base: neighbours install into L3 as prefetched
@@ -232,7 +234,7 @@ class TestPrefetchAccounting:
         memory = PhysicalMemory(1 << 16)
         dram = DRAMSystem()
         controller = PTMCController(memory, dram, policy=policy)
-        h = CacheHierarchy(controller, SMALL, policy)
+        h = CacheHierarchy(controller, SMALL, CORES, policy)
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         h.access(0, 8, False, 10_000)
@@ -246,15 +248,13 @@ class TestPrefetchAccounting:
 
 class TestPolicyHierarchyProperties:
     """The inclusion and occupancy invariants hold for every registered
-    replacement policy, not just the default LRU path."""
+    LLC replacement policy, not just the default LRU path."""
 
     @staticmethod
     def _policy_hierarchy(policy, config=SMALL):
         memory = PhysicalMemory(1 << 16)
-        cfg = dataclasses.replace(
-            config, l1_policy=policy, l2_policy=policy, l3_policy=policy, policy_seed=5
-        )
-        return CacheHierarchy(UncompressedController(memory, DRAMSystem()), cfg)
+        controller = UncompressedController(memory, DRAMSystem())
+        return CacheHierarchy(controller, config, CORES, llc_policy=policy)
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @settings(deadline=None, max_examples=15)
@@ -303,7 +303,7 @@ class TestWastedPrefetchAccounting:
         memory = PhysicalMemory(1 << 16)
         dram = DRAMSystem()
         controller = PTMCController(memory, dram)
-        h = CacheHierarchy(controller, SMALL)
+        h = CacheHierarchy(controller, SMALL, CORES)
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         h.access(0, 8, False, 10_000)  # re-read installs 9..11 as prefetched
@@ -316,7 +316,7 @@ class TestWastedPrefetchAccounting:
         memory = PhysicalMemory(1 << 16)
         dram = DRAMSystem()
         controller = PTMCController(memory, dram)
-        h = CacheHierarchy(controller, SMALL)
+        h = CacheHierarchy(controller, SMALL, CORES)
         lines = [quad_friendly_line(i) for i in range(4)]
         _compact_group_through_hierarchy(h, controller, lines)
         h.access(0, 8, False, 10_000)
@@ -438,25 +438,36 @@ def _hierarchy_state(h):
     }
 
 
-def _twin_hierarchies(controller_name, cfg):
+def _twin_hierarchies(controller_name, cfg, llc_policy=DEFAULT_POLICY):
     """Two hierarchies built alike, each over its own memory and DRAM."""
     twins = []
     for _ in range(2):
         memory = PhysicalMemory(1 << 16)
         dram = DRAMSystem()
         if controller_name == "ptmc":
-            policy = SamplingPolicy(sample_period=2, num_cores=2)
+            policy = SamplingPolicy(sample_period=2, num_cores=CORES)
             controller = PTMCController(memory, dram, policy=policy)
         else:
             policy = None
             controller = UncompressedController(memory, dram)
-        twins.append(CacheHierarchy(controller, cfg, policy))
+        twins.append(CacheHierarchy(controller, cfg, CORES, policy, llc_policy=llc_policy))
     return twins
+
+
+def _private_policy(h, level, policy):
+    """Give each (empty) cache of ``h``'s private ``level``, ``"l1"`` or
+    ``"l2"``, another replacement policy.  A simulated system's private
+    levels run LRU, but a ``Cache`` takes any policy, and ``access`` must
+    not depend on which one a level runs."""
+    for cache in getattr(h, f"{level}s"):
+        replacement = make_policy(policy, cache_name=cache.name)
+        replacement.bind(cache.num_sets, cache.ways)
+        cache.policy = replacement
 
 
 #: a 64-line L3 over 512 lines of traffic, so L3 victims, packed groups,
 #: co-fetches and their later hits or evictions are common
-_REF_CFG = dataclasses.replace(SMALL, l2_bytes=2 * 1024, l3_bytes=4 * 1024, policy_seed=3)
+_REF_CFG = dataclasses.replace(SMALL, l2_bytes=2 * 1024, l3_bytes=4 * 1024)
 
 #: one non-LRU policy at one level (LRU elsewhere), or one policy at all three
 _LEVEL_POLICIES = [
@@ -489,8 +500,9 @@ class TestAccessMatchesReference:
     """``access`` is bit for bit the reference orchestration: the same
     completion cycles, cache statistics, per-set key order, line records,
     prefetch accounting, DRAM statistics and memory contents, for every
-    replacement policy at every level, under a controller that never
-    co-fetches and one that does."""
+    replacement policy at every level (the L3's through ``llc_policy``, a
+    private level's set on its caches by ``_private_policy``), under a
+    controller that never co-fetches and one that does."""
 
     @pytest.mark.parametrize("controller_name", ["uncompressed", "ptmc"])
     @pytest.mark.parametrize("level,policy", _LEVEL_POLICIES)
@@ -498,10 +510,12 @@ class TestAccessMatchesReference:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), length=st.integers(1, 400))
     def test_access_matches_reference(self, controller_name, level, policy, seed, length):
         levels = ("l1", "l2", "l3") if level == "all" else (level,)
-        cfg = dataclasses.replace(
-            _REF_CFG, **{f"{lv}_policy": policy for lv in levels}
-        )
-        h, ref = _twin_hierarchies(controller_name, cfg)
+        llc_policy = policy if "l3" in levels else DEFAULT_POLICY
+        h, ref = _twin_hierarchies(controller_name, _REF_CFG, llc_policy)
+        for private in levels:
+            if private != "l3":
+                _private_policy(h, private, policy)
+                _private_policy(ref, private, policy)
         noise = bytes(range(64))
         for cycle, (addr, op) in enumerate(_stream(random.Random(seed), length)):
             if op == "force_evict":

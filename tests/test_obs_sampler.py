@@ -81,12 +81,6 @@ def test_measured_points_partition_the_measured_window():
         assert total == result.metrics[path], path
 
 
-def test_sample_paths_filters_collected_metrics():
-    obs = ObsConfig(sample_interval=500, sample_paths=("dram.reads", "llc.misses"))
-    result = run(obs)
-    assert result.timeseries.paths() == ["dram.reads", "llc.misses"]
-
-
 def test_timeseries_json_round_trip():
     result = run(ObsConfig(sample_interval=500))
     restored = SimResult.from_json(result.to_json())

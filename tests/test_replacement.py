@@ -18,10 +18,8 @@ LINE = b"\x00" * 64
 ALL_POLICIES = sorted(POLICIES)
 
 
-def small_cache(policy, ways=2, sets=4, name="cache", seed=0):
-    return Cache(
-        size_bytes=ways * sets * 64, ways=ways, name=name, policy=policy, policy_seed=seed
-    )
+def small_cache(policy, ways=2, sets=4, name="cache"):
+    return Cache(size_bytes=ways * sets * 64, ways=ways, name=name, policy=policy)
 
 
 class TestRegistry:
@@ -100,7 +98,7 @@ class TestRandom:
 
     def test_whole_cache_replay_is_deterministic(self):
         def run():
-            cache = small_cache("random", ways=2, sets=2, name="l3", seed=3)
+            cache = small_cache("random", ways=2, sets=2, name="l3")
             victims = []
             for addr in range(40):
                 victim = cache.fill(addr, LINE)
@@ -222,7 +220,7 @@ def test_occupancy_and_victims_invariant(policy, stream):
     """Under arbitrary access streams, every policy keeps each set within
     its way budget, evicts only resident lines, and keeps hit/miss
     accounting consistent with residency."""
-    cache = Cache(2 * 4 * 64, ways=2, policy=policy, name="prop", policy_seed=1)
+    cache = Cache(2 * 4 * 64, ways=2, policy=policy, name="prop")
     expected_hits = expected_misses = 0
     for addr, is_fill, prefetched in stream:
         resident_before = cache.probe(addr) is not None

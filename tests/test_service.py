@@ -3,8 +3,8 @@
 The HTTP surface is covered end-to-end in ``test_service_http.py``;
 here the store and the worker loop over it (``TestScheduler``: the
 daemon's own pool) are exercised directly, including the retry/backoff
-policy, crash-orphan recovery, and the graceful-drain guarantee (no
-``running`` rows after a stop).
+policy, a crashed daemon's job taken back by the reaper, and the
+graceful-drain guarantee (no ``running`` rows after a stop).
 """
 
 import threading
@@ -35,6 +35,11 @@ def submit(store: JobStore, workload="lbm06", design="ideal", **kwargs):
         workload, design, key_for(workload, design), config=OVERRIDES, **kwargs
     )
     return job, created
+
+
+def claim(store: JobStore, now=None):
+    """Lease the best queued job to one test worker."""
+    return store.claim("w1", 30.0, now=now)
 
 
 def wait_for(condition, timeout=60.0, interval=0.02):
@@ -80,7 +85,7 @@ class TestJobStore:
 
     def test_terminal_job_frees_the_dedup_slot(self, store):
         first, _ = submit(store)
-        claimed = store.claim()
+        claimed = claim(store)
         store.finish(claimed.id, "executed")
         second, created = submit(store)
         assert created
@@ -90,30 +95,30 @@ class TestJobStore:
         low, _ = submit(store, "lbm06", "ideal", priority=0)
         high, _ = submit(store, "mcf06", "ideal", priority=5)
         low2, _ = submit(store, "lbm06", "static_ptmc", priority=0)
-        order = [store.claim().id for _ in range(3)]
+        order = [claim(store).id for _ in range(3)]
         assert order == [high.id, low.id, low2.id]
-        assert store.claim() is None
+        assert claim(store) is None
 
     def test_claim_marks_running_and_counts_attempt(self, store):
         submit(store)
-        job = store.claim()
+        job = claim(store)
         assert job.state == jobstore.RUNNING
         assert job.attempts == 1
         assert job.started_at is not None
 
     def test_backoff_gates_reclaim(self, store):
         submit(store)
-        job = store.claim()
+        job = claim(store)
         store.fail(job.id, "boom", retry_delay=60.0)
         assert store.get(job.id).state == jobstore.QUEUED
-        assert store.claim() is None  # not_before is in the future
-        retry = store.claim(now=time.time() + 61.0)
+        assert claim(store) is None  # not_before is in the future
+        retry = claim(store, now=time.time() + 61.0)
         assert retry is not None and retry.id == job.id
         assert retry.attempts == 2
 
     def test_fail_terminal_records_error(self, store):
         submit(store)
-        job = store.claim()
+        job = claim(store)
         store.fail(job.id, "no retry left")
         final = store.get(job.id)
         assert final.state == jobstore.FAILED
@@ -125,15 +130,18 @@ class TestJobStore:
         assert store.cancel(job.id)
         assert store.get(job.id).state == jobstore.CANCELLED
         job2, _ = submit(store, "mcf06")
-        running = store.claim()
+        running = claim(store)
         assert running.id == job2.id
         assert not store.cancel(job2.id)
         assert store.get(job2.id).state == jobstore.RUNNING
 
     def test_recover_orphans_requeues_without_refund(self, store):
+        # A crashed daemon's claim is an orphan once its lease lapses: the
+        # reaper re-queues it, and the crashed attempt still counts.
         submit(store)
-        store.claim()
-        orphans = store.recover_orphans()
+        store.claim("local:crashed", lease_seconds=30.0, now=100.0)
+        assert store.reap_expired(now=120.0) == []  # lease still live
+        orphans = store.reap_expired(now=131.0)
         assert len(orphans) == 1
         job = store.get(orphans[0].id)
         assert job.state == jobstore.QUEUED
@@ -142,8 +150,8 @@ class TestJobStore:
 
     def test_requeue_with_refund(self, store):
         submit(store)
-        job = store.claim()
-        store.requeue(job.id, refund_attempt=True)
+        job = claim(store)
+        store.requeue(job.id)
         back = store.get(job.id)
         assert back.state == jobstore.QUEUED
         assert back.attempts == 0
@@ -170,7 +178,7 @@ class TestJobStore:
         )
         assert created and job.state == jobstore.DONE
         assert job.source == "cache"
-        assert store.claim() is None
+        assert claim(store) is None
 
 
 def make_scheduler(store, tmp_path, **kwargs):
@@ -249,20 +257,24 @@ class TestScheduler:
         assert scheduler.stats.failed == 1
 
     def test_orphan_recovery_completes_job(self, store, tmp_path):
-        # Boot-time recovery belongs to the daemon, which owns the store.
+        # A previous daemon "crashed" holding this job: the next daemon's
+        # reaper takes it back once the crashed claim's lease lapses.
         job, _ = submit(store)
-        store.claim()  # a previous daemon "crashed" holding this job
+        store.claim("local:crashed", lease_seconds=0.3)
         assert store.counts()[jobstore.RUNNING] == 1
         daemon = ServiceDaemon(
-            db_path=store.path, cache_dir=tmp_path / "simcache", port=0, workers=1
+            db_path=store.path, cache_dir=tmp_path / "simcache", port=0, workers=1,
+            reaper_interval=0.05,
         )
         daemon.start()
         try:
             assert wait_for(lambda: store.get(job.id).terminal)
         finally:
             daemon.stop()
-        assert daemon.stats.orphans_recovered == 1
-        assert store.get(job.id).state == jobstore.DONE
+        assert daemon.workers_seen.lease_expirations == 1
+        done = store.get(job.id)
+        assert done.state == jobstore.DONE
+        assert done.attempts == 2  # the crashed claim still counts
 
     def test_graceful_drain_leaves_no_running_rows(self, store, tmp_path):
         # Enough work that a stop request lands mid-batch.

@@ -100,15 +100,16 @@ class TestRoundTrip:
         first = make_daemon(tmp_path, run_scheduler=False)
         client = ServiceClient(first.url)
         job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
-        assert first.store.claim() is not None
+        assert first.store.claim("local:crashed", lease_seconds=0.3) is not None
         assert first.store.counts()[jobstore.RUNNING] == 1
         first.stop()
-        # Daemon 2 on the same store recovers and completes it.
-        second = make_daemon(tmp_path)
+        # Daemon 2 on the same store reaps the lapsed lease and completes it.
+        second = make_daemon(tmp_path, reaper_interval=0.05)
         try:
             done = ServiceClient(second.url).wait(job["id"], timeout=120)
             assert done["state"] == jobstore.DONE
-            assert second.stats.orphans_recovered == 1
+            assert done["attempts"] == 2  # the crashed claim still counts
+            assert second.workers_seen.lease_expirations == 1
             assert second.store.counts()[jobstore.RUNNING] == 0
         finally:
             second.stop()
@@ -291,6 +292,18 @@ class TestPolicySubmission:
             "lbm06", "static_ptmc", CFG.with_(llc_policy="fifo"), use_cache=False
         )
         assert comparable(served) == comparable(direct)
+
+    def test_explicit_default_policy_is_served_from_cache(self, daemon):
+        # {"llc_policy": "lru"} names the default: the identity {} solved
+        client = ServiceClient(daemon.url)
+        first = client.submit("lbm06", "static_ptmc", ops=OPS, warmup=WARMUP)
+        assert client.wait(first["id"], timeout=120)["state"] == jobstore.DONE
+        again = client.submit(
+            "lbm06", "static_ptmc", ops=OPS, warmup=WARMUP, llc_policy="lru"
+        )
+        assert again["key"] == first["key"]
+        assert again["state"] == jobstore.DONE
+        assert again["source"] == "cache"
 
     def test_policy_jobs_do_not_dedupe_across_policies(self, daemon):
         client = ServiceClient(daemon.url)

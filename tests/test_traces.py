@@ -368,6 +368,13 @@ class TestTraceReplay:
         assert [(r.is_write, r.vline) for r in out[10:20]] == toy_records()[:10]
         assert g.loops == 2
 
+    def test_negative_limit_rejected(self):
+        # a negative limit would replay the whole trace like 0, under
+        # another key
+        info, _ = ingest_toy()
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            trace_workload(info.hash, limit=-1)
+
     def test_per_core_streams_share_addresses_not_data(self):
         info, _ = ingest_toy()
         spec = trace_workload(info.hash)

@@ -1,12 +1,7 @@
 """Tests for the shared types module."""
 
 
-from repro.types import (
-    COMPRESSION_COST_CATEGORIES,
-    Category,
-    Level,
-    ReadResult,
-)
+from repro.types import Category, Level, ReadResult
 
 
 class TestLevel:
@@ -35,13 +30,6 @@ class TestCategory:
         assert not Category.MISPREDICT_READ.is_write
         assert not Category.PREFETCH_READ.is_write
         assert not Category.MAINTENANCE.is_write
-
-    def test_cost_categories_match_dynamic_ptmc(self):
-        assert COMPRESSION_COST_CATEGORIES == {
-            Category.MISPREDICT_READ,
-            Category.CLEAN_WRITEBACK,
-            Category.INVALIDATE_WRITE,
-        }
 
     def test_values_unique(self):
         values = [c.value for c in Category]

@@ -39,13 +39,6 @@ class TestTranslation:
         frame = paddr // LINES_PER_PAGE
         assert pt.reverse(frame) == (3, 130 // LINES_PER_PAGE)
 
-    def test_frames_allocated_counter(self):
-        pt = PageTable(1 << 16)
-        pt.translate(0, 0)
-        pt.translate(0, 1)  # same page
-        pt.translate(0, LINES_PER_PAGE)  # next page
-        assert pt.frames_allocated == 2
-
 
 class TestLimitsAndDeterminism:
     def test_capacity_must_be_whole_pages(self):
