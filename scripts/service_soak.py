@@ -6,8 +6,10 @@ service-sized ``ideal`` jobs (``warmup_ops`` 100, ``ops_per_core`` 200
 and up) one after another.  They rotate over the 12 SPEC-like roster
 workloads the ``service_sweep`` benchmark rotates, and each round of 12
 is one op longer than the last, so every job is a new identity that
-executes.  The one pool process runs them all, keeping one store of
-first-touch lines, compression memos and trace records per workload.
+executes.  The one pool process runs them all, keeping one store per
+workload: first-touch lines, compression memos and trace records, and,
+from a workload's second job on, the stored line versions its later
+jobs draw again.
 
 After job 100 and after job 200 it reads ``GET /metrics`` and fails if
 
@@ -41,8 +43,8 @@ OPS, WARMUP = 200, 100
 JOBS = 200
 CHECKPOINTS = (100, 200)
 #: Allowed growth of the pool process's peak RSS from job 100 to job 200.
-#: Three runs on a 2-core VM (Python 3.11) grew 0.50, 0.88 and 1.12 MB
-#: (peak 57.4-57.7 MB), as the 12 stores went from 70,734 to 72,416
+#: Three runs on a 2-core VM (Python 3.11) grew 0.88 MB each (peak 57.9
+#: then 58.7-58.8 MB), as the 12 stores went from 78,745 to 80,642
 #: entries: each round of jobs is one op longer, so a few new lines.
 RSS_GROWTH_MB = 4.0
 

@@ -40,12 +40,6 @@ def group_lines(addr: int) -> List[int]:
     return [base + i for i in range(GROUP_SIZE)]
 
 
-def pair_lines(addr: int) -> List[int]:
-    """Both line addresses in ``addr``'s pair, in order."""
-    base = pair_base(addr)
-    return [base, base + 1]
-
-
 def location_for(addr: int, level: Level) -> int:
     """Physical slot holding ``addr`` when stored at ``level``.
 

@@ -458,7 +458,7 @@ class ServiceDaemon:
         data.gauge(
             "entries",
             lambda: worker.pool_data_held[1],
-            doc="entries (first-touch lines, payloads, sizes, trace records) "
+            doc="entries (rendered lines, payloads, sizes, trace records) "
                 "those stores hold",
         )
         self.registry.scope("worker").gauge(

@@ -15,8 +15,8 @@ served to different code.  ``compare`` produces the paper's headline
 metric: weighted speedup over the uncompressed baseline.
 
 An executed run shares its workload's data with every other run of that
-workload in this process: first-touch lines, compression memos and
-decoded trace records live in one
+workload in this process: rendered lines, compression memos and decoded
+trace records live in one
 :class:`~repro.workloads.data.WorkloadData` per workload
 (:func:`workload_data`), found by the workload's content and dropped
 least recently used first once the stores hold more than
@@ -42,14 +42,15 @@ from repro.workloads.suites import Workload, get_workload
 
 _disk: Optional[DiskCache] = None
 
-#: Entries (first-touch lines, compression payloads and sizes, trace
+#: Entries (rendered lines, compression payloads and sizes, trace
 #: records) the workload stores of one process may retain after a run,
 #: beside the store that run used.  The 12 roster workloads a service
-#: rotates held 73,117 after 240 service-sized ``ideal`` jobs, so all of
-#: them stay warm; one bench-scale ``pr.twitter`` ``ideal`` store holds
-#: about 514,000 and displaces the rest.  Six bench-scale runs of six
-#: workloads in one process peaked at 143.9 MB with this bound, and at
-#: 174.4 MB with process-wide memos (2-core VM, Python 3.11).
+#: rotates held 81,440 after 240 service-sized ``ideal`` jobs (73,117
+#: before stores kept stored line versions), so all of them stay warm;
+#: one bench-scale ``pr.twitter`` ``ideal`` store holds about 514,000
+#: and displaces the rest.  Six bench-scale runs of six workloads in one
+#: process peaked at 143.9 MB with this bound, and at 174.4 MB with
+#: process-wide memos (2-core VM, Python 3.11).
 WORKLOAD_DATA_BOUND = 150_000
 
 #: this process's workload stores by serialized workload identity, least

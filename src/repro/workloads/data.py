@@ -3,8 +3,9 @@
 A :class:`WorkloadData` holds the parts of a simulation that are pure
 functions of its workload: each core's
 :class:`~repro.workloads.data_patterns.DataGenerator` (and with it the
-first-touch lines it has rendered), the hybrid compressor's payload and
-size memos for each algorithm stack, and a replayed trace's decoded
+first-touch lines it has rendered, and the stored versions once the
+store serves a second run), the hybrid compressor's payload and size
+memos for each algorithm stack, and a replayed trace's decoded
 records.  Every run of the workload may share one.  A run's own state
 stays with its :class:`~repro.sim.system.SimulatedSystem`: the trace
 generators with their RNGs and store counts, the compressor's
@@ -42,6 +43,9 @@ class WorkloadData:
 
         Keyed on the generator's own parameters, so specs with equal data
         share one, and a store never hands out another workload's lines.
+        A generator handed out a second time serves another run, which
+        draws the records the last one drew (and more, when longer), so
+        from then on it keeps the stored versions it renders.
         """
         seed = spec.seed * 7_919 + core_id
         profile = spec.profile
@@ -50,6 +54,8 @@ class WorkloadData:
         if generator is None:
             generator = DataGenerator(profile, seed=seed, write_scramble=spec.write_scramble)
             self._generators[key] = generator
+        else:
+            generator.keep_stored_versions()
         return generator
 
     def compression_memos(self, algorithms: Tuple[str, ...]) -> CompressionMemos:
@@ -68,9 +74,10 @@ class WorkloadData:
         return records
 
     def entries(self) -> int:
-        """First-touch lines, payloads, sizes and trace records held."""
+        """Lines (first-touch and stored versions), payloads, sizes and
+        trace records held."""
         return (
-            sum(generator.first_touch_lines() for generator in self._generators.values())
+            sum(generator.lines_held() for generator in self._generators.values())
             + sum(len(payloads) + len(sizes) for payloads, sizes in self._compression.values())
             + sum(len(records) for records in self._records.values())
         )

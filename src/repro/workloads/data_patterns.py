@@ -26,7 +26,8 @@ compression stays valid.  Every draw is a SplitMix64 chain
 (:func:`repro.util.hashing.mix64`); rendering runs the chains inline,
 which ``tests/test_workloads.py`` holds to the ``mix64`` definition.
 A :class:`DataGenerator` keeps the first-touch (version-0) lines it has
-rendered; it belongs to its workload's
+rendered, and, once its store serves a second run, the stored versions
+too; it belongs to its workload's
 :class:`~repro.workloads.data.WorkloadData`, so those lines are kept as
 long as that store is (DESIGN.md §14).
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from repro.compression.base import LINE_SIZE
 from repro.util.hashing import KeyedHash, mix64
@@ -154,6 +155,9 @@ class DataGenerator:
         self._page_kinds: Dict[int, PatternKind] = {}
         #: vline -> its first-touch (version-0) contents
         self._first_touch: Dict[int, bytes] = {}
+        #: (vline, version >= 1) -> its contents, once
+        #: :meth:`keep_stored_versions` is called; ``None`` until then
+        self._stored: Optional[Dict[Tuple[int, int], bytes]] = None
         # the noise and write-scramble probabilities as draw cut-offs
         self._noise_cut = profile.noise * _DRAW_BITS
         self._scramble_cut = write_scramble * _DRAW_BITS
@@ -189,11 +193,17 @@ class DataGenerator:
 
         Version 0, a line's first-touch contents, is memoized: every run
         of the workload reads the same first-touch lines.  A stored
-        version is not: a run asks for each once and its trace record
-        carries it, so a memo of it would never hit.
+        version is memoized only after :meth:`keep_stored_versions`: one
+        run asks for each stored version once, and its trace record
+        carries it, so the memo hits only in a later run of the workload
+        that draws the same records again.
         """
         if not version:
             line = self._first_touch.get(vline)
+            if line is not None:
+                return line
+        elif self._stored is not None:
+            line = self._stored.get((vline, version))
             if line is not None:
                 return line
         h = (vline ^ (version << 20) ^ self.seed) & _M64
@@ -202,11 +212,22 @@ class DataGenerator:
         line = render_pattern(self.kind(vline, version), h ^ (h >> 31), self._hash)
         if not version:
             self._first_touch[vline] = line
+        elif self._stored is not None:
+            self._stored[vline, version] = line
         return line
 
-    def first_touch_lines(self) -> int:
-        """How many first-touch lines the memo holds."""
-        return len(self._first_touch)
+    def keep_stored_versions(self) -> None:
+        """Memoize stored versions from now on, as well as version 0.
+
+        Its :class:`~repro.workloads.data.WorkloadData` calls this when
+        it hands the generator to a second run.
+        """
+        if self._stored is None:
+            self._stored = {}
+
+    def lines_held(self) -> int:
+        """How many lines the memos hold: first-touch and stored versions."""
+        return len(self._first_touch) + len(self._stored or ())
 
 
 def render_pattern(kind: PatternKind, nonce: int, keyed: KeyedHash) -> bytes:

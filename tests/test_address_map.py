@@ -23,9 +23,6 @@ class TestBases:
     def test_group_lines(self):
         assert am.group_lines(6) == [4, 5, 6, 7]
 
-    def test_pair_lines(self):
-        assert am.pair_lines(9) == [8, 9]
-
 
 class TestLocationFor:
     def test_group_base_never_moves(self):

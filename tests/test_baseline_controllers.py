@@ -1,14 +1,22 @@
 """Unit tests for the baseline controllers (uncompressed, table-TMC, ideal, prefetch)."""
 
+import random
+
 import pytest
 
+from repro.compression.hybrid import HybridCompressor
+from repro.core import address_map
+from repro.core.base_controller import DECOMPRESSION_LATENCY
 from repro.core.ideal import IdealTMCController
 from repro.core.metadata_table import MetadataTableConfig, MetadataTableController
+from repro.core.packing import payload_budget
 from repro.core.prefetch import NextLinePrefetchController
 from repro.core.uncompressed import UncompressedController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.types import Level
+from repro.types import Category, Level, ReadResult
+from repro.util.hashing import KeyedHash
+from repro.workloads.data_patterns import PatternKind, render_pattern
 from tests.controller_harness import FakeLLC, category_counts, evicted
 from tests.lineutils import quad_friendly_line, random_line, zero_line
 
@@ -178,6 +186,167 @@ class TestIdeal:
         ctrl = build(IdealTMCController)
         ctrl.handle_eviction(evicted(5, zero_line(), dirty=False), 0, 0, FakeLLC())
         assert ctrl.dram.stats.total_accesses == 0
+
+    def test_matches_the_check_per_level_reference(self):
+        """The one-pass decision gives what a quad then a pair ``_fits``
+        check gave: every read's level, lines and timing, every write and
+        write credit, the same DRAM traffic and the same slots read."""
+        levels = set()
+        for seed in range(6):
+            first_touch, written, ops = _ideal_scenario(seed)
+            ctrl = _build_ideal(IdealTMCController, first_touch, written)
+            ref = _build_ideal(FrozenIdeal, first_touch, written)
+            for addr, data, dirty in ops:
+                if data is None:
+                    got = ctrl.read_line(addr, 0, 0, FakeLLC())
+                    want = ref.read_line(addr, 0, 0, FakeLLC())
+                    assert (got.level, got.data, dict(got.extra_lines)) == (
+                        want.level, want.data, dict(want.extra_lines)
+                    )
+                    assert (got.completion, got.accesses) == (want.completion, want.accesses)
+                    levels.add(got.level)
+                else:
+                    ctrl.handle_eviction(evicted(addr, data, dirty), 0, 0, FakeLLC())
+                    ref.handle_eviction(evicted(addr, data, dirty), 0, 0, FakeLLC())
+                assert category_counts(ctrl) == category_counts(ref)
+                assert ctrl._write_credit == ref._write_credit
+                assert ctrl.memory.resident_lines() == ref.memory.resident_lines()
+        assert levels == set(Level)
+
+    def test_one_decision_reads_and_sizes_each_member_once(self, monkeypatch):
+        reads, sized = [], []
+        read, compressed_size = PhysicalMemory.read, HybridCompressor.compressed_size
+
+        def counted_read(memory, line_addr):
+            reads.append(line_addr)
+            return read(memory, line_addr)
+
+        def counted_size(compressor, line):
+            sized.append(line)
+            return compressed_size(compressor, line)
+
+        monkeypatch.setattr(PhysicalMemory, "read", counted_read)
+        monkeypatch.setattr(HybridCompressor, "compressed_size", counted_size)
+        decisions = 0
+        for seed in range(6):
+            first_touch, written, ops = _ideal_scenario(seed)
+            ctrl = _build_ideal(IdealTMCController, first_touch, written)
+            for addr, data, dirty in ops:
+                del reads[:], sized[:]
+                if data is None:
+                    ctrl.read_line(addr, 0, 0, FakeLLC())
+                else:
+                    ctrl.handle_eviction(evicted(addr, data, dirty), 0, 0, FakeLLC())
+                assert len(reads) == len(set(reads))
+                assert len(sized) <= len(reads)
+                decisions += bool(reads)
+        assert decisions > 0
+
+
+_KEYED = KeyedHash(0x1DEA)
+_KINDS = list(PatternKind)
+
+
+def _member(rng, kind):
+    """A line of family ``kind``, or a random line when ``kind`` is None."""
+    if kind is None:
+        return random_line(rng)
+    return render_pattern(kind, rng.getrandbits(64), _KEYED)
+
+
+def _group(rng):
+    """A group's four lines: mostly one family, the rest any family or
+    a random line."""
+    family = rng.choice(_KINDS)
+    return [
+        _member(rng, family if rng.random() < 0.7 else rng.choice(_KINDS + [None]))
+        for _ in range(4)
+    ]
+
+
+def _ideal_scenario(seed, groups=8, steps=150):
+    """Seeded first-touch contents, written slots and operations.
+
+    About half the slots are written before the first operation; the
+    rest hold their first-touch lines until an eviction writes them.  An
+    operation is ``(addr, None, False)`` for a read, else ``(addr, data,
+    dirty)`` for an eviction.
+    """
+    rng = random.Random(seed)
+    count = groups * address_map.GROUP_SIZE
+    first_touch = [line for _ in range(groups) for line in _group(rng)]
+    later = [line for _ in range(groups) for line in _group(rng)]
+    written = {addr: later[addr] for addr in range(count) if rng.random() < 0.5}
+    ops = []
+    for _ in range(steps):
+        addr = rng.randrange(count)
+        if rng.random() < 0.5:
+            ops.append((addr, None, False))
+        else:
+            data = _member(rng, rng.choice(_KINDS + [None]))
+            ops.append((addr, data, rng.random() < 0.85))
+    return first_touch, written, ops
+
+
+def _build_ideal(cls, first_touch, written):
+    memory = PhysicalMemory(1 << 16, initial_content=first_touch.__getitem__)
+    for addr, data in written.items():
+        memory.write(addr, data)
+    return cls(memory, DRAMSystem())
+
+
+class FrozenIdeal(IdealTMCController):
+    """The oracle as a quad check, then a pair check, each reading and
+    sizing its members anew; the read then reads the lines it returns."""
+
+    def _fits(self, addrs, level):
+        budget = payload_budget(level)
+        total = 0
+        for addr in addrs:
+            size = self.compressor.compressed_size(self.memory.read(addr))
+            if size >= 64:
+                return False
+            total += size
+            if total > budget:
+                return False
+        return True
+
+    def read_line(self, addr, now, core_id, llc):
+        completion = self.dram.access(addr, now, Category.DATA_READ)
+        group = address_map.group_lines(addr)
+        if self._fits(group, Level.QUAD):
+            co_fetched, level = group, Level.QUAD
+        else:
+            pair = [addr & ~1, (addr & ~1) + 1]
+            if self._fits(pair, Level.PAIR):
+                co_fetched, level = pair, Level.PAIR
+            else:
+                co_fetched, level = [addr], Level.UNCOMPRESSED
+        extras = {m: self.memory.read(m) for m in co_fetched if m != addr}
+        if level is not Level.UNCOMPRESSED:
+            completion += DECOMPRESSION_LATENCY
+        return ReadResult(addr, self.memory.read(addr), level, completion, 1, extras)
+
+    def handle_eviction(self, evicted, now, core_id, llc):
+        if not evicted.dirty:
+            return
+        self.memory.write(evicted.addr, evicted.data)
+        group = address_map.group_lines(evicted.addr)
+        if self._fits(group, Level.QUAD):
+            slot, credit = address_map.group_base(evicted.addr), 3
+        else:
+            pair = [evicted.addr & ~1, (evicted.addr & ~1) + 1]
+            if self._fits(pair, Level.PAIR):
+                slot, credit = address_map.pair_base(evicted.addr), 1
+            else:
+                slot, credit = evicted.addr, 0
+        remaining = self._write_credit.get(slot, 0)
+        if remaining > 0:
+            self._write_credit[slot] = remaining - 1
+            return
+        self.dram.access(evicted.addr, now, Category.DATA_WRITE)
+        if credit:
+            self._write_credit[slot] = credit
 
 
 class TestPrefetch:

@@ -1,11 +1,13 @@
-"""One store per workload: first-touch lines, compression memos, trace records.
+"""One store per workload: rendered lines, compression memos, trace records.
 
 Every run of a workload in one process shares its
 :class:`~repro.workloads.data.WorkloadData` through the runner, found by
 the workload's content; a lone ``SimulatedSystem`` builds a private one.
-Sharing may only skip work: a fresh store, a warm one and one found
-through a pickled copy of the workload give identical results, for all
-seven designs.  The runner's stores are bounded in total entries.
+A store keeps first-touch lines, and stored versions once it serves a
+second run.  Sharing may only skip work: a fresh store, a warm one and
+one found through a pickled copy of the workload give identical
+results, for all seven designs.  The runner's stores are bounded in
+total entries.
 """
 
 import dataclasses
@@ -46,13 +48,13 @@ class TestFirstTouchMemo:
         first = data.line(70)
         assert data.line(70) is first
         assert kinds == [0]
-        assert data.first_touch_lines() == 1
+        assert data.lines_held() == 1
 
     def test_stored_versions_are_not_kept(self):
         data = DataGenerator(SPEC_LIKE, seed=3, write_scramble=0.5)
         for version in (1, 2, 3):
             assert data.line(70, version) == data.line(70, version)
-        assert data.first_touch_lines() == 0
+        assert data.lines_held() == 0
 
     def test_memo_serves_what_a_fresh_generator_renders(self):
         warm = DataGenerator(SPEC_LIKE, seed=9)
@@ -60,6 +62,54 @@ class TestFirstTouchMemo:
         again = [warm.line(vline) for vline in range(0, 4096, 7)]
         fresh = DataGenerator(SPEC_LIKE, seed=9)
         assert lines == again == [fresh.line(vline) for vline in range(0, 4096, 7)]
+
+
+class TestStoredVersionMemo:
+    def test_a_generator_handed_out_again_keeps_stored_versions(self):
+        data = WorkloadData()
+        spec = get_workload("lbm06")
+        generator = data.data_generator(spec, 0)
+        generator.line(2, 1)
+        assert generator.lines_held() == 0  # one run: nothing to reuse
+        assert data.data_generator(spec, 0) is generator  # a second run
+        kinds = []
+        kind = generator.kind
+
+        def counted(vline, version=0):
+            kinds.append(version)  # one family lookup per render
+            return kind(vline, version)
+
+        generator.kind = counted
+        first = generator.line(2, 1)
+        assert generator.line(2, 1) is first
+        assert generator.line(2, 1) == DataGenerator(
+            generator.profile, generator.seed, generator.write_scramble
+        ).line(2, 1)
+        generator.line(2)
+        generator.line(2, 2)
+        assert kinds == [1, 0, 2]
+        assert generator.lines_held() == 3
+        assert data.entries() == 3
+
+    def test_a_third_run_renders_no_stored_version(self, monkeypatch):
+        stored = []
+        kind = DataGenerator.kind
+
+        def counted(self, vline, version=0):
+            if version > 0:
+                stored.append((vline, version))
+            return kind(self, vline, version)
+
+        monkeypatch.setattr(DataGenerator, "kind", counted)
+        renders = []
+        for _ in range(3):
+            del stored[:]
+            runner.simulate("lbm06", "ideal", CFG)
+            renders.append(len(stored))
+        # the first two runs render every stored version they draw; the
+        # second keeps them, so the third renders none
+        assert renders[0] == renders[1] > 0
+        assert renders[2] == 0
 
 
 class TestWorkloadData:
