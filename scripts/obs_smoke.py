@@ -33,7 +33,6 @@ def fail(message: str) -> None:
 
 
 def traced_sampled_run():
-    from repro.obs.sampler import ObsConfig
     from repro.obs.tracing import Tracer, set_tracer, validate_chrome_trace
     from repro.sim.config import quick_config
     from repro.sim.system import SimulatedSystem
@@ -44,7 +43,7 @@ def traced_sampled_run():
 
     tracer = set_tracer(Tracer(process_name="obs-smoke"))
     result = SimulatedSystem(
-        workload, "dynamic_ptmc", config, obs=ObsConfig(sample_interval=300)
+        workload, "dynamic_ptmc", config, sample_interval=300
     ).run()
     set_tracer(None)
 

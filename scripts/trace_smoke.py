@@ -11,15 +11,20 @@ Boots ``repro serve`` as a real subprocess on an ephemeral port, then:
    completion, asserting the result carries ``trace.*`` telemetry,
 5. re-submits the same identity and asserts it is served from the
    shared disk cache without execution,
-6. runs the same trace through the local CLI path (``repro trace run``)
-   twice against the same cache dir and asserts the second invocation
-   executes nothing (disk-cache round-trip across processes),
-7. sends SIGTERM and verifies a clean drain.
+6. runs the same trace through the local CLI path (``repro sweep
+   trace:<hash>``) twice against the same cache dir and asserts the
+   second invocation executes nothing (disk-cache round-trip across
+   processes),
+7. asserts the CLI and the service name a run by one key: ``repro
+   stats`` of the job the daemon ran, and of a second job submitted
+   with ``trace_seed`` and run with ``--trace-seed``, executes nothing,
+8. sends SIGTERM and verifies a clean drain.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/trace_smoke.py``.
 """
 
 import gzip
+import json
 import os
 import re
 import signal
@@ -31,11 +36,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 OPS, WARMUP = 200, 100
+TRACE_SEED = 7
 
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def cli(env: dict, args: list, what: str) -> str:
+    """Run ``repro <args>`` in a fresh process; its stdout, or fail."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    if proc.returncode != 0:
+        fail(f"{what} exited {proc.returncode}: {proc.stdout}\n{proc.stderr}")
+    return proc.stdout
 
 
 def make_trace_text() -> str:
@@ -149,29 +166,39 @@ def main() -> None:
 
         # CLI path against the same stores: second run must execute nothing
         run_args = [
-            sys.executable, "-m", "repro",
             "--ops", str(OPS), "--warmup", str(WARMUP),
-            "trace", "run", digest[:12], "--designs", "static_ptmc",
+            "sweep", f"trace:{digest[:12]}", "--designs", "static_ptmc",
         ]
-        outputs = []
-        for attempt in (1, 2):
-            proc = subprocess.run(
-                run_args, env=env, capture_output=True, text=True, timeout=600
-            )
-            if proc.returncode != 0:
-                fail(f"repro trace run #{attempt} exited {proc.returncode}: "
-                     f"{proc.stdout}\n{proc.stderr}")
-            outputs.append(proc.stdout)
+        outputs = [cli(env, run_args, f"repro sweep #{attempt}") for attempt in (1, 2)]
         if " 0 executed" not in outputs[1]:
-            fail(f"second trace run executed work:\n{outputs[1]}")
+            fail(f"second trace sweep executed work:\n{outputs[1]}")
 
         def speedup_rows(text):
-            return [ln for ln in text.splitlines() if ln.startswith("static_ptmc")]
+            return [ln for ln in text.splitlines() if ln.startswith("trace:")]
 
-        if speedup_rows(outputs[0]) != speedup_rows(outputs[1]):
-            fail("disk-cached trace run differs from the executed one")
-        print("repro trace run round-trips through the disk cache across "
+        if not speedup_rows(outputs[0]) or speedup_rows(outputs[0]) != speedup_rows(outputs[1]):
+            fail("disk-cached trace sweep differs from the executed one")
+        print("repro sweep trace:<hash> round-trips through the disk cache across "
               "processes")
+
+        # one key across the CLI and the service: the CLI finds the runs
+        # the daemon executed, with and without a trace option
+        seeded = client.submit(f"trace:{digest}", "dynamic_ptmc",
+                               ops=OPS, warmup=WARMUP, trace_seed=TRACE_SEED)
+        seeded = client.wait(seeded["id"], timeout=300)
+        if seeded["source"] != "executed":
+            fail(f"trace_seed job was not executed by the daemon: {seeded}")
+        for flags in ([], ["--trace-seed", str(TRACE_SEED)]):
+            out = cli(env, [
+                "--ops", str(OPS), "--warmup", str(WARMUP), *flags,
+                "stats", f"trace:{digest}", "dynamic_ptmc", "--json",
+            ], "repro stats")
+            executed = json.loads(out)["runner.executed"]
+            if executed != 0:
+                fail(f"repro stats {' '.join(flags)} executed {executed} runs "
+                     "the daemon already ran")
+        print("repro stats serves the daemon's trace jobs from the shared cache "
+              "(one key with and without --trace-seed)")
 
         daemon.send_signal(signal.SIGTERM)
         try:

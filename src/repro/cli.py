@@ -4,20 +4,25 @@ Examples::
 
     python -m repro list                       # workloads and designs
     python -m repro run lbm06 dynamic_ptmc     # one simulation + report
-    python -m repro compare lbm06              # all designs on one workload
-    python -m repro suite gap static_ptmc      # geomean over a suite
-    python -m repro sweep spec06 --jobs 4      # parallel speedup matrix
+    python -m repro sweep spec06 --jobs 4      # speedup matrix over a suite
+    python -m repro sweep lbm06                # ... or over one workload
     python -m repro timeline lbm06 static_ptmc # phase-resolved sparklines
     python -m repro cache stats                # on-disk result cache
 
     python -m repro trace ingest app.trace     # content-address a real trace
-    python -m repro trace run <hash> -j 4      # replay it across designs
+    python -m repro sweep trace:<hash> -j 4    # replay it across designs
 
     python -m repro serve                      # job-queue daemon
     python -m repro worker --url http://h:8035 # drain a remote daemon's queue
     python -m repro submit lbm06 dynamic_ptmc  # enqueue over HTTP
     python -m repro wait <job-id>              # block until done
     python -m repro result <job-id>            # fetch the SimResult
+
+The global flags name a run's options (``--ops``, ``--warmup``,
+``--llc-policy``, and for a ``trace:<hash>`` workload ``--trace-limit``,
+``--no-loop`` and ``--trace-seed``); every verb that simulates resolves
+them through :func:`repro.sim.runner.resolve_run`, as the service does a
+submitted job's, so one spelling of a run is one cache key everywhere.
 
 Results are cached on disk (content-addressed, ``~/.cache/repro-ptmc``
 or ``$REPRO_CACHE_DIR``), so repeat invocations are near-instant; pass
@@ -37,14 +42,14 @@ import time
 from repro.analysis import banner, format_metrics, format_table
 from repro.energy import relative_energy
 from repro.sim import runner
-from repro.sim.config import bench_config
 from repro.sim.diskcache import DiskCache, code_digest
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean, weighted_speedup
 from repro.sim.runner import simulate
 from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry
-from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME, get_workload
+from repro.traces.store import TraceStoreError, configure_trace_store, trace_store
+from repro.workloads import ALL_64, MEMORY_INTENSIVE, SUITE_BY_NAME
 
 #: Suite registry shared with scripts (``repro.workloads.SUITE_BY_NAME``).
 SUITES = SUITE_BY_NAME
@@ -69,22 +74,40 @@ RUN_METRICS = (
 )
 
 
-def _config(args) -> "SimConfig":
-    return bench_config(
-        ops_per_core=args.ops,
-        warmup_ops=args.warmup,
-        llc_policy=args.llc_policy,
-    )
+#: The verbs that simulate: ``main`` resolves their target's runs first.
+SIMULATING = ("run", "stats", "timeline", "sweep")
 
 
-def _obs(args) -> "ObsConfig | None":
-    """The global ``--sample-interval`` as an ObsConfig (None when off)."""
-    from repro.obs.sampler import ObsConfig
+def _run_options(args) -> dict:
+    """The run options the global flags name (``runner.RUN_OPTIONS``).
 
-    interval = getattr(args, "sample_interval", 0) or 0
-    if interval <= 0:
-        return None
-    return ObsConfig(sample_interval=interval)
+    A trace flag left unset names no option, so a roster workload run
+    without one is valid.
+    """
+    options = {
+        "ops_per_core": args.ops,
+        "warmup_ops": args.warmup,
+        "llc_policy": args.llc_policy,
+        "trace_limit": args.trace_limit,
+        "trace_loop": False if args.no_loop else None,
+        "trace_seed": args.trace_seed,
+    }
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _resolve(args) -> None:
+    """Set ``args.workloads`` and ``args.config``: the runs a verb names.
+
+    A sweep's target may be a suite, any other target is one workload;
+    each resolves with the global run flags through
+    :func:`~repro.sim.runner.resolve_run`.
+    """
+    targets = [args.workload]
+    if args.command == "sweep":
+        targets = SUITES.get(args.workload, targets)
+    runs = [runner.resolve_run(target, _run_options(args)) for target in targets]
+    args.workloads = [workload for workload, _ in runs]
+    args.config = runs[0][1]
 
 
 def cmd_list(args) -> int:
@@ -115,16 +138,16 @@ def cmd_policies(args) -> int:
     print(format_table(["name", "class", "description"], rows))
     print(
         "\n(* default)  These are the shared L3's choices; the private L1s "
-        "and L2s run lru.  Select one with --llc-policy on run/stats/compare/"
-        "suite/sweep/submit, or sweep them all with scripts/policy_search.py."
+        "and L2s run lru.  Select one with --llc-policy on run/stats/timeline/"
+        "sweep/submit, or sweep them all with scripts/policy_search.py."
     )
     return 0
 
 
 def cmd_run(args) -> int:
-    config = _config(args)
-    result = simulate(args.workload, args.design, config, obs=_obs(args))
-    base = simulate(args.workload, "uncompressed", config)
+    workload, config = args.workloads[0], args.config
+    result = simulate(workload, args.design, config)
+    base = simulate(workload, "uncompressed", config)
     rel = relative_energy(result, base)
     print(banner(f"{args.workload} on {args.design}"))
     rows = [
@@ -159,8 +182,7 @@ def _runner_metrics() -> dict:
 
 
 def cmd_stats(args) -> int:
-    config = _config(args)
-    result = simulate(args.workload, args.design, config, obs=_obs(args))
+    result = simulate(args.workloads[0], args.design, args.config)
     runner_metrics = _runner_metrics()
     merged = {**result.metrics, **runner_metrics}
     if args.metrics:
@@ -188,39 +210,14 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    designs = [design for design in DESIGNS if design != "uncompressed"]
-    matrix, _ = sweep_with_report([args.workload], designs, _config(args))
-    (row,) = matrix.values()
-    print(banner(f"All designs on {args.workload} (speedup vs uncompressed)"))
-    print(format_table(["design", "speedup"], [[d, f"{row[d]:.3f}"] for d in designs]))
-    return 0
-
-
-def cmd_suite(args) -> int:
-    matrix, _ = sweep_with_report(SUITES[args.suite], [args.design], _config(args))
-    values = {name: row[args.design] for name, row in matrix.items()}
-    print(banner(f"{args.design} on suite '{args.suite}'"))
-    print(
-        format_table(
-            ["workload", "speedup"],
-            [[n, f"{v:.3f}"] for n, v in values.items()],
-        )
-    )
-    print(f"\ngeomean: {geometric_mean(values.values()):.3f}")
-    return 0
-
-
 def cmd_sweep(args) -> int:
-    config = _config(args)
-    workloads = SUITES[args.suite]
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
     unknown = sorted(set(designs) - set(DESIGNS))
     if unknown:
         print(f"unknown designs: {', '.join(unknown)}; choose from {DESIGNS}")
         return 2
-    matrix, report = sweep_with_report(workloads, designs, config, jobs=args.jobs)
-    print(banner(f"Sweep over '{args.suite}' (speedup vs uncompressed)"))
+    matrix, report = sweep_with_report(args.workloads, designs, args.config, jobs=args.jobs)
+    print(banner(f"Sweep over '{args.workload}' (speedup vs uncompressed)"))
     print(
         format_table(
             ["workload", *designs],
@@ -234,6 +231,15 @@ def cmd_sweep(args) -> int:
         f"{geometric_mean(row[d] for row in matrix.values()):.3f}" for d in designs
     ]
     print(format_table(["", *designs], [["geomean", *geomeans]]))
+    trace_metrics = next(
+        (r.metrics for r in report.results if "trace.replayed_records" in r.metrics), None
+    )
+    if trace_metrics is not None:
+        print(
+            f"\nreplayed {int(trace_metrics['trace.replayed_records'])} records "
+            f"({int(trace_metrics['trace.synthesized_fills'])} synthesized fills, "
+            f"{int(trace_metrics['trace.loops'])} loops) in the measured window"
+        )
     counts = report.counts()
     print(
         f"\n{counts['jobs']} runs with --jobs {report.jobs_used}: "
@@ -262,11 +268,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_timeline(args) -> int:
     from repro.analysis.timeline import format_timeline
-    from repro.obs.sampler import ObsConfig
 
-    config = _config(args)
-    obs = ObsConfig(sample_interval=args.interval)
-    result = simulate(args.workload, args.design, config, obs=obs)
+    result = simulate(
+        args.workloads[0], args.design, args.config, sample_interval=args.interval
+    )
     timeseries = result.timeseries
     if timeseries is None or not len(timeseries):
         print("no samples collected")
@@ -356,7 +361,6 @@ def _trace_info_rows(info: dict) -> list:
 
 def cmd_trace_ingest(args) -> int:
     from repro.traces.formats import TraceParseError
-    from repro.traces.store import TraceStoreError, trace_store
 
     mode = "lenient" if args.lenient else "strict"
     if args.url:
@@ -386,7 +390,7 @@ def cmd_trace_ingest(args) -> int:
     print(f"{verb}: trace:{digest[:12]} ({records} records"
           + (f", {errors} lines skipped" if errors else "") + ")")
     print(f"full hash: {digest}")
-    print(f"run it with: repro trace run {digest[:12]}")
+    print(f"run it with: repro sweep trace:{digest[:12]}")
     return 0
 
 
@@ -394,8 +398,6 @@ def cmd_trace_list(args) -> int:
     if args.url:
         infos = _client(args).traces()
     else:
-        from repro.traces.store import trace_store
-
         infos = [info.to_json_dict() for info in trace_store().list()]
     if args.json:
         print(json.dumps(infos, indent=2, sort_keys=True))
@@ -430,8 +432,6 @@ def cmd_trace_info(args) -> int:
             print(f"trace error: {exc}")
             return 2
     else:
-        from repro.traces.store import TraceStoreError, trace_store
-
         try:
             info = trace_store().info(args.trace_hash).to_json_dict()
         except TraceStoreError as exc:
@@ -445,63 +445,11 @@ def cmd_trace_info(args) -> int:
     return 0
 
 
-def cmd_trace_run(args) -> int:
-    from repro.traces.replay import trace_workload
-    from repro.traces.store import TraceStoreError
-
-    try:
-        workload = trace_workload(
-            args.trace_hash,
-            limit=args.trace_limit,
-            loop=not args.no_loop,
-            seed=args.trace_seed,
-            mean_gap=args.gap,
-        )
-    except (TraceStoreError, ValueError) as exc:
-        print(f"trace error: {exc}")
-        return 2
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = sorted(set(designs) - set(DESIGNS))
-    if unknown:
-        print(f"unknown designs: {', '.join(unknown)}; choose from {DESIGNS}")
-        return 2
-    config = _config(args)
-    matrix, report = sweep_with_report([workload], designs, config, jobs=args.jobs)
-    row = matrix[workload.name]
-    print(banner(f"{workload.name} (speedup vs uncompressed)"))
-    print(format_table(
-        ["design", "speedup"], [[d, f"{row[d]:.3f}"] for d in designs]
-    ))
-    if len(designs) > 1:
-        print(f"\ngeomean: {geometric_mean(row[d] for d in designs):.3f}")
-    counts = report.counts()
-    trace_metrics = next(
-        (
-            result.metrics
-            for result in report.results
-            if "trace.replayed_records" in result.metrics
-        ),
-        {},
-    )
-    if trace_metrics:
-        print(
-            f"replayed {int(trace_metrics['trace.replayed_records'])} records "
-            f"({int(trace_metrics['trace.synthesized_fills'])} synthesized fills, "
-            f"{int(trace_metrics['trace.loops'])} loops) in the measured window"
-        )
-    print(
-        f"{counts['jobs']} runs: {counts['executed']} executed, "
-        f"{counts['disk_hits']} from disk ({report.wall_seconds:.2f}s wall)"
-    )
-    return 0
-
-
 def cmd_trace(args) -> int:
     handlers = {
         "ingest": cmd_trace_ingest,
         "list": cmd_trace_list,
         "info": cmd_trace_info,
-        "run": cmd_trace_run,
     }
     return handlers[args.trace_command](args)
 
@@ -631,15 +579,10 @@ def cmd_submit(args) -> int:
     job = client.submit(
         args.workload,
         args.design,
-        ops=args.ops,
-        warmup=args.warmup,
-        llc_policy=args.llc_policy,
-        trace_limit=args.trace_limit,
-        trace_loop=False if args.no_loop else None,
-        trace_seed=args.trace_seed,
         priority=args.priority,
         max_attempts=args.max_attempts,
         timeout=args.job_timeout,
+        **_run_options(args),
     )
     verb = "submitted" if job["created"] else "joined"
     print(f"{verb} job {job['id']} ({job['workload']} on {job['design']}): "
@@ -742,12 +685,25 @@ def build_parser() -> argparse.ArgumentParser:
         "(open in https://ui.perfetto.dev)",
     )
     parser.add_argument(
-        "--sample-interval",
+        "--trace-limit",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
-        help="on run/stats: sample telemetry every N line-accesses into the "
-        "result's time series (0 = off; 'repro timeline' has its own flag)",
+        help="trace:<hash> workloads: replay only the first N records (default: all)",
+    )
+    parser.add_argument(
+        "--no-loop",
+        action="store_true",
+        help="trace:<hash> workloads: stop when the trace ends instead of "
+        "looping to fill the run",
+    )
+    parser.add_argument(
+        "--trace-seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="trace:<hash> workloads: seed for synthesized write data and "
+        "inter-access gaps (default: 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -773,17 +729,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registry paths to show (default: everything)",
     )
 
-    cmp_ = sub.add_parser("compare", help="all designs on one workload")
-    cmp_.add_argument("workload")
-
-    suite = sub.add_parser("suite", help="one design across a suite")
-    suite.add_argument("suite", choices=sorted(SUITES))
-    suite.add_argument("design", choices=DESIGNS)
-
     sweep = sub.add_parser(
-        "sweep", help="speedup matrix over a suite (parallel with --jobs)"
+        "sweep",
+        help="speedup matrix over a suite, a workload or a trace (parallel with --jobs)",
     )
-    sweep.add_argument("suite", choices=sorted(SUITES))
+    sweep.add_argument(
+        "workload",
+        metavar="target",
+        help=f"a suite ({', '.join(sorted(SUITES))}), a roster workload or trace:<hash>",
+    )
     sweep.add_argument(
         "--designs",
         default="static_ptmc,dynamic_ptmc,ideal",
@@ -842,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="ingest, inspect, and replay memory-access traces"
+        "trace", help="ingest and inspect memory-access traces (sweep trace:<hash> replays one)"
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -884,48 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_info.add_argument("--json", action="store_true")
     trace_info.add_argument(
         "--url", default=None, help="ask a running daemon instead"
-    )
-
-    trace_run = trace_sub.add_parser(
-        "run", help="replay a stored trace across designs (speedup table)"
-    )
-    trace_run.add_argument("trace_hash", help="content hash or unique prefix")
-    trace_run.add_argument(
-        "--designs",
-        default="static_ptmc,dynamic_ptmc,ideal",
-        help="comma-separated design list (default: %(default)s)",
-    )
-    trace_run.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        help="worker processes (default: serial in-process)",
-    )
-    trace_run.add_argument(
-        "--trace-limit",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replay only the first N records (0 = all)",
-    )
-    trace_run.add_argument(
-        "--no-loop",
-        action="store_true",
-        help="stop when the trace ends instead of looping to fill the run",
-    )
-    trace_run.add_argument(
-        "--trace-seed",
-        type=int,
-        default=0,
-        help="seed for synthesized write data and inter-access gaps",
-    )
-    trace_run.add_argument(
-        "--gap",
-        type=int,
-        default=6,
-        metavar="CYCLES",
-        help="mean synthesized inter-access gap (default: %(default)s)",
     )
 
     from repro.service.client import default_url
@@ -1080,24 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument("--max-attempts", type=int, default=None)
     submit.add_argument(
-        "--trace-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="trace:<hash> workloads: replay only the first N records",
-    )
-    submit.add_argument(
-        "--no-loop",
-        action="store_true",
-        help="trace:<hash> workloads: stop at trace end instead of looping",
-    )
-    submit.add_argument(
-        "--trace-seed",
-        type=int,
-        default=None,
-        help="trace:<hash> workloads: data/gap synthesis seed",
-    )
-    submit.add_argument(
         "--job-timeout", type=float, default=None, help="per-job deadline (seconds)"
     )
     submit.add_argument(
@@ -1134,12 +1028,14 @@ def main(argv=None) -> int:
     if not args.no_disk_cache:
         runner.configure_disk_cache(args.cache_dir)
     if args.trace_dir is not None:
-        from repro.traces.store import configure_trace_store
-
         configure_trace_store(args.trace_dir)
-    workload_arg = getattr(args, "workload", None)
-    if workload_arg is not None and not workload_arg.startswith("trace:"):
-        get_workload(workload_arg)  # fail fast with the roster listing
+    if args.command in SIMULATING:
+        try:
+            _resolve(args)
+        except (KeyError, ValueError, TraceStoreError) as exc:
+            message = exc.args[0] if isinstance(exc, KeyError) else exc
+            print(f"cannot run {args.workload}: {message}")
+            return 2
     tracer = None
     if args.trace_out:
         from repro.obs.tracing import Tracer, set_tracer
@@ -1150,8 +1046,6 @@ def main(argv=None) -> int:
         "policies": cmd_policies,
         "run": cmd_run,
         "stats": cmd_stats,
-        "compare": cmd_compare,
-        "suite": cmd_suite,
         "sweep": cmd_sweep,
         "timeline": cmd_timeline,
         "cache": cmd_cache,

@@ -21,7 +21,7 @@ to an uninstrumented one.
 
 from repro.obs.logging import StructuredLog
 from repro.obs.prometheus import prometheus_exposition
-from repro.obs.sampler import IntervalSampler, ObsConfig
+from repro.obs.sampler import IntervalSampler
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError, TimeSeriesPoint
 from repro.obs.tracing import (
     Tracer,
@@ -35,7 +35,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     "IntervalSampler",
-    "ObsConfig",
     "StructuredLog",
     "TimeSeries",
     "TimeSeriesDecodeError",

@@ -23,8 +23,6 @@ instrumented run is bitwise-identical to an uninstrumented one (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.obs import tracing
 from repro.obs.timeseries import TimeSeries, TimeSeriesPoint
 from repro.telemetry import StatRegistry
@@ -32,24 +30,6 @@ from repro.telemetry import StatRegistry
 #: headline counter deltas each sample mirrors onto the active tracer as
 #: Chrome counter-track events, correlating the time series with spans
 TRACE_COUNTERS = ("dram.reads", "dram.writes", "llc.hits", "llc.misses")
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Per-run observability options.
-
-    Deliberately *not* part of :class:`~repro.sim.config.SimConfig`:
-    observability must never perturb simulation, so it must never
-    participate in result identity — two runs differing only in their
-    sampling settings share one disk-cache key.
-    """
-
-    #: line-accesses between samples; ``0`` disables sampling entirely
-    sample_interval: int = 0
-
-    @property
-    def sampling(self) -> bool:
-        return self.sample_interval > 0
 
 
 class IntervalSampler:
@@ -119,4 +99,4 @@ class IntervalSampler:
         return TimeSeries(interval=self.interval, points=self._points)
 
 
-__all__ = ["IntervalSampler", "ObsConfig"]
+__all__ = ["IntervalSampler"]

@@ -314,8 +314,10 @@ class _Handler(BaseHTTPRequestHandler):
             state = (query.get("state") or [None])[0]
             if state is not None and state not in jobstore.STATES:
                 raise ApiError(400, f"unknown state {state!r}")
-            limit = int((query.get("limit") or ["100"])[0])
-            jobs = self.daemon_ref.store.list_jobs(state=state, limit=limit)
+            limit = (query.get("limit") or ["100"])[0]
+            if not limit.isdecimal():  # SQLite reads a negative LIMIT as none
+                raise ApiError(400, f"limit must be a whole number >= 0, not {limit!r}")
+            jobs = self.daemon_ref.store.list_jobs(state=state, limit=int(limit))
             self._reply(200, {"jobs": [job.as_dict() for job in jobs]})
             return
         job = self._job(job_id)

@@ -24,6 +24,11 @@ from repro.sim.results import SimResult
 #: Environment variable naming the daemon to talk to.
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
 
+#: Environment variable holding the shared bearer token.  When set on the
+#: daemon every mutating request must present it; when set on a client or
+#: worker process it is sent automatically.
+SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
+
 #: Default daemon address (must match the CLI's ``serve`` default port).
 DEFAULT_URL = "http://127.0.0.1:8035"
 
@@ -76,7 +81,7 @@ class ServiceClient:
         self.timeout = timeout
         self.token = (
             token if token is not None
-            else os.environ.get("REPRO_SERVICE_TOKEN") or None
+            else os.environ.get(SERVICE_TOKEN_ENV) or None
         )
 
     def _request(self, method: str, path: str, body: Optional[dict] = None) -> Any:
@@ -117,36 +122,26 @@ class ServiceClient:
         design: str,
         ops: Optional[int] = None,
         warmup: Optional[int] = None,
-        llc_policy: Optional[str] = None,
-        trace_limit: Optional[int] = None,
-        trace_loop: Optional[bool] = None,
-        trace_seed: Optional[int] = None,
         priority: int = 0,
         max_attempts: Optional[int] = None,
         timeout: Optional[float] = None,
+        **options: Any,
     ) -> Dict[str, Any]:
         """Submit one job; returns the job dict (``job["created"]`` set).
 
-        ``workload`` may be a roster name or ``trace:<hash>``; the
-        ``trace_*`` knobs apply only to the latter.
+        ``workload`` may be a roster name or ``trace:<hash>``.
+        ``options`` are run options by the names the job's config
+        carries (:data:`repro.sim.runner.RUN_OPTIONS`: ``llc_policy``,
+        and ``trace_limit``, ``trace_loop`` and ``trace_seed``, which
+        apply to a trace only); ``ops`` and ``warmup`` are short for
+        ``ops_per_core`` and ``warmup_ops``.  A ``None`` is left out.
+        The daemon resolves and checks them.
         """
-        config: Dict[str, Any] = {}
-        if ops is not None:
-            config["ops_per_core"] = ops
-        if warmup is not None:
-            config["warmup_ops"] = warmup
-        if llc_policy is not None:
-            config["llc_policy"] = llc_policy
-        if trace_limit is not None:
-            config["trace_limit"] = trace_limit
-        if trace_loop is not None:
-            config["trace_loop"] = trace_loop
-        if trace_seed is not None:
-            config["trace_seed"] = trace_seed
+        config = {"ops_per_core": ops, "warmup_ops": warmup, **options}
         payload: Dict[str, Any] = {
             "workload": workload,
             "design": design,
-            "config": config,
+            "config": {name: value for name, value in config.items() if value is not None},
             "priority": priority,
         }
         if max_attempts is not None:
@@ -288,6 +283,7 @@ class ServiceClient:
 __all__ = [
     "DEFAULT_URL",
     "JobFailed",
+    "SERVICE_TOKEN_ENV",
     "SERVICE_URL_ENV",
     "ServiceClient",
     "ServiceError",

@@ -37,14 +37,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.logging import StructuredLog
 from repro.service import jobstore
+from repro.service.client import SERVICE_TOKEN_ENV
 from repro.service.jobstore import Job, JobStore
-from repro.service.worker import (
-    TIMEOUT_ERROR,
-    TRACE_CONFIG_KEYS,
-    Worker,
-    config_from_overrides,
-    resolve_job_workload,
-)
+from repro.service.worker import TIMEOUT_ERROR, Worker
 from repro.sim import runner
 from repro.sim.diskcache import DiskCache, cache_key, code_digest
 from repro.sim.results import ResultDecodeError, SimResult
@@ -52,18 +47,6 @@ from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry, StatScope
 from repro.traces.formats import TraceParseError
 from repro.traces.store import TraceStore, TraceStoreError, trace_store
-
-#: SimConfig override keys a job submission may carry.  ``trace_*`` keys
-#: are workload parameters (valid only on ``trace:<hash>`` jobs).
-ALLOWED_CONFIG_KEYS = (
-    frozenset({"ops_per_core", "warmup_ops", "llc_policy"}) | TRACE_CONFIG_KEYS
-)
-
-#: Environment variable holding the shared bearer token.  When set (on
-#: the daemon) every mutating request must present it; when set on a
-#: client/worker process it is sent automatically.
-SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
-
 
 class SubmitError(ValueError):
     """A job submission that can never run (bad workload/design/config)."""
@@ -349,6 +332,17 @@ class TokenBucketLimiter:
             return False, (1.0 - tokens) / self.rate
 
 
+def _number(payload: Dict[str, Any], name: str, kind, default):
+    """``payload[name]`` as a ``kind`` number, ``default`` when absent or null."""
+    value = payload.get(name)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise SubmitError(f"{name!r} must be a number, not {value!r}") from None
+
+
 class ServiceDaemon:
     """Everything one ``repro serve`` process runs."""
 
@@ -494,36 +488,20 @@ class ServiceDaemon:
             raise SubmitError("'workload' and 'design' are required strings")
         if design not in DESIGNS:
             raise SubmitError(f"unknown design {design!r}; choose from {DESIGNS}")
-        config_overrides = dict(payload.get("config") or {})
-        unknown = set(config_overrides) - ALLOWED_CONFIG_KEYS
-        if unknown:
-            raise SubmitError(
-                f"unsupported config overrides {sorted(unknown)}; "
-                f"allowed: {sorted(ALLOWED_CONFIG_KEYS)}"
-            )
-        trace_keys = set(config_overrides) & TRACE_CONFIG_KEYS
-        if trace_keys and not workload_name.startswith("trace:"):
-            raise SubmitError(
-                f"{sorted(trace_keys)} only apply to trace:<hash> workloads"
-            )
+        config_overrides = payload.get("config") or {}
+        if not isinstance(config_overrides, dict):
+            raise SubmitError("'config' must be a JSON object of run options")
+        priority = _number(payload, "priority", int, 0)
+        max_attempts = _number(payload, "max_attempts", int, self.max_attempts)
+        timeout = _number(payload, "timeout", float, self.default_timeout)
         try:
-            workload = resolve_job_workload(workload_name, config_overrides)
-        except (KeyError, TraceStoreError) as exc:
+            workload, config = runner.resolve_run(workload_name, config_overrides)
+        except (KeyError, ValueError, TraceStoreError) as exc:
             raise SubmitError(str(exc)) from None
-        except (TypeError, ValueError) as exc:
-            raise SubmitError(f"bad trace overrides: {exc}") from None
         if workload_name.startswith("trace:"):
             # canonicalize abbreviated hashes so the stored row stays
             # resolvable even if a later ingest makes the prefix ambiguous
             workload_name = f"trace:{workload.trace_hash}"
-        try:
-            config = config_from_overrides(config_overrides)
-        except (TypeError, ValueError) as exc:
-            raise SubmitError(f"bad config overrides: {exc}") from None
-        priority = int(payload.get("priority", 0))
-        max_attempts = int(payload.get("max_attempts", self.max_attempts))
-        timeout = payload.get("timeout")
-        timeout = self.default_timeout if timeout is None else float(timeout)
         key = cache_key(workload, design, config)
         if self.stats.queue_depth_samples is not None:
             self.stats.queue_depth_samples.observe(
@@ -878,12 +856,10 @@ class ServiceDaemon:
 
 
 __all__ = [
-    "ALLOWED_CONFIG_KEYS",
     "ForeignCodeError",
     "IngestError",
     "LeaseLostError",
     "QueueFullError",
-    "SERVICE_TOKEN_ENV",
     "ServiceDaemon",
     "ServiceStats",
     "StoreSource",

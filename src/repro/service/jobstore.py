@@ -179,11 +179,6 @@ def _row_to_job(row: sqlite3.Row) -> Job:
     )
 
 
-#: WHERE clause of an owner-guarded transition, bound to
-#: ``(worker_id, worker_id)``: a ``None`` worker is no guard at all.
-_OWNED_BY = " AND (? IS NULL OR worker_id IS ?)"
-
-
 def _escape_like(prefix: str) -> str:
     """Escape LIKE wildcards in a user-supplied prefix (``ESCAPE '\\'``)."""
     return (
@@ -331,7 +326,7 @@ class JobStore:
     def heartbeat(
         self,
         job_id: str,
-        worker_id: Optional[str] = None,
+        worker_id: str,
         lease_seconds: float = 30.0,
         now: Optional[float] = None,
     ) -> bool:
@@ -349,7 +344,7 @@ class JobStore:
         with self._lock:
             cur = self._conn.execute(
                 "UPDATE jobs SET lease_until = ?, updated_at = ? "
-                "WHERE id = ? AND state = ? AND worker_id IS ? "
+                "WHERE id = ? AND state = ? AND worker_id = ? "
                 "AND (timeout IS NULL OR timeout = 0 "
                 "OR started_at + timeout >= ?)",
                 (now + lease_seconds, now, job_id, RUNNING, worker_id, now),
@@ -413,22 +408,20 @@ class JobStore:
             self._conn.commit()
         return expired
 
-    def finish(
-        self, job_id: str, source: str, worker_id: Optional[str] = None
-    ) -> bool:
+    def finish(self, job_id: str, source: str, worker_id: str) -> bool:
         """``running -> done`` (result already persisted in the disk cache).
 
-        When ``worker_id`` is given the transition is owner-guarded:
-        ``False`` means the caller no longer holds the lease (the job
-        was reaped and re-queued or handed to another worker).
+        Like every transition of a claimed job, owner-guarded: ``False``
+        means ``worker_id`` no longer holds the lease (the job was reaped
+        and re-queued or handed to another worker).
         """
         now = time.time()
         with self._lock:
             cur = self._conn.execute(
                 "UPDATE jobs SET state = ?, source = ?, updated_at = ?, "
                 "finished_at = ?, lease_until = NULL "
-                f"WHERE id = ? AND state = ?{_OWNED_BY}",
-                (DONE, source, now, now, job_id, RUNNING, worker_id, worker_id),
+                "WHERE id = ? AND state = ? AND worker_id = ?",
+                (DONE, source, now, now, job_id, RUNNING, worker_id),
             )
             self._conn.commit()
             return cur.rowcount > 0
@@ -437,15 +430,15 @@ class JobStore:
         self,
         job_id: str,
         error: str,
+        worker_id: str,
         retry_delay: Optional[float] = None,
-        worker_id: Optional[str] = None,
     ) -> bool:
         """``running -> failed``, or back to ``queued`` after ``retry_delay``.
 
         The retrying path clears the claim bookkeeping (``started_at``,
         ``worker_id``, ``lease_until``) exactly like requeue/reap do, so
-        a re-queued row never carries a stale claim.  Owner-guarded when
-        ``worker_id`` is given (see :meth:`finish`).
+        a re-queued row never carries a stale claim.  Owner-guarded (see
+        :meth:`finish`).
         """
         now = time.time()
         with self._lock:
@@ -453,25 +446,24 @@ class JobStore:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, updated_at = ?, "
                     "finished_at = ?, lease_until = NULL "
-                    f"WHERE id = ? AND state = ?{_OWNED_BY}",
-                    (FAILED, error, now, now, job_id, RUNNING, worker_id, worker_id),
+                    "WHERE id = ? AND state = ? AND worker_id = ?",
+                    (FAILED, error, now, now, job_id, RUNNING, worker_id),
                 )
             else:
                 cur = self._conn.execute(
                     "UPDATE jobs SET state = ?, error = ?, not_before = ?, "
                     "started_at = NULL, worker_id = NULL, lease_until = NULL, "
-                    f"updated_at = ? WHERE id = ? AND state = ?{_OWNED_BY}",
-                    (QUEUED, error, now + retry_delay, now, job_id, RUNNING,
-                     worker_id, worker_id),
+                    "updated_at = ? WHERE id = ? AND state = ? AND worker_id = ?",
+                    (QUEUED, error, now + retry_delay, now, job_id, RUNNING, worker_id),
                 )
             self._conn.commit()
             return cur.rowcount > 0
 
-    def requeue(self, job_id: str, worker_id: Optional[str] = None) -> bool:
+    def requeue(self, job_id: str, worker_id: str) -> bool:
         """``running -> queued`` with the attempt refunded (a released claim).
 
-        Owner-guarded when ``worker_id`` is given (see :meth:`finish`):
-        ``False`` means the caller no longer holds the job's lease.
+        Owner-guarded (see :meth:`finish`): ``False`` means ``worker_id``
+        no longer holds the job's lease.
         """
         now = time.time()
         with self._lock:
@@ -479,8 +471,8 @@ class JobStore:
                 "UPDATE jobs SET state = ?, not_before = 0, started_at = NULL, "
                 "worker_id = NULL, lease_until = NULL, "
                 "attempts = MAX(attempts - 1, 0), updated_at = ? "
-                f"WHERE id = ? AND state = ?{_OWNED_BY}",
-                (QUEUED, now, job_id, RUNNING, worker_id, worker_id),
+                "WHERE id = ? AND state = ? AND worker_id = ?",
+                (QUEUED, now, job_id, RUNNING, worker_id),
             )
             self._conn.commit()
             return cur.rowcount > 0

@@ -41,49 +41,10 @@ from repro.obs.tracing import async_begin, async_end
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobstore import Job
 from repro.sim import parallel, runner
-from repro.sim.config import SimConfig, bench_config
 from repro.traces.store import TraceStoreError, trace_store
-
-#: Config-override keys that parameterize the *workload* (trace replay)
-#: rather than the SimConfig; only valid on ``trace:<hash>`` jobs.
-TRACE_CONFIG_KEYS = frozenset({"trace_limit", "trace_loop", "trace_seed"})
 
 #: The error a job past its deadline fails with, on every path.
 TIMEOUT_ERROR = "timeout: job exceeded its deadline"
-
-
-def config_from_overrides(config: Dict) -> SimConfig:
-    """The :class:`SimConfig` a job's override dict resolves to.
-
-    ``trace_*`` overrides parameterize the workload, not the simulator
-    config, so they are filtered out here and applied by
-    :func:`resolve_job_workload`.
-    """
-    overrides = {k: v for k, v in config.items() if k not in TRACE_CONFIG_KEYS}
-    return bench_config(**overrides)
-
-
-def resolve_job_workload(workload_name: str, config: Dict):
-    """The workload object a job's stored (name, config) identifies.
-
-    Roster names resolve through the suite registry; ``trace:<hash>``
-    references resolve through the process-default trace store, with
-    any ``trace_*`` config overrides folded into the frozen
-    :class:`~repro.traces.replay.TraceWorkload` (so they participate in
-    the cache key like every other workload field).
-    """
-    workload = runner.resolve_workload(workload_name)
-    if workload_name.startswith("trace:"):
-        replacements = {}
-        if "trace_limit" in config:
-            replacements["limit"] = int(config["trace_limit"])
-        if "trace_loop" in config:
-            replacements["loop"] = bool(config["trace_loop"])
-        if "trace_seed" in config:
-            replacements["seed"] = int(config["trace_seed"])
-        if replacements:
-            workload = dataclasses.replace(workload, **replacements)
-    return workload
 
 
 def default_worker_id() -> str:
@@ -354,16 +315,12 @@ class Worker:
                 break
             claimed = True
             try:
-                task = (
-                    resolve_job_workload(job.workload, job.config),
-                    job.design,
-                    config_from_overrides(job.config),
-                )
-            except (KeyError, TypeError, ValueError, TraceStoreError) as exc:
+                workload, config = runner.resolve_run(job.workload, job.config)
+            except (KeyError, ValueError, TraceStoreError) as exc:
                 error = f"cannot resolve job: {exc}"
                 self._settled += self.source.fail(job, self.worker_id, error, invalid=True)
                 continue
-            future = self._pool.submit(parallel.run_job, task)
+            future = self._pool.submit(parallel.run_job, (workload, job.design, config))
             # runs on the executor's thread: it only wakes the loop, which
             # harvests the future itself
             future.add_done_callback(lambda _future: self.notify())
@@ -490,10 +447,7 @@ class Worker:
 __all__ = [
     "HttpSource",
     "TIMEOUT_ERROR",
-    "TRACE_CONFIG_KEYS",
     "Worker",
     "WorkerStats",
-    "config_from_overrides",
     "default_worker_id",
-    "resolve_job_workload",
 ]

@@ -147,19 +147,18 @@ def run_batch(tasks: Sequence[Job], jobs: Optional[int] = None) -> BatchReport:
     job goes through the runner's disk cache, if one is configured
     (:func:`repro.sim.runner.configure_disk_cache`), so a later call for
     the same identity is served from disk in this process or any other,
-    and is counted in this process's ``runner.stats``.  A ``None``
-    config is :func:`~repro.sim.config.bench_config`.
+    and is counted in this process's ``runner.stats``.  Pool processes
+    use this process's disk cache and trace store.  A ``None`` config is
+    :func:`~repro.sim.config.bench_config`.
     """
+    from repro.traces.store import trace_store  # a bare simulation never loads it
+
     resolved: List[Job] = [
         (runner.resolve_workload(workload), design, config)
         for workload, design, config in tasks
     ]
     cache_dir = None if runner.disk_cache() is None else str(runner.disk_cache().root)
-    trace_dir = None
-    if any(hasattr(workload, "trace_hash") for workload, _, _ in resolved):
-        from repro.traces.store import trace_store
-
-        trace_dir = str(trace_store().root)
+    trace_dir = str(trace_store().root)
     report = BatchReport(jobs_used=max(1, jobs or 1))
     start = time.perf_counter()
     # Tracing is parent-side only: worker processes cannot share the

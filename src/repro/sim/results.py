@@ -85,9 +85,8 @@ class SimResult:
     #: ``serve_seconds``
     extras: Dict[str, float] = field(default_factory=dict)
     #: phase-resolved telemetry samples (``None`` unless the run was
-    #: observed with an :class:`~repro.obs.sampler.ObsConfig` that
-    #: enabled interval sampling); purely additive — core metrics are
-    #: identical with or without it.
+    #: given a positive ``sample_interval``); purely additive — core
+    #: metrics are identical with or without it.
     timeseries: Optional[TimeSeries] = None
 
     # --- accessors: fixed registry paths -------------------------------

@@ -28,10 +28,9 @@ from __future__ import annotations
 import json
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional, Tuple
 
-from repro.obs.sampler import ObsConfig
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig, bench_config
 from repro.sim.diskcache import DiskCache, cache_key, workload_identity
@@ -41,6 +40,18 @@ from repro.workloads.data import WorkloadData
 from repro.workloads.suites import Workload, get_workload
 
 _disk: Optional[DiskCache] = None
+
+#: The run options a run may name beside its workload and design, by the
+#: names a job's config carries (:func:`resolve_run` reads them): three
+#: ``SimConfig`` fields, and three options of a ``trace:<hash>`` workload,
+#: each mapped to the ``TraceWorkload`` field it sets and that field's type.
+CONFIG_OPTIONS = frozenset({"ops_per_core", "warmup_ops", "llc_policy"})
+TRACE_OPTIONS = {
+    "trace_limit": ("limit", int),
+    "trace_loop": ("loop", bool),
+    "trace_seed": ("seed", int),
+}
+RUN_OPTIONS = CONFIG_OPTIONS | frozenset(TRACE_OPTIONS)
 
 #: Entries (rendered lines, compression payloads and sizes, trace
 #: records) the workload stores of one process may retain after a run,
@@ -127,6 +138,48 @@ def resolve_workload(workload) -> Workload:
     return workload
 
 
+def resolve_run(workload, options: Mapping[str, Any]) -> Tuple[Workload, SimConfig]:
+    """The ``(workload, config)`` a workload reference and run options name.
+
+    ``workload`` is whatever :func:`resolve_workload` accepts and
+    ``options`` maps names of :data:`RUN_OPTIONS` to values; a name left
+    out keeps its :func:`~repro.sim.config.bench_config` or
+    :class:`~repro.traces.replay.TraceWorkload` default.  The CLI, the
+    daemon's submission and every worker's claim resolve a run here, so
+    one spelling of a run gives one cache key wherever it runs.
+
+    Raises :class:`ValueError` on an unknown option, a trace option on a
+    workload that replays no trace, or a value the config or the trace
+    workload rejects; :class:`KeyError` on an unknown roster name and
+    :class:`~repro.traces.store.TraceStoreError` on an unknown trace.
+    """
+    unknown = set(options) - RUN_OPTIONS
+    if unknown:
+        raise ValueError(
+            f"unsupported config overrides {sorted(unknown)}; "
+            f"allowed: {sorted(RUN_OPTIONS)}"
+        )
+    workload = resolve_workload(workload)
+    trace_keys = sorted(set(options) & set(TRACE_OPTIONS))
+    if trace_keys:
+        from repro.traces.replay import TraceWorkload
+
+        if not isinstance(workload, TraceWorkload):
+            raise ValueError(f"{trace_keys} only apply to trace:<hash> workloads")
+        try:
+            workload = replace(workload, **{
+                field: kind(options[key])
+                for key, (field, kind) in TRACE_OPTIONS.items() if key in options
+            })
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad trace overrides: {exc}") from None
+    try:
+        config = bench_config(**{k: v for k, v in options.items() if k in CONFIG_OPTIONS})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad config overrides: {exc}") from None
+    return workload, config
+
+
 def workload_data(workload: Workload) -> WorkloadData:
     """This process's store for ``workload``, made on first use.
 
@@ -165,14 +218,16 @@ def _execute(
     workload: Workload,
     design: str,
     config: SimConfig,
-    obs: Optional[ObsConfig] = None,
+    sample_interval: int = 0,
 ) -> SimResult:
     data = workload_data(workload)
     start = time.perf_counter()
     with span(
         "runner.execute", category="runner", design=design, workload=workload.name
     ):
-        result = SimulatedSystem(workload, design, config, obs=obs, workload_data=data).run()
+        result = SimulatedSystem(
+            workload, design, config, sample_interval=sample_interval, workload_data=data
+        ).run()
     elapsed = time.perf_counter() - start
     _trim_workload_data(data)
     result.extras["sim_seconds"] = elapsed
@@ -180,18 +235,18 @@ def _execute(
     return result
 
 
-def _obs_satisfied(result: SimResult, obs: Optional[ObsConfig]) -> bool:
-    """Whether a cached result carries the telemetry ``obs`` asks for.
+def _obs_satisfied(result: SimResult, sample_interval: int) -> bool:
+    """Whether a cached result carries the time series a run asks for.
 
-    Observability is not part of the cache key (it must never perturb
-    result identity), so a hit may predate the sampling request.  Such a
-    hit is still *correct* — core metrics are identical either way — but
-    it lacks the requested timeseries, so the runner re-executes and
-    overwrites the stored entry with the richer one.
+    The sampling interval is not part of the cache key (it must never
+    perturb result identity), so a hit may predate the sampling request.
+    Such a hit is still *correct* — core metrics are identical either
+    way — but it lacks the requested timeseries, so the runner
+    re-executes and overwrites the stored entry with the richer one.
     """
-    if obs is None or not obs.sampling:
+    if sample_interval <= 0:
         return True
-    return result.timeseries is not None and result.timeseries.interval == obs.sample_interval
+    return result.timeseries is not None and result.timeseries.interval == sample_interval
 
 
 def _serve_hit(result: SimResult, started: float) -> SimResult:
@@ -216,29 +271,30 @@ def simulate_with_source(
     design: str,
     config: Optional[SimConfig] = None,
     use_cache: bool = True,
-    obs: Optional[ObsConfig] = None,
+    sample_interval: int = 0,
 ) -> Tuple[SimResult, str]:
     """Like :func:`simulate`, also reporting where the result came from.
 
     The source is ``"disk"`` or ``"executed"``.  Disk hits are served
     marked — see :func:`_serve_hit`.  With no disk cache configured (or
-    ``use_cache=False``) every call executes.  When ``obs`` requests
-    interval sampling, a cached result without a matching timeseries is
-    treated as a miss: the run re-executes (same core metrics, by
-    construction) and the cached entry is upgraded.
+    ``use_cache=False``) every call executes.  A positive
+    ``sample_interval`` samples telemetry every that many line-accesses
+    into the result's time series; a cached result without a matching
+    series is then treated as a miss: the run re-executes (same core
+    metrics, by construction) and the cached entry is upgraded.
     """
     workload = resolve_workload(workload)
     if config is None:
         config = bench_config()
     disk = _disk if use_cache else None
     if disk is None:
-        return _execute(workload, design, config, obs=obs), "executed"
+        return _execute(workload, design, config, sample_interval), "executed"
     started = time.perf_counter()
     key = cache_key(workload, design, config)
     loaded = disk.get(key)
-    if loaded is not None and _obs_satisfied(loaded, obs):
+    if loaded is not None and _obs_satisfied(loaded, sample_interval):
         return _serve_hit(loaded, started), "disk"
-    result = _execute(workload, design, config, obs=obs)
+    result = _execute(workload, design, config, sample_interval)
     disk.put(key, result)
     return result, "executed"
 
@@ -248,10 +304,10 @@ def simulate(
     design: str,
     config: Optional[SimConfig] = None,
     use_cache: bool = True,
-    obs: Optional[ObsConfig] = None,
+    sample_interval: int = 0,
 ) -> SimResult:
     """Run one simulation (disk cache -> execute)."""
-    result, _ = simulate_with_source(workload, design, config, use_cache, obs=obs)
+    result, _ = simulate_with_source(workload, design, config, use_cache, sample_interval)
     return result
 
 
@@ -300,13 +356,17 @@ def register_stats(scope) -> None:
 
 
 __all__ = [
+    "CONFIG_OPTIONS",
     "DESIGNS",
+    "RUN_OPTIONS",
     "RunnerStats",
+    "TRACE_OPTIONS",
     "WORKLOAD_DATA_BOUND",
     "compare",
     "configure_disk_cache",
     "disk_cache",
     "register_stats",
+    "resolve_run",
     "resolve_workload",
     "simulate",
     "simulate_with_source",

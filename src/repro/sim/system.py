@@ -19,14 +19,13 @@ from repro.core.uncompressed import UncompressedController
 from repro.cpu.core import CoreModel
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.obs.sampler import IntervalSampler, ObsConfig
+from repro.obs.sampler import IntervalSampler
 from repro.obs.tracing import span
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.telemetry import Metrics, StatRegistry
 from repro.vm.page_table import LINES_PER_PAGE, PageTable
 from repro.workloads.data import WorkloadData
-from repro.workloads.generators import MixWorkload
 
 #: Design names accepted by :func:`build_controller` and the runner.
 DESIGNS = (
@@ -92,6 +91,11 @@ class SimulatedSystem:
     the process's store for the workload, so its runs share first-touch
     lines, compression memos and trace records.  Given none, the system
     builds a private one and shares nothing with any other run.
+
+    A positive ``sample_interval`` samples the registry every that many
+    line-accesses into the result's time series.  It is not part of
+    :class:`~repro.sim.config.SimConfig`: observation never perturbs a
+    run, so it never enters a result's identity.
     """
 
     def __init__(
@@ -99,19 +103,19 @@ class SimulatedSystem:
         workload,
         design: str,
         config: SimConfig,
-        obs: Optional[ObsConfig] = None,
+        sample_interval: int = 0,
         workload_data: Optional[WorkloadData] = None,
     ):
         self.workload = workload
         self.design = design
         self.config = config
-        self.obs = obs or ObsConfig()
+        self.sample_interval = sample_interval
         self.workload_data = workload_data if workload_data is not None else WorkloadData()
         self.page_table = PageTable(config.capacity_lines, seed=config.seed + 99)
         # each spec builds its own generator flavour: synthetic specs a
         # WorkloadTraceGenerator, trace workloads a TraceReplayGenerator
         self.generators = [
-            self._spec_for_core(core).make_generator(core, self.workload_data)
+            workload.spec_for_core(core).make_generator(core, self.workload_data)
             for core in range(config.num_cores)
         ]
         self.memory = PhysicalMemory(
@@ -153,11 +157,11 @@ class SimulatedSystem:
         the end-of-run collection reads, so its presence cannot change a
         single simulated outcome (``tests/test_obs_golden.py``).
         """
-        if not self.obs.sampling:
+        if self.sample_interval <= 0:
             return None
         return IntervalSampler(
             self.registry,
-            self.obs.sample_interval,
+            self.sample_interval,
             phase="warmup" if self.config.warmup_ops else "measured",
         )
 
@@ -231,12 +235,6 @@ class SimulatedSystem:
                 doc="times a core's trace wrapped around",
             )
         return registry
-
-    def _spec_for_core(self, core_id: int):
-        if isinstance(self.workload, MixWorkload):
-            return self.workload.spec_for_core(core_id)
-        # rate mode: same benchmark on every core, distinct seeds
-        return self.workload.with_seed(self.workload.seed + core_id)
 
     def _initial_content(self, line_addr: int) -> bytes:
         """First-touch contents: the owning workload's version-0 data."""

@@ -71,17 +71,13 @@ class StatScope:
         return StatScope(self._registry, self.path(name))
 
     def counter(
-        self,
-        name: str,
-        source: Optional[Source] = None,
-        windowed: bool = True,
-        doc: str = "",
+        self, name: str, source: Source, windowed: bool = True, doc: str = ""
     ) -> Counter:
         return self._registry.register(
             self.path(name), Counter(source, windowed=windowed, doc=doc)
         )
 
-    def gauge(self, name: str, source: Optional[Source] = None, doc: str = "") -> Gauge:
+    def gauge(self, name: str, source: Source, doc: str = "") -> Gauge:
         return self._registry.register(self.path(name), Gauge(source, doc=doc))
 
     def histogram(

@@ -13,12 +13,10 @@ Every simulation metric is one of three shapes:
   accuracy), recomputed over the measurement window so warmup traffic
   cannot skew it.
 
-Counters and gauges come in two flavours: *owned* (the stat holds the
-value; bump it with :meth:`Counter.inc` / :meth:`Gauge.set`) and
-*sourced* (the stat reads a component attribute through a zero-argument
-callable).  Sourced stats keep hot paths free of telemetry overhead —
-components keep doing ``self.hits += 1`` and the registry only reads the
-attribute at snapshot/collect time.
+Counters and gauges hold no value: each reads a component attribute
+through a zero-argument callable, its *source*.  That keeps hot paths
+free of telemetry overhead — components keep doing ``self.hits += 1``
+and the registry only reads the attribute at snapshot/collect time.
 """
 
 from __future__ import annotations
@@ -61,27 +59,13 @@ class Counter(Stat):
 
     kind = "counter"
 
-    def __init__(
-        self,
-        source: Optional[Source] = None,
-        windowed: bool = True,
-        doc: str = "",
-    ) -> None:
+    def __init__(self, source: Source, windowed: bool = True, doc: str = "") -> None:
         super().__init__(doc)
         self._source = source
-        self._value = 0
         self.windowed = windowed
 
-    def inc(self, amount: int = 1) -> None:
-        """Bump an owned counter; sourced counters are read-only."""
-        if self._source is not None:
-            raise TypeError("sourced counters are read-only; update the source")
-        if amount < 0:
-            raise ValueError("counters only count up")
-        self._value += amount
-
     def read(self) -> MetricValue:
-        return self._source() if self._source is not None else self._value
+        return self._source()
 
     def measured(self, base) -> MetricValue:
         value = self.read()
@@ -95,19 +79,12 @@ class Gauge(Stat):
 
     kind = "gauge"
 
-    def __init__(self, source: Optional[Source] = None, doc: str = "") -> None:
+    def __init__(self, source: Source, doc: str = "") -> None:
         super().__init__(doc)
         self._source = source
-        self._value: MetricValue = 0
-
-    def set(self, value: MetricValue) -> None:
-        """Record an owned gauge's value; sourced gauges are read-only."""
-        if self._source is not None:
-            raise TypeError("sourced gauges are read-only; update the source")
-        self._value = value
 
     def read(self) -> MetricValue:
-        return self._source() if self._source is not None else self._value
+        return self._source()
 
     def measured(self, base) -> MetricValue:
         return self.read()

@@ -73,6 +73,10 @@ class TraceWorkload:
     def with_seed(self, seed: int) -> "TraceWorkload":
         return replace(self, seed=seed)
 
+    def spec_for_core(self, core_id: int) -> "TraceWorkload":
+        """Rate mode: every core replays the trace, with distinct seeds."""
+        return self.with_seed(self.seed + core_id)
+
     @property
     def memory_intensive(self) -> bool:
         return True

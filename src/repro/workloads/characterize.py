@@ -16,7 +16,7 @@ from repro.compression.base import LINE_SIZE
 from repro.compression.hybrid import HybridCompressor
 from repro.core.packing import payload_budget
 from repro.types import Level
-from repro.workloads.generators import MixWorkload, WorkloadTraceGenerator
+from repro.workloads.generators import WorkloadTraceGenerator
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,13 @@ class WorkloadProfile:
         return self.l3_mpki >= 5.0
 
 
-def _spec_for_stats(workload):
-    """A representative per-core spec (core 0 for mixes)."""
-    if isinstance(workload, MixWorkload):
-        return workload.spec_for_core(0)
-    return workload
-
-
 def data_statistics(workload, samples: int = 512, seed_core: int = 0):
-    """(mean compressed size, pair co-compression rate) of a workload's data."""
-    spec = _spec_for_stats(workload)
+    """(mean compressed size, pair co-compression rate) of a workload's data.
+
+    Measured on core 0's spec, which is the workload itself but for a
+    mix.
+    """
+    spec = workload.spec_for_core(0)
     generator = WorkloadTraceGenerator(spec, seed_core)
     hybrid = HybridCompressor()
     total = 0
@@ -70,12 +67,7 @@ def data_statistics(workload, samples: int = 512, seed_core: int = 0):
 
 def footprint_mb(workload, num_cores: int = 8) -> float:
     """Aggregate memory footprint across all cores, in megabytes."""
-    if isinstance(workload, MixWorkload):
-        lines = sum(
-            workload.spec_for_core(core).footprint_lines for core in range(num_cores)
-        )
-    else:
-        lines = workload.footprint_lines * num_cores
+    lines = sum(workload.spec_for_core(core).footprint_lines for core in range(num_cores))
     return lines * LINE_SIZE / 1e6
 
 

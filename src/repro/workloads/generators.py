@@ -59,6 +59,10 @@ class WorkloadSpec:
     def with_seed(self, seed: int) -> "WorkloadSpec":
         return replace(self, seed=seed)
 
+    def spec_for_core(self, core_id: int) -> "WorkloadSpec":
+        """Rate mode: the same benchmark on every core, with distinct seeds."""
+        return self.with_seed(self.seed + core_id)
+
     @property
     def memory_intensive(self) -> bool:
         return self.suite != "low"
@@ -329,6 +333,7 @@ class MixWorkload:
         return True
 
     def spec_for_core(self, core_id: int) -> WorkloadSpec:
+        """Core ``core_id``'s member spec, with a seed of its own."""
         spec = self.specs[core_id % len(self.specs)]
         return spec.with_seed(spec.seed + self.seed + 17 * core_id)
 

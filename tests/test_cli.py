@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.sim import runner
+from repro.sim.config import bench_config
+from repro.sim.system import DESIGNS
 
 
 @pytest.fixture(autouse=True)
@@ -84,14 +86,24 @@ class TestCommands:
         assert "core.0.cycles" in metrics
 
     def test_compare(self, capsys):
-        assert main(["--ops", "200", "--warmup", "100", "compare", "libquantum06"]) == 0
-        out = capsys.readouterr().out
-        assert "static_ptmc" in out
+        """Every design on one workload is a sweep over that workload."""
+        designs = [d for d in DESIGNS if d != "uncompressed"]
+        assert main([
+            "--ops", "200", "--warmup", "100",
+            "sweep", "libquantum06", "--designs", ",".join(designs),
+        ]) == 0
+        header = next(
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("workload")
+        )
+        assert header.split() == ["workload", *designs]
 
     def test_suite(self, capsys):
-        assert main(["--ops", "150", "--warmup", "50", "suite", "spec17", "uncompressed"]) == 0
-        out = capsys.readouterr().out
-        assert "geomean: 1.000" in out
+        """One design over a suite is a sweep over that suite."""
+        assert main([
+            "--ops", "150", "--warmup", "50", "sweep", "spec17", "--designs", "uncompressed",
+        ]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+        assert ["geomean", "1.000"] in rows
 
     def test_sweep(self, capsys):
         assert main(
@@ -208,6 +220,78 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "metrics not present in this result" in out
         assert "Traceback" not in out
+
+
+def printed_rows(out: str, designs) -> dict:
+    """``{row label: cells}`` of the speedup and geomean tables a sweep prints."""
+    rows = {}
+    for line in out.splitlines():
+        cells = line.split()
+        if len(cells) == len(designs) + 1 and cells[0] != "workload" and cells[0][0] != "-":
+            rows[cells[0]] = cells[1:]
+    return rows
+
+
+def engine_rows(workloads, designs, config) -> dict:
+    """The same rows, from ``sweep_with_report`` over the same identities."""
+    from repro.sim.parallel import sweep_with_report
+    from repro.sim.results import geometric_mean
+
+    matrix, _ = sweep_with_report(workloads, designs, config)
+    rows = {name: [f"{row[d]:.3f}" for d in designs] for name, row in matrix.items()}
+    rows["geomean"] = [
+        f"{geometric_mean(row[d] for row in matrix.values()):.3f}" for d in designs
+    ]
+    return rows
+
+
+class TestSweepTargets:
+    """``repro sweep TARGET`` prints the speedups the sweep engine returns
+    for the identities TARGET names: a suite, a roster workload or a trace."""
+
+    DESIGNS = ["ideal", "static_ptmc"]
+    FLAGS = ["--ops", "150", "--warmup", "50"]
+    CONFIG = bench_config(ops_per_core=150, warmup_ops=50)
+
+    def sweep(self, capsys, *args) -> dict:
+        assert main([*self.FLAGS, *args, "--designs", ",".join(self.DESIGNS)]) == 0
+        return printed_rows(capsys.readouterr().out, self.DESIGNS)
+
+    def test_a_suite(self, capsys):
+        from repro.workloads import SUITE_BY_NAME
+
+        printed = self.sweep(capsys, "sweep", "spec17")
+        assert set(printed) == {w.name for w in SUITE_BY_NAME["spec17"]} | {"geomean"}
+        assert printed == engine_rows(SUITE_BY_NAME["spec17"], self.DESIGNS, self.CONFIG)
+
+    def test_a_roster_workload(self, capsys):
+        printed = self.sweep(capsys, "sweep", "lbm06")
+        assert set(printed) == {"lbm06", "geomean"}
+        assert printed == engine_rows(["lbm06"], self.DESIGNS, self.CONFIG)
+
+    def test_a_trace(self, capsys, tmp_path, monkeypatch):
+        import repro.traces.store as store_module
+        from repro.traces.replay import trace_workload
+        from repro.traces.store import configure_trace_store
+
+        monkeypatch.setattr(store_module, "_default_store", None)
+        monkeypatch.setattr(runner, "_workload_data", OrderedDict())
+        store = configure_trace_store(tmp_path / "traces")
+        info, _ = store.ingest_records([(i % 4 == 0, 0x100 + i % 40) for i in range(200)])
+        printed = self.sweep(
+            capsys, "--trace-limit", "50", "--trace-seed", "3", "sweep", f"trace:{info.hash}"
+        )
+        workload = trace_workload(info.hash, limit=50, seed=3)
+        assert set(printed) == {workload.name, "geomean"}
+        assert printed == engine_rows([workload], self.DESIGNS, self.CONFIG)
+
+    def test_an_unknown_target_is_a_clean_error(self, capsys):
+        assert main(["sweep", "spec99"]) == 2
+        assert "cannot run spec99: unknown workload 'spec99'" in capsys.readouterr().out
+
+    def test_trace_flags_on_a_suite_are_a_clean_error(self, capsys):
+        assert main(["--no-loop", "sweep", "spec17"]) == 2
+        assert "['trace_loop'] only apply to trace:<hash> workloads" in capsys.readouterr().out
 
 
 class TestTimelineCLI:
@@ -515,10 +599,11 @@ class TestTraceCLI:
         args = build_parser().parse_args(["trace", "ingest", "t.trace", "--lenient"])
         assert args.command == "trace" and args.trace_command == "ingest"
         assert args.lenient
-        args = build_parser().parse_args(["trace", "run", "abc123", "--no-loop"])
-        assert args.trace_command == "run"
-        assert args.trace_hash == "abc123"
+        args = build_parser().parse_args(["--no-loop", "sweep", "trace:abc123"])
+        assert args.command == "sweep" and args.workload == "trace:abc123"
         assert args.no_loop
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", "run", "abc123"])
 
     def test_ingest_list_info_run_round_trip(self, capsys, trace_file):
         assert main(["trace", "ingest", str(trace_file)]) == 0
@@ -541,7 +626,7 @@ class TestTraceCLI:
         assert main(
             [
                 "--ops", "150", "--warmup", "100",
-                "trace", "run", digest[:12], "--designs", "ideal",
+                "sweep", f"trace:{digest[:12]}", "--designs", "ideal",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -555,7 +640,7 @@ class TestTraceCLI:
         digest = digest.split()[-1]
         args = [
             "--ops", "150", "--warmup", "100",
-            "trace", "run", digest[:12], "--designs", "ideal",
+            "sweep", f"trace:{digest[:12]}", "--designs", "ideal",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -564,15 +649,15 @@ class TestTraceCLI:
         assert " 0 executed" in second  # runs now served from cache
 
         def table_rows(text):
-            return [ln for ln in text.splitlines() if ln.startswith("ideal")]
+            return [ln for ln in text.splitlines() if ln.startswith("trace:")]
 
-        assert table_rows(first) == table_rows(second)
+        assert table_rows(first) and table_rows(first) == table_rows(second)
 
     def test_unknown_trace_hash_is_a_clean_error(self, capsys):
         assert main(["trace", "info", "feedface"]) == 2
         assert "trace error" in capsys.readouterr().out
-        assert main(["trace", "run", "feedface"]) == 2
-        assert "trace error" in capsys.readouterr().out
+        assert main(["sweep", "trace:feedface"]) == 2
+        assert "cannot run trace:feedface" in capsys.readouterr().out
 
     def test_negative_trace_limit_is_a_clean_error(self, capsys, trace_file, tmp_path):
         assert main(["trace", "ingest", str(trace_file)]) == 0
@@ -580,11 +665,11 @@ class TestTraceCLI:
         digest = [ln for ln in out.splitlines() if ln.startswith("full hash:")][0]
         cache_dir = tmp_path / "results"
         assert main([
-            "--cache-dir", str(cache_dir),
-            "trace", "run", digest.split()[-1], "--trace-limit", "-5", "--designs", "ideal",
+            "--cache-dir", str(cache_dir), "--trace-limit", "-5",
+            "sweep", f"trace:{digest.split()[-1]}", "--designs", "ideal",
         ]) == 2
         out = capsys.readouterr().out
-        assert "trace error" in out and "limit must be >= 0" in out
+        assert "cannot run trace:" in out and "limit must be >= 0" in out
         assert not list(cache_dir.glob("*/*.json"))  # nothing simulated or stored
 
     def test_missing_trace_file_is_a_clean_error(self, capsys, tmp_path):

@@ -269,7 +269,7 @@ class TestJobStoreFixes:
     def test_retrying_fail_clears_claim_bookkeeping(self, store):
         submit(store)
         job = store.claim(worker_id="w1", lease_seconds=30.0)
-        assert store.fail(job.id, "boom", retry_delay=0.0)
+        assert store.fail(job.id, "boom", worker_id="w1", retry_delay=0.0)
         back = store.get(job.id)
         assert back.state == jobstore.QUEUED
         assert back.started_at is None

@@ -9,7 +9,6 @@ only difference being the purely additive ``timeseries`` member.
 
 import pytest
 
-from repro.obs.sampler import ObsConfig
 from repro.obs.tracing import Tracer, set_tracer
 from repro.sim.config import quick_config
 from repro.sim.system import DESIGNS, SimulatedSystem
@@ -31,8 +30,7 @@ def test_instrumented_run_is_bitwise_identical(design):
     plain = SimulatedSystem(WORKLOAD, design, CFG).run()
 
     tracer = set_tracer(Tracer())
-    obs = ObsConfig(sample_interval=300)
-    instrumented = SimulatedSystem(WORKLOAD, design, CFG, obs=obs).run()
+    instrumented = SimulatedSystem(WORKLOAD, design, CFG, sample_interval=300).run()
     set_tracer(None)
 
     want = plain.to_json_dict()

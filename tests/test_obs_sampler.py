@@ -16,7 +16,7 @@ The invariants under test:
 
 import pytest
 
-from repro.obs.sampler import IntervalSampler, ObsConfig
+from repro.obs.sampler import IntervalSampler
 from repro.obs.timeseries import TimeSeries, TimeSeriesDecodeError
 from repro.sim.config import quick_config
 from repro.sim.diskcache import DiskCache, cache_key
@@ -29,14 +29,13 @@ CFG = quick_config(ops_per_core=400, warmup_ops=200)
 WORKLOAD = spec_like("sampler", seed=3)
 
 
-def run(obs=None, cfg=CFG, design="static_ptmc"):
-    return SimulatedSystem(WORKLOAD, design, cfg, obs=obs).run()
+def run(sample_interval=0, cfg=CFG, design="static_ptmc"):
+    return SimulatedSystem(WORKLOAD, design, cfg, sample_interval=sample_interval).run()
 
 
 def test_interval_zero_disables_sampling():
-    result = run(ObsConfig(sample_interval=0))
-    assert result.timeseries is None
-    assert run().timeseries is None  # no ObsConfig at all
+    assert run(0).timeseries is None
+    assert run().timeseries is None  # no interval at all
 
 
 def test_obs_config_rejects_direct_nonpositive_interval():
@@ -48,7 +47,7 @@ def test_obs_config_rejects_direct_nonpositive_interval():
 
 def test_interval_longer_than_run_yields_one_point_per_phase():
     total = CFG.num_cores * (CFG.ops_per_core + CFG.warmup_ops)
-    result = run(ObsConfig(sample_interval=total * 10))
+    result = run(total * 10)
     ts = result.timeseries
     assert ts is not None
     assert [p.phase for p in ts.points] == ["warmup", "measured"]
@@ -56,7 +55,7 @@ def test_interval_longer_than_run_yields_one_point_per_phase():
 
 def test_warmup_boundary_never_mixes_phases():
     # interval deliberately misaligned with the phase boundary
-    result = run(ObsConfig(sample_interval=700))
+    result = run(700)
     ts = result.timeseries
     phases = [p.phase for p in ts.points]
     # warmup points strictly precede measured points
@@ -68,13 +67,13 @@ def test_warmup_boundary_never_mixes_phases():
 def test_no_warmup_config_samples_measured_only():
     cfg = quick_config(ops_per_core=400, warmup_ops=0)
     result = SimulatedSystem(
-        WORKLOAD, "uncompressed", cfg, obs=ObsConfig(sample_interval=300)
+        WORKLOAD, "uncompressed", cfg, sample_interval=300
     ).run()
     assert {p.phase for p in result.timeseries.points} == {"measured"}
 
 
 def test_measured_points_partition_the_measured_window():
-    result = run(ObsConfig(sample_interval=500))
+    result = run(500)
     ts = result.timeseries
     for path in ("dram.reads", "dram.writes", "llc.misses"):
         total = sum(p.metrics[path] for p in ts.phase_points("measured"))
@@ -82,7 +81,7 @@ def test_measured_points_partition_the_measured_window():
 
 
 def test_timeseries_json_round_trip():
-    result = run(ObsConfig(sample_interval=500))
+    result = run(500)
     restored = SimResult.from_json(result.to_json())
     assert restored.timeseries is not None
     assert restored.timeseries.to_json_dict() == result.timeseries.to_json_dict()
@@ -91,7 +90,7 @@ def test_timeseries_json_round_trip():
 
 def test_diskcache_round_trip_carries_timeseries(tmp_path):
     cache = DiskCache(tmp_path)
-    result = run(ObsConfig(sample_interval=500))
+    result = run(500)
     key = cache_key(WORKLOAD, "static_ptmc", CFG)
     cache.put(key, result)
     loaded = cache.get(key)

@@ -86,7 +86,7 @@ class TestJobStore:
     def test_terminal_job_frees_the_dedup_slot(self, store):
         first, _ = submit(store)
         claimed = claim(store)
-        store.finish(claimed.id, "executed")
+        store.finish(claimed.id, "executed", worker_id="w1")
         second, created = submit(store)
         assert created
         assert second.id != first.id
@@ -109,7 +109,7 @@ class TestJobStore:
     def test_backoff_gates_reclaim(self, store):
         submit(store)
         job = claim(store)
-        store.fail(job.id, "boom", retry_delay=60.0)
+        store.fail(job.id, "boom", worker_id="w1", retry_delay=60.0)
         assert store.get(job.id).state == jobstore.QUEUED
         assert claim(store) is None  # not_before is in the future
         retry = claim(store, now=time.time() + 61.0)
@@ -119,7 +119,7 @@ class TestJobStore:
     def test_fail_terminal_records_error(self, store):
         submit(store)
         job = claim(store)
-        store.fail(job.id, "no retry left")
+        store.fail(job.id, "no retry left", worker_id="w1")
         final = store.get(job.id)
         assert final.state == jobstore.FAILED
         assert final.error == "no retry left"
@@ -151,7 +151,7 @@ class TestJobStore:
     def test_requeue_with_refund(self, store):
         submit(store)
         job = claim(store)
-        store.requeue(job.id)
+        store.requeue(job.id, worker_id="w1")
         back = store.get(job.id)
         assert back.state == jobstore.QUEUED
         assert back.attempts == 0

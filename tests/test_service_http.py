@@ -162,6 +162,33 @@ class TestApiSurface:
             client.submit("no_such_workload", "ideal")
         assert err.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("priority", "high"), ("timeout", "soon"), ("max_attempts", "x"), ("config", [1])],
+    )
+    def test_malformed_submission_fields_are_400(self, paused_daemon, field, value):
+        client = ServiceClient(paused_daemon.url)
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/jobs", {"workload": "lbm06", "design": "ideal", field: value})
+        assert err.value.status == 400
+        assert repr(field) in err.value.message
+        assert paused_daemon.store.counts()[jobstore.QUEUED] == 0
+
+    def test_unknown_run_option_is_400(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        with pytest.raises(ServiceError) as err:
+            client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, seed=3)
+        assert err.value.status == 400
+        assert "unsupported config overrides ['seed']" in err.value.message
+
+    @pytest.mark.parametrize("limit", ["abc", "-1"])
+    def test_bad_jobs_limit_is_400_json(self, paused_daemon, limit):
+        ServiceClient(paused_daemon.url).submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        status, ctype, body = http_get(f"{paused_daemon.url}/jobs?limit={limit}")
+        assert status == 400
+        assert ctype == "application/json"
+        assert "limit must be a whole number" in json.loads(body)["error"]
+
     def test_healthz(self, paused_daemon):
         health = ServiceClient(paused_daemon.url).healthz()
         assert health["ok"] is True

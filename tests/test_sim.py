@@ -1,5 +1,7 @@
 """Tests for the simulation runner, results and configs."""
 
+import re
+
 import pytest
 
 from repro.sim.config import bench_config, paper_config, quick_config
@@ -14,6 +16,36 @@ from repro.types import Category
 from repro.workloads import get_workload
 
 CFG = quick_config(ops_per_core=600, warmup_ops=200)
+
+
+class TestResolveRun:
+    """One function maps a workload reference and run options to a run."""
+
+    def test_no_options_name_the_default_run(self):
+        assert runner.resolve_run("lbm06", {}) == (get_workload("lbm06"), bench_config())
+
+    def test_config_options_set_their_fields(self):
+        options = {"ops_per_core": 200, "warmup_ops": 100, "llc_policy": "srrip"}
+        workload, config = runner.resolve_run("lbm06", options)
+        assert workload is get_workload("lbm06")
+        assert config == bench_config(ops_per_core=200, warmup_ops=100, llc_policy="srrip")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"seed": 3}, "unsupported config overrides ['seed']"),
+            ({"trace_seed": 3}, "['trace_seed'] only apply to trace:<hash> workloads"),
+            ({"trace_limit": 5, "trace_loop": False}, "['trace_limit', 'trace_loop'] only"),
+            ({"llc_policy": "belady"}, "bad config overrides: unknown llc_policy"),
+        ],
+    )
+    def test_bad_options_are_value_errors(self, options, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runner.resolve_run("lbm06", options)
+
+    def test_unknown_workload_is_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown workload"):
+            runner.resolve_run("no_such_workload", {})
 
 
 class TestConfigs:

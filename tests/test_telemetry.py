@@ -6,16 +6,6 @@ from repro.telemetry import Counter, Gauge, RatioStat, StatRegistry
 
 
 class TestCounter:
-    def test_owned_counter_increments(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.read() == 5
-
-    def test_owned_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().inc(-1)
-
     def test_sourced_counter_reads_through(self):
         box = {"value": 0}
         counter = Counter(lambda: box["value"])
@@ -23,8 +13,11 @@ class TestCounter:
         assert counter.read() == 7
 
     def test_sourced_counter_is_read_only(self):
-        with pytest.raises(TypeError):
+        """A counter holds no value of its own: only its source changes it."""
+        with pytest.raises(AttributeError):
             Counter(lambda: 0).inc()
+        with pytest.raises(TypeError):
+            Counter()
 
     def test_windowed_delta(self):
         box = {"value": 10}
@@ -41,20 +34,20 @@ class TestCounter:
         assert counter.measured(base) == 25
 
     def test_no_base_measures_whole_run(self):
-        counter = Counter()
-        counter.inc(3)
+        counter = Counter(lambda: 3)
         assert counter.measured(None) == 3
 
 
 class TestGauge:
     def test_gauge_reports_point_in_time(self):
-        gauge = Gauge()
-        gauge.set(0.5)
+        gauge = Gauge(lambda: 0.5)
         assert gauge.measured(0.1) == 0.5
 
     def test_sourced_gauge_is_read_only(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             Gauge(lambda: 1).set(2)
+        with pytest.raises(TypeError):
+            Gauge()
 
 
 class TestRatioStat:
@@ -69,7 +62,7 @@ class TestRatioStat:
         assert ratio.measured(base) == 30 / 40
 
     def test_default_on_zero_denominator(self):
-        hits = Counter()
+        hits = Counter(lambda: 0)
         ratio = RatioStat(hits, [hits], default=1.0)
         assert ratio.measured(None) == 1.0
 
@@ -82,30 +75,30 @@ class TestRatioStat:
 
     def test_requires_denominators(self):
         with pytest.raises(ValueError):
-            RatioStat(Counter(), [])
+            RatioStat(Counter(lambda: 0), [])
 
 
 class TestStatRegistry:
     def test_scoped_registration_and_paths(self):
         registry = StatRegistry()
         scope = registry.scope("dram")
-        scope.counter("row_hits")
-        scope.scope("accesses").counter("data_read")
+        scope.counter("row_hits", lambda: 0)
+        scope.scope("accesses").counter("data_read", lambda: 0)
         assert registry.paths() == ["dram.row_hits", "dram.accesses.data_read"]
         assert "dram.row_hits" in registry
         assert len(registry) == 2
 
     def test_duplicate_path_rejected(self):
         registry = StatRegistry()
-        registry.scope("llc").counter("hits")
+        registry.scope("llc").counter("hits", lambda: 0)
         with pytest.raises(ValueError):
-            registry.scope("llc").counter("hits")
+            registry.scope("llc").counter("hits", lambda: 0)
 
     @pytest.mark.parametrize("path", ["", "Upper.case", "sp ace", "a..b", "a."])
     def test_invalid_paths_rejected(self, path):
         registry = StatRegistry()
         with pytest.raises(ValueError):
-            registry.register(path, Counter())
+            registry.register(path, Counter(lambda: 0))
 
     def test_snapshot_delta_windows_counters(self):
         box = {"value": 5}

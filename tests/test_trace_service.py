@@ -11,6 +11,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.cli import main
 from repro.service import jobstore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon
@@ -173,3 +174,39 @@ class TestTraceJobs:
         assert metrics["trace.ingested"] == 1
         assert "trace.dedup_hits" in metrics
         assert "trace.loads" in metrics
+
+
+class TestOneRunOneKey:
+    """The CLI and the daemon resolve run options through one function:
+    a run named the same way on both is one cache key."""
+
+    FLAGS = ["--ops", "200", "--warmup", "100", "--trace-limit", "50", "--trace-seed", "3"]
+    OPTIONS = {"ops_per_core": 200, "warmup_ops": 100, "trace_limit": 50, "trace_seed": 3}
+
+    def test_a_cli_run_serves_the_same_submission(self, daemon, capsys):
+        client = ServiceClient(daemon.url)
+        digest = client.upload_trace(toy_text())["hash"]
+        stores = ["--cache-dir", str(daemon.cache.root), "--trace-dir", str(daemon.traces.root)]
+        assert main([*stores, *self.FLAGS, "run", f"trace:{digest}", "dynamic_ptmc"]) == 0
+        capsys.readouterr()
+        job = client.submit(f"trace:{digest}", "dynamic_ptmc", **self.OPTIONS)
+        assert job["state"] == jobstore.DONE
+        assert job["source"] == "cache"
+
+    def test_submit_sends_the_global_run_flags_by_their_option_names(self, daemon, capsys):
+        client = ServiceClient(daemon.url)
+        digest = client.upload_trace(toy_text())["hash"]
+        assert main([
+            *self.FLAGS, "--no-loop", "submit", f"trace:{digest}", "ideal", "--url", daemon.url,
+        ]) == 0
+        assert "submitted job" in capsys.readouterr().out
+        (job,) = client.jobs()
+        assert job["config"] == {**self.OPTIONS, "llc_policy": "lru", "trace_loop": False}
+
+    def test_a_trace_flag_on_a_roster_workload_is_refused_on_both(self, daemon, capsys):
+        assert main(["--trace-seed", "3", "stats", "lbm06", "ideal"]) == 2
+        assert "only apply to trace:<hash> workloads" in capsys.readouterr().out
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(daemon.url).submit("lbm06", "ideal", trace_seed=3)
+        assert excinfo.value.status == 400
+        assert "only apply to trace:<hash> workloads" in excinfo.value.message

@@ -425,6 +425,37 @@ class TestTraceReplay:
 # ---------------------------------------------------------------------------
 
 
+class TestTraceRunOptions:
+    """The ``trace_*`` run options set the fields of the replayed workload."""
+
+    def test_trace_options_set_their_workload_fields(self):
+        info, _ = ingest_toy()
+        options = {"ops_per_core": 300, "trace_limit": 50, "trace_loop": False, "trace_seed": 3}
+        workload, config = runner.resolve_run(f"trace:{info.hash[:10]}", options)
+        assert workload == trace_workload(info.hash, limit=50, loop=False, seed=3)
+        assert config.ops_per_core == 300
+
+    def test_no_trace_options_keep_the_defaults(self):
+        info, _ = ingest_toy()
+        workload, _ = runner.resolve_run(f"trace:{info.hash}", {})
+        assert workload == trace_workload(info.hash)
+
+    def test_negative_limit_is_a_value_error(self):
+        info, _ = ingest_toy()
+        with pytest.raises(ValueError, match="bad trace overrides: limit must be >= 0"):
+            runner.resolve_run(f"trace:{info.hash}", {"trace_limit": -5})
+
+    def test_unknown_trace_is_a_store_error(self):
+        with pytest.raises(TraceStoreError):
+            runner.resolve_run("trace:feedface", {"trace_seed": 1})
+
+    def test_every_core_replays_with_its_own_seed(self):
+        info, _ = ingest_toy()
+        workload = trace_workload(info.hash, seed=5)
+        assert [workload.spec_for_core(core).seed for core in range(3)] == [5, 6, 7]
+        assert workload.spec_for_core(2) == workload.with_seed(7)
+
+
 class TestTraceCaching:
     def test_cache_key_tracks_trace_identity_knobs(self):
         info, _ = ingest_toy()

@@ -179,6 +179,11 @@ class TestSuites:
         specs = {mix.spec_for_core(c).name for c in range(8)}
         assert len(specs) >= 2
 
+    def test_rate_mode_runs_one_spec_with_a_seed_per_core(self):
+        spec = get_workload("lbm06").with_seed(4)
+        assert [spec.spec_for_core(c).seed for c in range(3)] == [4, 5, 6]
+        assert spec.spec_for_core(2) == spec.with_seed(6)
+
     def test_gap_footprints_larger(self):
         spec_fp = max(w.footprint_lines for w in SPEC06)
         gap_fp = min(w.footprint_lines for w in GAP)
