@@ -30,7 +30,8 @@ from repro.sim.parallel import run_batch
 from repro.sim.results import weighted_speedup
 from repro.telemetry import StatRegistry
 
-#: the one config every figure uses (baselines shared via the disk cache)
+#: the config every figure but the LLC-policy study (its own length) uses,
+#: so figures share baselines through the disk cache
 BENCH_CONFIG = bench_config(ops_per_core=4000, warmup_ops=6000)
 
 #: processes each figure's batch fans out over: every core this one may use
@@ -99,12 +100,3 @@ def save_results(experiment_id: str, payload) -> None:
 @pytest.fixture(scope="session")
 def config():
     return BENCH_CONFIG
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    Figure generation is deterministic and (via the disk cache)
-    idempotent, so a single round is both sufficient and honest.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -8,7 +8,7 @@ so each row is a plain runner identity; every row's baseline is the one
 uncompressed run of the harness config.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_table
 from repro.sim.results import weighted_speedup
 
@@ -39,8 +39,8 @@ def _ablation(config):
     return rows
 
 
-def test_ablation_compression_algorithm(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_compression_algorithm(config):
+    rows = _ablation(config)
     print(banner("Ablation — compression algorithm under PTMC (§VII-A)"))
     print(
         format_table(

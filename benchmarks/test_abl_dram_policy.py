@@ -5,7 +5,7 @@ bench re-runs the comparison under closed-page mode and with refresh
 disabled, checking the speedup survives each variation.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 
 VARIANTS = {
@@ -33,8 +33,8 @@ def _ablation(config):
     }
 
 
-def test_ablation_dram_policy(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_dram_policy(config):
+    rows = _ablation(config)
     print(banner("Ablation — DRAM page policy / refresh"))
     print(
         format_table(

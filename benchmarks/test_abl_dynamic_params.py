@@ -5,7 +5,7 @@ workload keeps compression on, a graph workload turns it off, regardless
 of the exact counter width or sampled fraction.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.sim.config import SamplingConfig
 
@@ -45,8 +45,8 @@ def _ablation(config):
     }
 
 
-def test_ablation_dynamic_parameters(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_dynamic_parameters(config):
+    rows = _ablation(config)
     print(banner("Ablation — Dynamic-PTMC counter width / sampling rate"))
     print(
         format_table(

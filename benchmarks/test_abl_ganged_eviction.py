@@ -9,7 +9,7 @@ cost, so the asserted shape is the design argument itself: ganged
 eviction eliminates RMW traffic entirely and never performs worse.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
 from repro.types import Category
@@ -42,8 +42,8 @@ def _ablation(config):
     return rows
 
 
-def test_ablation_ganged_eviction(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_ganged_eviction(config):
+    rows = _ablation(config)
     print(banner("Ablation — ganged eviction vs retain-lines (footnote 7)"))
     print(
         format_table(

@@ -4,7 +4,7 @@ Accuracy saturates once the LCT covers the concurrently hot pages —
 beyond that, more entries buy nothing, which is why 128 bytes suffice.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.core.ptmc import PTMCConfig
 
@@ -29,8 +29,8 @@ def _ablation(config):
     }
 
 
-def test_ablation_llp_size(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_llp_size(config):
+    rows = _ablation(config)
     print(banner("Ablation — LCT entries (LLP size)"))
     print(
         format_table(

@@ -6,7 +6,7 @@ pairs/quads fit) while driving the already negligible collision
 probability further down — this bench quantifies the trade.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.compression import HybridCompressor
 from repro.core.packing import compress_group
@@ -51,8 +51,8 @@ def _ablation(config):
     return rows
 
 
-def test_ablation_marker_width(benchmark, config):
-    rows = run_once(benchmark, lambda: _ablation(config))
+def test_ablation_marker_width(config):
+    rows = _ablation(config)
     print(banner("Ablation — marker width"))
     print(
         format_table(

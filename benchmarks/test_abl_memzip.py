@@ -9,7 +9,7 @@ non-commodity design on compressible workloads and beat it where
 MemZip's metadata traffic bites.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 
 WORKLOADS = ["lbm06", "libquantum06", "soplex06", "mcf06", "bfs.twitter", "pr.web"]
@@ -31,8 +31,8 @@ def _comparison(config):
     }
 
 
-def test_memzip_comparison(benchmark, config):
-    rows = run_once(benchmark, lambda: _comparison(config))
+def test_memzip_comparison(config):
+    rows = _comparison(config)
     print(banner("Extension — MemZip (non-commodity) vs Dynamic-PTMC (commodity)"))
     print(
         format_table(

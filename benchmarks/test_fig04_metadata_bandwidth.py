@@ -5,7 +5,7 @@ metadata; metadata alone can exceed 50% extra bandwidth on graph
 workloads, which is the motivation for inline metadata.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_bandwidth
 from repro.sim.results import normalized_bandwidth
 from repro.workloads import HIGH_MPKI
@@ -33,8 +33,8 @@ def _fig04(config):
     return stacks
 
 
-def test_fig04_metadata_bandwidth(benchmark, config):
-    stacks = run_once(benchmark, lambda: _fig04(config))
+def test_fig04_metadata_bandwidth(config):
+    stacks = _fig04(config)
     print(banner("Fig. 4 — table-based TMC bandwidth (normalized to uncompressed)"))
     print(format_bandwidth("", stacks))
     save_results("fig04", stacks)

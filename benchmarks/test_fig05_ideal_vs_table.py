@@ -5,7 +5,7 @@ The paper's motivation plot: an idealized compressed memory gains
 metadata lookups loses badly on graphs (up to 49% slowdown).
 """
 
-from benchmarks.conftest import JOBS, run_once, save_results
+from benchmarks.conftest import JOBS, save_results
 from repro.analysis import banner, format_speedups
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
@@ -20,8 +20,8 @@ def _fig05(config):
     }
 
 
-def test_fig05_ideal_vs_table(benchmark, config):
-    speedups = run_once(benchmark, lambda: _fig05(config))
+def test_fig05_ideal_vs_table(config):
+    speedups = _fig05(config)
     print(banner("Fig. 5 — Ideal TMC vs table-based TMC (speedup over uncompressed)"))
     print(format_speedups("", speedups))
     ideal_mean = geometric_mean(v["ideal_tmc"] for v in speedups.values())

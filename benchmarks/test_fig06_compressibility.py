@@ -5,7 +5,7 @@ compressible pairs (38% -> 36% in the paper), which is what makes inline
 metadata essentially free in compression ratio.
 """
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import save_results
 from repro.analysis import banner, format_table
 from repro.compression import HybridCompressor
 from repro.workloads import HIGH_MPKI, WorkloadTraceGenerator
@@ -46,8 +46,8 @@ def _fig06():
     return rows
 
 
-def test_fig06_pair_compressibility(benchmark):
-    rows = run_once(benchmark, _fig06)
+def test_fig06_pair_compressibility():
+    rows = _fig06()
     print(banner("Fig. 6 — % of adjacent pairs compressing to 64B / 60B"))
     print(
         format_table(

@@ -5,7 +5,7 @@ first access more often than a 32KB metadata cache can answer without a
 memory access (98% vs the metadata cache's much lower hit rate).
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_table
 from repro.workloads import HIGH_MPKI
 
@@ -27,8 +27,8 @@ def _fig09(config):
     return rows
 
 
-def test_fig09_llp_vs_metadata_cache(benchmark, config):
-    rows = run_once(benchmark, lambda: _fig09(config))
+def test_fig09_llp_vs_metadata_cache(config):
+    rows = _fig09(config)
     print(banner("Fig. 9 — finding the line in one access: metadata cache vs LLP"))
     print(
         format_table(

@@ -5,7 +5,7 @@ incompressible workloads; graphs still lose under Static-PTMC (their
 slowdown is the remaining inherent compression cost, Fig. 14).
 """
 
-from benchmarks.conftest import JOBS, run_once, save_results
+from benchmarks.conftest import JOBS, save_results
 from repro.analysis import banner, format_speedups
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
@@ -19,8 +19,8 @@ def _fig12(config):
     return speedups
 
 
-def test_fig12_static_ptmc_vs_table(benchmark, config):
-    speedups = run_once(benchmark, lambda: _fig12(config))
+def test_fig12_static_ptmc_vs_table(config):
+    speedups = _fig12(config)
     print(banner("Fig. 12 — table-based TMC vs Static-PTMC (speedup)"))
     print(format_speedups("", speedups))
     save_results("fig12", speedups)

@@ -6,7 +6,7 @@ writebacks plus invalidate writes — dominant on graphs, which motivates
 Dynamic-PTMC.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_bandwidth, stacked_chart
 from repro.sim.results import normalized_bandwidth
 from repro.workloads import MEMORY_INTENSIVE
@@ -33,8 +33,8 @@ def _fig14(config):
     return stacks
 
 
-def test_fig14_ptmc_bandwidth(benchmark, config):
-    stacks = run_once(benchmark, lambda: _fig14(config))
+def test_fig14_ptmc_bandwidth(config):
+    stacks = _fig14(config)
     print(banner("Fig. 14 — PTMC bandwidth breakdown (normalized to uncompressed)"))
     print(format_bandwidth("", stacks))
     print("\nstacked view (| marks the uncompressed baseline):")

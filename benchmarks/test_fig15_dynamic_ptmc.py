@@ -5,7 +5,7 @@ helps and disables it where it hurts, approaching the zero-overhead ideal
 on average with (near) no slowdown anywhere.
 """
 
-from benchmarks.conftest import JOBS, run_once, save_results
+from benchmarks.conftest import JOBS, save_results
 from repro.analysis import banner, format_speedups, hbar_chart
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
@@ -30,8 +30,8 @@ def _fig15(config):
     }
 
 
-def test_fig15_dynamic_ptmc(benchmark, config):
-    speedups = run_once(benchmark, lambda: _fig15(config))
+def test_fig15_dynamic_ptmc(config):
+    speedups = _fig15(config)
     print(banner("Fig. 15 — Static-PTMC, Dynamic-PTMC and Ideal TMC (speedup)"))
     print(format_speedups("", speedups))
     save_results("fig15", speedups)

@@ -5,7 +5,7 @@ workloads: robust (no slowdowns beyond noise) with large gains on the
 compressible, bandwidth-bound end.
 """
 
-from benchmarks.conftest import JOBS, run_once, save_results
+from benchmarks.conftest import JOBS, save_results
 from repro.analysis import banner, format_table, sorted_curve
 from repro.sim.parallel import sweep_with_report
 from repro.workloads import ALL_64
@@ -16,8 +16,8 @@ def _fig17(config):
     return {name: row["dynamic_ptmc"] for name, row in matrix.items()}
 
 
-def test_fig17_all_64_workloads(benchmark, config):
-    speedups = run_once(benchmark, lambda: _fig17(config))
+def test_fig17_all_64_workloads(config):
+    speedups = _fig17(config)
     ordered = sorted(speedups.items(), key=lambda kv: kv[1])
     print(banner("Fig. 17 — Dynamic-PTMC speedup, 64 workloads, sorted"))
     print(

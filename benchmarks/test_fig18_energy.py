@@ -4,7 +4,7 @@ Fewer DRAM requests cut dynamic energy; the speedup cuts background
 energy and EDP (paper: -5% energy, -10% EDP at paper scale).
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_table
 from repro.energy import relative_energy
 from repro.sim.results import geometric_mean
@@ -32,8 +32,8 @@ def _fig18(config):
     return rows
 
 
-def test_fig18_energy(benchmark, config):
-    rows = run_once(benchmark, lambda: _fig18(config))
+def test_fig18_energy(config):
+    rows = _fig18(config)
     print(banner("Fig. 18 — Dynamic-PTMC energy metrics (normalized to baseline)"))
     print(
         format_table(

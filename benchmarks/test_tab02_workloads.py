@@ -7,7 +7,7 @@ workload is memory-bound at the benchmark scale, graph footprints dwarf
 SPEC's, and SPEC data compresses better than graph data.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_table
 from repro.workloads import GAP, MEMORY_INTENSIVE, SPEC06, SPEC17
 from repro.workloads.characterize import characterize
@@ -30,8 +30,8 @@ def _tab02(config):
     return rows
 
 
-def test_tab02_workload_characteristics(benchmark, config):
-    rows = run_once(benchmark, lambda: _tab02(config))
+def test_tab02_workload_characteristics(config):
+    rows = _tab02(config)
     print(banner("Table II — workload characteristics (scaled analog)"))
     print(
         format_table(

@@ -1,6 +1,6 @@
 """Table III: storage overhead of the PTMC structures (< 300 bytes)."""
 
-from benchmarks.conftest import run_once, save_results
+from benchmarks.conftest import save_results
 from repro.analysis import banner, format_table
 from repro.core.policy import SamplingPolicy
 from repro.core.ptmc import PTMCController
@@ -17,8 +17,8 @@ def _tab03():
     return {name: bits // 8 for name, bits in controller.storage_bits().items()}
 
 
-def test_tab03_storage_overhead(benchmark):
-    table = run_once(benchmark, _tab03)
+def test_tab03_storage_overhead():
+    table = _tab03()
     total = sum(table.values())
     print(banner("Table III — storage overhead of PTMC structures"))
     rows = [[name, f"{size} B"] for name, size in table.items()]

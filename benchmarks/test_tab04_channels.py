@@ -7,7 +7,7 @@ SPEC subset keeps the sweep tractable; the paper reports the average.
 
 from dataclasses import replace
 
-from benchmarks.conftest import run_figure, run_once, save_results, speedup
+from benchmarks.conftest import run_figure, save_results, speedup
 from repro.analysis import banner, format_table
 from repro.sim.results import geometric_mean
 from repro.workloads import GAP, SPEC06, SPEC17
@@ -34,8 +34,8 @@ def _tab04(config):
     }
 
 
-def test_tab04_channel_sensitivity(benchmark, config):
-    rows = run_once(benchmark, lambda: _tab04(config))
+def test_tab04_channel_sensitivity(config):
+    rows = _tab04(config)
     print(banner("Table IV — Dynamic-PTMC speedup vs number of channels"))
     print(
         format_table(

@@ -4,7 +4,7 @@ The co-fetched lines installed in L3 are useful: SPEC's L3 hit rate
 rises markedly (17.3% -> 23.9% in the paper), graphs are untouched.
 """
 
-from benchmarks.conftest import run_figure, run_once, save_results
+from benchmarks.conftest import run_figure, save_results
 from repro.analysis import banner, format_table
 from repro.workloads import GAP, MIXES, SPEC06, SPEC17
 
@@ -29,8 +29,8 @@ def _tab05(config):
     return rows
 
 
-def test_tab05_l3_hit_rate(benchmark, config):
-    rows = run_once(benchmark, lambda: _tab05(config))
+def test_tab05_l3_hit_rate(config):
+    rows = _tab05(config)
     print(banner("Table V — L3 hit rate: baseline vs Dynamic-PTMC"))
     print(
         format_table(

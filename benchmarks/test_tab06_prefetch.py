@@ -6,7 +6,7 @@ on bandwidth-bound workloads (paper: -5.7% SPEC, -21.1% GAP, -7.3% MIX
 vs PTMC's +8.5% / 0.0% / +4.2%).
 """
 
-from benchmarks.conftest import JOBS, run_once, save_results
+from benchmarks.conftest import JOBS, save_results
 from repro.analysis import banner, format_table
 from repro.sim.parallel import sweep_with_report
 from repro.sim.results import geometric_mean
@@ -31,8 +31,8 @@ def _tab06(config):
     }
 
 
-def test_tab06_prefetch_comparison(benchmark, config):
-    rows = run_once(benchmark, lambda: _tab06(config))
+def test_tab06_prefetch_comparison(config):
+    rows = _tab06(config)
     print(banner("Table VI — next-line prefetch vs Dynamic-PTMC (speedup)"))
     print(
         format_table(

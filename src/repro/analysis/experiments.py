@@ -59,17 +59,19 @@ PAPER_EXPECTATIONS: Dict[str, str] = {
     "abl_memzip": "(§I/§II-B) PTMC on commodity DIMMs is competitive with "
     "MemZip-style non-commodity variable-burst TMC, and more robust where "
     "metadata traffic bites.",
-    "abl_policy_search": "(extension) LLC replacement-policy sweep via "
-    "scripts/policy_search.py: per-policy geomean weighted speedup per "
-    "design (baselines re-run under the same policy), ranked on the last "
-    "design; PTMC's gains should be policy-robust, not an LRU artifact.",
+    "abl_policy_search": "(extension) benchmarks/test_abl_policy_search.py "
+    "runs the memory-intensive roster under every LLC replacement policy at "
+    "its own length (ops_per_core=2000, warmup_ops=3000): per-policy geomean "
+    "weighted speedup per design (baselines re-run under the same policy), "
+    "ranked on Dynamic-PTMC's; PTMC's gains should be policy-robust, not an "
+    "LRU artifact.",
 }
 
 _HEADER = """# EXPERIMENTS — paper vs. measured
 
 Generated by ``python -m repro.analysis.experiments`` from the JSON rows
 the benchmark harness saves under ``benchmarks/results/``.  Regenerate
-the data with ``pytest benchmarks/ --benchmark-only``.
+the data with ``pytest benchmarks/``.
 
 All measurements are on the scaled benchmark system (``bench_config``,
 DESIGN.md §4/4b): 8 cores, 256KB L3, synthetic SPEC/GAP-like traces.

@@ -139,7 +139,7 @@ def cmd_policies(args) -> int:
     print(
         "\n(* default)  These are the shared L3's choices; the private L1s "
         "and L2s run lru.  Select one with --llc-policy on run/stats/timeline/"
-        "sweep/submit, or sweep them all with scripts/policy_search.py."
+        "sweep/submit; pytest benchmarks/test_abl_policy_search.py ranks them all."
     )
     return 0
 
@@ -487,23 +487,27 @@ def cmd_serve(args) -> int:
         print("repro serve needs the disk cache (it is the result store); "
               "drop --no-disk-cache")
         return 2
-    daemon = ServiceDaemon(
-        db_path=args.db,
-        cache_dir=args.cache_dir,
-        trace_dir=args.trace_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        default_timeout=args.job_timeout,
-        max_attempts=args.max_attempts,
-        drain_seconds=args.drain_seconds,
-        log_stream=None if args.quiet else sys.stderr,
-        token=args.token,
-        lease_seconds=args.lease_seconds,
-        reaper_interval=args.reaper_interval,
-        max_queued=args.max_queued,
-        rate_limit=args.rate_limit,
-    )
+    try:
+        daemon = ServiceDaemon(
+            db_path=args.db,
+            cache_dir=args.cache_dir,
+            trace_dir=args.trace_dir,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            default_timeout=args.job_timeout,
+            max_attempts=args.max_attempts,
+            drain_seconds=args.drain_seconds,
+            log_stream=None if args.quiet else sys.stderr,
+            token=args.token,
+            lease_seconds=args.lease_seconds,
+            reaper_interval=args.reaper_interval,
+            max_queued=args.max_queued,
+            rate_limit=args.rate_limit,
+        )
+    except ValueError as exc:  # a bad --job-timeout or --max-attempts
+        print(f"cannot serve: {exc}")
+        return 2
 
     def _stop(signum, frame):
         daemon.request_stop()

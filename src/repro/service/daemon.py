@@ -332,15 +332,28 @@ class TokenBucketLimiter:
             return False, (1.0 - tokens) / self.rate
 
 
-def _number(payload: Dict[str, Any], name: str, kind, default):
-    """``payload[name]`` as a ``kind`` number, ``default`` when absent or null."""
-    value = payload.get(name)
+#: the job store's INTEGER columns hold signed 64-bit values
+_INT_LIMIT = 2**63
+
+
+def _number(name: str, value, default, least=-_INT_LIMIT, real=False):
+    """Job field ``name``'s ``value``, ``default`` when absent or null.
+
+    The value must be an int or, with ``real``, an int or float (returned
+    as a float), at least ``least`` and below 2**63, the bound of the job
+    store's integer columns, which also rules out nan and infinities.  A
+    bool is not a number here, nor is a numeric string.
+    """
     if value is None:
         return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise SubmitError(f"{name!r} must be a number, not {value!r}") from None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float) if real else int)
+        or not least <= value < _INT_LIMIT
+    ):
+        kind = "a number" if real else "an int"
+        raise SubmitError(f"{name!r} must be {kind} >= {least} and < 2**63, not {value!r}")
+    return float(value) if real else value
 
 
 class ServiceDaemon:
@@ -366,6 +379,9 @@ class ServiceDaemon:
         rate_limit: float = 0.0,
         rate_burst: Optional[float] = None,
     ) -> None:
+        self.max_attempts = _number("max_attempts", max_attempts, None, least=1)
+        #: the timeout written onto every submission that names none
+        self.default_timeout = _number("timeout", default_timeout, None, least=0, real=True)
         self.store = JobStore(db_path)
         if cache_dir is not None:
             self.cache = DiskCache(cache_dir)
@@ -381,9 +397,6 @@ class ServiceDaemon:
         else:
             self.traces = trace_store()
         self.stats = ServiceStats()
-        self.max_attempts = max_attempts
-        #: the timeout written onto every submission that names none
-        self.default_timeout = default_timeout
         self.started_at = time.time()
         #: shared bearer token guarding mutating routes (None = open)
         self.token = (
@@ -491,9 +504,13 @@ class ServiceDaemon:
         config_overrides = payload.get("config") or {}
         if not isinstance(config_overrides, dict):
             raise SubmitError("'config' must be a JSON object of run options")
-        priority = _number(payload, "priority", int, 0)
-        max_attempts = _number(payload, "max_attempts", int, self.max_attempts)
-        timeout = _number(payload, "timeout", float, self.default_timeout)
+        priority = _number("priority", payload.get("priority"), 0)
+        max_attempts = _number(
+            "max_attempts", payload.get("max_attempts"), self.max_attempts, least=1
+        )
+        timeout = _number(
+            "timeout", payload.get("timeout"), self.default_timeout, least=0, real=True
+        )
         try:
             workload, config = runner.resolve_run(workload_name, config_overrides)
         except (KeyError, ValueError, TraceStoreError) as exc:

@@ -80,6 +80,10 @@ class SimConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
 
     def __post_init__(self) -> None:
+        for name, least in (("ops_per_core", 1), ("warmup_ops", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # a bool is not a count
+                raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
         if not self.compression or not set(self.compression) <= ALGORITHMS.keys():
             raise ValueError(
                 f"compression {self.compression!r} must name one or more of "

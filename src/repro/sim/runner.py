@@ -44,13 +44,10 @@ _disk: Optional[DiskCache] = None
 #: The run options a run may name beside its workload and design, by the
 #: names a job's config carries (:func:`resolve_run` reads them): three
 #: ``SimConfig`` fields, and three options of a ``trace:<hash>`` workload,
-#: each mapped to the ``TraceWorkload`` field it sets and that field's type.
+#: each mapped to the ``TraceWorkload`` field it sets.  Each value is
+#: checked where its field lives, so none is coerced here.
 CONFIG_OPTIONS = frozenset({"ops_per_core", "warmup_ops", "llc_policy"})
-TRACE_OPTIONS = {
-    "trace_limit": ("limit", int),
-    "trace_loop": ("loop", bool),
-    "trace_seed": ("seed", int),
-}
+TRACE_OPTIONS = {"trace_limit": "limit", "trace_loop": "loop", "trace_seed": "seed"}
 RUN_OPTIONS = CONFIG_OPTIONS | frozenset(TRACE_OPTIONS)
 
 #: Entries (rendered lines, compression payloads and sizes, trace
@@ -168,10 +165,9 @@ def resolve_run(workload, options: Mapping[str, Any]) -> Tuple[Workload, SimConf
             raise ValueError(f"{trace_keys} only apply to trace:<hash> workloads")
         try:
             workload = replace(workload, **{
-                field: kind(options[key])
-                for key, (field, kind) in TRACE_OPTIONS.items() if key in options
+                field: options[key] for key, field in TRACE_OPTIONS.items() if key in options
             })
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad trace overrides: {exc}") from None
     try:
         config = bench_config(**{k: v for k, v in options.items() if k in CONFIG_OPTIONS})

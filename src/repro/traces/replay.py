@@ -67,6 +67,10 @@ class TraceWorkload:
     write_scramble: float = 0.05
 
     def __post_init__(self) -> None:
+        for name, kind in (("limit", int), ("seed", int), ("loop", bool)):
+            value = getattr(self, name)
+            if type(value) is not kind:  # a bool is not an int, nor "false" a bool
+                raise ValueError(f"{name} must be {kind.__name__}, not {value!r}")
         if self.limit < 0:
             raise ValueError(f"limit must be >= 0 (0 = the whole trace), not {self.limit}")
 

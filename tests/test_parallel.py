@@ -6,10 +6,6 @@ must be satisfied entirely from the on-disk cache with zero simulations
 executed.
 """
 
-import importlib.util
-import json
-import pathlib
-
 import pytest
 
 from repro.sim import parallel, runner
@@ -132,20 +128,3 @@ class TestDiskCacheIntegration:
             [("lbm06", "ideal", CFG), ("lbm06", "uncompressed", CFG)], jobs=2
         )
         assert report.sources == ["disk", "disk"]
-
-    def test_policy_search_script_stores_into_its_cache_dir(self, tmp_path):
-        """``scripts/policy_search.py`` runs its grid through the sweep
-        engine, and its pool processes store into ``--cache-dir``."""
-        path = pathlib.Path(__file__).resolve().parents[1] / "scripts/policy_search.py"
-        spec = importlib.util.spec_from_file_location("policy_search", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        out = tmp_path / "rows.json"
-        assert script.main([
-            "--suite", "spec17", "--policies", "lru", "--designs", "static_ptmc",
-            "--ops", "150", "--warmup", "50", "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
-        ]) == 0
-        assert list(json.loads(out.read_text())) == ["lru"]
-        # five workloads, each on static_ptmc and its uncompressed baseline
-        assert len(DiskCache(tmp_path / "cache")) == 10

@@ -164,7 +164,13 @@ class TestApiSurface:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("priority", "high"), ("timeout", "soon"), ("max_attempts", "x"), ("config", [1])],
+        [
+            ("priority", "high"), ("timeout", "soon"), ("max_attempts", "x"), ("config", [1]),
+            ("priority", "5"), ("priority", 1.5), ("timeout", -5), ("timeout", "nan"),
+            ("timeout", float("inf")), ("timeout", True), ("max_attempts", 0),
+            ("max_attempts", 2.7), ("max_attempts", True), ("priority", 2**63),
+            ("max_attempts", 2**64), ("timeout", 2**63),
+        ],
     )
     def test_malformed_submission_fields_are_400(self, paused_daemon, field, value):
         client = ServiceClient(paused_daemon.url)
@@ -173,6 +179,18 @@ class TestApiSurface:
         assert err.value.status == 400
         assert repr(field) in err.value.message
         assert paused_daemon.store.counts()[jobstore.QUEUED] == 0
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("max_attempts", 0), ("max_attempts", 2.7), ("default_timeout", -5.0),
+         ("default_timeout", float("nan"))],
+    )
+    def test_service_defaults_take_the_same_bounds(self, tmp_path, option, value):
+        """``repro serve --max-attempts/--job-timeout`` are checked as a
+        submission's fields, before the daemon opens its store."""
+        with pytest.raises(ValueError, match="must be"):
+            ServiceDaemon(db_path=tmp_path / "service.db", port=0, **{option: value})
+        assert not (tmp_path / "service.db").exists()
 
     def test_unknown_run_option_is_400(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)

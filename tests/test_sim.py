@@ -37,6 +37,13 @@ class TestResolveRun:
             ({"trace_seed": 3}, "['trace_seed'] only apply to trace:<hash> workloads"),
             ({"trace_limit": 5, "trace_loop": False}, "['trace_limit', 'trace_loop'] only"),
             ({"llc_policy": "belady"}, "bad config overrides: unknown llc_policy"),
+            ({"ops_per_core": "200"}, "ops_per_core must be an int >= 1, not '200'"),
+            ({"ops_per_core": True}, "ops_per_core must be an int >= 1, not True"),
+            ({"ops_per_core": 2.5}, "ops_per_core must be an int >= 1, not 2.5"),
+            ({"ops_per_core": 0}, "ops_per_core must be an int >= 1, not 0"),
+            ({"ops_per_core": -5}, "ops_per_core must be an int >= 1, not -5"),
+            ({"warmup_ops": -1}, "warmup_ops must be an int >= 0, not -1"),
+            ({"warmup_ops": "100"}, "warmup_ops must be an int >= 0, not '100'"),
         ],
     )
     def test_bad_options_are_value_errors(self, options, message):

@@ -17,22 +17,22 @@ CFG = quick_config(ops_per_core=400, warmup_ops=200)
 WORKLOAD = spec_like("golden", seed=11)
 
 
-def run_once(design, batch_chunk, workload=WORKLOAD, cfg=CFG):
+def simulate_at_chunk(design, batch_chunk, workload=WORKLOAD, cfg=CFG):
     config = cfg.with_(batch_chunk=batch_chunk)
     return SimulatedSystem(workload, design, config).run()
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_batch_and_scalar_results_identical(design):
-    scalar = run_once(design, batch_chunk=0)
-    batched = run_once(design, batch_chunk=128)
+    scalar = simulate_at_chunk(design, batch_chunk=0)
+    batched = simulate_at_chunk(design, batch_chunk=128)
     assert batched == scalar  # full dataclass equality: exact metrics
 
 
 def test_chunk_size_does_not_matter():
-    reference = run_once("static_ptmc", batch_chunk=0)
+    reference = simulate_at_chunk("static_ptmc", batch_chunk=0)
     for chunk in (1, 7, 64, 4096):
-        assert run_once("static_ptmc", batch_chunk=chunk) == reference
+        assert simulate_at_chunk("static_ptmc", batch_chunk=chunk) == reference
 
 
 def test_batch_front_end_active_only_for_compressing_designs():
@@ -46,6 +46,6 @@ def test_irregular_workload_also_identical():
     from repro.workloads.generators import graph_like
 
     workload = graph_like("golden_gap").with_seed(23)
-    scalar = run_once("dynamic_ptmc", 0, workload=workload)
-    batched = run_once("dynamic_ptmc", 256, workload=workload)
+    scalar = simulate_at_chunk("dynamic_ptmc", 0, workload=workload)
+    batched = simulate_at_chunk("dynamic_ptmc", 256, workload=workload)
     assert batched == scalar

@@ -11,6 +11,7 @@ the scalar and batched simulation paths, and across parallel sweeps.
 import dataclasses
 import gzip
 import io
+import re
 from collections import OrderedDict
 
 import pytest
@@ -444,6 +445,23 @@ class TestTraceRunOptions:
         info, _ = ingest_toy()
         with pytest.raises(ValueError, match="bad trace overrides: limit must be >= 0"):
             runner.resolve_run(f"trace:{info.hash}", {"trace_limit": -5})
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"trace_loop": "false"}, "loop must be bool, not 'false'"),
+            ({"trace_loop": 0}, "loop must be bool, not 0"),
+            ({"trace_limit": "50"}, "limit must be int, not '50'"),
+            ({"trace_limit": True}, "limit must be int, not True"),
+            ({"trace_limit": 2.5}, "limit must be int, not 2.5"),
+            ({"trace_seed": "3"}, "seed must be int, not '3'"),
+            ({"trace_seed": False}, "seed must be int, not False"),
+        ],
+    )
+    def test_option_of_another_type_is_a_value_error(self, options, message):
+        info, _ = ingest_toy()
+        with pytest.raises(ValueError, match=re.escape(f"bad trace overrides: {message}")):
+            runner.resolve_run(f"trace:{info.hash}", options)
 
     def test_unknown_trace_is_a_store_error(self):
         with pytest.raises(TraceStoreError):
