@@ -6,7 +6,10 @@ HTTP, no local execution) plus two ``repro worker`` subprocesses, then:
 
 1. asserts an unauthenticated mutating request is rejected with 401
    (the daemon runs with a bearer token),
-2. submits a 40-job sweep over HTTP,
+2. submits a 40-job sweep over HTTP, then checks that a lease must
+   lapse: a raw claim with ``lease_seconds: 1e999`` answers 400 and
+   leaves the sweep queued, and ``repro worker --lease-seconds inf``
+   exits 2 before its first claim,
 3. SIGKILLs one worker while it holds leased jobs, asserts its pool
    processes exit within 5 s instead of lingering as orphans, and that
    the lease reaper re-queues its jobs (``worker.lease_expirations`` on
@@ -27,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -135,6 +140,37 @@ def main() -> None:
         if not all(job["created"] for job in jobs):
             fail("sweep submissions were unexpectedly deduplicated")
         print(f"submitted {len(jobs)} jobs")
+
+        # a lease must lapse: a claim of inf would keep a hung job from
+        # the reaper for good, so it leases nothing
+        from repro.sim.diskcache import code_digest
+
+        body = '{"worker_id": "wx", "code": "%s", "lease_seconds": 1e999}' % code_digest()
+        claim = urllib.request.Request(
+            f"{url}/jobs/claim", data=body.encode(), method="POST",
+            headers={"Authorization": f"Bearer {TOKEN}", "Content-Type": "application/json"},
+        )
+        try:
+            urllib.request.urlopen(claim, timeout=30).close()
+            fail("a claim with lease_seconds 1e999 was accepted")
+        except urllib.error.HTTPError as exc:
+            if exc.code != 400:
+                fail(f"expected 400 for lease_seconds 1e999, got {exc.code}")
+        refused = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "--cache-dir", str(workdir / "wx-cache"),
+                "worker", "--url", url, "--worker-id", "wx", "--lease-seconds", "inf",
+                "--quiet",
+            ],
+            env=base_env, capture_output=True, text=True, timeout=120,
+        )
+        if refused.returncode != 2:
+            fail(f"repro worker --lease-seconds inf exited {refused.returncode}, not 2")
+        queued = client.jobs(state="queued", limit=JOBS + 1)
+        if len(queued) != JOBS:
+            fail(f"bad leases left {len(queued)} of {JOBS} jobs queued")
+        print("claim with lease_seconds 1e999 rejected with 400, "
+              "worker --lease-seconds inf exited 2; sweep still queued")
 
         # 3. two workers, each with its own local cache
         for name in ("wa", "wb"):

@@ -29,10 +29,11 @@ from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
 from repro.telemetry import StatScope
 from repro.types import Contents, Level
+from repro.util.schema import Checked
 
 
 @dataclass(frozen=True)
-class HierarchyConfig:
+class HierarchyConfig(Checked):
     """Cache sizes, ways and latencies (paper Table I; latencies are
     typical values).
 

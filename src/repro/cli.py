@@ -505,7 +505,7 @@ def cmd_serve(args) -> int:
             max_queued=args.max_queued,
             rate_limit=args.rate_limit,
         )
-    except ValueError as exc:  # a bad --job-timeout or --max-attempts
+    except ValueError as exc:  # a bad --job-timeout, --max-attempts or --lease-seconds
         print(f"cannot serve: {exc}")
         return 2
 
@@ -537,11 +537,18 @@ def cmd_serve(args) -> int:
 def cmd_worker(args) -> int:
     from repro.obs.logging import StructuredLog
     from repro.service.client import ServiceClient
+    from repro.service.daemon import Claim
     from repro.service.worker import HttpSource, Worker
+    from repro.util.schema import check_field
 
     if args.no_disk_cache:
         print("repro worker needs the disk cache (results are written "
               "through it before upload); drop --no-disk-cache")
+        return 2
+    try:  # the daemon takes no lease that never lapses
+        check_field(Claim, "lease_seconds", args.lease_seconds)
+    except ValueError as exc:
+        print(f"cannot start worker: {exc}")
         return 2
     # the digest of the code imported now, before any job (pool processes
     # inherit it): claims and uploads must name the code that runs them

@@ -28,6 +28,7 @@ from repro.types import Category, Level, ReadResult
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
+from repro.util.schema import Checked
 
 #: data lines one metadata line covers: 2-bit CSI x 256 lines = 64 bytes
 LINES_PER_METADATA_LINE = 256
@@ -38,7 +39,7 @@ table's contents."""
 
 
 @dataclass(frozen=True)
-class MetadataTableConfig:
+class MetadataTableConfig(Checked):
     """Metadata-cache organisation, shared by table-TMC and MemZip."""
 
     cache_bytes: int = 32 * 1024

@@ -23,7 +23,7 @@ by that rule, unrendered and unclassified (DESIGN.md §14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Annotated, Dict, List, Mapping, Optional, Tuple
 
 from repro.cache.cache import EvictedLine
 from repro.compression.base import LINE_SIZE, CompressionAlgorithm
@@ -39,13 +39,16 @@ from repro.types import _NO_EXTRA_LINES, Category, Contents, FirstTouch, Level, 
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.telemetry import StatScope
+from repro.util.schema import Checked, Rule
 
 
 @dataclass(frozen=True)
-class PTMCConfig:
+class PTMCConfig(Checked):
     """Tunable parameters of the PTMC design (paper defaults)."""
 
-    marker_size: int = MARKER_SIZE_DEFAULT
+    #: no narrower than the paper's 4 bytes, its width for a 16 GB memory
+    #: (under one expected marker collision over its 2^28 lines)
+    marker_size: Annotated[int, Rule(least=MARKER_SIZE_DEFAULT)] = MARKER_SIZE_DEFAULT
     lct_entries: int = 512
     lit_capacity: int = 16
     lit_policy: LITPolicy = LITPolicy.REKEY
@@ -54,14 +57,6 @@ class PTMCConfig:
     #: a memory-mapped LIT spill (prevents unbounded rekey recursion when
     #: fresh markers keep colliding)
     max_rekeys: int = 3
-
-    def __post_init__(self) -> None:
-        if self.marker_size < MARKER_SIZE_DEFAULT:
-            raise ValueError(
-                f"PTMC markers must be at least {MARKER_SIZE_DEFAULT} bytes, the "
-                "paper's width for a 16 GB memory (under one expected marker "
-                "collision over its 2^28 lines)"
-            )
 
 
 # The enum members the read and eviction paths use, as module globals.

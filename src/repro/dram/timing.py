@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.schema import Checked
+
 
 def ns_to_cycles(ns: float, cpu_ghz: float) -> int:
     """Convert nanoseconds to whole CPU cycles, rounding up."""
@@ -18,7 +20,7 @@ def ns_to_cycles(ns: float, cpu_ghz: float) -> int:
 
 
 @dataclass(frozen=True)
-class DDRTiming:
+class DDRTiming(Checked):
     """DRAM timing in CPU cycles, derived from DDR4-1600-style values."""
 
     cpu_ghz: float = 3.2
@@ -71,7 +73,7 @@ class DDRTiming:
 
 
 @dataclass(frozen=True)
-class DRAMGeometry:
+class DRAMGeometry(Checked):
     """Channel/rank/bank organisation and row-buffer reach."""
 
     channels: int = 2

@@ -16,7 +16,9 @@ Routes (all JSON in, JSON out)::
                              code digest) is not the daemon's
     POST   /jobs/<id>/heartbeat
                              renew a worker's lease {worker_id,
-                             lease_seconds?}; 409 when the lease is lost
+                             lease_seconds?}; 409 when the lease is lost.
+                             ``lease_seconds`` is an int or float > 0 and
+                             < 2**63 (null: the daemon's), so it lapses
     PUT    /jobs/<id>/result upload a worker's finished result
                              {worker_id, code, result, source?}; the
                              daemon caches it and marks the job done
@@ -39,10 +41,12 @@ Routes (all JSON in, JSON out)::
                              exposition (scrapeable by stock tooling)
 
 Errors are ``{"error": <message>}`` with a meaningful status: 400 for a
-bad submission, 401 for a missing/invalid bearer token on a mutating
-route, 404 unknown job, 409 for result-of-unfinished, cancel-of-running
-or a lost lease, 410 when a done job's cache entry was pruned, 429
-(with ``Retry-After``) under rate limiting or queue backpressure.
+bad body (a key the route does not declare, or a field of another type
+or range, named in the message), 401 for a missing/invalid bearer token
+on a mutating route, 404 unknown job, 409 for result-of-unfinished,
+cancel-of-running or a lost lease, 410 when a done job's cache entry was
+pruned, 429 (with ``Retry-After``) under rate limiting or queue
+backpressure.
 Every error body is JSON — including the stdlib-generated ones
 (unsupported method, unparseable request line), via the ``send_error``
 override.

@@ -33,7 +33,7 @@ import os
 import re
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Annotated, Any, Dict, List, Optional, Tuple
 
 from repro.obs.logging import StructuredLog
 from repro.service import jobstore
@@ -47,6 +47,7 @@ from repro.sim.system import DESIGNS
 from repro.telemetry import StatRegistry, StatScope
 from repro.traces.formats import TraceParseError
 from repro.traces.store import TraceStore, TraceStoreError, trace_store
+from repro.util.schema import Checked, Rule, check_field, load
 
 class SubmitError(ValueError):
     """A job submission that can never run (bad workload/design/config)."""
@@ -332,28 +333,70 @@ class TokenBucketLimiter:
             return False, (1.0 - tokens) / self.rate
 
 
-#: the job store's INTEGER columns hold signed 64-bit values
-_INT_LIMIT = 2**63
+# The JSON bodies the daemon reads, each loaded by ``schema.load``: an
+# undeclared key, or a value of another type or range, answers 400
+# naming the field, and a null or absent optional field takes the
+# daemon's value.  Numbers stay below 2**63, the job store's signed
+# 64-bit INTEGER bound, which rules out nan and inf too.
 
 
-def _number(name: str, value, default, least=-_INT_LIMIT, real=False):
-    """Job field ``name``'s ``value``, ``default`` when absent or null.
+@dataclasses.dataclass(frozen=True)
+class JobRequest(Checked):
+    """``POST /jobs``; a ``timeout`` of 0 is none."""
 
-    The value must be an int or, with ``real``, an int or float (returned
-    as a float), at least ``least`` and below 2**63, the bound of the job
-    store's integer columns, which also rules out nan and infinities.  A
-    bool is not a number here, nor is a numeric string.
-    """
-    if value is None:
-        return default
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float) if real else int)
-        or not least <= value < _INT_LIMIT
-    ):
-        kind = "a number" if real else "an int"
-        raise SubmitError(f"{name!r} must be {kind} >= {least} and < 2**63, not {value!r}")
-    return float(value) if real else value
+    workload: str
+    design: Annotated[str, Rule(choices=DESIGNS)]
+    config: Optional[dict] = None
+    priority: Optional[Annotated[int, Rule(least=-2**63, below=2**63)]] = None
+    max_attempts: Optional[Annotated[int, Rule(least=1, below=2**63)]] = None
+    timeout: Optional[Annotated[float, Rule(least=0, below=2**63)]] = None
+
+
+#: A lease must lapse: one of inf would keep a hung job from the reaper
+#: past its deadline, for good.
+Lease = Optional[Annotated[float, Rule(over=0, below=2**63)]]
+
+
+@dataclasses.dataclass(frozen=True)
+class WorkerRequest(Checked):
+    """``POST /jobs/<id>/release``; each other worker route's body adds
+    its fields, ``code`` being the worker's code digest."""
+
+    worker_id: Annotated[str, Rule(least=1)]
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim(WorkerRequest):
+    code: str
+    lease_seconds: Lease = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Heartbeat(WorkerRequest):
+    lease_seconds: Lease = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Upload(WorkerRequest):
+    code: str
+    result: dict  # a SimResult.to_json_dict()
+    source: str = "remote"
+
+
+@dataclasses.dataclass(frozen=True)
+class Failure(WorkerRequest):
+    error: str = "worker reported failure"
+
+
+@dataclasses.dataclass(frozen=True)
+class TraceUpload(Checked):
+    """``POST /traces``: exactly one of ``content`` and ``content_b64``."""
+
+    content: Optional[str] = None
+    content_b64: Optional[str] = None
+    name: str = ""
+    format: str = "auto"
+    mode: str = "strict"
 
 
 class ServiceDaemon:
@@ -379,9 +422,13 @@ class ServiceDaemon:
         rate_limit: float = 0.0,
         rate_burst: Optional[float] = None,
     ) -> None:
-        self.max_attempts = _number("max_attempts", max_attempts, None, least=1)
+        # the defaults take the bounds of the request fields they stand for
+        check_field(JobRequest, "max_attempts", max_attempts)
+        check_field(JobRequest, "timeout", default_timeout)
+        check_field(Heartbeat, "lease_seconds", lease_seconds)
+        self.max_attempts = max_attempts
         #: the timeout written onto every submission that names none
-        self.default_timeout = _number("timeout", default_timeout, None, least=0, real=True)
+        self.default_timeout = default_timeout
         self.store = JobStore(db_path)
         if cache_dir is not None:
             self.cache = DiskCache(cache_dir)
@@ -493,28 +540,16 @@ class ServiceDaemon:
         Raises :class:`SubmitError` on an identity that can never
         simulate (unknown workload/design, bad config override).
         """
-        if not isinstance(payload, dict):
-            raise SubmitError("job payload must be a JSON object")
-        workload_name = payload.get("workload")
-        design = payload.get("design")
-        if not isinstance(workload_name, str) or not isinstance(design, str):
-            raise SubmitError("'workload' and 'design' are required strings")
-        if design not in DESIGNS:
-            raise SubmitError(f"unknown design {design!r}; choose from {DESIGNS}")
-        config_overrides = payload.get("config") or {}
-        if not isinstance(config_overrides, dict):
-            raise SubmitError("'config' must be a JSON object of run options")
-        priority = _number("priority", payload.get("priority"), 0)
-        max_attempts = _number(
-            "max_attempts", payload.get("max_attempts"), self.max_attempts, least=1
-        )
-        timeout = _number(
-            "timeout", payload.get("timeout"), self.default_timeout, least=0, real=True
-        )
         try:
-            workload, config = runner.resolve_run(workload_name, config_overrides)
+            request = load(JobRequest, payload)
+            config_overrides = request.config or {}
+            workload, config = runner.resolve_run(request.workload, config_overrides)
         except (KeyError, ValueError, TraceStoreError) as exc:
             raise SubmitError(str(exc)) from None
+        workload_name, design = request.workload, request.design
+        priority = request.priority or 0
+        max_attempts = request.max_attempts or self.max_attempts
+        timeout = self.default_timeout if request.timeout is None else request.timeout
         if workload_name.startswith("trace:"):
             # canonicalize abbreviated hashes so the stored row stays
             # resolvable even if a later ingest makes the prefix ambiguous
@@ -584,30 +619,24 @@ class ServiceDaemon:
         (``strict``/``lenient``).  Raises :class:`IngestError` on a
         payload that cannot be parsed or stored.
         """
-        if not isinstance(payload, dict):
-            raise IngestError("trace payload must be a JSON object")
-        content = payload.get("content")
-        content_b64 = payload.get("content_b64")
-        if (content is None) == (content_b64 is None):
+        try:
+            upload = load(TraceUpload, payload)
+        except ValueError as exc:
+            raise IngestError(str(exc)) from None
+        if (upload.content is None) == (upload.content_b64 is None):
             raise IngestError("provide exactly one of 'content' or 'content_b64'")
-        if content is not None:
-            if not isinstance(content, str):
-                raise IngestError("'content' must be a string of text records")
-            data = content.encode("utf-8")
+        if upload.content is not None:
+            data = upload.content.encode("utf-8")
         else:
             import base64
-            import binascii
 
             try:
-                data = base64.b64decode(content_b64, validate=True)
-            except (binascii.Error, TypeError, ValueError) as exc:
+                data = base64.b64decode(upload.content_b64, validate=True)
+            except ValueError as exc:  # binascii.Error is one
                 raise IngestError(f"bad content_b64: {exc}") from None
-        name = payload.get("name") or ""
-        fmt = payload.get("format", "auto")
-        mode = payload.get("mode", "strict")
         try:
             info, created = self.traces.ingest_bytes(
-                data, name=str(name), fmt=fmt, mode=mode
+                data, name=upload.name, fmt=upload.format, mode=upload.mode
             )
         except (TraceParseError, TraceStoreError, ValueError) as exc:
             raise IngestError(str(exc)) from None
@@ -626,17 +655,14 @@ class ServiceDaemon:
 
     # -- HTTP worker routes (claim / heartbeat / result / fail / release) -
 
-    def _worker_fields(self, payload: Any) -> Tuple[str, float]:
-        """``(worker_id, lease_seconds)`` of a worker request; marks it seen."""
-        if not isinstance(payload, dict):
-            raise WorkerProtocolError("worker payload must be a JSON object")
-        worker_id = payload.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise WorkerProtocolError("'worker_id' is a required string")
-        lease = payload.get("lease_seconds")
-        lease = float(lease) if lease is not None else 0.0
-        self.workers_seen.seen(worker_id)
-        return worker_id, lease
+    def _worker_request(self, kind: type, payload: Any):
+        """The worker request ``payload`` as a ``kind``; marks its worker seen."""
+        try:
+            request = load(kind, payload)
+        except ValueError as exc:
+            raise WorkerProtocolError(str(exc)) from None
+        self.workers_seen.seen(request.worker_id)
+        return request
 
     def claim_job(self, payload: Dict[str, Any]) -> Optional[Job]:
         """Lease the best queued job to a remote worker (``None`` = empty).
@@ -646,25 +672,13 @@ class ServiceDaemon:
         simulation and no job attempt: its results could never be cached
         under this daemon's keys.
         """
-        worker_id, lease = self._worker_fields(payload)
-        lease = lease or self.lease_seconds
-        if lease <= 0:
-            raise WorkerProtocolError("lease_seconds must be > 0")
-        code = self._worker_code(payload)
-        if code != code_digest():
+        request = self._worker_request(Claim, payload)
+        if request.code != code_digest():
             raise ForeignCodeError(
-                f"worker {worker_id!r} runs {code}, the daemon runs "
+                f"worker {request.worker_id!r} runs {request.code}, the daemon runs "
                 f"{code_digest()}; no job leased"
             )
-        return self.source.claim(worker_id, lease)
-
-    @staticmethod
-    def _worker_code(payload: Dict[str, Any]) -> str:
-        """The code digest a claim or an upload names."""
-        code = payload.get("code")
-        if not isinstance(code, str):
-            raise WorkerProtocolError("'code' must be the worker's code digest string")
-        return code
+        return self.source.claim(request.worker_id, request.lease_seconds or self.lease_seconds)
 
     def heartbeat_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Renew a worker's lease; raises :class:`LeaseLostError` if gone.
@@ -673,9 +687,10 @@ class ServiceDaemon:
         :meth:`JobStore.heartbeat`); the worker kills the attempt at its
         deadline, or the reaper takes the job back when the lease lapses.
         """
-        worker_id, lease = self._worker_fields(payload)
+        request = self._worker_request(Heartbeat, payload)
+        worker_id = request.worker_id
         job = self.store.find(job_id)  # KeyError -> 404 at the API layer
-        if not self.source.heartbeat(job, worker_id, lease or self.lease_seconds):
+        if not self.source.heartbeat(job, worker_id, request.lease_seconds or self.lease_seconds):
             current = self.store.get(job.id)
             if current.state == jobstore.RUNNING and current.worker_id == worker_id:
                 # still this worker's, so the store refused on the deadline
@@ -701,26 +716,20 @@ class ServiceDaemon:
         attempt fails under the retry rule and the worker is told its
         lease is gone.
         """
-        worker_id, _lease = self._worker_fields(payload)
+        request = self._worker_request(Upload, payload)
+        worker_id = request.worker_id
         job = self.store.find(job_id)
-        code = self._worker_code(payload)
-        result_dict = payload.get("result")
-        if not isinstance(result_dict, dict):
-            raise WorkerProtocolError("'result' must be a SimResult JSON object")
         try:
-            result = SimResult.from_json_dict(result_dict)
-        except (ResultDecodeError, TypeError, ValueError, KeyError) as exc:
+            result = SimResult.from_json_dict(request.result)
+        except ResultDecodeError as exc:
             raise WorkerProtocolError(f"undecodable result payload: {exc}") from None
         if result.design != job.design:
             raise WorkerProtocolError(
                 f"result is for design {result.design!r}, job wants {job.design!r}"
             )
-        source = payload.get("source") or "remote"
-        if not isinstance(source, str):
-            raise WorkerProtocolError("'source' must be a string")
-        if code != code_digest():
+        if request.code != code_digest():
             error = (
-                f"result from other code: worker {worker_id!r} runs {code}, "
+                f"result from other code: worker {worker_id!r} runs {request.code}, "
                 f"the daemon runs {code_digest()}"
             )
             if not self.source.fail(job, worker_id, error):
@@ -729,7 +738,7 @@ class ServiceDaemon:
         # Persist before the state flip so a GET /jobs/<id>/result that
         # races the transition never sees done-without-result.
         self.cache.put(job.key, result)
-        if not self.source.finish(job, worker_id, result, source):
+        if not self.source.finish(job, worker_id, result, request.source):
             raise LeaseLostError(
                 f"job {job.id} is no longer leased to worker {worker_id!r}; "
                 f"result cached but job state unchanged"
@@ -739,16 +748,16 @@ class ServiceDaemon:
 
     def remote_fail(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Record a worker-side failure under the retry rule."""
-        worker_id, _lease = self._worker_fields(payload)
+        request = self._worker_request(Failure, payload)
+        worker_id = request.worker_id
         job = self.store.find(job_id)
-        error = str(payload.get("error") or "worker reported failure")
-        if not self.source.fail(job, worker_id, error):
+        if not self.source.fail(job, worker_id, request.error):
             raise LeaseLostError(f"job {job.id} is no longer leased to worker {worker_id!r}")
         return self.store.get(job.id)
 
     def release_job(self, job_id: str, payload: Dict[str, Any]) -> Job:
         """Re-queue a worker's unfinished claim, attempt refunded."""
-        worker_id, _lease = self._worker_fields(payload)
+        worker_id = self._worker_request(WorkerRequest, payload).worker_id
         job = self.store.find(job_id)
         if not self.source.release(job, worker_id):
             raise LeaseLostError(f"job {job.id} is no longer leased to worker {worker_id!r}")

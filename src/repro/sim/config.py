@@ -16,7 +16,7 @@ Two preset scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
+from typing import Annotated, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.replacement import DEFAULT_POLICY, POLICIES
@@ -24,10 +24,11 @@ from repro.compression import ALGORITHMS
 from repro.core.metadata_table import MetadataTableConfig
 from repro.core.ptmc import PTMCConfig
 from repro.dram.timing import DDRTiming, DRAMGeometry
+from repro.util.schema import Checked, Rule
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(Checked):
     """Dynamic-PTMC sampling parameters (paper §V-A)."""
 
     counter_bits: int = 12
@@ -37,14 +38,14 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Checked):
     """Everything needed to instantiate one simulated system."""
 
     num_cores: int = 8
     width: int = 4
     mlp: int = 8
-    ops_per_core: int = 6_000
-    warmup_ops: int = 8_000
+    ops_per_core: Annotated[int, Rule(least=1)] = 6_000
+    warmup_ops: Annotated[int, Rule(least=0)] = 8_000
     """Per-core operations run before statistics collection starts — the
     stand-in for the paper's PinPoints warmup: compaction of the resident
     working set is a one-time cost the paper's billion-instruction runs
@@ -59,14 +60,14 @@ class SimConfig:
     seed: int = 0
     page_policy: str = "open"
     refresh: bool = True
-    llc_policy: str = DEFAULT_POLICY
+    llc_policy: Annotated[str, Rule(choices=POLICIES)] = DEFAULT_POLICY
     """The shared L3's replacement policy, a name from
     ``repro.cache.replacement.POLICIES`` (``lru``/``fifo``/``random``/
     ``srrip``/``pref_lru``); the private L1s and L2s always run LRU.  The
     only replacement-policy knob, so two runs differing only in it never
     share a stored result, and the default and an explicit ``"lru"`` are
     one identity."""
-    compression: Tuple[str, ...] = ("fpc", "bdi")
+    compression: Annotated[Tuple[str, ...], Rule(least=1, choices=ALGORITHMS)] = ("fpc", "bdi")
     """The algorithms (``repro.compression.ALGORITHMS`` names, in tag
     order) whose smallest payload each line is stored as, by every design
     that compresses: ``tmc_table``, ``memzip``, ``ideal`` and PTMC.  The
@@ -78,21 +79,6 @@ class SimConfig:
     metadata: MetadataTableConfig = field(default_factory=MetadataTableConfig)
     ptmc: PTMCConfig = field(default_factory=PTMCConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-
-    def __post_init__(self) -> None:
-        for name, least in (("ops_per_core", 1), ("warmup_ops", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:  # a bool is not a count
-                raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
-        if not self.compression or not set(self.compression) <= ALGORITHMS.keys():
-            raise ValueError(
-                f"compression {self.compression!r} must name one or more of "
-                f"{sorted(ALGORITHMS)}"
-            )
-        if self.llc_policy not in POLICIES:
-            raise ValueError(
-                f"unknown llc_policy {self.llc_policy!r}; choose from {sorted(POLICIES)}"
-            )
 
     def with_(self, **overrides) -> "SimConfig":
         """Functional update (the config is frozen)."""

@@ -171,7 +171,7 @@ def resolve_run(workload, options: Mapping[str, Any]) -> Tuple[Workload, SimConf
             raise ValueError(f"bad trace overrides: {exc}") from None
     try:
         config = bench_config(**{k: v for k, v in options.items() if k in CONFIG_OPTIONS})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad config overrides: {exc}") from None
     return workload, config
 

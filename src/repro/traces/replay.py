@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Annotated, Dict, Optional
 
 from repro.cpu.trace import TraceRecord
 from repro.traces.store import TraceStore, trace_store
+from repro.util.schema import Checked, Rule
 from repro.workloads.data import WorkloadData
 from repro.workloads.data_patterns import SPEC_LIKE, DataProfile
 from repro.workloads.generators import (
@@ -49,7 +50,7 @@ from repro.workloads.generators import (
 
 
 @dataclass(frozen=True)
-class TraceWorkload:
+class TraceWorkload(Checked):
     """Spec for replaying one stored trace (cache-key compatible)."""
 
     name: str
@@ -57,7 +58,7 @@ class TraceWorkload:
     suite: str = "trace"
     seed: int = 0
     #: replay at most this many records per loop (0 = the whole trace)
-    limit: int = 0
+    limit: Annotated[int, Rule(least=0)] = 0
     #: wrap around at end of trace; when False the cores simply run out
     loop: bool = True
     #: synthesized mean inter-access gap (captured traces carry no timing)
@@ -65,14 +66,6 @@ class TraceWorkload:
     #: data-synthesis distribution for the line contents
     profile: DataProfile = field(default_factory=lambda: SPEC_LIKE)
     write_scramble: float = 0.05
-
-    def __post_init__(self) -> None:
-        for name, kind in (("limit", int), ("seed", int), ("loop", bool)):
-            value = getattr(self, name)
-            if type(value) is not kind:  # a bool is not an int, nor "false" a bool
-                raise ValueError(f"{name} must be {kind.__name__}, not {value!r}")
-        if self.limit < 0:
-            raise ValueError(f"limit must be >= 0 (0 = the whole trace), not {self.limit}")
 
     def with_seed(self, seed: int) -> "TraceWorkload":
         return replace(self, seed=seed)

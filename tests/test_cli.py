@@ -669,7 +669,7 @@ class TestTraceCLI:
             "sweep", f"trace:{digest.split()[-1]}", "--designs", "ideal",
         ]) == 2
         out = capsys.readouterr().out
-        assert "cannot run trace:" in out and "limit must be >= 0" in out
+        assert "cannot run trace:" in out and "limit must be an int >= 0" in out
         assert not list(cache_dir.glob("*/*.json"))  # nothing simulated or stored
 
     def test_missing_trace_file_is_a_clean_error(self, capsys, tmp_path):

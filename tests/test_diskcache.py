@@ -647,7 +647,7 @@ class TestPolicyKeying:
         assert cache_key(w, "static_ptmc", CFG) == keys["lru"]
 
     def test_unknown_llc_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown llc_policy 'belady'.*srrip"):
+        with pytest.raises(ValueError, match="llc_policy must be a str from .*srrip.*, not 'belady'"):
             bench_config(llc_policy="belady")
         with pytest.raises(ValueError, match="llc_policy"):
             CFG.with_(llc_policy=None)

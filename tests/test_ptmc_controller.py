@@ -456,5 +456,5 @@ class TestMarkerWidth:
 
     @pytest.mark.parametrize("marker_size", [1, 2, 3])
     def test_narrow_markers_rejected(self, marker_size):
-        with pytest.raises(ValueError, match="at least 4 bytes"):
+        with pytest.raises(ValueError, match="marker_size must be an int >= 4"):
             PTMCConfig(marker_size=marker_size)

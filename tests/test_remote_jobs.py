@@ -10,7 +10,10 @@ daemon leases jobs only to workers running its own code, and caches
 only results of its own code.
 """
 
+import json
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import Future
 
 import pytest
@@ -22,7 +25,7 @@ from repro.service.jobstore import Job, JobStore
 from repro.sim import runner
 from repro.sim.diskcache import DiskCache, code_digest
 from repro.service.worker import HttpSource, _Running
-from tests.test_distributed import CFG, make_daemon, submit
+from tests.test_distributed import CFG, make_daemon, submit, wait_for
 
 OPS, WARMUP = 200, 100
 
@@ -40,6 +43,14 @@ def store(tmp_path):
     s = JobStore(tmp_path / "jobs.db")
     yield s
     s.close()
+
+
+@pytest.fixture
+def paused_daemon(tmp_path):
+    """HTTP and reaper up, no pool: a queued job waits for a claim."""
+    d = make_daemon(tmp_path)
+    yield d
+    d.stop()
 
 
 class TestTimeoutBoundsHeartbeat:
@@ -265,3 +276,117 @@ class TestUploadNamesItsCode:
             assert DiskCache(tmp_path / "simcache").get(claimed["key"]) is None
         finally:
             daemon.stop()
+
+
+def post_raw(url: str, body: bytes):
+    """``(status, answer)`` of a POST of raw JSON ``body``: Python's json
+    module writes inf as ``Infinity``, a client may send ``1e999``."""
+    request = urllib.request.Request(
+        url, data=body, method="POST", headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read())
+
+
+class TestLeasesLapse:
+    """A worker's lease is a finite number of seconds > 0: a lease of inf
+    would keep a hung job past its deadline, out of the reaper's reach."""
+
+    def test_a_lease_that_never_lapses_leases_nothing(self, tmp_path):
+        daemon = make_daemon(tmp_path, reaper_interval=0.05)
+        try:
+            client = ServiceClient(daemon.url)
+            job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, timeout=1.0)
+            body = '{"worker_id": "w1", "code": "%s", "lease_seconds": 1e999}' % code_digest()
+            status, answer = post_raw(f"{daemon.url}/jobs/claim", body.encode())
+            assert status == 400
+            assert "lease_seconds must be a number > 0 and < 2**63" in answer["error"]
+            row = daemon.store.get(job["id"])
+            assert (row.state, row.worker_id, row.lease_until, row.attempts) == (
+                jobstore.QUEUED, None, None, 0
+            )
+            # the identity is not wedged: a resubmission joins the queued
+            # row, a lease that lapses is reaped, and the job runs again
+            again = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP, timeout=1.0)
+            assert (again["id"], again["created"]) == (job["id"], False)
+            assert client.claim("w1", lease_seconds=0.2)["id"] == job["id"]
+            assert wait_for(lambda: daemon.store.get(job["id"]).state == jobstore.QUEUED)
+            row = daemon.store.get(job["id"])
+            assert (row.attempts, row.lease_until) == (1, None)
+            assert daemon.workers_seen.lease_expirations == 1
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize(
+        "lease",
+        [b'"abc"', b"[1]", b"true", b'"30"', b"0", b"-1", b"1e999", b"NaN", b"%d" % 2**63],
+    )
+    def test_a_claim_whose_lease_is_not_a_finite_number_over_zero_is_400(
+        self, paused_daemon, lease
+    ):
+        ServiceClient(paused_daemon.url).submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        body = b'{"worker_id": "w1", "code": "%s", "lease_seconds": %s}' % (
+            code_digest().encode(), lease
+        )
+        status, answer = post_raw(f"{paused_daemon.url}/jobs/claim", body)
+        assert status == 400
+        assert answer["error"].startswith("lease_seconds must be a number > 0")
+        assert paused_daemon.store.counts()[jobstore.RUNNING] == 0
+
+    def test_a_heartbeat_whose_lease_is_not_over_zero_renews_nothing(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        client.claim("w1", lease_seconds=60.0)
+        held = paused_daemon.store.get(job["id"]).lease_until
+        for lease in (-5.0, 0, float("inf")):
+            with pytest.raises(ServiceError) as err:
+                client.heartbeat(job["id"], "w1", lease_seconds=lease)
+            assert err.value.status == 400
+            assert "lease_seconds must be" in str(err.value)
+        assert paused_daemon.store.get(job["id"]).lease_until == held
+        # null or absent keeps the daemon's lease
+        assert client.heartbeat(job["id"], "w1")["state"] == jobstore.RUNNING
+
+    @pytest.mark.parametrize("lease", ["inf", "nan", "0", "-1"])
+    def test_worker_cli_refuses_a_lease_that_never_lapses(
+        self, tmp_path, monkeypatch, capsys, lease
+    ):
+        from repro.cli import main
+        from repro.service.worker import Worker
+
+        def run(worker):
+            raise AssertionError("the worker claimed with a bad lease")
+
+        monkeypatch.setattr(Worker, "run", run)
+        argv = ["--cache-dir", str(tmp_path), "worker", "--url", "http://127.0.0.1:9",
+                "--lease-seconds", lease, "--quiet"]
+        assert main(argv) == 2
+        assert "cannot start worker: lease_seconds must be" in capsys.readouterr().out
+
+
+class TestFieldsAreNeitherDroppedNorCoerced:
+    def test_a_failure_whose_error_is_no_string_is_400(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        job = client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        client.claim("w1", lease_seconds=60.0)
+        for error in ({"a": 1}, 7, None):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", f"/jobs/{job['id']}/fail",
+                                {"worker_id": "w1", "error": error})
+            assert err.value.status == 400
+            assert "error must be a str" in str(err.value)
+        row = paused_daemon.store.get(job["id"])
+        assert (row.state, row.attempts, row.error) == (jobstore.RUNNING, 1, None)
+
+    def test_an_undeclared_worker_field_is_400(self, paused_daemon):
+        client = ServiceClient(paused_daemon.url)
+        client.submit("lbm06", "ideal", ops=OPS, warmup=WARMUP)
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/jobs/claim",
+                            {"worker_id": "w1", "code": code_digest(), "lease": 60})
+        assert err.value.status == 400
+        assert "undeclared fields ['lease']" in str(err.value)
+        assert paused_daemon.store.counts()[jobstore.RUNNING] == 0

@@ -177,20 +177,36 @@ class TestApiSurface:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/jobs", {"workload": "lbm06", "design": "ideal", field: value})
         assert err.value.status == 400
-        assert repr(field) in err.value.message
+        assert f"{field} must be" in err.value.message
         assert paused_daemon.store.counts()[jobstore.QUEUED] == 0
 
     @pytest.mark.parametrize(
         "option, value",
         [("max_attempts", 0), ("max_attempts", 2.7), ("default_timeout", -5.0),
-         ("default_timeout", float("nan"))],
+         ("default_timeout", float("nan")), ("lease_seconds", 0), ("lease_seconds", -1.0),
+         ("lease_seconds", float("inf")), ("lease_seconds", float("nan")),
+         ("lease_seconds", "30")],
     )
     def test_service_defaults_take_the_same_bounds(self, tmp_path, option, value):
-        """``repro serve --max-attempts/--job-timeout`` are checked as a
-        submission's fields, before the daemon opens its store."""
+        """``repro serve --max-attempts/--job-timeout/--lease-seconds`` are
+        checked as a submission's or a claim's fields, before the daemon
+        opens its store."""
         with pytest.raises(ValueError, match="must be"):
             ServiceDaemon(db_path=tmp_path / "service.db", port=0, **{option: value})
         assert not (tmp_path / "service.db").exists()
+
+    def test_undeclared_submission_field_is_400(self, paused_daemon):
+        """A misspelt field is no silent default: ``timout`` would run
+        the job with no timeout at all."""
+        client = ServiceClient(paused_daemon.url)
+        body = {"workload": "lbm06", "design": "ideal", "config": {"ops_per_core": OPS},
+                "timout": 5}
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/jobs", body)
+        assert err.value.status == 400
+        assert "undeclared fields ['timout']" in err.value.message
+        assert "'timeout'" in err.value.message  # the declared names are listed
+        assert paused_daemon.store.counts()[jobstore.QUEUED] == 0
 
     def test_unknown_run_option_is_400(self, paused_daemon):
         client = ServiceClient(paused_daemon.url)
@@ -365,4 +381,4 @@ class TestPolicySubmission:
         client = ServiceClient(daemon.url)
         with pytest.raises(ServiceError) as err:
             client.submit("lbm06", "ideal", llc_policy="belady")
-        assert "unknown llc_policy" in str(err.value)
+        assert "llc_policy must be a str from" in str(err.value)

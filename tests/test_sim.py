@@ -36,7 +36,7 @@ class TestResolveRun:
             ({"seed": 3}, "unsupported config overrides ['seed']"),
             ({"trace_seed": 3}, "['trace_seed'] only apply to trace:<hash> workloads"),
             ({"trace_limit": 5, "trace_loop": False}, "['trace_limit', 'trace_loop'] only"),
-            ({"llc_policy": "belady"}, "bad config overrides: unknown llc_policy"),
+            ({"llc_policy": "belady"}, "bad config overrides: llc_policy must be a str from"),
             ({"ops_per_core": "200"}, "ops_per_core must be an int >= 1, not '200'"),
             ({"ops_per_core": True}, "ops_per_core must be an int >= 1, not True"),
             ({"ops_per_core": 2.5}, "ops_per_core must be an int >= 1, not 2.5"),

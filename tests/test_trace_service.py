@@ -102,6 +102,16 @@ class TestTraceUpload:
                 client._request("POST", "/traces", payload)
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("field, value", [("name", {"a": 1}), ("name", None), ("format", 7),
+                                              ("content", ["r 0x40"]), ("nmae", "x")])
+    def test_fields_are_neither_coerced_nor_dropped(self, daemon, field, value):
+        client = ServiceClient(daemon.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/traces", {"content": toy_text().decode(), field: value})
+        assert excinfo.value.status == 400
+        assert repr(field) in excinfo.value.message or f"{field} must be" in excinfo.value.message
+        assert client.traces() == []
+
     def test_lenient_upload_counts_errors(self, daemon):
         client = ServiceClient(daemon.url)
         trace = client.upload_trace(

@@ -373,7 +373,7 @@ class TestTraceReplay:
         # a negative limit would replay the whole trace like 0, under
         # another key
         info, _ = ingest_toy()
-        with pytest.raises(ValueError, match="limit must be >= 0"):
+        with pytest.raises(ValueError, match="limit must be an int >= 0"):
             trace_workload(info.hash, limit=-1)
 
     def test_per_core_streams_share_addresses_not_data(self):
@@ -443,19 +443,19 @@ class TestTraceRunOptions:
 
     def test_negative_limit_is_a_value_error(self):
         info, _ = ingest_toy()
-        with pytest.raises(ValueError, match="bad trace overrides: limit must be >= 0"):
+        with pytest.raises(ValueError, match="bad trace overrides: limit must be an int >= 0"):
             runner.resolve_run(f"trace:{info.hash}", {"trace_limit": -5})
 
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"trace_loop": "false"}, "loop must be bool, not 'false'"),
-            ({"trace_loop": 0}, "loop must be bool, not 0"),
-            ({"trace_limit": "50"}, "limit must be int, not '50'"),
-            ({"trace_limit": True}, "limit must be int, not True"),
-            ({"trace_limit": 2.5}, "limit must be int, not 2.5"),
-            ({"trace_seed": "3"}, "seed must be int, not '3'"),
-            ({"trace_seed": False}, "seed must be int, not False"),
+            ({"trace_loop": "false"}, "loop must be a bool, not 'false'"),
+            ({"trace_loop": 0}, "loop must be a bool, not 0"),
+            ({"trace_limit": "50"}, "limit must be an int >= 0, not '50'"),
+            ({"trace_limit": True}, "limit must be an int >= 0, not True"),
+            ({"trace_limit": 2.5}, "limit must be an int >= 0, not 2.5"),
+            ({"trace_seed": "3"}, "seed must be an int, not '3'"),
+            ({"trace_seed": False}, "seed must be an int, not False"),
         ],
     )
     def test_option_of_another_type_is_a_value_error(self, options, message):
