@@ -157,7 +157,7 @@ class CacheHierarchy:
         addr: int,
         is_write: bool,
         now: int,
-        write_data: Optional[bytes] = None,
+        write_data: Optional[Contents] = None,
     ) -> int:
         """One demand access from a core; returns the cycle its data is
         available (the serving level's latency after ``now``, or the
@@ -230,9 +230,10 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------------
 
-    def _store(self, addr: int, data: bytes) -> None:
+    def _store(self, addr: int, data: Contents) -> None:
         """Write-through a store: the L3 record, which the private levels
-        holding the line share, takes the data and the dirty bit."""
+        holding the line share, takes the data (deferred or not, as the
+        record carried it) and the dirty bit."""
         line = self.l3.probe(addr)
         if line is None:
             raise RuntimeError("inclusion violated: store target missing from L3")

@@ -3,11 +3,13 @@
 One DRAM access per demanded line, one writeback per dirty eviction —
 the reference every design in the paper is normalised against.
 
-The controller never inspects the bytes it moves, so it reads a line
-with :meth:`~repro.dram.storage.PhysicalMemory.read_deferred`: a
-never-written line reaches the LLC unrendered, and in a simulation no
-one renders it, because a store replaces it and a clean eviction drops
-it (DESIGN.md §14).
+The controller never inspects the bytes it moves.  It reads a line with
+:meth:`~repro.dram.storage.PhysicalMemory.read_deferred`, so a
+never-written line reaches the LLC unrendered, and it writes a dirty
+victim's contents back as the LLC holds them, so a store's deferred
+contents (a :class:`~repro.types.StoredVersion`) go to memory
+unrendered and come back the same way.  In a simulation no one renders
+either (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -36,4 +38,4 @@ class UncompressedController(MemoryController):
     ) -> None:
         if evicted.dirty:
             self.dram.access(evicted.addr, now, _DATA_WRITE)
-            self.memory.write(evicted.addr, evicted.data)
+            self.memory.write(evicted.addr, evicted._data)

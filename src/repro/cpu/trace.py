@@ -2,8 +2,11 @@
 
 A trace is an iterable of :class:`TraceRecord`: "after ``gap`` non-memory
 instructions, perform this load/store to this virtual line".  Stores carry
-the new 64-byte contents, because compressibility is a property of real
-data values and the whole system under study manipulates real bytes.
+the new line contents, because compressibility is a property of real
+data values and the whole system under study manipulates real bytes.  A
+generator's store carries them deferred (a
+:class:`~repro.types.StoredVersion`), rendered only if a controller reads
+them; a record built by hand may carry the 64 bytes themselves.
 
 Records come from the synthetic workload generators
 (:mod:`repro.workloads`), from stored traces replayed by
@@ -14,6 +17,8 @@ by hand in tests.
 from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Optional
+
+from repro.types import Contents
 
 
 class TraceRecord(NamedTuple):
@@ -30,8 +35,10 @@ class TraceRecord(NamedTuple):
     vline: int
     """Virtual line address (64-byte granularity)."""
 
-    write_data: Optional[bytes] = None
-    """New line contents for stores; ``None`` for loads."""
+    write_data: Optional[Contents] = None
+    """New line contents for stores, as bytes or deferred (a generator's
+    records hold a :class:`~repro.types.StoredVersion`, whose ``render()``
+    gives the bytes); ``None`` for loads."""
 
     @property
     def instructions(self) -> int:

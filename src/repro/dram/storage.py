@@ -8,19 +8,22 @@ exactly as in the paper's commodity-DIMM setting: the DIMM stores and
 returns 64-byte bursts and nothing more.
 
 A never-written slot holds its first-touch contents, rendered from its
-address.  :meth:`PhysicalMemory.read` renders and stores them;
-:meth:`PhysicalMemory.read_deferred` hands them over unrendered, for a
-controller that passes them to the LLC as they are: new pages are
-installed uncompressed, so a never-written slot holds its own line
-(DESIGN.md §14).
+address, and a slot written with a store's deferred contents (a
+:class:`~repro.types.StoredVersion`, which the uncompressed baselines
+write back as the LLC holds it) keeps that deferral.
+:meth:`PhysicalMemory.read` renders either and stores the bytes;
+:meth:`PhysicalMemory.read_deferred` hands either over unrendered, for a
+controller that passes it to the LLC as it is: new pages are installed
+uncompressed, so a never-written slot holds its own line (DESIGN.md
+§14).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from repro.compression.base import LINE_SIZE
-from repro.types import Contents, FirstTouch
+from repro.types import Contents, FirstTouch, StoredVersion
 
 _ZERO_LINE = b"\x00" * LINE_SIZE
 
@@ -41,7 +44,7 @@ class PhysicalMemory:
         initial_content: Optional[Callable[[int], bytes]] = None,
     ) -> None:
         self.capacity_lines = capacity_lines
-        self._lines: Dict[int, bytes] = {}
+        self._lines: Dict[int, Union[bytes, StoredVersion]] = {}
         self._initial_content = initial_content
         #: ``_first_touch``, bound once rather than per deferral: every
         #: FirstTouch this memory hands out calls it
@@ -49,10 +52,13 @@ class PhysicalMemory:
 
     def read(self, line_addr: int) -> bytes:
         """Return the 64 bytes at ``line_addr``; a never-written slot's
-        first-touch contents are rendered and stored."""
+        first-touch contents, or a stored deferral, are rendered and the
+        bytes stored."""
         self._check(line_addr)
         data = self._lines.get(line_addr)
         if data is not None:
+            if data.__class__ is StoredVersion:
+                data = self._lines[line_addr] = data.render()
             return data
         if self._initial_content is None:
             return _ZERO_LINE
@@ -62,13 +68,14 @@ class PhysicalMemory:
     def read_deferred(self, line_addr: int) -> Contents:
         """:meth:`read` for a reader that may never look at the bytes.
 
-        A written or already stored slot returns its bytes; a
-        never-written one returns a :class:`~repro.types.FirstTouch`,
-        which renders the first-touch contents from the address when a
-        record's ``data`` is first read.  Nothing is stored, and the
-        deferral never reads the slot again, so it yields what
-        :meth:`read` would have returned now, whatever is written there
-        later.
+        A written or already stored slot returns what it holds: its
+        bytes, or the :class:`~repro.types.StoredVersion` it was written
+        with.  A never-written one returns a
+        :class:`~repro.types.FirstTouch`, which renders the first-touch
+        contents from the address when a record's ``data`` is first read.
+        Nothing is stored, and neither deferral ever reads the slot
+        again, so each yields what :meth:`read` would have returned now,
+        whatever is written there later.
         """
         if not 0 <= line_addr < self.capacity_lines:  # ``_check``, inline
             raise IndexError(f"line address {line_addr} out of range")
@@ -85,9 +92,15 @@ class PhysicalMemory:
             raise ValueError("initial_content must produce 64-byte lines")
         return data
 
-    def write(self, line_addr: int, data: bytes) -> None:
-        """Store 64 bytes at ``line_addr``."""
+    def write(self, line_addr: int, data: Union[bytes, StoredVersion]) -> None:
+        """Store 64 bytes at ``line_addr``, or a store's deferred
+        contents as they are (their length is checked when they render).
+        A :class:`~repro.types.FirstTouch` is never written: a line still
+        holding one is clean."""
         self._check(line_addr)
+        if data.__class__ is StoredVersion:
+            self._lines[line_addr] = data
+            return
         if len(data) != LINE_SIZE:
             raise ValueError(f"expected {LINE_SIZE} bytes, got {len(data)}")
         self._lines[line_addr] = bytes(data)
@@ -97,11 +110,14 @@ class PhysicalMemory:
             raise IndexError(f"line address {line_addr} out of range")
 
     def resident_lines(self) -> Dict[int, bytes]:
-        """Snapshot of every stored slot (for rekey sweeps): each written
-        one, and each never-written one whose first-touch contents
-        :meth:`read` rendered.  Slots read only by :meth:`read_deferred`
-        are not in it."""
-        return dict(self._lines)
+        """Snapshot of every stored slot's bytes (for rekey sweeps): each
+        written one, a deferral rendered, and each never-written one whose
+        first-touch contents :meth:`read` rendered.  Slots read only by
+        :meth:`read_deferred` are not in it."""
+        return {
+            addr: data.render() if data.__class__ is StoredVersion else data
+            for addr, data in self._lines.items()
+        }
 
     def __len__(self) -> int:
         return len(self._lines)

@@ -422,10 +422,12 @@ class ServiceDaemon:
         rate_limit: float = 0.0,
         rate_burst: Optional[float] = None,
     ) -> None:
-        # the defaults take the bounds of the request fields they stand for
-        check_field(JobRequest, "max_attempts", max_attempts)
+        # the defaults take the bounds of the request fields they stand for;
+        # a request's null means "the daemon's value", so only the timeout,
+        # whose null is "none", may be null here
+        check_field(JobRequest, "max_attempts", max_attempts, required=True)
         check_field(JobRequest, "timeout", default_timeout)
-        check_field(Heartbeat, "lease_seconds", lease_seconds)
+        check_field(Heartbeat, "lease_seconds", lease_seconds, required=True)
         self.max_attempts = max_attempts
         #: the timeout written onto every submission that names none
         self.default_timeout = default_timeout

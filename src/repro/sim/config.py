@@ -85,13 +85,19 @@ class SimConfig(Checked):
         return replace(self, **overrides)
 
 
+def _preset(overrides, **scale) -> SimConfig:
+    """``SimConfig(**scale)`` with ``overrides`` in place of any of its
+    fields: one construction, and one check."""
+    return SimConfig(**{**scale, **overrides})
+
+
 def paper_config(**overrides) -> SimConfig:
     """Paper Table I scale (impractically large for Python traces)."""
-    base = SimConfig(
+    return _preset(
+        overrides,
         capacity_lines=1 << 28,  # 16GB
         hierarchy=HierarchyConfig(),  # 8MB L3 etc.
     )
-    return base.with_(**overrides) if overrides else base
 
 
 def bench_config(**overrides) -> SimConfig:
@@ -106,7 +112,8 @@ def bench_config(**overrides) -> SimConfig:
     — the same regimes as 32KB vs GB-scale footprints at paper scale.
     ``perfbench``'s result digests pin every value here.
     """
-    base = SimConfig(
+    return _preset(
+        overrides,
         hierarchy=HierarchyConfig(
             l1_bytes=16 * 1024,
             l2_bytes=64 * 1024,
@@ -118,12 +125,12 @@ def bench_config(**overrides) -> SimConfig:
         # cost) match the paper's 12-bit / 1% values at full scale
         sampling=SamplingConfig(counter_bits=8, sample_period=4, per_core=True, benefit_weight=3),
     )
-    return base.with_(**overrides) if overrides else base
 
 
 def quick_config(**overrides) -> SimConfig:
     """A very small system for unit/integration tests (fast, still 8-core)."""
-    base = SimConfig(
+    return _preset(
+        overrides,
         ops_per_core=2_000,
         capacity_lines=1 << 18,
         hierarchy=HierarchyConfig(
@@ -134,4 +141,3 @@ def quick_config(**overrides) -> SimConfig:
         metadata=MetadataTableConfig(cache_bytes=1 * 1024),
         sampling=SamplingConfig(counter_bits=6, sample_period=4, per_core=True, benefit_weight=3),
     )
-    return base.with_(**overrides) if overrides else base

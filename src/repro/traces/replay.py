@@ -38,6 +38,7 @@ from typing import Annotated, Dict, Optional
 
 from repro.cpu.trace import TraceRecord
 from repro.traces.store import TraceStore, trace_store
+from repro.types import StoredVersion
 from repro.util.schema import Checked, Rule
 from repro.workloads.data import WorkloadData
 from repro.workloads.data_patterns import SPEC_LIKE, DataProfile
@@ -163,7 +164,7 @@ class TraceReplayGenerator(RecordStreamGenerator):
         if is_write:
             version = self._versions.get(vline, 0) + 1
             self._versions[vline] = version
-            return TraceRecord(gap, True, vline, self.data.line(vline, version))
+            return TraceRecord(gap, True, vline, StoredVersion(self.data, vline, version))
         return TraceRecord(gap, False, vline, None)
 
 

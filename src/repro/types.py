@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from enum import Enum, IntEnum
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Union
+
+from repro.compression.base import LINE_SIZE
 
 
 class Level(IntEnum):
@@ -80,25 +82,61 @@ class FirstTouch:
         return f"FirstTouch(line_addr={self.line_addr:#x})"
 
 
+class StoredVersion:
+    """A store's new contents, not rendered yet: version ``version`` of
+    virtual line ``vline``, as ``data`` (a
+    :class:`~repro.workloads.data_patterns.DataGenerator`) renders it.
+
+    A trace generator puts one in a store's record instead of the bytes.
+    It travels as the contents of the L3 record the store updates and,
+    once a dirty eviction writes it, of the memory slot.  :meth:`render`
+    calls ``data.line`` (the instance attribute, looked up when it
+    renders), checks the length and keeps the bytes, so however many
+    records and slots hold it, it renders at most once.
+    """
+
+    __slots__ = ("data", "vline", "version", "_line")
+
+    def __init__(self, data, vline: int, version: int) -> None:
+        self.data = data
+        self.vline = vline
+        self.version = version
+        self._line: Optional[bytes] = None
+
+    def render(self) -> bytes:
+        """The 64 bytes of this version of the line."""
+        line = self._line
+        if line is None:
+            line = self.data.line(self.vline, self.version)
+            if len(line) != LINE_SIZE:
+                raise ValueError(f"expected {LINE_SIZE} bytes, got {len(line)}")
+            self._line = line
+        return line
+
+    def __repr__(self) -> str:
+        return f"StoredVersion(vline={self.vline:#x}, version={self.version})"
+
+
 #: What a line record holds as its contents: the bytes, or a deferral.
-Contents = Union[bytes, FirstTouch]
+Contents = Union[bytes, FirstTouch, StoredVersion]
 
 
 def _rendered(record) -> bytes:
     data = record._data
-    if data.__class__ is FirstTouch:
+    if data.__class__ is FirstTouch or data.__class__ is StoredVersion:
         data = record._data = data.render()
     return data
 
 
-def _replace(record, data: bytes) -> None:
+def _replace(record, data: Contents) -> None:
     record._data = data
 
 
 #: ``data`` of a line record: its 64 bytes, always.  The record keeps its
 #: contents in the ``_data`` slot, which may hold a :class:`FirstTouch`
-#: until the first read of ``data`` renders it; the cache hierarchy moves
-#: ``_data`` from a read into its L3 record without rendering it.
+#: or a :class:`StoredVersion` until the first read of ``data`` renders
+#: it; the cache hierarchy moves ``_data`` from a read into its L3 record,
+#: and a store's contents into the record it updates, without rendering.
 line_data = property(_rendered, _replace, doc="The line's 64 bytes.")
 
 #: ``extra_lines`` of a read that co-fetches nothing: one shared, read-only

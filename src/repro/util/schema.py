@@ -146,12 +146,15 @@ def check(obj: Any) -> None:
             raise _error(field, value)
 
 
-def check_field(cls: type, name: str, value: Any) -> None:
+def check_field(cls: type, name: str, value: Any, required: bool = False) -> None:
     """Raise :class:`ValueError` unless ``value`` fits field ``name`` of
-    dataclass ``cls``, as :func:`check` would."""
+    dataclass ``cls``, as :func:`check` would; ``required`` takes None
+    away from an ``Optional`` field."""
     for declared, types, field, _ in _schema(cls):
         if declared == name:
-            if type(value) not in types or not _ruled(field, value):
+            if required:
+                field = field._replace(types=types - {type(None)})
+            if type(value) not in field.types or not _ruled(field, value):
                 raise _error(field, value)
             return
     raise KeyError(f"{cls.__name__} declares no field {name!r}")

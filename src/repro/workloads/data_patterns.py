@@ -194,9 +194,10 @@ class DataGenerator:
         Version 0, a line's first-touch contents, is memoized: every run
         of the workload reads the same first-touch lines.  A stored
         version is memoized only after :meth:`keep_stored_versions`: one
-        run asks for each stored version once, and its trace record
-        carries it, so the memo hits only in a later run of the workload
-        that draws the same records again.
+        run asks for each stored version at most once, when the
+        :class:`~repro.types.StoredVersion` its trace record carries
+        renders (it keeps the bytes), so the memo hits only in a later
+        run of the workload that draws the same records again.
         """
         if not version:
             line = self._first_touch.get(vline)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import TraceRecord
+from repro.types import StoredVersion
 from repro.workloads.data import WorkloadData
 from repro.workloads.data_patterns import (
     GRAPH_LIKE,
@@ -264,7 +265,10 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
         The gap, then the address, then the store decision.  An address
         finishes the burst opened by the last jump, continues the stream
         (or jumps from it), or reuses a hot line or jumps at random,
-        which opens a burst.  Every address joins the hot set.
+        which opens a burst.  Every address joins the hot set.  A store
+        carries its new version of the line deferred, as a
+        :class:`~repro.types.StoredVersion`: it renders only if a
+        controller reads its bytes (DESIGN.md §14).
         """
         getrandbits = self._getrandbits
         random = self._random
@@ -297,7 +301,9 @@ class WorkloadTraceGenerator(RecordStreamGenerator):
             versions = self._versions
             version = versions.get(vline, 0) + 1
             versions[vline] = version
-            return _new_record(TraceRecord, (gap, True, vline, self.data.line(vline, version)))
+            return _new_record(
+                TraceRecord, (gap, True, vline, StoredVersion(self.data, vline, version))
+            )
         return _new_record(TraceRecord, (gap, False, vline, None))
 
 
@@ -311,8 +317,10 @@ class TraceChunk:
         return len(self.records)
 
     def write_lines(self) -> List[bytes]:
-        """Data of the write records, in trace order (duplicates kept)."""
-        return [record.write_data for record in self.records if record.is_write]
+        """Data of the write records, in trace order (duplicates kept):
+        each record's :class:`~repro.types.StoredVersion`, rendered (once:
+        it keeps its bytes)."""
+        return [record.write_data.render() for record in self.records if record.is_write]
 
 
 def make_mix(name: str, specs, seed: int = 0) -> "MixWorkload":

@@ -8,7 +8,9 @@ fixture pins the streams themselves, as sha256 digests:
   :class:`~repro.workloads.generators.WorkloadTraceGenerator` on two
   cores each of a SPEC-like, a GAP-like and a low-MPKI roster spec,
   through both ``generate`` and ``generate_batched``, plus the
-  generator's ``reference`` model once the records are drawn;
+  generator's ``reference`` model once the records are drawn (a store's
+  ``write_data`` is hashed as the bytes it renders, since a record
+  carries its contents deferred);
 - :class:`~repro.traces.replay.TraceReplayGenerator` over a small
   ingested trace, looping and not;
 - 4,096 ``DataGenerator.line(vline, version)`` renders per data profile,
@@ -71,7 +73,8 @@ def _digest_records(records: Iterator) -> Dict[str, object]:
     h = hashlib.sha256()
     count = 0
     for r in records:
-        h.update(repr((r.gap, r.is_write, r.vline, r.write_data)).encode())
+        data = None if r.write_data is None else r.write_data.render()
+        h.update(repr((r.gap, r.is_write, r.vline, data)).encode())
         count += 1
     return {"count": count, "sha256": h.hexdigest()}
 

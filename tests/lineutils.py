@@ -66,3 +66,17 @@ compressible_lines = st.one_of(
 )
 
 any_lines = st.one_of(raw_lines, compressible_lines)
+
+
+class Versions:
+    """A stand-in ``DataGenerator``: version ``n`` of line ``v`` is
+    ``bytes([v, n])`` repeated to ``size`` bytes, and every render is
+    logged in ``calls``."""
+
+    def __init__(self, size=LINE_SIZE):
+        self.size = size
+        self.calls = []
+
+    def line(self, vline, version=0):
+        self.calls.append((vline, version))
+        return bytes([vline % 256, version % 256]) * (self.size // 2)

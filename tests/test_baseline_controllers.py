@@ -14,11 +14,11 @@ from repro.core.prefetch import NextLinePrefetchController
 from repro.core.uncompressed import UncompressedController
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
-from repro.types import Category, Level, ReadResult
+from repro.types import _NO_EXTRA_LINES, Category, Level, ReadResult, StoredVersion
 from repro.util.hashing import KeyedHash
 from repro.workloads.data_patterns import PatternKind, render_pattern
 from tests.controller_harness import FakeLLC, category_counts, evicted
-from tests.lineutils import quad_friendly_line, random_line, zero_line
+from tests.lineutils import Versions, quad_friendly_line, random_line, zero_line
 
 
 def build(cls, **kwargs):
@@ -43,6 +43,45 @@ def test_first_touch_read_outlives_a_rewrite_of_its_slot(cls):
     assert result.data == first_touch(5)
     if cls is NextLinePrefetchController:
         assert result.extra_lines == {6: first_touch(6)}
+
+
+@pytest.mark.parametrize("cls", [UncompressedController, NextLinePrefetchController])
+def test_stored_contents_go_to_memory_and_back_unrendered(cls):
+    """A dirty victim holding a store's deferred contents is written back
+    as it is, and a read of that slot hands the same deferral to the LLC:
+    neither baseline renders what it moves."""
+    ctrl = build(cls)
+    versions = Versions()
+    stored = StoredVersion(versions, 5, 3)
+    ctrl.handle_eviction(evicted(5, stored), 0, 0, FakeLLC())
+    assert ctrl.memory.read_deferred(5) is stored
+    llc = FakeLLC()
+    llc.add(6, zero_line())  # nothing for the prefetcher to co-fetch
+    result = ctrl.read_line(5, 0, 0, llc)
+    assert result._data is stored
+    assert category_counts(ctrl) == {"data_write": 1, "data_read": 1}
+    assert versions.calls == []
+    assert result.data == bytes([5, 3]) * 32
+    assert versions.calls == [(5, 3)]
+
+
+def test_prefetcher_co_fetches_stored_contents_as_bytes():
+    """``extra_lines`` values are bytes: a co-fetched slot holding a
+    store's deferral is rendered, once, and its bytes stored."""
+    ctrl = build(NextLinePrefetchController)
+    versions = Versions()
+    ctrl.handle_eviction(evicted(6, StoredVersion(versions, 6, 1)), 0, 0, FakeLLC())
+    result = ctrl.read_line(5, 0, 0, FakeLLC())
+    assert result.extra_lines == {6: bytes([6, 1]) * 32}
+    assert type(ctrl.memory.read_deferred(6)) is bytes
+    assert versions.calls == [(6, 1)]
+
+
+def test_prefetch_read_without_co_fetch_shares_the_empty_mapping():
+    llc = FakeLLC()
+    llc.add(6, zero_line())
+    result = build(NextLinePrefetchController).read_line(5, 0, 0, llc)
+    assert result.extra_lines is _NO_EXTRA_LINES
 
 
 class TestUncompressed:

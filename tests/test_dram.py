@@ -8,7 +8,9 @@ from repro.cache.cache import CacheLine
 from repro.dram.storage import PhysicalMemory
 from repro.dram.system import DRAMSystem
 from repro.dram.timing import DDRTiming, DRAMGeometry, ns_to_cycles
-from repro.types import Category, Level, ReadResult
+from repro.types import Category, Level, ReadResult, StoredVersion
+from repro.workloads import WorkloadTraceGenerator, get_workload
+from tests.lineutils import Versions
 
 
 class TestTiming:
@@ -189,8 +191,8 @@ class TestPhysicalMemory:
 
 
 class TestDeferredRead:
-    """``read_deferred``: a never-written slot's contents, unrendered until
-    a record's ``data`` is read."""
+    """``read_deferred``: a never-written slot's contents, or a store's
+    (a ``StoredVersion``), unrendered until a record's ``data`` is read."""
 
     @staticmethod
     def memory(capacity=1024):
@@ -260,6 +262,70 @@ class TestDeferredRead:
         with pytest.raises(ValueError):
             line.data
 
+    def test_stored_version_written_unrendered(self):
+        mem, versions = PhysicalMemory(16), Versions()
+        stored = StoredVersion(versions, 5, 2)
+        mem.write(3, stored)
+        assert mem.read_deferred(3) is stored
+        assert len(mem) == 1
+        assert versions.calls == []
+
+    def test_read_renders_a_stored_version_once_and_stores_it(self):
+        mem, versions = PhysicalMemory(16), Versions()
+        stored = StoredVersion(versions, 5, 2)
+        mem.write(3, stored)
+        line = CacheLine(3, mem.read_deferred(3))
+        result = ReadResult(3, mem.read_deferred(3), Level.UNCOMPRESSED, 0)
+        assert mem.read(3) == bytes([5, 2]) * 32
+        assert type(mem.read_deferred(3)) is bytes
+        # every record holding the deferral shares that one render
+        assert line.data == result.data == bytes([5, 2]) * 32
+        assert type(line.data) is bytes
+        assert versions.calls == [(5, 2)]
+
+    def test_stored_version_renders_its_own_version_later(self):
+        generator = WorkloadTraceGenerator(get_workload("lbm06"), 0)
+        data = generator.data
+        render = data.line
+        calls = []
+
+        def counted(vline, version=0):
+            calls.append((vline, version))
+            return render(vline, version)
+
+        data.line = counted
+        first = {}
+        for record in generator.generate(20_000):
+            if record.is_write:
+                if record.vline in first:
+                    break
+                first[record.vline] = record.write_data
+        stored = first[record.vline]
+        assert calls == []  # a store's record renders nothing
+        assert generator._versions[record.vline] == stored.version + 1
+        assert stored.render() == render(record.vline, stored.version)
+        # rendered through the generator's instance attribute, when asked
+        assert calls == [(record.vline, stored.version)]
+
+    def test_short_stored_version_raises(self):
+        mem = PhysicalMemory(16)
+        mem.write(0, StoredVersion(Versions(size=8), 0, 1))
+        with pytest.raises(ValueError, match="expected 64 bytes"):
+            mem.read(0)
+        with pytest.raises(ValueError, match="expected 64 bytes"):
+            CacheLine(0, mem.read_deferred(0)).data
+
+    def test_resident_lines_renders_stored_versions(self):
+        mem, versions = PhysicalMemory(16), Versions()
+        mem.write(3, StoredVersion(versions, 5, 2))
+        mem.write(4, b"\x01" * 64)
+        assert mem.resident_lines() == {3: bytes([5, 2]) * 32, 4: b"\x01" * 64}
+        assert versions.calls == [(5, 2)]
+
+    def test_stored_version_write_checks_bounds(self):
+        mem = PhysicalMemory(16)
+        with pytest.raises(IndexError):
+            mem.write(16, StoredVersion(Versions(), 0, 1))
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.booleans()), max_size=60))
 def test_time_monotonic_per_stream(ops):

@@ -134,6 +134,15 @@ class TestRules:
         with pytest.raises(KeyError, match="lease"):
             check_field(Claim, "lease", 30.0)
 
+    def test_a_required_field_takes_no_null(self):
+        check_field(Claim, "lease_seconds", 30.0, required=True)
+        with pytest.raises(
+            ValueError, match=r"^lease_seconds must be a number > 0 and < 2\*\*63, not None$"
+        ):
+            check_field(Claim, "lease_seconds", None, required=True)
+        # the field itself is still optional
+        check_field(Claim, "lease_seconds", None)
+
 
 class TestLoad:
     def test_loads_a_json_object(self):

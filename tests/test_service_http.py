@@ -182,15 +182,17 @@ class TestApiSurface:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("max_attempts", 0), ("max_attempts", 2.7), ("default_timeout", -5.0),
-         ("default_timeout", float("nan")), ("lease_seconds", 0), ("lease_seconds", -1.0),
-         ("lease_seconds", float("inf")), ("lease_seconds", float("nan")),
-         ("lease_seconds", "30")],
+        [("max_attempts", 0), ("max_attempts", 2.7), ("max_attempts", None),
+         ("default_timeout", -5.0), ("default_timeout", float("nan")), ("lease_seconds", 0),
+         ("lease_seconds", -1.0), ("lease_seconds", float("inf")),
+         ("lease_seconds", float("nan")), ("lease_seconds", "30"), ("lease_seconds", None)],
     )
     def test_service_defaults_take_the_same_bounds(self, tmp_path, option, value):
         """``repro serve --max-attempts/--job-timeout/--lease-seconds`` are
         checked as a submission's or a claim's fields, before the daemon
-        opens its store."""
+        opens its store.  A null attempt count or lease is no default (a
+        request's null stands for the daemon's value); only a null
+        timeout is legal, meaning none."""
         with pytest.raises(ValueError, match="must be"):
             ServiceDaemon(db_path=tmp_path / "service.db", port=0, **{option: value})
         assert not (tmp_path / "service.db").exists()

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
-from repro.sim.config import bench_config, paper_config, quick_config
+from repro.cache.hierarchy import HierarchyConfig
+from repro.core.metadata_table import MetadataTableConfig
+from repro.sim.config import SamplingConfig, SimConfig, bench_config, paper_config, quick_config
 from repro.sim.results import SimResult, geometric_mean, normalized_bandwidth, weighted_speedup
 from repro.sim import suite_geomean, sweep
 from repro.sim import runner
@@ -72,6 +74,35 @@ class TestConfigs:
         cfg = paper_config()
         assert cfg.capacity_lines == 1 << 28  # 16GB
         assert cfg.hierarchy.l3_bytes == 8 * 1024 * 1024
+
+    @pytest.mark.parametrize("preset", [paper_config, bench_config, quick_config])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"ops_per_core": 200, "warmup_ops": 100},
+            {"capacity_lines": 1 << 20, "llc_policy": "srrip", "compression": ("bdi",)},
+            {"hierarchy": HierarchyConfig(l3_bytes=512 * 1024)},
+            {"sampling": SamplingConfig(), "metadata": MetadataTableConfig(), "seed": 4},
+        ],
+        ids=["none", "lengths", "fields", "hierarchy", "sections"],
+    )
+    def test_preset_with_overrides_equals_two_steps(self, preset, overrides):
+        """A preset built with overrides is the preset, then ``with_``."""
+        assert preset(**overrides) == preset().with_(**overrides)
+
+    @pytest.mark.parametrize("options", [{}, {"ops_per_core": 200, "warmup_ops": 100}])
+    def test_resolve_run_constructs_one_config(self, monkeypatch, options):
+        built = []
+        check = SimConfig.__post_init__
+
+        def counted(config):
+            built.append(config)
+            check(config)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", counted)
+        _, config = runner.resolve_run("lbm06", options)
+        assert len(built) == 1 and built[0] is config
 
 
 class TestBuildController:

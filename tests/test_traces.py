@@ -382,8 +382,8 @@ class TestTraceReplay:
         a = list(spec.make_generator(0).generate(64))
         b = list(spec.make_generator(1).generate(64))
         assert [(r.is_write, r.vline) for r in a] == [(r.is_write, r.vline) for r in b]
-        data_a = [r.write_data for r in a if r.is_write]
-        data_b = [r.write_data for r in b if r.is_write]
+        data_a = [r.write_data.render() for r in a if r.is_write]
+        data_b = [r.write_data.render() for r in b if r.is_write]
         assert data_a != data_b  # per-core seeds decorrelate contents
 
     def test_replay_is_deterministic_across_fresh_state(self):

@@ -120,7 +120,7 @@ class TestTraceGenerator:
         _, records = self._trace()
         for r in records:
             if r.is_write:
-                assert r.write_data is not None and len(r.write_data) == 64
+                assert r.write_data is not None and len(r.write_data.render()) == 64
             else:
                 assert r.write_data is None
 
@@ -129,7 +129,7 @@ class TestTraceGenerator:
         last = {}
         for r in records:
             if r.is_write:
-                last[r.vline] = r.write_data
+                last[r.vline] = r.write_data.render()
         assert gen.reference == last
 
     def test_spatial_locality_spec_vs_gap(self):
