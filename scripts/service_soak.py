@@ -43,9 +43,9 @@ OPS, WARMUP = 200, 100
 JOBS = 200
 CHECKPOINTS = (100, 200)
 #: Allowed growth of the pool process's peak RSS from job 100 to job 200.
-#: Three runs on a 2-core VM (Python 3.11) grew 0.88 MB each (peak 57.9
-#: then 58.7-58.8 MB), as the 12 stores went from 78,745 to 80,642
-#: entries: each round of jobs is one op longer, so a few new lines.
+#: Four runs on a 2-core VM (Python 3.11) grew 0.38-0.50 MB (peak
+#: 54.5-54.8 then 55.0-55.3 MB), as the 12 stores went from 78,745 to
+#: 80,642 entries: each round of jobs is one op longer, so a few new lines.
 RSS_GROWTH_MB = 4.0
 
 

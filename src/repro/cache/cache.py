@@ -10,24 +10,28 @@ bit used to credit useful bandwidth-free prefetches.
 
 Replacement is delegated to a pluggable
 :class:`~repro.cache.replacement.ReplacementPolicy` (DESIGN.md §10).
-Each set is an insertion-ordered mapping the policy may reorder; the
-default ``lru`` policy reproduces the historical hard-coded behaviour
-operation-for-operation, so default-path simulations are bitwise
-identical to the pre-seam code.  Hooks a policy leaves at the base
-class's no-op are not dispatched at all, and LRU's hit hook (a move to
-the recency tail) and victim choice (the set's head) are applied
-inline; a policy that overrides a hook or ``select_victim`` receives
-every call.
+Each set is a plain ``dict``, whose insertion order the policy may
+reorder; the default ``lru`` policy keeps each set in the order the
+historical hard-coded ``OrderedDict`` had, so default-path simulations
+are bitwise identical to the pre-seam code.  Hooks a policy leaves at
+the base class's no-op are not dispatched at all, and LRU's hit hook (a
+pop and reinsert, which moves the line to the recency tail) and victim
+choice (the set's first key) are applied inline; a policy that
+overrides a hook or ``select_victim`` receives every call.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Annotated, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.cache.replacement import DEFAULT_POLICY, LRUPolicy, ReplacementPolicy, make_policy
 from repro.telemetry import StatScope
 from repro.types import Contents, Level, line_data
+from repro.util.schema import Rule, check_value
+
+#: A cache's ways and line size: an int, one or more.  ``HierarchyConfig``
+#: declares each level's ways with it.
+Positive = Annotated[int, Rule(least=1)]
 
 
 class CacheLine:
@@ -100,6 +104,8 @@ class Cache:
         name: str = "cache",
         policy: Union[str, ReplacementPolicy] = DEFAULT_POLICY,
     ) -> None:
+        check_value("ways", ways, Positive)
+        check_value("line_size", line_size, Positive)
         if size_bytes % (ways * line_size) != 0:
             raise ValueError("cache size must be a multiple of ways * line size")
         self.name = name
@@ -108,7 +114,7 @@ class Cache:
         self.num_sets = size_bytes // (ways * line_size)
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
         if isinstance(policy, str):
             policy = make_policy(policy, cache_name=name)
         self.policy = policy
@@ -155,7 +161,7 @@ class Cache:
         self.hits += 1
         if touch:
             if self._lru_hits:
-                cache_set.move_to_end(addr)
+                cache_set[addr] = cache_set.pop(addr)
             elif self._hit_hook:
                 self._policy.on_hit(set_index, cache_set, addr)
         return line
@@ -167,7 +173,7 @@ class Cache:
     def fill(
         self,
         addr: int,
-        data: bytes,
+        data: Contents,
         dirty: bool = False,
         fill_level: Level = Level.UNCOMPRESSED,
         core_id: int = 0,
@@ -186,7 +192,7 @@ class Cache:
             existing.data = data
             existing.dirty = existing.dirty or dirty
             if self._lru_hits:
-                cache_set.move_to_end(addr)
+                cache_set[addr] = cache_set.pop(addr)
             elif self._hit_hook:
                 self._policy.on_hit(set_index, cache_set, addr)
             return None
@@ -208,7 +214,7 @@ class Cache:
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.ways:
             if self._lru_victims:
-                victim = cache_set.popitem(last=False)[1]
+                victim = cache_set.pop(next(iter(cache_set)))
             else:
                 victim = cache_set.pop(self._policy.select_victim(set_index, cache_set))
             if self._evict_hook:
@@ -272,7 +278,8 @@ class Cache:
         """Evict everything through ``sink`` (end-of-simulation flush)."""
         for set_index, cache_set in enumerate(self._sets):
             while cache_set:
-                addr, line = cache_set.popitem(last=False)
+                addr = next(iter(cache_set))
+                line = cache_set.pop(addr)
                 if self._evict_hook:
                     self._policy.on_evict(set_index, addr)
                 sink(line)

@@ -21,15 +21,18 @@ store updates one record (DESIGN.md §14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Annotated, List, Optional
 
-from repro.cache.cache import Cache, CacheLine, EvictedLine
+from repro.cache.cache import Cache, CacheLine, EvictedLine, Positive
 from repro.cache.replacement import DEFAULT_POLICY
 from repro.core.base_controller import LLCView, MemoryController
 from repro.core.policy import CompressionPolicy
 from repro.telemetry import StatScope
 from repro.types import Contents, Level
-from repro.util.schema import Checked
+from repro.util.schema import Checked, Rule
+
+#: A level's hit latency in core cycles: an int, zero or more.
+Latency = Annotated[int, Rule(least=0)]
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,14 @@ class HierarchyConfig(Checked):
     """
 
     l1_bytes: int = 32 * 1024
-    l1_ways: int = 8
-    l1_latency: int = 3
+    l1_ways: Positive = 8
+    l1_latency: Latency = 3
     l2_bytes: int = 256 * 1024
-    l2_ways: int = 8
-    l2_latency: int = 12
+    l2_ways: Positive = 8
+    l2_latency: Latency = 12
     l3_bytes: int = 8 * 1024 * 1024
-    l3_ways: int = 16
-    l3_latency: int = 35
+    l3_ways: Positive = 16
+    l3_latency: Latency = 35
 
 
 class _HierarchyLLCView(LLCView):

@@ -1,13 +1,13 @@
 """Pluggable replacement policies for the set-associative cache model.
 
-The :class:`~repro.cache.cache.Cache` stores each set as an ordered
-mapping ``addr -> CacheLine``; a :class:`ReplacementPolicy` decides which
-resident line that mapping gives up when a fill needs a way.  The policy
-owns the set's *ordering semantics*: it is handed the live set mapping on
-every hit/fill and may reorder it (LRU-family policies use the mapping's
-own insertion order as their recency stack, exactly like the historical
-``OrderedDict`` implementation), or keep side state of its own (SRRIP's
-re-reference counters).
+The :class:`~repro.cache.cache.Cache` stores each set as a plain
+``dict`` ``addr -> CacheLine``; a :class:`ReplacementPolicy` decides which
+resident line that dict gives up when a fill needs a way.  The policy
+owns the set's *ordering semantics*: it is handed the live set dict on
+every hit/fill and may reorder it (LRU-family policies use the dict's
+own insertion order as their recency stack, in the order the historical
+``OrderedDict`` implementation kept), or keep side state of its own
+(SRRIP's re-reference counters).
 
 The contract every policy must honour:
 
@@ -21,8 +21,8 @@ The contract every policy must honour:
   bitwise identical even when they run in different worker processes of
   a parallel sweep.
 
-``lru`` is the default everywhere and reproduces the pre-refactor
-``OrderedDict`` behaviour operation-for-operation: the golden test in
+``lru`` is the default everywhere and keeps every set in the order the
+pre-refactor ``OrderedDict`` cache kept it: the golden test in
 ``tests/test_policy_golden.py`` holds all seven designs to bitwise
 equality with results captured before this seam existed.
 """
@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Dict, List, Type
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.cache import CacheLine
 
-#: The set mapping a policy sees: insertion-ordered ``addr -> CacheLine``.
-SetView = "OrderedDict[int, CacheLine]"
+#: The set a policy sees: a plain, insertion-ordered ``addr -> CacheLine``.
+SetView = "Dict[int, CacheLine]"
 
 
 class ReplacementPolicy:
@@ -65,24 +65,26 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used via the set mapping's own order (the default).
+    """Least-recently-used via the set dict's own order (the default).
 
-    Hits move the line to the tail; the victim is the head.  This is
-    operation-for-operation the historical ``OrderedDict`` behaviour, so
-    the default path stays bitwise identical to the pre-seam code.
+    A hit pops the line and reinserts it, which moves it to the tail;
+    the victim is the first key.  That leaves every set in the order the
+    historical ``OrderedDict`` cache's ``move_to_end`` and
+    ``popitem(last=False)`` left it, so the default path stays bitwise
+    identical to the pre-seam code.
     """
 
     name = "lru"
     description = "least-recently-used (default; pre-seam behaviour)"
 
     def on_hit(self, set_index: int, cache_set, addr: int) -> None:
-        """Move the line to the recency tail.
+        """Move the line to the recency tail: pop it and reinsert it.
 
         :class:`~repro.cache.cache.Cache` inlines this rule for any
         policy that inherits it unoverridden, so it is never called
         there; ``tests/test_replacement.py`` checks the two stay equal.
         """
-        cache_set.move_to_end(addr)
+        cache_set[addr] = cache_set.pop(addr)
 
     def select_victim(self, set_index: int, cache_set) -> int:
         return next(iter(cache_set))

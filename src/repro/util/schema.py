@@ -160,6 +160,15 @@ def check_field(cls: type, name: str, value: Any, required: bool = False) -> Non
     raise KeyError(f"{cls.__name__} declares no field {name!r}")
 
 
+def check_value(name: str, value: Any, hint: Any) -> None:
+    """Raise :class:`ValueError` unless ``value`` fits the declared type
+    ``hint`` (say ``Annotated[int, Rule(least=1)]``), as a field ``name``
+    of that type would: for an argument outside any dataclass."""
+    field = _field(name, hint)
+    if type(value) not in field.types or not _ruled(field, value):
+        raise _error(field, value)
+
+
 class Checked:
     """Base of a dataclass that :func:`check` checks on construction."""
 
@@ -194,4 +203,4 @@ def load(cls: type, data: Any) -> Any:
     return cls(**data)
 
 
-__all__ = ["Checked", "Rule", "check", "check_field", "load"]
+__all__ = ["Checked", "Rule", "check", "check_field", "check_value", "load"]

@@ -23,6 +23,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Cache(100, 3)
 
+    def test_zero_ways_rejected(self):
+        with pytest.raises(ValueError, match=r"^ways must be an int >= 1, not 0$"):
+            Cache(1024, 0)
+
+    def test_zero_line_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^line_size must be an int >= 1, not 0$"):
+            Cache(1024, 2, line_size=0)
+
     def test_set_index_wraps(self):
         cache = small_cache()
         assert cache.set_index(0) == cache.set_index(4)

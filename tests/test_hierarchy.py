@@ -35,6 +35,26 @@ SMALL = HierarchyConfig(
 TINY_L3 = dataclasses.replace(SMALL, l3_bytes=2 * 1024, l3_ways=8)
 
 
+class TestConfigBounds:
+    """A level's ways and latency are checked when the config is built,
+    naming the field, not when a hierarchy divides by them."""
+
+    @pytest.mark.parametrize("field", ["l1_ways", "l2_ways", "l3_ways"])
+    def test_zero_ways_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int >= 1, not 0$"):
+            HierarchyConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["l1_latency", "l2_latency", "l3_latency"])
+    def test_negative_latency_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0, not -20$"):
+            HierarchyConfig(**{field: -20})
+
+    def test_zero_latency_accepted(self):
+        h = make_hierarchy(config=dataclasses.replace(SMALL, l1_latency=0))
+        h.access(0, 1, False, 0)
+        assert h.access(0, 1, False, 100) == 100
+
+
 def make_hierarchy(controller_cls=UncompressedController, policy=None, config=SMALL):
     memory = PhysicalMemory(1 << 16)
     dram = DRAMSystem()
